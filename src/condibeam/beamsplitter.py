@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fock
 from .errors import DegenerateBeamSplitterError
+from .polynomials import log_factorial
 
 __all__ = ["BeamSplitterParams", "OperatorPolynomial", "ReferencePrep"]
 
@@ -30,6 +30,12 @@ class BeamSplitterParams:
     theta: float
     phi_t: float = 0.0
     phi_r: float = 0.0
+
+    def __post_init__(self):
+        for name in ("theta", "phi_t", "phi_r"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @classmethod
     def from_amplitudes(cls, t, r):
@@ -111,7 +117,7 @@ class OperatorPolynomial:
         """Coefficients of the F that prepares the given Fock amplitudes."""
         amps = np.asarray(amps, dtype=complex)
         k = np.arange(len(amps))
-        return cls(tuple(amps * np.exp(-0.5 * gammaln(k + 1))))
+        return cls(tuple(amps * np.exp(-0.5 * log_factorial(k))))
 
     @property
     def degree(self):
@@ -124,7 +130,7 @@ class OperatorPolynomial:
                 f"polynomial degree {self.degree} does not fit dimension {dim}")
         out = np.zeros(dim, dtype=complex)
         k = np.arange(self.degree + 1)
-        out[: self.degree + 1] = np.asarray(self.coeffs) * np.exp(0.5 * gammaln(k + 1))
+        out[: self.degree + 1] = np.asarray(self.coeffs) * np.exp(0.5 * log_factorial(k))
         return out
 
     def normalized(self):

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import conditional, fock, twomode
 from .beamsplitter import BeamSplitterParams, ReferencePrep
@@ -170,7 +169,8 @@ def multi_cat_log_norm(spec):
     terms = [2.0 * (math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1))
              + 2.0 * k * (n - j) * math.log(b) + math.lgamma(k * j + 1)
              for j in range(n + 1)]
-    return float(logsumexp(terms))
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
 def multi_cat_state(spec, policy):

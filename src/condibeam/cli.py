@@ -27,7 +27,6 @@ import sys
 import time
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import __version__, cats, conditional, fock, phasespace, twomode
 from .beamsplitter import BeamSplitterParams, ReferencePrep
@@ -109,12 +108,26 @@ def _extract(entries, experiment, schema):
 _REQUIRED = object()
 
 
+def _build(factory, *args, **kwargs):
+    """Construct a library object from config values; a value it rejects
+    (ValueError) is a config error."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _policy(params):
-    return fock.TruncationPolicy(cutoff=params["cutoff"], tail_tol=params["tail_tol"])
+    return _build(fock.TruncationPolicy, cutoff=params["cutoff"],
+                  tail_tol=params["tail_tol"])
 
 
 def _bs(params):
-    return BeamSplitterParams(params["theta"], params["phi_t"], params["phi_r"])
+    return _build(BeamSplitterParams, params["theta"], params["phi_t"], params["phi_r"])
+
+
+def _cat_spec(params, k=1):
+    return _build(cats.CatSpec, params["n"], params["beta"], k)
 
 
 def _fmt_complex(z):
@@ -168,7 +181,7 @@ _Y_MATRIX_SCHEMA = {
 
 def _run_scheme_a(params):
     policy = _policy(params)
-    spec = cats.CatSpec(params["n"], params["beta"])
+    spec = _cat_spec(params)
     chi = cats.chi_state(spec, policy)
     state, p = cats.scheme_a_state(spec, policy, params["phi_t"], params["phi_r"],
                                    route=params["route"])
@@ -196,7 +209,7 @@ _SCHEME_A_SCHEMA = {
 
 def _run_scheme_b(params):
     policy = _policy(params)
-    spec = cats.CatSpec(params["n"], params["beta"])
+    spec = _cat_spec(params)
     state, p = cats.scheme_b_state(spec, policy, route=params["route"])
     chi = cats.chi_state(spec, policy)
     displaced = fock.apply(fock.displacement_op(spec.beta, policy), chi)
@@ -219,7 +232,7 @@ _SCHEME_B_SCHEMA = {
 
 def _run_multi_cat(params):
     policy = _policy(params)
-    spec = cats.CatSpec(params["n"], params["beta"], params["k"])
+    spec = _cat_spec(params, params["k"])
     state = cats.multi_cat_state(spec, policy)
     scalars = {
         "log_norm": cats.multi_cat_log_norm(spec),
@@ -241,8 +254,10 @@ _MULTI_CAT_SCHEMA = {
 
 
 def _grid_from(params, names):
-    return phasespace.PhaseGrid.square(params["grid_lo"], params["grid_hi"],
-                                       params["grid_points"], names=names)
+    if params["grid_points"] < 2:
+        raise ConfigError(f"grid_points must be >= 2, got {params['grid_points']}")
+    return _build(phasespace.PhaseGrid.square, params["grid_lo"], params["grid_hi"],
+                  params["grid_points"], names=names)
 
 
 _GRID_KEYS = {
@@ -256,11 +271,11 @@ def _run_q_grid(params):
     policy = _policy(params)
     grid = _grid_from(params, ("re_alpha", "im_alpha"))
     if params["state"] == "chi":
-        spec = cats.CatSpec(params["n"], params["beta"])
+        spec = _cat_spec(params)
         state = cats.chi_state(spec, policy)
         closed = phasespace.husimi_chi_closed(spec, grid)
     elif params["state"] == "multi-cat":
-        spec = cats.CatSpec(params["n"], params["beta"], params["k"])
+        spec = _cat_spec(params, params["k"])
         state = cats.multi_cat_state(spec, policy)
         closed = phasespace.husimi_multi_cat_closed(spec, grid)
     else:
@@ -288,7 +303,7 @@ _Q_GRID_SCHEMA = {
 def _run_wigner_grid(params):
     policy = _policy(params)
     grid = _grid_from(params, ("x", "p"))
-    spec = cats.CatSpec(params["n"], params["beta"])
+    spec = _cat_spec(params)
     scalars = {}
     grids = []
     if params["method"] in ("closed", "both"):
@@ -307,9 +322,28 @@ def _run_wigner_grid(params):
                           f"got {params['method']!r}")
     w = grids[0][1]
     step1, step2 = grid.axis1.step, grid.axis2.step
-    scalars["integral"] = float(simpson(simpson(w.values, dx=step2), dx=step1))
+    scalars["integral"] = float(_simpson(_simpson(w.values, step2), step1))
     scalars["min_value"] = float(w.values.min())
     return scalars, grids
+
+
+def _simpson(y, dx):
+    """Composite Simpson's rule along the last axis of ``y`` (spacing ``dx``).
+
+    The same rule as ``scipy.integrate.simpson``: 1-4-2-...-4-1 weights for
+    an odd number of points N; for even N >= 4, Simpson over the first N - 1
+    points plus Cartwright's last-interval term h (5 y[-1] + 8 y[-2] - y[-3]) / 12;
+    the trapezoid for N = 2.
+    """
+    n = y.shape[-1]
+    if n == 2:
+        return 0.5 * dx * (y[..., 0] + y[..., 1])
+    odd = n - 1 + n % 2
+    result = np.sum(y[..., 0:odd - 2:2] + 4.0 * y[..., 1:odd - 1:2] + y[..., 2:odd:2],
+                    axis=-1) * (dx / 3.0)
+    if n % 2 == 0:
+        result = result + dx * (5.0 * y[..., -1] + 8.0 * y[..., -2] - y[..., -3]) / 12.0
+    return result
 
 
 _WIGNER_GRID_SCHEMA = {
@@ -322,12 +356,12 @@ _WIGNER_GRID_SCHEMA = {
 
 def _run_quadrature_grid(params):
     policy = _policy(params)
-    spec = cats.CatSpec(params["n"], params["beta"])
+    spec = _cat_spec(params)
     state = cats.chi_state(spec, policy)
-    x_axis = phasespace.Axis("x", params["grid_lo"], params["grid_hi"],
-                             params["grid_points"])
-    phi_axis = phasespace.Axis("phi", params["phi_lo"], params["phi_hi"],
-                               params["phi_points"])
+    x_axis = _build(phasespace.Axis, "x", params["grid_lo"], params["grid_hi"],
+                    params["grid_points"])
+    phi_axis = _build(phasespace.Axis, "phi", params["phi_lo"], params["phi_hi"],
+                      params["phi_points"])
     values = np.empty((x_axis.points, phi_axis.points))
     dev = 0.0
     for j, phi in enumerate(phi_axis.values):
@@ -363,7 +397,7 @@ def _run_prob_scan(params):
         else:
             raise ConfigError(f"beta_rule must be half-n or fixed, "
                               f"got {params['beta_rule']!r}")
-        _, p = cats.cat_norm_and_prob(cats.CatSpec(n, beta))
+        _, p = cats.cat_norm_and_prob(_build(cats.CatSpec, n, beta))
         scalars[f"p_{n}"] = p
     return scalars, []
 
@@ -379,7 +413,7 @@ _PROB_SCAN_SCHEMA = {
 def _run_povm_demo(params):
     policy = _policy(params)
     bs = _bs(params)
-    povm = twomode.photon_counting_povm(params["eta"], policy)
+    povm = _build(twomode.photon_counting_povm, params["eta"], policy)
     completeness = float(np.max(np.abs(povm.weights.sum(axis=0) - 1.0)))
     signal = fock.fock_state(params["signal_n"], policy)
     two = twomode.product_state(signal, fock.fock_state(0, policy))

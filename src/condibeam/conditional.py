@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fock
 from .errors import ConditioningWarning, TruncationError, ZeroProbabilityError
-from .fock import FockOperator, attenuation_op, coherent_tail_mass, displacement_op
+from .fock import FockOperator, attenuation_op, displacement_op
 from .ordering import OrderedMonomialSpec, s_ordered_monomial
 
 __all__ = [
@@ -55,13 +55,9 @@ def _fock_matrix_prefactor(m, n, t, r):
 
 
 def _check_displacement_budget(arg, policy, what):
-    tail = coherent_tail_mass(arg, policy.cutoff)
-    if tail > policy.tail_tol:
-        raise TruncationError(
-            f"{what}: displacement |{abs(arg):.3g}| leaks mass {tail:.3e} "
-            f"above cutoff {policy.cutoff}",
-            tail_mass=tail,
-        )
+    fock._check_coherent_tail(
+        arg, policy, what + ": displacement |{a:.3g}| leaks mass {tail:.3e} "
+        "above cutoff {cutoff}")
 
 
 def _ordered_core(terms, bs, policy):

@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .cats import cat_norm_and_prob, multi_cat_log_norm
 from .errors import IntegrationRangeError, TruncationError
 from .fock import hermite_functions
-from .polynomials import assoc_laguerre, laguerre
+from .polynomials import assoc_laguerre, laguerre, log_factorial
 
 __all__ = [
     "Axis",
@@ -120,7 +119,7 @@ def _coherent_overlap(state, alpha_flat):
     r = np.abs(alpha_flat)
     safe_r = np.where(r > 0, r, 1.0)
     logmag = (k[None, :] * np.log(safe_r)[:, None]
-              - 0.5 * gammaln(k + 1)[None, :] - 0.5 * (r ** 2)[:, None])
+              - 0.5 * log_factorial(k)[None, :] - 0.5 * (r ** 2)[:, None])
     phases = np.exp(-1j * k[None, :] * np.angle(alpha_flat)[:, None])
     coeffs = np.exp(logmag) * phases  # conj(alpha)^k e^(-|a|^2/2) / sqrt(k!)
     zero = r == 0

@@ -15,16 +15,33 @@ Each polynomial also has a second, independent evaluation route (module
 private, prefixed ``_alt_``) used by the cross-check tests.
 """
 
+import functools
 import math
 
 import numpy as np
 
 
 def log_factorial(k):
-    """ln(k!) for integer k >= 0."""
-    if k < 0:
-        raise ValueError(f"log_factorial needs k >= 0, got {k}")
-    return math.lgamma(k + 1)
+    """ln(k!) for an integer k >= 0, or elementwise for an integer array.
+
+    Arrays are answered from a table of ``math.lgamma`` values cached per
+    table length; a cumulative sum of ln j would lose digits at large k.
+    """
+    if np.ndim(k) == 0:
+        if k < 0:
+            raise ValueError(f"log_factorial needs k >= 0, got {k}")
+        return math.lgamma(k + 1)
+    k = np.asarray(k)
+    if k.min() < 0:
+        raise ValueError(f"log_factorial needs k >= 0, got {k.min()}")
+    return _log_factorial_table(int(k.max()) + 1)[k]
+
+
+@functools.lru_cache(maxsize=16)
+def _log_factorial_table(length):
+    table = np.array([math.lgamma(j + 1) for j in range(length)])
+    table.setflags(write=False)
+    return table
 
 
 def gen_binomial(r, k):

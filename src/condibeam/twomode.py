@@ -16,11 +16,10 @@ in the conditional module: the two routes check each other.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .errors import CutoffMismatchError, DegenerateBeamSplitterError, ZeroProbabilityError
-from .fock import FockOperator
+from .fock import FockOperator, _freeze
+from .polynomials import log_factorial
 
 __all__ = [
     "TwoModeState",
@@ -35,12 +34,6 @@ __all__ = [
     "conditional_reduce",
     "conditional_reduce_mixed",
 ]
-
-
-def _freeze(arr):
-    arr = np.ascontiguousarray(arr, dtype=complex)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -184,11 +177,31 @@ def bs_unitary(bs, policy):
     return TwoModeOperator(tuple(blocks), cutoff)
 
 
+def _nilpotent_exp(c, up):
+    """exp(c J) for the matrix J whose only nonzero entries are J[i+1, i] = up[i].
+
+    J is nilpotent, so the exponential series ends after len(up) terms:
+    exp(cJ)[i+k, i] = c^k / k! * up[i] * ... * up[i+k-1].  Built one
+    subdiagonal at a time in O(size^2).
+    """
+    size = len(up) + 1
+    out = np.zeros((size, size), dtype=complex)
+    idx = np.arange(size)
+    diag = np.ones(size, dtype=complex)
+    for k in range(size):
+        out[idx[k:], idx[:size - k]] = diag
+        diag = diag[:-1] * up[k:] * (c / (k + 1))
+    return out
+
+
 def bs_unitary_factored(bs, policy):
     """The same unitary from its factored form (requires T != 0).
 
     T^(n1) exp(-R* a2^dag a1) exp(R a1^dag a2) T^(-n2), assembled per
     sector; used as an independent cross-check of :func:`bs_unitary`.
+    Within a sector a1^dag a2 has a single nonzero subdiagonal and
+    a2^dag a1 is its transpose, so both exponentials are finite series,
+    built exactly by :func:`_nilpotent_exp` (no Pade approximant).
     Sectors with total <= cutoff agree with the generator form exactly;
     truncated sectors differ, so comparisons stay on the safe block.
     """
@@ -200,15 +213,11 @@ def bs_unitary_factored(bs, policy):
     blocks = []
     for total in range(2 * cutoff + 1):
         lo, hi = _sector_range(total, cutoff)
-        size = hi - lo + 1
         k1 = np.arange(lo, hi + 1)
-        up = np.sqrt((k1[:-1] + 1.0) * (total - k1[:-1]))
-        raise_k1 = np.zeros((size, size), dtype=complex)  # a1^dag a2
-        raise_k1[np.arange(1, size), np.arange(size - 1)] = up
-        lower_k1 = raise_k1.conj().T                      # a2^dag a1
+        up = np.sqrt((k1[:-1] + 1.0) * (total - k1[:-1]))  # a1^dag a2: k1 -> k1 + 1
         block = (np.diag(t ** k1)
-                 @ expm(-np.conj(r) * lower_k1)
-                 @ expm(r * raise_k1)
+                 @ _nilpotent_exp(-np.conj(r), up).T
+                 @ _nilpotent_exp(r, up)
                  @ np.diag((1.0 / t) ** (total - k1)))
         blocks.append(block)
     return TwoModeOperator(tuple(blocks), cutoff)
@@ -248,7 +257,7 @@ class PhotonCountingPovm:
     cutoff: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _freeze_real(self.weights))
+        object.__setattr__(self, "weights", _freeze(self.weights, float))
 
     def element(self, n):
         return FockOperator(np.diag(self.weights[n].astype(complex)), self.cutoff)
@@ -262,12 +271,6 @@ class PhotonCountingPovm:
         return self.weights @ pops
 
 
-def _freeze_real(arr):
-    arr = np.ascontiguousarray(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 def photon_counting_povm(eta, policy):
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {eta}")
@@ -277,7 +280,7 @@ def photon_counting_povm(eta, policy):
         np.fill_diagonal(weights, 1.0)
         return PhotonCountingPovm(weights, eta, policy.cutoff)
     k = np.arange(dim)
-    lg = gammaln(k + 1)
+    lg = log_factorial(k)
     for n in range(dim):
         ks = np.arange(n, dim)
         logw = (lg[ks] - lg[n] - lg[ks - n]

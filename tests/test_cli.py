@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,8 @@ import pytest
 from condibeam import cli, conditional
 from condibeam.errors import ConfigError
 from condibeam.selftest import run_selftest
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestConfigParsing:
@@ -188,6 +195,49 @@ class TestMainExitCodes:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["results"]["p_0"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("config, key, value, experiment, message", [
+        ("two_peak_husimi", "grid_points", "1", "q-grid", "grid_points must be >= 2"),
+        ("two_peak_husimi", "cutoff", "4", "q-grid", "cutoff must be >= 8"),
+        ("two_peak_husimi", "n", "-1", "q-grid", "n must be >= 0"),
+        ("conditional_operator_demo", "theta", "nan", "y-matrix", "theta must be finite"),
+        ("inefficient_detection_demo", "eta", "1.5", "povm-demo", "efficiency must be in"),
+    ])
+    def test_bad_value_in_shipped_config(self, tmp_path, capsys, config, key, value,
+                                         experiment, message):
+        lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
+        lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line
+                 for line in lines]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        rc = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test extra only: the CLI, its selftest and a grid experiment
+    # must run on numpy and the standard library alone
+    cfg = tmp_path / "wigner.cfg"
+    cfg.write_text("n = 2\nbeta = 1\ncutoff = 32\ngrid_points = 41\n")
+    code = textwrap.dedent(f"""
+        import sys
+        import condibeam.cli
+        assert condibeam.cli.main(["selftest"]) == 0
+        assert condibeam.cli.main(["wigner-grid", "--config", {str(cfg)!r},
+                                   "--format", "json-like",
+                                   "--out", {str(tmp_path / "w.json")!r}]) == 0
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, loaded
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSelftest:
