@@ -39,6 +39,7 @@ from .errors import (
     DegenerateTransmittanceError,
     DomainError,
     IntegrationRangeError,
+    OracleMismatchError,
     TruncationError,
     ZeroProbabilityError,
 )

@@ -150,6 +150,9 @@ _BS_KEYS = {
 
 
 def _run_y_matrix(params):
+    for key in ("m", "n"):
+        if params[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {params[key]}")
     policy = _policy(params)
     bs = _bs(params)
     y = conditional.y_displaced_fock(params["m"], params["n"], params["alpha"],
@@ -414,6 +417,8 @@ def _run_povm_demo(params):
     policy = _policy(params)
     bs = _bs(params)
     povm = _build(twomode.photon_counting_povm, params["eta"], policy)
+    if not 0 <= params["outcome"] <= policy.cutoff:
+        raise ConfigError(f"outcome must be in 0..{policy.cutoff}, got {params['outcome']}")
     completeness = float(np.max(np.abs(povm.weights.sum(axis=0) - 1.0)))
     signal = fock.fock_state(params["signal_n"], policy)
     two = twomode.product_state(signal, fock.fock_state(0, policy))

@@ -2,17 +2,19 @@
 
 Conditioning a beam splitter on finding the output reference mode in a
 chosen state maps the input signal through a non-unitary single-mode
-operator Y.  For reference modes prepared/detected in displaced Fock states
-D(alpha)|m> and D(beta)|n>,
+operator Y.  For a reference mode prepared in D(alpha) F(a^dag)|0> and
+detected in D(beta) G(a^dag)|0>,
 
     Y = D((alpha - T beta)/R*)
-        . [R^m (-R*)^n / (T^n sqrt(m! n!))] {(a^dag)^m a^n}_s T^n
+        . [sum_{m,n} f_m conj(g_n) R^m (-R*/T)^n {(a^dag)^m a^n}_s] T^n
         . D((beta - T* alpha)/R*),
 
-with s = 2/|R|^2 - 1.  For arbitrary pure preparations F(a^dag)|0> and
-measured states G(a^dag)|0> the middle factor generalizes bilinearly:
-
-    Y = sum_{m,n} f_m conj(g_n) R^m (-R*/T)^n {(a^dag)^m a^n}_s T^n.
+with s = 2/|R|^2 - 1.  :func:`y_displaced_general` is the one builder of
+Y.  Displaced Fock references D(alpha)|m>, D(beta)|n> are the special case
+f = e_m/sqrt(m!), g = e_n/sqrt(n!) (:func:`y_displaced_fock`); undisplaced
+polynomial references are alpha = beta = 0 (:func:`y_general`).  Each
+s-ordered monomial is one shifted diagonal and T^n scales the columns, so
+the bracket is a banded matrix of width deg F + deg G + 1.
 
 The adjoint of G lands on the signal mode with conjugated coefficients,
 conjugated argument and annihilation operators; this is the unique reading
@@ -20,18 +22,23 @@ consistent with the Fock-monomial special case, and the oracle-equivalence
 tests enforce it (amplitudes, not just moduli, so the global phase is
 pinned as well).
 
+Below |R|^2 = 0.05 the ordering coefficients are ill-conditioned: the
+builder warns and checks the Y it returns against the two-mode oracle.
+
 Success-probability bookkeeping: ||Y psi||^2 is the probability of the
 conditioned outcome when psi and both reference states are normalized.
 """
 
-import math
+import sys
 import warnings
 
 import numpy as np
 
 from . import fock
-from .errors import ConditioningWarning, TruncationError, ZeroProbabilityError
-from .fock import FockOperator, attenuation_op, displacement_op
+from .beamsplitter import OperatorPolynomial, ReferencePrep
+from .errors import (ConditioningWarning, OracleMismatchError, TruncationError,
+                     ZeroProbabilityError)
+from .fock import FockOperator, displacement_op
 from .ordering import OrderedMonomialSpec, s_ordered_monomial
 
 __all__ = [
@@ -48,16 +55,10 @@ __all__ = [
 _CONDITIONING_R2 = 0.05
 
 
-def _fock_matrix_prefactor(m, n, t, r):
-    """Scalar R^m (-R*)^n / (T^n sqrt(m! n!)) in front of the ordered product."""
-    return (r ** m * (-np.conj(r)) ** n / t ** n
-            * math.exp(-0.5 * (math.lgamma(m + 1) + math.lgamma(n + 1))))
-
-
-def _check_displacement_budget(arg, policy, what):
+def _check_displacement_budget(arg, policy):
     fock._check_coherent_tail(
-        arg, policy, what + ": displacement |{a:.3g}| leaks mass {tail:.3e} "
-        "above cutoff {cutoff}")
+        arg, policy, "y_displaced_general: displacement |{a:.3g}| leaks mass "
+        "{tail:.3e} above cutoff {cutoff}")
 
 
 def _ordered_core(terms, bs, policy):
@@ -67,10 +68,19 @@ def _ordered_core(terms, bs, policy):
     for m, n, coeff in terms:
         if coeff == 0:
             continue
-        mono = s_ordered_monomial(OrderedMonomialSpec(m, n, s), policy)
-        total += coeff * mono.mat
-    core = FockOperator(total, policy.cutoff) @ attenuation_op(bs.transmittance, policy)
-    return core
+        total += coeff * s_ordered_monomial(OrderedMonomialSpec(m, n, s), policy).mat
+    # right-multiplying by diag(T^k) scales column k
+    total *= np.asarray(bs.transmittance, dtype=complex) ** np.arange(policy.dim)
+    return FockOperator(total, policy.cutoff)
+
+
+def _caller_stacklevel():
+    """warnings stacklevel of the first frame outside this module, counted
+    from the function that calls this one."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _guard_conditioning(y, prep_in, prep_out, bs, policy):
@@ -81,7 +91,7 @@ def _guard_conditioning(y, prep_in, prep_out, bs, policy):
         f"|R|^2 = {abs(bs.reflectance)**2:.3g} < {_CONDITIONING_R2}: s-ordered "
         "coefficients are ill-conditioned; verifying against the two-mode oracle",
         ConditioningWarning,
-        stacklevel=3,
+        stacklevel=_caller_stacklevel(),
     )
     from . import twomode  # deferred: keep the oracle out of the hot path
 
@@ -90,7 +100,7 @@ def _guard_conditioning(y, prep_in, prep_out, bs, policy):
     scale = np.linalg.norm(reference[:half, :half])
     err = np.linalg.norm(y.mat[:half, :half] - reference[:half, :half])
     if scale > 0 and err / scale > 1e-6:
-        raise ValueError(
+        raise OracleMismatchError(
             f"ill-conditioned closed form deviates from oracle by {err / scale:.3e}; "
             "use the two-mode oracle for this reflectance")
     return y
@@ -99,88 +109,71 @@ def _guard_conditioning(y, prep_in, prep_out, bs, policy):
 def y_displaced_fock(m, n, alpha, beta, bs, policy):
     """Conditional operator for reference modes in displaced Fock states.
 
+    The special case ``y_displaced_general(ReferencePrep.fock(m, alpha),
+    ReferencePrep.fock(n, beta), bs, policy)``: the bracket reduces to
+    R^m (-R*)^n / (T^n sqrt(m! n!)) {(a^dag)^m a^n}_s.
+
     Parameters
     ----------
     m, n : int
-        Photon number of the prepared (m) and detected (n) reference state.
+        Photon number of the prepared (m) and detected (n) reference state;
+        both >= 0 and at most cutoff/4.
     alpha, beta : complex
         Displacements of the prepared and detected reference states.
     bs : BeamSplitterParams
         Requires T != 0 and R != 0.
     policy : TruncationPolicy
     """
-    bs.require_nondegenerate()
     if m < 0 or n < 0:
         raise ValueError(f"Fock indices must be >= 0, got m={m}, n={n}")
     if max(m, n) > policy.cutoff // 4:
         raise TruncationError(
             f"Fock indices m={m}, n={n} exceed cutoff/4 = {policy.cutoff // 4}")
-    t = bs.transmittance
-    r = bs.reflectance
-    left = (alpha - t * beta) / np.conj(r)
-    right = (beta - np.conj(t) * alpha) / np.conj(r)
-    _check_displacement_budget(left, policy, "y_displaced_fock")
-    _check_displacement_budget(right, policy, "y_displaced_fock")
-
-    core = _ordered_core([(m, n, _fock_matrix_prefactor(m, n, t, r))], bs, policy)
-    y = core
-    if left != 0:
-        y = displacement_op(left, policy) @ y
-    if right != 0:
-        y = y @ displacement_op(right, policy)
-
-    from .beamsplitter import ReferencePrep
-    return _guard_conditioning(
-        y, ReferencePrep.fock(m, alpha), ReferencePrep.fock(n, beta), bs, policy)
+    return y_displaced_general(ReferencePrep.fock(m, alpha),
+                               ReferencePrep.fock(n, beta), bs, policy)
 
 
 def y_general(f_poly, g_poly, bs, policy):
-    """Conditional operator for arbitrary pure reference preparations.
+    """Conditional operator for undisplaced pure reference preparations.
 
     ``f_poly`` prepares the input reference mode, ``g_poly`` the detected
     state; both are OperatorPolynomial instances (coefficients of powers of
-    the creation operator).
+    the creation operator).  The special case of
+    :func:`y_displaced_general` with both displacements zero.
+    """
+    return y_displaced_general(ReferencePrep(f_poly), ReferencePrep(g_poly), bs, policy)
+
+
+def y_displaced_general(prep_in, prep_meas, bs, policy):
+    """Conditional operator for displaced general preparations.
+
+    The one builder of Y (module docstring): alpha, beta are the
+    displacements of ``prep_in`` and ``prep_meas``, F, G their polynomials.
     """
     bs.require_nondegenerate()
+    f_poly, g_poly = prep_in.poly, prep_meas.poly
     if f_poly.degree + g_poly.degree > policy.safe_levels:
         raise TruncationError(
             f"deg F + deg G = {f_poly.degree + g_poly.degree} exceeds the "
             f"safe block ({policy.safe_levels} levels)")
     t = bs.transmittance
     r = bs.reflectance
-    terms = []
-    for m, fm in enumerate(f_poly.coeffs):
-        for n, gn in enumerate(g_poly.coeffs):
-            coeff = fm * np.conj(gn) * r ** m * (-np.conj(r) / t) ** n
-            terms.append((m, n, coeff))
-    y = _ordered_core(terms, bs, policy)
-
-    from .beamsplitter import ReferencePrep
-    return _guard_conditioning(
-        y, ReferencePrep(f_poly), ReferencePrep(g_poly), bs, policy)
-
-
-def y_displaced_general(prep_in, prep_meas, bs, policy):
-    """Conditional operator for displaced general preparations.
-
-    D((alpha - T beta)/R*) . y_general(F, G) . D((beta - T* alpha)/R*) with
-    alpha, beta the displacements of ``prep_in`` and ``prep_meas``.
-    """
-    bs.require_nondegenerate()
-    t = bs.transmittance
-    r = bs.reflectance
     alpha = prep_in.displacement
     beta = prep_meas.displacement
     left = (alpha - t * beta) / np.conj(r)
     right = (beta - np.conj(t) * alpha) / np.conj(r)
-    _check_displacement_budget(left, policy, "y_displaced_general")
-    _check_displacement_budget(right, policy, "y_displaced_general")
-    y = y_general(prep_in.poly, prep_meas.poly, bs, policy)
+    _check_displacement_budget(left, policy)
+    _check_displacement_budget(right, policy)
+
+    terms = [(m, n, fm * np.conj(gn) * r ** m * (-np.conj(r) / t) ** n)
+             for m, fm in enumerate(f_poly.coeffs)
+             for n, gn in enumerate(g_poly.coeffs)]
+    y = _ordered_core(terms, bs, policy)
     if left != 0:
         y = displacement_op(left, policy) @ y
     if right != 0:
         y = y @ displacement_op(right, policy)
-    return y
+    return _guard_conditioning(y, prep_in, prep_meas, bs, policy)
 
 
 def apply_conditional(y, psi_in):
@@ -200,8 +193,6 @@ def apply_conditional(y, psi_in):
 def _rotate_prep(prep, chi):
     """exp(i chi n) D(b) G(a^dag)|0>  =  D(e^(i chi) b) G'(a^dag)|0>
     with the polynomial coefficients picking up e^(i chi k)."""
-    from .beamsplitter import OperatorPolynomial, ReferencePrep
-
     coeffs = tuple(c * np.exp(1j * chi * k) for k, c in enumerate(prep.poly.coeffs))
     return ReferencePrep(OperatorPolynomial(coeffs),
                          prep.displacement * np.exp(1j * chi))
@@ -224,8 +215,6 @@ def swap_roles(psi_in, prep_ref, prep_meas, bs, policy):
     output, so the returned state matches the direct pipeline's output up
     to a global phase.  Returns (state, probability).
     """
-    from .beamsplitter import OperatorPolynomial, ReferencePrep
-
     amps = psi_in.amps
     deg = max(int(i) for i in np.nonzero(np.abs(amps) > 1e-14)[0]) if np.any(amps) else 0
     new_ref = ReferencePrep(OperatorPolynomial.from_state_amplitudes(amps[: deg + 1]))

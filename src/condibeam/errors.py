@@ -50,5 +50,9 @@ class IntegrationRangeError(DomainError):
     """Numeric quadrature range too small for the state's support."""
 
 
+class OracleMismatchError(DomainError):
+    """An ill-conditioned closed form disagrees with the two-mode oracle."""
+
+
 class ConditioningWarning(UserWarning):
     """Closed-form ordering coefficients are poorly conditioned (|R|^2 small)."""

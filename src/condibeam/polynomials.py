@@ -1,6 +1,7 @@
 """Stable evaluation of the special polynomials used throughout the package.
 
-Hermite (physicists'), Laguerre, associated Laguerre and Jacobi polynomials.
+Laguerre, associated Laguerre and Jacobi polynomials, log-factorials and
+generalized binomial coefficients.  (Hermite functions live in :mod:`fock`.)
 The Jacobi evaluation accepts *any* real parameters, including negative
 integers: it uses the finite sum over generalized binomial coefficients,
 
@@ -11,8 +12,9 @@ integer parameters occur for real once the second Jacobi parameter is an
 operator (the photon-number operator shifted by a detected photon count)
 evaluated on low Fock levels.
 
-Each polynomial also has a second, independent evaluation route (module
-private, prefixed ``_alt_``) used by the cross-check tests.
+The associated Laguerre and Jacobi polynomials also have a second,
+independent evaluation route (module private, prefixed ``_alt_``) used by
+the cross-check tests.
 """
 
 import functools
@@ -70,23 +72,6 @@ def gen_binomial(r, k):
     return out
 
 
-def hermite(k, x):
-    """Physicists' Hermite polynomial H_k(x) by three-term recurrence.
-
-    ``x`` may be a scalar or ndarray; the result broadcasts with ``x``.
-    """
-    if k < 0:
-        raise ValueError(f"hermite needs degree k >= 0, got {k}")
-    x = np.asarray(x)
-    h_prev = np.ones_like(x, dtype=float)
-    if k == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for j in range(1, k):
-        h, h_prev = 2.0 * x * h - 2.0 * j * h_prev, h
-    return h if np.ndim(h) else float(h)
-
-
 def assoc_laguerre(n, a, z):
     """Associated Laguerre polynomial L_n^a(z) by its finite sum.
 
@@ -135,15 +120,6 @@ def jacobi(m, b, c, z):
 
 
 # --- independent routes for cross-check tests ---------------------------
-
-def _alt_hermite(k, x):
-    """H_k by explicit sum: k! sum_j (-1)^j (2x)^(k-2j) / (j! (k-2j)!)."""
-    out = 0.0
-    for j in range(k // 2 + 1):
-        out += ((-1) ** j * (2.0 * x) ** (k - 2 * j)
-                / (math.factorial(j) * math.factorial(k - 2 * j)))
-    return math.factorial(k) * out
-
 
 def _alt_assoc_laguerre(n, a, z):
     """L_n^a by the three-term recurrence in the degree."""

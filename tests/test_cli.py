@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from condibeam import cli, conditional
-from condibeam.errors import ConfigError
+from condibeam.errors import ConditioningWarning, ConfigError
 from condibeam.selftest import run_selftest
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -183,6 +183,21 @@ class TestMainExitCodes:
         cfg.write_text("m = 0\nn = 0\nalpha = 9.0\ncutoff = 32\n")
         assert cli.main(["y-matrix", "--config", str(cfg)]) == 3
 
+    def test_guard_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a closed form that disagrees with the oracle below |R|^2 = 0.05 is
+        # a domain error, not a traceback
+        original = conditional.s_ordered_monomial
+        monkeypatch.setattr(conditional, "s_ordered_monomial",
+                            lambda spec, policy: 1.001 * original(spec, policy))
+        cfg = tmp_path / "guard.cfg"
+        cfg.write_text("m = 1\nn = 1\ntheta = 0.2\ncutoff = 32\n")
+        with pytest.warns(ConditioningWarning):
+            rc = cli.main(["y-matrix", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("domain error: ") and "deviates from oracle" in err
+        assert err.count("\n") == 1
+
     def test_missing_config(self):
         assert cli.main(["scheme-a"]) == 2
 
@@ -202,6 +217,12 @@ class TestMainExitCodes:
         ("two_peak_husimi", "n", "-1", "q-grid", "n must be >= 0"),
         ("conditional_operator_demo", "theta", "nan", "y-matrix", "theta must be finite"),
         ("inefficient_detection_demo", "eta", "1.5", "povm-demo", "efficiency must be in"),
+        ("conditional_operator_demo", "m", "-1", "y-matrix", "m must be >= 0"),
+        ("conditional_operator_demo", "n", "-1", "y-matrix", "n must be >= 0"),
+        ("inefficient_detection_demo", "outcome", "99", "povm-demo",
+         "outcome must be in 0..32"),
+        ("inefficient_detection_demo", "outcome", "-1", "povm-demo",
+         "outcome must be in 0..32"),
     ])
     def test_bad_value_in_shipped_config(self, tmp_path, capsys, config, key, value,
                                          experiment, message):
@@ -255,11 +276,11 @@ class TestSelftest:
         assert "selftest passed" in capsys.readouterr().out
 
     def test_corrupted_coefficient_is_caught(self, monkeypatch, capsys):
-        # flip the sign of the scalar prefactor of the closed form: the
+        # flip the sign of every s-ordered monomial of the closed form: the
         # oracle comparison must fail and the exit code must be nonzero
-        original = conditional._fock_matrix_prefactor
-        monkeypatch.setattr(conditional, "_fock_matrix_prefactor",
-                            lambda m, n, t, r: -original(m, n, t, r))
+        original = conditional.s_ordered_monomial
+        monkeypatch.setattr(conditional, "s_ordered_monomial",
+                            lambda spec, policy: -1.0 * original(spec, policy))
         assert cli.main(["selftest"]) == 4
         out = capsys.readouterr().out
         assert "FAIL closed-form-vs-oracle" in out

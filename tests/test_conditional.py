@@ -9,6 +9,8 @@ from condibeam.beamsplitter import BeamSplitterParams, OperatorPolynomial, Refer
 from condibeam.errors import (
     ConditioningWarning,
     DegenerateBeamSplitterError,
+    DomainError,
+    OracleMismatchError,
     TruncationError,
     ZeroProbabilityError,
 )
@@ -253,3 +255,40 @@ class TestConditioningGuard:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConditioningWarning)
             conditional.y_displaced_fock(1, 1, 0j, 0j, BS, POLICY)
+
+    def test_guard_checks_the_displaced_y(self, monkeypatch):
+        # the guard compares the Y the caller gets, displacements included:
+        # a wrong displacement factor is caught even though the core is right
+        bs = BeamSplitterParams(0.2, 0.3, 1.2)
+        prep_in = ReferencePrep(OperatorPolynomial((0.8, 0.3j)).normalized(), 0.3)
+        prep_out = ReferencePrep.fock(1, -0.2j)
+        with pytest.warns(ConditioningWarning):
+            y = conditional.y_displaced_general(prep_in, prep_out, bs, POLICY)
+        oracle = twomode.oracle_y(prep_in, prep_out, bs, POLICY)
+        assert rel_frobenius(y.mat, oracle.mat) < 1e-6
+        original = conditional.displacement_op
+        monkeypatch.setattr(conditional, "displacement_op",
+                            lambda arg, policy: 1.001 * original(arg, policy))
+        with pytest.warns(ConditioningWarning), pytest.raises(OracleMismatchError):
+            conditional.y_displaced_general(prep_in, prep_out, bs, POLICY)
+
+    def test_mismatch_is_a_domain_error(self, monkeypatch):
+        original = conditional.s_ordered_monomial
+        monkeypatch.setattr(conditional, "s_ordered_monomial",
+                            lambda spec, policy: 1.001 * original(spec, policy))
+        with pytest.warns(ConditioningWarning), \
+                pytest.raises(OracleMismatchError, match="deviates from oracle") as info:
+            conditional.y_displaced_fock(1, 1, 0j, 0j, BeamSplitterParams(0.2), POLICY)
+        assert isinstance(info.value, DomainError)
+
+    @pytest.mark.parametrize("build", [
+        lambda bs: conditional.y_displaced_fock(1, 1, 0.1, 0j, bs, POLICY),
+        lambda bs: conditional.y_general(OperatorPolynomial.fock_monomial(1),
+                                         OperatorPolynomial.one(), bs, POLICY),
+        lambda bs: conditional.y_displaced_general(ReferencePrep.fock(1),
+                                                   ReferencePrep.coherent(0.1), bs, POLICY),
+    ], ids=["y_displaced_fock", "y_general", "y_displaced_general"])
+    def test_warning_points_at_the_caller(self, build):
+        with pytest.warns(ConditioningWarning) as record:
+            build(BeamSplitterParams(0.2))
+        assert [w.filename for w in record] == [__file__]

@@ -62,6 +62,26 @@ class TestSOrderedMonomial:
             rhs = s_ordered_monomial(OrderedMonomialSpec(n, m, 1.8), POLICY)
             assert np.max(np.abs(lhs.mat - rhs.mat)) < 1e-10
 
+    def test_pure_ladder_powers_at_large_k(self):
+        # the band is the exact ladder power on every retained level
+        policy = fock.TruncationPolicy(cutoff=128)
+        a = fock.annihilation_op(policy).mat
+        adag = fock.creation_op(policy).mat
+        for k in range(41):
+            for (m, n), ladder in (((0, k), a), ((k, 0), adag)):
+                op = s_ordered_monomial(OrderedMonomialSpec(m, n, 2.5), policy).mat
+                ref = np.linalg.matrix_power(ladder, k)
+                assert np.all(np.abs(op - ref) <= 1e-12 * np.abs(ref)), (m, n)
+
+    def test_mixed_powers_stay_on_one_diagonal(self):
+        policy = fock.TruncationPolicy(cutoff=128)
+        offsets = np.subtract.outer(np.arange(policy.dim), np.arange(policy.dim))
+        for m, n in ((3, 40), (40, 3), (20, 20), (12, 31), (31, 12)):
+            op = s_ordered_monomial(OrderedMonomialSpec(m, n, 1.8), policy).mat
+            on_band = offsets == m - n  # entry (i, j) with j - i = n - m
+            assert np.count_nonzero(op[~on_band]) == 0, (m, n)
+            assert np.count_nonzero(op[on_band]) > 0, (m, n)
+
     def test_power_budget(self):
         with pytest.raises(CutoffExceededError):
             s_ordered_monomial(OrderedMonomialSpec(10, 9, 3.0), POLICY)

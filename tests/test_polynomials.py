@@ -44,28 +44,6 @@ class TestGenBinomial:
             assert poly.gen_binomial(r, k) == math.comb(r, k)
 
 
-class TestHermite:
-    def test_degree_zero_and_one(self):
-        assert poly.hermite(0, 1.7) == 1.0
-        assert poly.hermite(1, 0.0) == 0.0
-        assert poly.hermite(1, 0.5) == 1.0
-
-    def test_h4_at_one(self):
-        # 16 x^4 - 48 x^2 + 12 at x = 1
-        assert poly.hermite(4, 1.0) == pytest.approx(16 - 48 + 12)
-
-    def test_vectorized(self):
-        x = np.linspace(-2, 2, 7)
-        assert np.allclose(poly.hermite(2, x), 4 * x * x - 2)
-
-    @given(st.integers(min_value=0, max_value=12),
-           st.floats(min_value=-2, max_value=2, allow_nan=False))
-    def test_recurrence_matches_explicit_sum(self, k, x):
-        a = poly.hermite(k, x)
-        b = poly._alt_hermite(k, x)
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
-
-
 class TestLaguerre:
     def test_at_zero(self):
         for n in range(6):
