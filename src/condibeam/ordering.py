@@ -64,11 +64,6 @@ def _ladder_power(op, k, policy):
     return out
 
 
-def _jacobi_shifted_diagonal(m, b, shift, z, dim):
-    """Diagonal of P_m^(b, q - shift)(z) over Fock levels q = 0..dim-1."""
-    return np.array([jacobi(m, b, q - shift, z) for q in range(dim)])
-
-
 def s_ordered_monomial(spec, policy):
     """{(a^dag)^m a^n}_s as a matrix, from the closed Jacobi form.
 
@@ -81,10 +76,12 @@ def s_ordered_monomial(spec, policy):
     z = (s - 3.0) / (s + 1.0)
     lo, k = min(m, n), abs(n - m)
     coeff = math.factorial(lo) * (-(s + 1.0) / 2.0) ** lo
-    diag = _jacobi_shifted_diagonal(lo, k, n, z, policy.dim)
-    lf = log_factorial(np.arange(policy.dim))
-    ratio = np.exp(0.5 * (lf[k:] - lf[:policy.dim - k]))  # sqrt((j+k)!/j!)
-    band = ratio * (diag[k:] if m <= n else diag[:policy.dim - k])
+    dim = policy.dim
+    # the levels q the band keeps: its column index for m <= n, else its row index
+    q = np.arange(k, dim) if m <= n else np.arange(dim - k)
+    lf = log_factorial(np.arange(dim))
+    ratio = np.exp(0.5 * (lf[k:] - lf[:dim - k]))  # sqrt((j+k)!/j!)
+    band = ratio * jacobi(lo, k, q - n, z)
     return FockOperator(np.diag(coeff * band, n - m), policy.cutoff)
 
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cats import cat_norm_and_prob, multi_cat_log_norm
+from .cats import _chi_amps_unnormalized, cat_norm_and_prob, multi_cat_log_norm
 from .errors import IntegrationRangeError, TruncationError
 from .fock import hermite_functions
-from .polynomials import assoc_laguerre, laguerre, log_factorial
+from .polynomials import assoc_laguerre, log_factorial
 
 __all__ = [
     "Axis",
@@ -171,7 +171,7 @@ def husimi_chi_closed(spec, grid):
     n_sum, _ = cat_norm_and_prob(spec)
     alpha = grid.alpha()
     arg = spec.beta * (np.conj(alpha) + np.conj(spec.beta))
-    q = (np.abs(np.asarray(laguerre(spec.n, arg))) ** 2
+    q = (np.abs(assoc_laguerre(spec.n, 0, arg)[spec.n]) ** 2
          * np.exp(-np.abs(alpha) ** 2) / (np.pi * n_sum))
     return GridFunction(q, grid, "husimi")
 
@@ -252,35 +252,33 @@ def wigner_numeric(state, grid, integration=None):
 def wigner_cat_closed(spec, grid):
     """Closed double sum for the chi-state Wigner function.
 
-    With z = sqrt(2)(x + ip) and N from the norm sum, the (k, m) term for
-    k <= m carries L_k^(m-k)(|z|^2) z^(m-k)/m! and the k > m term the
-    Hermitian-conjugate pattern L_m^(k-m)(|z|^2) (-z*)^(k-m)/k!; the degree
-    of the third Laguerre factor is min(k, m) in both branches (the
-    conjugate-symmetric transcription; validated against the numeric
-    transform).
+    With z = sqrt(2)(x + ip), c_k the chi amplitudes (the Laguerre values
+    L_{n-k}^k(|beta|^2) (-beta)^k / sqrt(k!) over sqrt(N)), j = min(k, m),
+    d = |m - k| and u_j^d(|z|^2) = sqrt(j!/(j+d)!) |z|^d L_j^d(|z|^2), the
+    pair (k, m) adds
+
+        (1/pi) (-1)^j c_k c_m* e^(i(m-k) arg z) u_j^d(|z|^2) e^(-|z|^2/2).
+
+    This is the conjugate-symmetric transcription of the paper's sum
+    (L_k^(m-k)(|z|^2) z^(m-k)/m! for k <= m, L_m^(k-m)(|z|^2) (-z*)^(k-m)/k!
+    for k > m); it is validated against the numeric transform.  Each
+    diagonal d = |m - k| takes one table of Laguerre values.
     """
     _require_2d(grid)
-    n, beta = spec.n, spec.beta
-    n_sum, _ = cat_norm_and_prob(spec)
-    b2 = abs(beta) ** 2
-    lag_b = [float(assoc_laguerre(n - k, k, b2)) for k in range(n + 1)]
+    n = spec.n
+    amps = _chi_amps_unnormalized(n, spec.beta)
     z = math.sqrt(2.0) * grid.alpha()
     z2 = np.abs(z) ** 2
-    total = np.zeros_like(z2, dtype=complex)
-    for m in range(n + 1):
-        for k in range(m + 1):
-            total += (lag_b[k] * lag_b[m]
-                      * np.asarray(assoc_laguerre(k, m - k, z2))
-                      * beta ** k * (-np.conj(beta)) ** m
-                      * z ** (m - k) / math.factorial(m))
-        for k in range(m + 1, n + 1):
-            total += (lag_b[k] * lag_b[m]
-                      * np.asarray(assoc_laguerre(m, k - m, z2))
-                      * beta ** k * (-np.conj(beta)) ** m
-                      * (-np.conj(z)) ** (k - m) / math.factorial(k))
-    alpha = grid.alpha()
-    env = np.exp(-np.abs(alpha) ** 2) / (np.pi * n_sum)
-    return GridFunction(np.real(total) * env, grid, "wigner")
+    arg = np.angle(z)
+    total = np.zeros_like(z2)
+    for d in range(n + 1):
+        j = np.arange(n + 1 - d)
+        pairs = (-1.0) ** j * amps[:n + 1 - d] * np.conj(amps[d:])
+        lag = assoc_laguerre(n - d, d, z2)
+        term = np.real(np.tensordot(pairs, lag, axes=(0, 0)) * np.exp(1j * d * arg))
+        total += term if d == 0 else 2.0 * term
+    n_sum = float(np.vdot(amps, amps).real)
+    return GridFunction(total * np.exp(-0.5 * z2) / (np.pi * n_sum), grid, "wigner")
 
 
 def quadrature_dist(state, x_axis, phi):
@@ -294,19 +292,24 @@ def quadrature_dist(state, x_axis, phi):
 
 
 def quadrature_chi_closed(spec, x_axis, phi):
-    """Closed Hermite-sum form of p(x, phi) for the chi state."""
-    n, beta = spec.n, spec.beta
-    n_sum, _ = cat_norm_and_prob(spec)
-    b2 = abs(beta) ** 2
+    """Closed Hermite-sum form of p(x, phi) for the chi state.
+
+    p = |sum_k L_{n-k}^k(|beta|^2) w^k H_k(x) / k!|^2 e^(-x^2) / (sqrt(pi) N)
+    with w = -beta* e^(i phi) / sqrt(2); the Laguerre and power factors come
+    in as the conjugate chi amplitudes times e^(ik phi) / sqrt(2^k k!).
+    """
+    amps = _chi_amps_unnormalized(spec.n, spec.beta)
+    k = np.arange(spec.n + 1)
+    coeffs = np.conj(amps) * np.exp(1j * k * phi - 0.5 * (k * math.log(2.0)
+                                                          + log_factorial(k)))
     x = x_axis.values
     total = np.zeros(x.size, dtype=complex)
     hk = np.ones_like(x)
     h_prev = np.zeros_like(x)
-    w = -np.conj(beta) * np.exp(1j * phi) / math.sqrt(2.0)
-    for k in range(n + 1):
-        total += (float(assoc_laguerre(n - k, k, b2)) * w ** k
-                  / math.factorial(k) * hk)
+    for k, c in enumerate(coeffs):
+        total += c * hk
         hk, h_prev = 2.0 * x * hk - 2.0 * k * h_prev, hk
+    n_sum = float(np.vdot(amps, amps).real)
     vals = np.abs(total) ** 2 * np.exp(-x * x) / (math.sqrt(math.pi) * n_sum)
     grid = PhaseGrid(x_axis, Axis("phi", phi, phi, 1))
     return GridFunction(vals[:, None], grid, "quadrature")

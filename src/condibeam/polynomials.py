@@ -1,7 +1,16 @@
-"""Stable evaluation of the special polynomials used throughout the package.
+"""Special polynomials used throughout the package.
 
-Laguerre, associated Laguerre and Jacobi polynomials, log-factorials and
-generalized binomial coefficients.  (Hermite functions live in :mod:`fock`.)
+Associated Laguerre and Jacobi polynomials, log-factorials and generalized
+binomial coefficients.  (Hermite functions live in :mod:`fock`.)
+
+Associated Laguerre values are evaluated in one place, :func:`assoc_laguerre`,
+by the three-term recurrence in the degree applied to the normalized values
+sqrt(j!/(j+a)!) x^(a/2) L_j^a(x).  Times e^(-x/2) these are the matrix
+elements of a displacement operator, so they are bounded by e^(x/2) and
+nothing of the size of (j+a)!/j! is formed.  The alternating finite sum
+sum_i C(j+a, j-i) (-x)^i / i! is not used: its terms cancel and it loses
+digits from degree ~25 on at x ~ j/2.
+
 The Jacobi evaluation accepts *any* real parameters, including negative
 integers: it uses the finite sum over generalized binomial coefficients,
 
@@ -10,11 +19,8 @@ integers: it uses the finite sum over generalized binomial coefficients,
 which stays well defined where gamma-function forms have poles.  Negative
 integer parameters occur for real once the second Jacobi parameter is an
 operator (the photon-number operator shifted by a detected photon count)
-evaluated on low Fock levels.
-
-The associated Laguerre and Jacobi polynomials also have a second,
-independent evaluation route (module private, prefixed ``_alt_``) used by
-the cross-check tests.
+evaluated on low Fock levels; ``c`` may therefore be an array, one value per
+level.
 """
 
 import functools
@@ -51,62 +57,74 @@ def gen_binomial(r, k):
 
     Parameters
     ----------
-    r : float
-        Any real number (negative integers included).
+    r : float or ndarray
+        Any real number (negative integers included), or an array of them
+        evaluated elementwise.
     k : int
         Nonnegative integer.
 
-    Exact for integer r with 0 <= k <= r; the falling-factorial product is
-    evaluated with interleaved divisions so intermediate values stay bounded.
+    Exact for scalar integer r with 0 <= k <= r; otherwise the
+    falling-factorial product is evaluated with interleaved divisions so
+    intermediate values stay bounded.
     """
     if k < 0:
         raise ValueError(f"gen_binomial needs k >= 0, got {k}")
-    if k == 0:
-        return 1.0
-    r_int = round(r)
-    if r == r_int and 0 <= r_int and k <= r_int:
-        return float(math.comb(r_int, k))
-    out = 1.0
+    if np.ndim(r) == 0:
+        r_int = round(r)
+        if r == r_int and 0 <= r_int and k <= r_int:
+            return float(math.comb(r_int, k))
+    out = np.ones(np.shape(r))
     for i in range(k):
         out *= (r - i) / (i + 1)
-    return out
+    return out if out.ndim else float(out)
 
 
-def assoc_laguerre(n, a, z):
-    """Associated Laguerre polynomial L_n^a(z) by its finite sum.
+def assoc_laguerre(nmax, a, x):
+    """Normalized associated Laguerre values for degrees j = 0..nmax.
 
-    L_n^a(z) = sum_{j=0}^n C(n+a, n-j) (-z)^j / j!
+    u_j = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x), by the normalized recurrence
+
+        u_{j+1} = [(2j+1+a-x) u_j - sqrt(j(j+a)) u_{j-1}] / sqrt((j+1)(j+1+a))
+
+    from u_0 = x^(a/2) / sqrt(a!), assembled in log space.  e^(-x/2) |u_j|
+    is the magnitude of the displacement-operator element <j+a|D(alpha)|j>
+    at |alpha|^2 = x, so |u_j| <= e^(x/2).
 
     Parameters
     ----------
-    n : int
-        Degree, n >= 0.
-    a : float
-        Any real parameter (negative integers allowed).
-    z : scalar or ndarray, real or complex
-        Argument(s).
+    nmax : int
+        Highest degree, >= 0.
+    a : int or integer ndarray
+        Parameter(s) a >= 0.
+    x : float or ndarray
+        Argument(s) x >= 0, broadcast against ``a``.  Complex arguments are
+        allowed at a = 0, where u_j = L_j(x).
+
+    Returns shape (nmax+1,) + broadcast shape of (a, x).
     """
-    if n < 0:
-        raise ValueError(f"assoc_laguerre needs degree n >= 0, got {n}")
-    z = np.asarray(z)
-    out = np.zeros_like(z, dtype=complex if np.iscomplexobj(z) else float)
-    term = np.ones_like(out)  # (-z)^j / j!
-    for j in range(n + 1):
-        out = out + gen_binomial(n + a, n - j) * term
-        term = term * (-z) / (j + 1)
-    return out if out.ndim else out[()]
-
-
-def laguerre(n, z):
-    """Laguerre polynomial L_n(z) = L_n^0(z)."""
-    return assoc_laguerre(n, 0.0, z)
+    if nmax < 0:
+        raise ValueError(f"assoc_laguerre needs degree nmax >= 0, got {nmax}")
+    a = np.asarray(a)
+    x = np.asarray(x)
+    with np.errstate(divide="ignore"):  # x = 0 with a > 0 gives u_0 = 0
+        log_x = np.log(np.where(a == 0, 1.0, x))
+    u = np.empty((nmax + 1,) + np.broadcast(a, x).shape,
+                 dtype=complex if np.iscomplexobj(x) else float)
+    u[0] = np.exp(0.5 * (a * log_x - log_factorial(a)))
+    prev = 0.0
+    for j in range(nmax):
+        u[j + 1] = (((2 * j + 1 + a - x) * u[j] - np.sqrt(j * (j + a)) * prev)
+                    / np.sqrt((j + 1) * (j + 1 + a)))
+        prev = u[j]
+    return u
 
 
 def jacobi(m, b, c, z):
     """Jacobi polynomial P_m^(b,c)(z) via generalized binomials.
 
     Valid for any real b, c including negative integers; see module
-    docstring for the defining sum.
+    docstring for the defining sum.  ``c`` may be an array, evaluated
+    elementwise.
     """
     if m < 0:
         raise ValueError(f"jacobi needs degree m >= 0, got {m}")
@@ -117,35 +135,3 @@ def jacobi(m, b, c, z):
         out += (gen_binomial(m + b, j) * gen_binomial(m + c, m - j)
                 * zm ** (m - j) * zp ** j)
     return out * 0.5 ** m
-
-
-# --- independent routes for cross-check tests ---------------------------
-
-def _alt_assoc_laguerre(n, a, z):
-    """L_n^a by the three-term recurrence in the degree."""
-    if n == 0:
-        return 1.0
-    lm1 = 1.0
-    l = 1.0 + a - z
-    for j in range(1, n):
-        l, lm1 = ((2 * j + 1 + a - z) * l - (j + a) * lm1) / (j + 1), l
-    return l
-
-
-def _alt_jacobi(m, b, c, z):
-    """P_m^(b,c) by the classical three-term recurrence.
-
-    The recurrence divides by 2m(m+b+c)(2m+b+c-2); it is only used as a
-    cross-check for generic (non-degenerate) parameters.
-    """
-    if m == 0:
-        return 1.0
-    pm1 = 1.0
-    p = 0.5 * ((b + c + 2) * z + (b - c))
-    for j in range(2, m + 1):
-        a1 = 2 * j * (j + b + c) * (2 * j + b + c - 2)
-        a2 = (2 * j + b + c - 1) * (b * b - c * c)
-        a3 = (2 * j + b + c - 1) * (2 * j + b + c) * (2 * j + b + c - 2)
-        a4 = 2 * (j + b - 1) * (j + c - 1) * (2 * j + b + c)
-        p, pm1 = ((a2 + a3 * z) * p - a4 * pm1) / a1, p
-    return p

@@ -29,6 +29,19 @@ class TestCatNormAndProb:
             _, p_pipeline = cats.scheme_a_state(spec, POLICY, route="closed")
             assert p_pipeline == pytest.approx(p_formula, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [30, 50, 100])
+    def test_matches_mpmath_at_large_n(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        beta = math.sqrt(n / 2.0) * np.exp(0.7j)
+        n_sum, p = cats.cat_norm_and_prob(cats.CatSpec(n, beta))
+        with mpmath.workdps(60):
+            b2 = mpmath.mpf(abs(beta)) ** 2
+            ref = mpmath.fsum(b2 ** k / mpmath.factorial(k)
+                              * mpmath.laguerre(n - k, k, b2) ** 2 for k in range(n + 1))
+            ref_p = float(2 ** -mpmath.mpf(n) * mpmath.exp(-b2) * ref)
+        assert abs(n_sum / float(ref) - 1.0) < 1e-12
+        assert abs(p / ref_p - 1.0) < 1e-12
+
 
 class TestChiState:
     def test_zero_detected_photons_gives_vacuum(self):

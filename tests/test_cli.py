@@ -108,6 +108,25 @@ class TestExperiments:
         assert scalars["p_1"] == pytest.approx(0.375 * math.exp(-0.5))
         assert all(f"p_{n}" in scalars for n in range(5))
 
+    def test_scheme_a_at_cutoff_1024(self):
+        scalars, _, _ = cli.run_experiment(
+            "scheme-a", "n = 10\nbeta = 0.5\ncutoff = 1024\n")
+        assert math.isfinite(scalars["probability"])
+        assert abs(scalars["probability"] - scalars["probability_formula"]) < 1e-10
+
+    def test_prob_scan_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        scalars, _, _ = cli.run_experiment("prob-scan", "n_min = 0\nn_max = 60\n")
+        with mpmath.workdps(60):
+            for n in range(61):
+                b2 = mpmath.mpf(n) / 2
+                # zeroprec: some L_{n-k}^k(n/2) are exactly 0, e.g. L_2^2(2)
+                norm = mpmath.fsum(b2 ** k / mpmath.factorial(k)
+                                   * mpmath.laguerre(n - k, k, b2, zeroprec=1000) ** 2
+                                   for k in range(n + 1))
+                ref = float(2 ** -mpmath.mpf(n) * mpmath.exp(-b2) * norm)
+                assert abs(scalars[f"p_{n}"] / ref - 1.0) < 1e-12, n
+
     def test_povm_demo(self):
         scalars, _, _ = cli.run_experiment(
             "povm-demo", "eta = 0.8\ncutoff = 24\nsignal_n = 2\noutcome = 1\n")

@@ -116,6 +116,13 @@ class TestDisplacement:
         half = POLICY.safe_levels
         assert np.max(np.abs(conjugated[:half, :half] - shifted[:half, :half])) < 1e-10
 
+    def test_finite_with_unit_columns_at_cutoff_1024(self):
+        pol = fock.TruncationPolicy(cutoff=1024)
+        d = fock.displacement_op(0.5, pol).mat
+        assert np.all(np.isfinite(d))
+        columns = np.linalg.norm(d[:, :pol.safe_levels], axis=0)
+        assert np.max(np.abs(columns - 1.0)) < 1e-12
+
     def test_tail_violation(self):
         with pytest.raises(TruncationError):
             fock.displacement_op(6.5, POLICY)
