@@ -417,8 +417,9 @@ def _run_povm_demo(params):
     policy = _policy(params)
     bs = _bs(params)
     povm = _build(twomode.photon_counting_povm, params["eta"], policy)
-    if not 0 <= params["outcome"] <= policy.cutoff:
-        raise ConfigError(f"outcome must be in 0..{policy.cutoff}, got {params['outcome']}")
+    for key in ("signal_n", "outcome"):
+        if not 0 <= params[key] <= policy.cutoff:
+            raise ConfigError(f"{key} must be in 0..{policy.cutoff}, got {params[key]}")
     completeness = float(np.max(np.abs(povm.weights.sum(axis=0) - 1.0)))
     signal = fock.fock_state(params["signal_n"], policy)
     two = twomode.product_state(signal, fock.fock_state(0, policy))

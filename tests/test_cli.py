@@ -242,6 +242,10 @@ class TestMainExitCodes:
          "outcome must be in 0..32"),
         ("inefficient_detection_demo", "outcome", "-1", "povm-demo",
          "outcome must be in 0..32"),
+        ("inefficient_detection_demo", "signal_n", "-1", "povm-demo",
+         "signal_n must be in 0..32"),
+        ("inefficient_detection_demo", "signal_n", "999", "povm-demo",
+         "signal_n must be in 0..32"),
     ])
     def test_bad_value_in_shipped_config(self, tmp_path, capsys, config, key, value,
                                          experiment, message):

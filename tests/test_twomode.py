@@ -61,11 +61,23 @@ class TestBsUnitary:
         assert np.max(np.abs(out.amps[:HALF, :HALF] - expected[:HALF, :HALF])) < 1e-8
 
     def test_unitarity_per_sector(self):
+        # complete sectors are unitary; a truncated sector is the window of
+        # the same sector at a cutoff where it is complete, hence a
+        # compression of a unitary
+        big = fock.TruncationPolicy(cutoff=48)
         for theta in (0.3, math.pi / 4, 1.2):
-            u = twomode.bs_unitary(BeamSplitterParams(theta, 0.5, 1.3), POLICY)
-            for block in u.blocks:
-                gram = block.conj().T @ block
-                assert np.max(np.abs(gram - np.eye(block.shape[0]))) < 1e-12
+            bs = BeamSplitterParams(theta, 0.5, 1.3)
+            u = twomode.bs_unitary(bs, POLICY)
+            u_big = twomode.bs_unitary(bs, big)
+            for total, block in enumerate(u.blocks):
+                if total <= POLICY.cutoff:
+                    gram = block.conj().T @ block
+                    assert np.max(np.abs(gram - np.eye(block.shape[0]))) < 1e-12
+                    continue
+                lo, hi = total - POLICY.cutoff, POLICY.cutoff
+                window = u_big.blocks[total][lo:hi + 1, lo:hi + 1]
+                assert np.max(np.abs(block - window)) < 1e-13, (theta, total)
+                assert np.linalg.norm(block, 2) <= 1.0 + 1e-12, (theta, total)
 
     def test_photon_number_conservation(self):
         pol = fock.TruncationPolicy(cutoff=10)
@@ -111,6 +123,57 @@ class TestBsUnitary:
                                       fock.fock_state(0, POLICY))
         out = u.apply(state)
         assert abs(abs(out.amps[0, 1]) - 1.0) < 1e-12
+
+
+RECURRENCE_ANGLES = (0.3, math.pi / 4, 1.2, math.pi / 2, 3.0, -0.7)
+
+
+def referee_sector(mpmath, theta, total, lo, hi):
+    """R_total[p, k] for p, k in lo..hi as a 40-digit finite sum.
+
+    U|k, M-k> = (c a1^dag - s a2^dag)^k (c a2^dag + s a1^dag)^(M-k) |0>
+    / sqrt(k! (M-k)!); the coefficient of a1^dag^p a2^dag^(M-p) times
+    sqrt(p! (M-p)!) is the element.
+    """
+    with mpmath.workdps(40):
+        c, s = mpmath.cos(theta), mpmath.sin(theta)
+        cpow = [c ** j for j in range(total + 1)]
+        spow = [s ** j for j in range(total + 1)]
+        out = np.zeros((hi - lo + 1, hi - lo + 1))
+        for k in range(lo, hi + 1):
+            first = [math.comb(k, i) * (-1) ** (k - i) * cpow[i] * spow[k - i]
+                     for i in range(k + 1)]
+            second = [math.comb(total - k, j) * spow[j] * cpow[total - k - j]
+                      for j in range(total - k + 1)]
+            for p in range(lo, hi + 1):
+                coef = mpmath.fsum(first[i] * second[p - i]
+                                   for i in range(max(0, p - total + k), min(k, p) + 1))
+                scale = mpmath.sqrt(mpmath.mpf(math.factorial(p) * math.factorial(total - p))
+                                    / (math.factorial(k) * math.factorial(total - k)))
+                out[p - lo, k - lo] = float(coef * scale)
+    return out
+
+
+class TestSectorRecurrence:
+    def test_every_element_matches_mpmath(self):
+        # complete and truncated sectors alike hold exact elements
+        mpmath = pytest.importorskip("mpmath")
+        for theta in RECURRENCE_ANGLES:
+            u = twomode.bs_unitary(BeamSplitterParams(theta), POLICY)
+            for total, block in enumerate(u.blocks):
+                lo, hi = max(0, total - POLICY.cutoff), min(total, POLICY.cutoff)
+                ref = referee_sector(mpmath, theta, total, lo, hi)
+                dev = np.max(np.abs(block - ref))
+                assert dev < 1e-13, (theta, total, dev)
+
+    def test_complete_sectors_unitary_at_cutoff_256(self):
+        cutoff = 256
+        for theta in RECURRENCE_ANGLES:
+            for total, _, rot in twomode._sector_rotations(theta, cutoff):
+                if total > cutoff:
+                    break
+                dev = np.max(np.abs(rot.T @ rot - np.eye(total + 1)))
+                assert dev < 1e-12, (theta, total, dev)
 
 
 class TestOracleY:
