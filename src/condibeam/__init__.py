@@ -36,7 +36,6 @@ from .errors import (
     CutoffExceededError,
     CutoffMismatchError,
     DegenerateBeamSplitterError,
-    DegenerateTransmittanceError,
     DomainError,
     IntegrationRangeError,
     OracleMismatchError,
@@ -49,7 +48,6 @@ from .fock import (
     TruncationPolicy,
     annihilation_op,
     apply,
-    attenuation_op,
     coherent_state,
     creation_op,
     displacement_op,
@@ -58,12 +56,9 @@ from .fock import (
     inner,
     norm,
     normalize,
-    number_op,
-    quadrature_state,
 )
 from .ordering import (
     OrderedMonomialSpec,
-    normal_reorder,
     s_ordered_monomial,
     s_to_t_convert,
 )
@@ -83,10 +78,7 @@ from .phasespace import (
 from .twomode import (
     DensityOperator,
     PhotonCountingPovm,
-    TwoModeOperator,
     TwoModeState,
-    bs_unitary,
-    bs_unitary_factored,
     conditional_reduce,
     conditional_reduce_mixed,
     oracle_y,

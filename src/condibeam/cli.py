@@ -389,6 +389,8 @@ _QUADRATURE_GRID_SCHEMA = {
 
 
 def _run_prob_scan(params):
+    if params["n_min"] < 0:
+        raise ConfigError(f"n_min must be >= 0, got {params['n_min']}")
     if params["n_max"] < params["n_min"]:
         raise ConfigError("n_max must be >= n_min")
     scalars = {}

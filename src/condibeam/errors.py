@@ -34,10 +34,6 @@ class TruncationError(DomainError):
         self.tail_mass = tail_mass
 
 
-class DegenerateTransmittanceError(DomainError):
-    """Attenuation with T = 0 requested (diagonal T^n is singular)."""
-
-
 class DegenerateBeamSplitterError(DomainError):
     """Closed-form construction with T = 0 or R = 0 (formulas divide by both)."""
 

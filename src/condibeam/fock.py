@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CutoffExceededError,
-    CutoffMismatchError,
-    DegenerateTransmittanceError,
-    TruncationError,
-)
+from .errors import CutoffExceededError, CutoffMismatchError, TruncationError
 from .polynomials import assoc_laguerre, log_factorial
 
 __all__ = [
@@ -30,11 +25,8 @@ __all__ = [
     "fock_state",
     "coherent_state",
     "displacement_op",
-    "attenuation_op",
-    "quadrature_state",
     "annihilation_op",
     "creation_op",
-    "number_op",
     "identity_op",
     "apply",
     "inner",
@@ -153,7 +145,9 @@ class FockOperator:
 
     def __matmul__(self, other):
         if isinstance(other, FockOperator):
-            _check_cutoffs(self, other)
+            if other.cutoff != self.cutoff:
+                raise CutoffMismatchError(
+                    f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
             return FockOperator(self.mat @ other.mat, self.cutoff)
         return NotImplemented
 
@@ -161,24 +155,6 @@ class FockOperator:
         return FockOperator(self.mat * scalar, self.cutoff)
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, FockOperator):
-            _check_cutoffs(self, other)
-            return FockOperator(self.mat + other.mat, self.cutoff)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, FockOperator):
-            _check_cutoffs(self, other)
-            return FockOperator(self.mat - other.mat, self.cutoff)
-        return NotImplemented
-
-
-def _check_cutoffs(a, b):
-    if a.cutoff != b.cutoff:
-        raise CutoffMismatchError(
-            f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
 
 
 # --- elementary constructors --------------------------------------------
@@ -309,16 +285,6 @@ def displacement_op(alpha, policy):
     return FockOperator(mat, policy.cutoff)
 
 
-def attenuation_op(t, policy):
-    """Diagonal operator T^n with entries T^k, |T| <= 1, T != 0."""
-    if t == 0:
-        raise DegenerateTransmittanceError("attenuation_op with T = 0")
-    if abs(t) > 1 + 1e-12:
-        raise ValueError(f"attenuation_op needs |T| <= 1, got |T| = {abs(t)}")
-    k = np.arange(policy.dim)
-    return FockOperator(np.diag(np.asarray(t, dtype=complex) ** k), policy.cutoff)
-
-
 def hermite_functions(x, nmax):
     """Harmonic-oscillator eigenfunctions phi_k(x) for k = 0..nmax.
 
@@ -338,29 +304,6 @@ def hermite_functions(x, nmax):
     return out
 
 
-def quadrature_state(x, phi, policy):
-    """Truncated quadrature-component state |x, phi>.
-
-    Amplitudes are exp(i k phi) phi_k(x) with phi_k the oscillator
-    eigenfunctions (vacuum variance 1/2 in x).  The vector is not
-    normalizable; it is meant for overlaps with finite-energy states.
-
-    The truncated basis can only resolve |x| up to the top level's classical
-    turning point sqrt(2*cutoff + 1); beyond it every retained phi_k has
-    decayed and overlaps are silently wrong, so that is rejected.  (A mass
-    fraction test is meaningless here: at fixed interior x the series
-    |phi_k(x)|^2 decays only algebraically in k.)
-    """
-    x_lim = np.sqrt(2.0 * policy.cutoff + 1.0)
-    if abs(x) > x_lim:
-        raise TruncationError(
-            f"quadrature_state: |x| = {abs(x):.3g} beyond representable "
-            f"range {x_lim:.3g} at cutoff {policy.cutoff}")
-    k = np.arange(policy.dim)
-    amps = np.exp(1j * k * phi) * hermite_functions(float(x), policy.cutoff)
-    return FockVector(amps, policy.cutoff)
-
-
 def annihilation_op(policy):
     """Lowering operator with a[k-1, k] = sqrt(k)."""
     dim = policy.dim
@@ -372,10 +315,6 @@ def annihilation_op(policy):
 
 def creation_op(policy):
     return annihilation_op(policy).dag()
-
-
-def number_op(policy):
-    return FockOperator(np.diag(np.arange(policy.dim, dtype=complex)), policy.cutoff)
 
 
 def identity_op(policy):

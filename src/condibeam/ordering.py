@@ -1,6 +1,6 @@
 """s-ordered operator monomials as truncated matrices.
 
-Three independent realizations are provided and cross-validated:
+Two independent realizations are provided and cross-validated:
 
 * :func:`s_ordered_monomial` -- the closed Jacobi-polynomial form.  The
   second Jacobi parameter is the photon-number operator shifted by the
@@ -11,9 +11,9 @@ Three independent realizations are provided and cross-validated:
   A ladder power times that diagonal is one shifted diagonal, built as such.
 * :func:`s_to_t_convert` -- the ordering-conversion sum, recursing down to
   normal order where the monomial is a plain matrix product.
-* :func:`normal_reorder` -- the a^m (a^dag)^n reordering identity.
 
-The last two are the tests' reference routes, built from dense ladder powers.
+The second is the reference route of ``condibeam selftest`` and the tests,
+built from dense ladder powers.
 
 Conditioning: the closed-form coefficients contain [-(s+1)/2]^m and grow
 without bound as |R| -> 0 (s -> infinity); below |R|^2 = 0.05 the
@@ -33,7 +33,6 @@ __all__ = [
     "OrderedMonomialSpec",
     "s_ordered_monomial",
     "s_to_t_convert",
-    "normal_reorder",
 ]
 
 
@@ -106,20 +105,4 @@ def s_to_t_convert(m, n, s, t, policy):
             continue
         term = base(m - k, n - k)
         total += ck * term.mat
-    return FockOperator(total, policy.cutoff)
-
-
-def normal_reorder(m, n, policy):
-    """Normally ordered form of a^m (a^dag)^n.
-
-    Returns sum_l C(m,l) n!/(n-l)! (a^dag)^(n-l) a^(m-l); the left-hand
-    matrix product a^m (a^dag)^n agrees with it on the safe block.
-    """
-    _check_budget(m, n, policy)
-    total = np.zeros((policy.dim, policy.dim), dtype=complex)
-    for l in range(min(m, n) + 1):
-        cl = gen_binomial(m, l) * math.factorial(n) / math.factorial(n - l)
-        term = (_ladder_power(creation_op(policy), n - l, policy)
-                @ _ladder_power(annihilation_op(policy), m - l, policy))
-        total += cl * term.mat
     return FockOperator(total, policy.cutoff)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cats import _chi_amps_unnormalized, cat_norm_and_prob, multi_cat_log_norm
 from .errors import IntegrationRangeError, TruncationError
-from .fock import hermite_functions
+from .fock import coherent_tail_mass, hermite_functions
 from .polynomials import assoc_laguerre, log_factorial
 
 __all__ = [
@@ -144,7 +144,6 @@ def _husimi_tail_guard(state, grid, policy):
         return
     corners = [abs(complex(x, p)) for x in (grid.axis1.lo, grid.axis1.hi)
                for p in (grid.axis2.lo, grid.axis2.hi)]
-    from .fock import coherent_tail_mass
     tail_coh = max(coherent_tail_mass(c, policy.tail_start - 1) for c in corners)
     bound = math.sqrt(tail_state * tail_coh)
     if bound > policy.tail_tol:

@@ -86,6 +86,18 @@ def _check_cat_pipeline():
     return ok, f"fidelity gap {fid_gap:.3e}, probability gap {p_gap:.3e} (limits 1e-10)"
 
 
+def _check_chi_state_vs_oracle():
+    # the closed sum against the two-mode oracle route, which shares no
+    # Laguerre or ordering code with it; at zero splitter phases the oracle's
+    # output is (-1)^n chi exactly
+    worst = 0.0
+    for spec in (cats.CatSpec(4, 1.0), cats.CatSpec(5, 1.2 * np.exp(0.9j))):
+        chi = cats.chi_state(spec, _POLICY)
+        state, _ = cats.scheme_a_state(spec, _POLICY, route="oracle")
+        worst = max(worst, float(np.max(np.abs((-1) ** spec.n * state.amps - chi.amps))))
+    return worst <= 1e-9, f"max amplitude deviation {worst:.3e} (limit 1e-9)"
+
+
 def _check_povm_completeness():
     povm = twomode.photon_counting_povm(0.7, _POLICY)
     total = povm.weights.sum(axis=0)
@@ -112,6 +124,7 @@ def selftest_checks():
         ("probability-consistency", _check_probability_consistency),
         ("ordering-equivalence", _check_ordering_equivalence),
         ("cat-state-pipeline", _check_cat_pipeline),
+        ("chi-state-vs-oracle", _check_chi_state_vs_oracle),
         ("povm-completeness", _check_povm_completeness),
         ("husimi-normalization", _check_husimi_normalization),
     ]

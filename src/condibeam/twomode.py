@@ -1,32 +1,16 @@
 """Brute-force two-mode beam-splitter simulation (the ground-truth oracle).
 
-The unitary commutes with the total photon number, so it is built and
-applied block by block over the total-photon-number sectors k1 + k2 = M.
-Each block holds exact matrix elements of the untruncated beam splitter,
-the convention :func:`fock.displacement_op` follows as well.  Sectors with
-M <= cutoff are complete and their blocks are unitary; a higher sector
-keeps only the signal indices max(0, M - cutoff)..cutoff, so its block is a
-compression of a unitary (spectral norm <= 1), not a unitary.  That is why
-closed-form comparisons are restricted to the safe block.
-
-Apart from the phases, block M is the real window
-
-    R_M[p, k] = <p, M-p| exp(theta (a1^dag a2 - a2^dag a1)) |k, M-k>,
-
-the Fock-amplitude form of the beam splitter (Miatto & Quesada, Quantum 4,
-366 (2020)).  Since U a1^dag U^dag = c a1^dag - s a2^dag and
-U a2^dag U^dag = c a2^dag + s a1^dag (c = cos theta, s = sin theta), raising
-either input index by one photon gives a two-term step; their weighted sum
-is the contractive four-term recurrence of Risbo (J. Geodesy 70, 383
-(1996)), with q = M + 1 - p and R_0 = [[1]]:
-
-    (M+1) R_{M+1}[p, k] = sqrt(k) (c sqrt(p) R_M[p-1, k-1] - s sqrt(q) R_M[p, k-1])
-                        + sqrt(M+1-k) (c sqrt(q) R_M[p, k] + s sqrt(p) R_M[p-1, k]).
-
-Every window follows from the previous one in O(1) per element, O(N^3) for
-all 2N + 1 sectors.  Either two-term step alone divides by the square root
-of one input index and is unstable: at theta = pi/4 its sectors miss
-unitarity by 4e-3 at M = 96 and by 5e4 at M = 128.
+The unitary commutes with the total photon number, so it acts sector by
+sector on k1 + k2 = M.  :func:`_sector_blocks` produces the exact blocks of
+the untruncated beam splitter (the convention :func:`fock.displacement_op`
+follows as well) one sector at a time, from the recurrence of
+:func:`_sector_rotations`; the oracle (:func:`oracle_y`) and both reduce
+routes contract each block as it is produced, and no dense two-mode
+unitary is ever assembled.  Sectors with M <= cutoff are complete and their
+blocks are unitary; a higher sector keeps only the signal indices
+max(0, M - cutoff)..cutoff, so its block is a compression of a unitary
+(spectral norm <= 1), not a unitary.  That is why closed-form comparisons
+are restricted to the safe block.
 
 Everything here is deliberately independent of the closed-form construction
 in the conditional module (no ``polynomials`` evaluator, ``ordering`` or
@@ -38,17 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffMismatchError, DegenerateBeamSplitterError, ZeroProbabilityError
+from .errors import CutoffMismatchError, ZeroProbabilityError
 from .fock import FockOperator, _freeze
 
 __all__ = [
     "TwoModeState",
-    "TwoModeOperator",
     "DensityOperator",
     "PhotonCountingPovm",
     "product_state",
-    "bs_unitary",
-    "bs_unitary_factored",
     "oracle_y",
     "photon_counting_povm",
     "conditional_reduce",
@@ -70,9 +51,6 @@ class TwoModeState:
             raise ValueError(f"amps has shape {amps.shape}, expected ({d}, {d})")
         object.__setattr__(self, "amps", amps)
 
-    def norm(self):
-        return float(np.linalg.norm(self.amps))
-
 
 def product_state(v1, v2):
     """|v1> (signal) tensor |v2> (reference)."""
@@ -84,46 +62,6 @@ def product_state(v1, v2):
 def _sector_range(total, cutoff):
     """Signal-mode indices k1 present in the sector k1 + k2 = total."""
     return max(0, total - cutoff), min(cutoff, total)
-
-
-@dataclass(frozen=True)
-class TwoModeOperator:
-    """Photon-number-conserving two-mode operator stored sector by sector.
-
-    ``blocks[M]`` is the matrix over signal indices k1 = lo..hi of the
-    sector k1 + k2 = M (k2 = M - k1).  A dense matrix over the full product
-    basis is available through :meth:`matrix` for small cutoffs.
-    """
-
-    blocks: tuple
-    cutoff: int
-
-    def apply(self, state):
-        if state.cutoff != self.cutoff:
-            raise CutoffMismatchError(
-                f"cutoff mismatch: {self.cutoff} vs {state.cutoff}")
-        out = np.zeros_like(state.amps)
-        for total, block in enumerate(self.blocks):
-            lo, hi = _sector_range(total, self.cutoff)
-            k1 = np.arange(lo, hi + 1)
-            vec = state.amps[k1, total - k1]
-            res = block @ vec
-            out[k1, total - k1] = res
-        return TwoModeState(out, self.cutoff)
-
-    def dag(self):
-        return TwoModeOperator(tuple(b.conj().T for b in self.blocks), self.cutoff)
-
-    def matrix(self):
-        """Dense matrix over the product basis, row/col index = k1*(N+1)+k2."""
-        d = self.cutoff + 1
-        mat = np.zeros((d * d, d * d), dtype=complex)
-        for total, block in enumerate(self.blocks):
-            lo, hi = _sector_range(total, self.cutoff)
-            k1 = np.arange(lo, hi + 1)
-            idx = k1 * d + (total - k1)
-            mat[np.ix_(idx, idx)] = block
-        return mat
 
 
 @dataclass(frozen=True)
@@ -157,10 +95,6 @@ class DensityOperator:
             raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} < 0")
         return self
 
-    def fidelity_with_pure(self, v):
-        """<v| rho |v> for a normalized pure state v."""
-        return float(np.real(np.vdot(v.amps, self.mat @ v.amps)))
-
 
 def _sector_phases(total, cutoff, phi):
     """exp(i * phi * (k1 - k2)/2) over the sector, as a vector."""
@@ -170,13 +104,31 @@ def _sector_phases(total, cutoff, phi):
 
 
 def _sector_rotations(theta, cutoff):
-    """Windows R_M of the mixing rotation, sector by sector (module docstring).
+    """Windows R_M of the mixing rotation, sector by sector.
+
+    Apart from the phases, sector M of the beam splitter is the real window
+
+        R_M[p, k] = <p, M-p| exp(theta (a1^dag a2 - a2^dag a1)) |k, M-k>,
+
+    the Fock-amplitude form of the beam splitter (Miatto & Quesada,
+    Quantum 4, 366 (2020)).  Since U a1^dag U^dag = c a1^dag - s a2^dag and
+    U a2^dag U^dag = c a2^dag + s a1^dag (c = cos theta, s = sin theta),
+    raising either input index by one photon gives a two-term step; their
+    weighted sum is the contractive four-term recurrence of Risbo
+    (J. Geodesy 70, 383 (1996)), with q = M + 1 - p and R_0 = [[1]]:
+
+        (M+1) R_{M+1}[p, k] = sqrt(k) (c sqrt(p) R_M[p-1, k-1] - s sqrt(q) R_M[p, k-1])
+                            + sqrt(M+1-k) (c sqrt(q) R_M[p, k] + s sqrt(p) R_M[p-1, k]).
+
+    Every window follows from the previous one in O(1) per element, O(N^3)
+    for all 2N + 1 sectors.  Either two-term step alone divides by the
+    square root of one input index and is unstable: at theta = pi/4 its
+    sectors miss unitarity by 4e-3 at M = 96 and by 5e4 at M = 128.
 
     Yields (total, lo, rot) for total = 0..2*cutoff, where
     rot[p - lo, k - lo] = R_total[p, k] over the sector's retained signal
-    indices lo..hi (:func:`_sector_range`).  Each window comes from the
-    previous one by one vectorized step of the four-term recurrence; every
-    yielded array is new.
+    indices lo..hi (:func:`_sector_range`), one vectorized recurrence step
+    per sector; every yielded array is new.
     """
     c, s = math.cos(theta), math.sin(theta)
     rot = np.ones((1, 1))
@@ -196,81 +148,17 @@ def _sector_rotations(theta, cutoff):
 
 
 def _sector_blocks(bs, cutoff):
-    """Yields (total, lo, left, rot, right): block = left[:, None] * rot * right.
+    """Exact sector blocks of the beam-splitter unitary, one sector at a time.
 
-    left and right are the phases exp(i phi (k1 - k2)/2) of the
-    photon-number-difference generators, phi = phi_t + phi_r and
-    phi_t - phi_r.
+    Yields (total, lo, left, rot, right) with block = left[:, None] * rot *
+    right: the window R_total of :func:`_sector_rotations` between the
+    phases exp(i phi (k1 - k2)/2) of the photon-number-difference
+    generators, phi = phi_t + phi_r on the left and phi_t - phi_r on the
+    right.  Valid for every parameter value, T = 0 included.
     """
     for total, lo, rot in _sector_rotations(bs.theta, cutoff):
         yield (total, lo, _sector_phases(total, cutoff, bs.phi_t + bs.phi_r), rot,
                _sector_phases(total, cutoff, bs.phi_t - bs.phi_r))
-
-
-def bs_unitary(bs, policy):
-    """Beam-splitter unitary as exact matrix elements, sector by sector.
-
-    Block M is the window over signal indices max(0, M - cutoff)..min(M,
-    cutoff) of the untruncated unitary's sector M: the mixing rotation R_M
-    of the four-term recurrence (Risbo, J. Geodesy 70, 383 (1996); the
-    Fock-amplitude picture of Miatto & Quesada, Quantum 4, 366 (2020)), with
-    the phase factors of the photon-number-difference generators on either
-    side.  Complete sectors (M <= cutoff) are unitary to rounding; truncated
-    sectors are compressions of a unitary, with spectral norm <= 1.  Costs
-    O(1) per element, O(cutoff^3) in all.  Valid for every parameter value,
-    T = 0 included.
-    """
-    blocks = tuple(left[:, None] * rot * right[None, :]
-                   for _, _, left, rot, right in _sector_blocks(bs, policy.cutoff))
-    return TwoModeOperator(blocks, policy.cutoff)
-
-
-def _nilpotent_exp(c, up):
-    """exp(c J) for the matrix J whose only nonzero entries are J[i+1, i] = up[i].
-
-    J is nilpotent, so the exponential series ends after len(up) terms:
-    exp(cJ)[i+k, i] = c^k / k! * up[i] * ... * up[i+k-1].  Built one
-    subdiagonal at a time in O(size^2).
-    """
-    size = len(up) + 1
-    out = np.zeros((size, size), dtype=complex)
-    idx = np.arange(size)
-    diag = np.ones(size, dtype=complex)
-    for k in range(size):
-        out[idx[k:], idx[:size - k]] = diag
-        diag = diag[:-1] * up[k:] * (c / (k + 1))
-    return out
-
-
-def bs_unitary_factored(bs, policy):
-    """The same unitary from its factored form (requires T != 0).
-
-    T^(n1) exp(-R* a2^dag a1) exp(R a1^dag a2) T^(-n2), assembled per
-    sector; used as an independent cross-check of :func:`bs_unitary`.
-    Within a sector a1^dag a2 has a single nonzero subdiagonal and
-    a2^dag a1 is its transpose, so both exponentials are finite series,
-    built exactly by :func:`_nilpotent_exp` (no Pade approximant).
-    Sectors with total <= cutoff agree with :func:`bs_unitary` to rounding;
-    in truncated sectors the product of the two truncated exponentials
-    misses the terms that pass through levels above the cutoff, so
-    comparisons stay on the safe block.
-    """
-    t = bs.transmittance
-    r = bs.reflectance
-    if abs(t) < 1e-15:
-        raise DegenerateBeamSplitterError("factored form needs T != 0")
-    cutoff = policy.cutoff
-    blocks = []
-    for total in range(2 * cutoff + 1):
-        lo, hi = _sector_range(total, cutoff)
-        k1 = np.arange(lo, hi + 1)
-        up = np.sqrt((k1[:-1] + 1.0) * (total - k1[:-1]))  # a1^dag a2: k1 -> k1 + 1
-        block = (np.diag(t ** k1)
-                 @ _nilpotent_exp(-np.conj(r), up).T
-                 @ _nilpotent_exp(r, up)
-                 @ np.diag((1.0 / t) ** (total - k1)))
-        blocks.append(block)
-    return TwoModeOperator(tuple(blocks), cutoff)
 
 
 def _oracle_ys(pairs, bs, cutoff, top):
@@ -298,7 +186,7 @@ def oracle_y(ref_in, ref_out, bs, policy):
     """Conditional operator from the full two-mode simulation.
 
     Y[j, i] = <j| <ref_out| U |i> |ref_in>, contracted sector by sector as
-    the exact blocks of :func:`bs_unitary` are produced (none is kept).
+    the exact blocks of :func:`_sector_blocks` are produced (none is kept).
     """
     pair = (ref_in.state(policy).amps, ref_out.state(policy).amps)
     ymat = _oracle_ys([pair], bs, policy.cutoff, 2 * policy.cutoff)[0]
@@ -324,14 +212,6 @@ class PhotonCountingPovm:
 
     def element(self, n):
         return FockOperator(np.diag(self.weights[n].astype(complex)), self.cutoff)
-
-    def __len__(self):
-        return self.weights.shape[0]
-
-    def outcome_distribution(self, rho):
-        """p(n) for all outcomes on a single-mode density matrix."""
-        pops = np.real(np.diag(rho.mat))
-        return self.weights @ pops
 
 
 def photon_counting_povm(eta, policy):

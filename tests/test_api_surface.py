@@ -1,0 +1,56 @@
+"""Every public name of the package has a production caller.
+
+A name in a module's ``__all__`` stays only if code outside its own
+definition uses it: another function or class of ``src/condibeam`` (the
+CLI and ``selftest`` included), or the benchmark under ``bench/``.  The
+paper's named results are the exception.  Verification-only code belongs
+in the tests.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "condibeam"
+
+# results the paper names, public whether or not the package calls them
+PAPER_RESULTS = {"y_general", "swap_roles"}
+
+
+def exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def used_names(nodes):
+    """Names and attribute names read anywhere inside ``nodes``."""
+    out = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def test_every_exported_name_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    bench = used_names(ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py")))
+    unused = []
+    for module, tree in trees.items():
+        for name in exported(tree):
+            callers = set(bench)
+            for other, other_tree in trees.items():
+                if other == "__init__":
+                    continue  # re-exports are not callers
+                # within the defining module, skip the definition itself
+                callers |= used_names(
+                    node for node in other_tree.body
+                    if other != module or getattr(node, "name", None) != name)
+            if name not in callers and name not in PAPER_RESULTS:
+                unused.append(f"{module}.{name}")
+    assert not unused, f"exported but never called outside the tests: {unused}"

@@ -10,6 +10,36 @@ from condibeam.errors import TruncationError
 POLICY = fock.TruncationPolicy(cutoff=48)
 
 
+def chi_operator_route(n, beta, policy):
+    """(a - beta)^n (a^dag + beta*)^n |0> by repeated operator application.
+
+    The vector grows like n! before any normalization, so this reference
+    only serves small n.
+    """
+    a = fock.annihilation_op(policy).mat
+    adag = a.conj().T
+    v = np.zeros(policy.dim, dtype=complex)
+    v[0] = 1.0
+    for _ in range(n):
+        v = adag @ v + np.conj(beta) * v
+    for _ in range(n):
+        v = a @ v - beta * v
+    return v
+
+
+def chi_referee(mpmath, n, beta):
+    """The normalized chi amplitudes k = 0..n as a 60-digit sum."""
+    with mpmath.workdps(60):
+        b = mpmath.mpc(beta.real, beta.imag)
+        b2 = abs(b) ** 2
+        lag = [mpmath.laguerre(n - k, k, b2, zeroprec=1000) for k in range(n + 1)]
+        norm = mpmath.fsum(b2 ** k / mpmath.factorial(k) * lag[k] ** 2 for k in range(n + 1))
+        p = float(2 ** -mpmath.mpf(n) * mpmath.exp(-b2) * norm)
+        amps = [complex(lag[k] * (-b) ** k / mpmath.sqrt(mpmath.factorial(k) * norm))
+                for k in range(n + 1)]
+    return np.array(amps), p
+
+
 class TestCatNormAndProb:
     def test_vacuum_case(self):
         n_sum, p = cats.cat_norm_and_prob(cats.CatSpec(0, 0.0))
@@ -73,7 +103,7 @@ class TestChiState:
             chi = cats.chi_state(spec, POLICY)
             n_sum, _ = cats.cat_norm_and_prob(spec)
 
-            w = cats._chi_operator_route(n, beta, POLICY)
+            w = chi_operator_route(n, beta, POLICY)
             route_a = w / (math.factorial(n) * math.sqrt(n_sum))
             assert np.max(np.abs(route_a - chi.amps)) < 1e-10
 
@@ -95,6 +125,23 @@ class TestChiState:
     def test_budget(self):
         with pytest.raises(TruncationError):
             cats.chi_state(cats.CatSpec(30, 1.0), POLICY)
+
+
+class TestChiVsOracle:
+    # the two-mode oracle route shares no Laguerre or ordering code with the
+    # closed sum; at zero splitter phases its output is (-1)^n chi exactly
+    @pytest.mark.parametrize("n, cutoff", [(5, 32), (30, 128), (50, 256), (100, 512)])
+    def test_against_mpmath(self, n, cutoff):
+        mpmath = pytest.importorskip("mpmath")
+        policy = fock.TruncationPolicy(cutoff)
+        spec = cats.CatSpec(n, math.sqrt(n / 2.0) * np.exp(0.7j))
+        chi = cats.chi_state(spec, policy)
+        state, p = cats.scheme_a_state(spec, policy, route="oracle")
+        ref, ref_p = chi_referee(mpmath, n, spec.beta)
+        assert np.max(np.abs(chi.amps[:n + 1] - ref)) < 1e-12
+        assert np.all(chi.amps[n + 1:] == 0)
+        assert np.max(np.abs((-1) ** n * state.amps - chi.amps)) < 1e-9
+        assert abs(p / ref_p - 1.0) < 1e-12
 
 
 class TestSchemeA:

@@ -127,6 +127,46 @@ class TestExperiments:
                 ref = float(2 ** -mpmath.mpf(n) * mpmath.exp(-b2) * norm)
                 assert abs(scalars[f"p_{n}"] / ref - 1.0) < 1e-12, n
 
+    CHI_40 = "n = 40\nbeta = 4.47213595499958\ncutoff = 168\n"  # |beta|^2 = 20
+    CHI_40_EXTRA = {
+        "scheme-a": "",
+        "scheme-b": "",
+        "q-grid": "state = chi\ngrid_lo = -7\ngrid_hi = 7\ngrid_points = 41\n",
+        "wigner-grid": "grid_lo = -8\ngrid_hi = 8\ngrid_points = 41\n",
+        "quadrature-grid": "grid_lo = -9\ngrid_hi = 9\ngrid_points = 61\nphi_points = 5\n",
+    }
+
+    @pytest.mark.parametrize("experiment", list(CHI_40_EXTRA))
+    def test_chi_experiments_at_n_40(self, experiment):
+        scalars, _, _ = cli.run_experiment(experiment,
+                                           self.CHI_40 + self.CHI_40_EXTRA[experiment])
+        assert all(np.isfinite(v) for v in scalars.values())
+        # scheme-b's accuracy at this size is the Jacobi defect recorded in
+        # test_conditional; the other experiments keep their usual limits
+        if experiment == "scheme-a":
+            assert scalars["fidelity_vs_chi"] == pytest.approx(1.0, abs=1e-10)
+            assert scalars["probability"] == pytest.approx(
+                scalars["probability_formula"], rel=1e-10)
+        elif experiment == "wigner-grid":
+            assert scalars["closed_vs_numeric_max_abs_dev"] < 1e-6
+            assert scalars["min_value"] < 0
+        elif experiment != "scheme-b":
+            assert scalars["closed_form_max_abs_dev"] < 1e-8
+
+    def test_scheme_a_n_100_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        beta = math.sqrt(50.0) * np.exp(0.3j)
+        scalars, _, _ = cli.run_experiment(
+            "scheme-a", f"n = 100\nbeta = {cli._fmt_complex(beta)}\ncutoff = 1024\n")
+        with mpmath.workdps(60):
+            b2 = mpmath.mpf(abs(beta)) ** 2
+            norm = mpmath.fsum(b2 ** k / mpmath.factorial(k)
+                               * mpmath.laguerre(100 - k, k, b2, zeroprec=1000) ** 2
+                               for k in range(101))
+            ref = float(2 ** -mpmath.mpf(100) * mpmath.exp(-b2) * norm)
+        assert abs(scalars["probability"] / ref - 1.0) < 1e-12
+        assert scalars["fidelity_vs_chi"] == pytest.approx(1.0, abs=1e-10)
+
     def test_povm_demo(self):
         scalars, _, _ = cli.run_experiment(
             "povm-demo", "eta = 0.8\ncutoff = 24\nsignal_n = 2\noutcome = 1\n")
@@ -217,6 +257,20 @@ class TestMainExitCodes:
         assert err.startswith("domain error: ") and "deviates from oracle" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("experiment, config", [
+        ("prob-scan", "beta_rule = fixed\nbeta = 1e200\n"),
+        ("prob-scan", "beta_rule = fixed\nbeta = nan\n"),
+        ("multi-cat", "n = 2\nk = 2\nbeta = nan\ncutoff = 32\n"),
+    ], ids=["prob-scan-huge-beta", "prob-scan-nan-beta", "multi-cat-nan-beta"])
+    def test_bad_cat_values(self, tmp_path, capsys, experiment, config):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        rc = cli.main([experiment, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and "|beta|^2 must be finite" in err
+        assert err.count("\n") == 1
+
     def test_missing_config(self):
         assert cli.main(["scheme-a"]) == 2
 
@@ -246,6 +300,8 @@ class TestMainExitCodes:
          "signal_n must be in 0..32"),
         ("inefficient_detection_demo", "signal_n", "999", "povm-demo",
          "signal_n must be in 0..32"),
+        ("success_probability_scan", "n_min", "-1", "prob-scan", "n_min must be >= 0"),
+        ("two_peak_cat", "beta", "nan", "scheme-a", "|beta|^2 must be finite"),
     ])
     def test_bad_value_in_shipped_config(self, tmp_path, capsys, config, key, value,
                                          experiment, message):
@@ -296,7 +352,9 @@ class TestSelftest:
 
     def test_selftest_exit_code(self, capsys):
         assert cli.main(["selftest"]) == 0
-        assert "selftest passed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "selftest passed" in out
+        assert "ok   chi-state-vs-oracle: " in out
 
     def test_corrupted_coefficient_is_caught(self, monkeypatch, capsys):
         # flip the sign of every s-ordered monomial of the closed form: the

@@ -19,6 +19,7 @@ from condibeam.errors import (
 POLICY = fock.TruncationPolicy(cutoff=48)
 HALF = POLICY.safe_levels
 BS = BeamSplitterParams(math.pi / 3, 0.4, 1.1)
+K = np.arange(POLICY.dim)
 
 
 def rel_frobenius(a, b):
@@ -36,13 +37,12 @@ def random_signal(rng, max_photons=6):
 class TestYDisplacedFock:
     def test_vacuum_vacuum_is_attenuation(self):
         y = conditional.y_displaced_fock(0, 0, 0j, 0j, BS, POLICY)
-        assert np.allclose(y.mat, fock.attenuation_op(BS.transmittance, POLICY).mat)
+        assert np.allclose(y.mat, np.diag(BS.transmittance ** K))
 
     def test_photon_subtraction(self):
         y = conditional.y_displaced_fock(0, 1, 0j, 0j, BS, POLICY)
         t, r = BS.transmittance, BS.reflectance
-        expected = (-np.conj(r) / t) * (fock.annihilation_op(POLICY)
-                                        @ fock.attenuation_op(t, POLICY)).mat
+        expected = (-np.conj(r) / t) * fock.annihilation_op(POLICY).mat @ np.diag(t ** K)
         assert np.max(np.abs(y.mat - expected)) < 1e-12
         # and it matches the contracted unitary matrix elements
         oracle = twomode.oracle_y(ReferencePrep.vacuum(), ReferencePrep.fock(1),
@@ -77,7 +77,7 @@ class TestYGeneral:
     def test_both_vacuum(self):
         y = conditional.y_general(OperatorPolynomial.one(),
                                   OperatorPolynomial.one(), BS, POLICY)
-        assert np.allclose(y.mat, fock.attenuation_op(BS.transmittance, POLICY).mat)
+        assert np.allclose(y.mat, np.diag(BS.transmittance ** K))
 
     def test_two_photon_addition(self):
         # F adds two photons, G detects vacuum: (R^2/sqrt(2)) (a^dag)^2 T^n
@@ -85,8 +85,7 @@ class TestYGeneral:
                                   OperatorPolynomial.one(), BS, POLICY)
         r = BS.reflectance
         adag = fock.creation_op(POLICY).mat
-        expected = (r ** 2 / math.sqrt(2)) * adag @ adag @ fock.attenuation_op(
-            BS.transmittance, POLICY).mat
+        expected = (r ** 2 / math.sqrt(2)) * adag @ adag @ np.diag(BS.transmittance ** K)
         assert np.max(np.abs(y.mat - expected)) < 1e-12
         oracle = twomode.oracle_y(ReferencePrep.fock(2), ReferencePrep.vacuum(),
                                   BS, POLICY)
@@ -122,10 +121,10 @@ class TestYDisplacedGeneral:
                                             ReferencePrep.coherent(beta),
                                             BS, POLICY)
         t, r = BS.transmittance, BS.reflectance
-        expected = (fock.displacement_op(-t * beta / np.conj(r), POLICY)
-                    @ fock.attenuation_op(t, POLICY)
-                    @ fock.displacement_op(beta / np.conj(r), POLICY))
-        assert np.max(np.abs(y.mat - expected.mat)) < 1e-12
+        expected = (fock.displacement_op(-t * beta / np.conj(r), POLICY).mat
+                    @ np.diag(t ** K)
+                    @ fock.displacement_op(beta / np.conj(r), POLICY).mat)
+        assert np.max(np.abs(y.mat - expected)) < 1e-12
 
     def test_random_config_matches_oracle(self):
         prep_in = ReferencePrep(OperatorPolynomial((0.7, -0.2j, 0.3)).normalized(), 0.4)
@@ -247,6 +246,22 @@ class TestOracleInvariants:
         oracle = twomode.oracle_y(ReferencePrep.fock(m, alpha),
                                   ReferencePrep.fock(n, beta), bs, POLICY32)
         half = POLICY32.safe_levels
+        dev = (np.linalg.norm(y.mat[:half, :half] - oracle.mat[:half, :half])
+               / np.linalg.norm(oracle.mat[:half, :half]))
+        assert dev < 1e-8
+
+
+class TestHighFockReferences:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect (ROADMAP item 4f): polynomials.jacobi's generalized-binomial "
+        "sum cancels at high degree (relative error 1.8e-4 at m = 30 against mpmath), "
+        "so Y for Fock references m = n = 30 misses the oracle by 2.2e-6"))
+    def test_fock_30_matches_oracle_on_safe_block(self):
+        policy = fock.TruncationPolicy(cutoff=128)
+        bs = BeamSplitterParams(math.pi / 4)
+        y = conditional.y_displaced_fock(30, 30, 0j, 0j, bs, policy)
+        oracle = twomode.oracle_y(ReferencePrep.fock(30), ReferencePrep.fock(30), bs, policy)
+        half = policy.safe_levels
         dev = (np.linalg.norm(y.mat[:half, :half] - oracle.mat[:half, :half])
                / np.linalg.norm(oracle.mat[:half, :half]))
         assert dev < 1e-8

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from condibeam import fock
-from condibeam.errors import (
-    CutoffExceededError,
-    CutoffMismatchError,
-    DegenerateTransmittanceError,
-    TruncationError,
-)
+from condibeam import fock, phasespace
+from condibeam.errors import CutoffExceededError, CutoffMismatchError, TruncationError
 
 POLICY = fock.TruncationPolicy(cutoff=32)
+
+
+def number_op(policy):
+    return fock.creation_op(policy) @ fock.annihilation_op(policy)
 
 
 class TestTruncationPolicy:
@@ -109,7 +108,7 @@ class TestDisplacement:
         # construction from shifted ladder operators
         alpha = 0.7 + 0.2j
         d = fock.displacement_op(alpha, POLICY)
-        conjugated = (d.dag() @ fock.number_op(POLICY) @ d).mat
+        conjugated = (d.dag() @ number_op(POLICY) @ d).mat
         a = fock.annihilation_op(POLICY).mat
         shifted = (a.conj().T + np.conj(alpha) * np.eye(POLICY.dim)) @ (
             a + alpha * np.eye(POLICY.dim))
@@ -129,53 +128,39 @@ class TestDisplacement:
 
 
 class TestAttenuation:
-    def test_identity_at_one(self):
-        assert np.allclose(fock.attenuation_op(1.0, POLICY).mat, np.eye(POLICY.dim))
-
-    def test_diagonal_powers(self):
-        t = 1j / math.sqrt(2)
-        op = fock.attenuation_op(t, POLICY)
-        assert op.mat[3, 3] == pytest.approx(t ** 3)
-
     def test_coherent_scaling_identity(self):
         # T^n |alpha> = exp(-|alpha|^2 (1-|T|^2)/2) |T alpha>, both sides numeric
         t, alpha = 1 / math.sqrt(2), 1.0
-        lhs = fock.apply(fock.attenuation_op(t, POLICY),
-                         fock.coherent_state(alpha, POLICY))
+        lhs = np.diag(t ** np.arange(POLICY.dim)) @ fock.coherent_state(alpha, POLICY).amps
         rhs = (math.exp(-abs(alpha) ** 2 * (1 - abs(t) ** 2) / 2)
                * fock.coherent_state(t * alpha, POLICY).amps)
-        assert np.max(np.abs(lhs.amps - rhs)) < 1e-10
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateTransmittanceError):
-            fock.attenuation_op(0.0, POLICY)
-        with pytest.raises(ValueError):
-            fock.attenuation_op(1.5, POLICY)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 class TestQuadratureState:
+    # <x,0|k> = phi_k(x), the oscillator eigenfunctions of hermite_functions
     def test_vacuum_wavefunction(self):
         x = 0.8
-        q = fock.quadrature_state(x, 0.0, POLICY)
-        overlap = fock.inner(q, fock.fock_state(0, POLICY))
+        overlap = fock.hermite_functions(x, POLICY.cutoff) @ fock.fock_state(0, POLICY).amps
         assert overlap == pytest.approx(np.pi ** -0.25 * math.exp(-x * x / 2))
 
     def test_odd_amplitude_vanishes_at_origin(self):
-        q = fock.quadrature_state(0.0, 0.0, POLICY)
-        assert q.amps[1] == 0.0
+        assert fock.hermite_functions(0.0, POLICY.cutoff)[1] == 0.0
 
     def test_phase_factors(self):
-        q = fock.quadrature_state(0.5, 0.9, POLICY)
-        q0 = fock.quadrature_state(0.5, 0.0, POLICY)
-        k = np.arange(POLICY.dim)
-        assert np.allclose(q.amps, np.exp(1j * k * 0.9) * q0.amps)
+        # <x,phi| = <x,0| exp(-i phi n) and exp(-i phi n)|alpha> = |alpha e^(-i phi)>
+        alpha, phi = 1.2 + 0.4j, 0.9
+        x_axis = phasespace.Axis("x", -5.0, 5.0, 41)
+        rotated = phasespace.quadrature_dist(fock.coherent_state(alpha, POLICY), x_axis, phi)
+        direct = phasespace.quadrature_dist(
+            fock.coherent_state(alpha * np.exp(-1j * phi), POLICY), x_axis, 0.0)
+        assert np.max(np.abs(rotated.values - direct.values)) < 1e-12
 
     def test_coherent_overlap_normalization(self):
         # int |<x,0|alpha>|^2 dx = 1 by trapezoidal quadrature
         coh = fock.coherent_state(1.0, POLICY)
         xs = np.linspace(-7, 7, 1401)
-        dens = [abs(fock.inner(fock.quadrature_state(x, 0.0, POLICY), coh)) ** 2
-                for x in xs]
+        dens = np.abs(coh.amps @ fock.hermite_functions(xs, POLICY.cutoff)) ** 2
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-6)
 
     def test_hermite_function_orthonormality(self):
@@ -185,14 +170,10 @@ class TestQuadratureState:
         gram = np.trapezoid(fn[:, None, :] * fn[None, :, :], xs, axis=-1)
         assert np.max(np.abs(gram - np.eye(7))) < 1e-6
 
-    def test_unrepresentable_x(self):
-        with pytest.raises(TruncationError):
-            fock.quadrature_state(9.5, 0.0, POLICY)  # sqrt(2*32+1) ~ 8.06
-
 
 class TestLinearAlgebra:
     def test_number_operator_eigenvalue(self):
-        v = fock.apply(fock.number_op(POLICY), fock.fock_state(3, POLICY))
+        v = fock.apply(number_op(POLICY), fock.fock_state(3, POLICY))
         assert np.allclose(v.amps, 3 * fock.fock_state(3, POLICY).amps)
 
     def test_norm_of_basis_states(self):
@@ -217,7 +198,7 @@ class TestLinearAlgebra:
     def test_cutoff_mismatch(self):
         other = fock.TruncationPolicy(cutoff=16)
         with pytest.raises(CutoffMismatchError):
-            fock.apply(fock.number_op(POLICY), fock.fock_state(0, other))
+            fock.apply(fock.identity_op(POLICY), fock.fock_state(0, other))
         with pytest.raises(CutoffMismatchError):
             fock.inner(fock.fock_state(0, POLICY), fock.fock_state(0, other))
 
@@ -231,6 +212,6 @@ class TestLinearAlgebra:
         v = fock.fock_state(0, POLICY)
         with pytest.raises(ValueError):
             v.amps[0] = 2.0
-        op = fock.number_op(POLICY)
+        op = fock.identity_op(POLICY)
         with pytest.raises(ValueError):
             op.mat[0, 0] = 1.0

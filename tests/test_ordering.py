@@ -5,12 +5,7 @@ import pytest
 
 from condibeam import fock
 from condibeam.errors import CutoffExceededError
-from condibeam.ordering import (
-    OrderedMonomialSpec,
-    normal_reorder,
-    s_ordered_monomial,
-    s_to_t_convert,
-)
+from condibeam.ordering import OrderedMonomialSpec, s_ordered_monomial, s_to_t_convert
 from condibeam.polynomials import jacobi
 
 POLICY = fock.TruncationPolicy(cutoff=32)
@@ -40,7 +35,7 @@ class TestSOrderedMonomial:
     def test_one_one_at_s_three(self):
         # converting to normal order gives a^dag a + (1-s)/2 = n - 1 at s = 3
         op = s_ordered_monomial(OrderedMonomialSpec(1, 1, 3.0), POLICY)
-        expected = fock.number_op(POLICY).mat - np.eye(POLICY.dim)
+        expected = np.diag(np.arange(POLICY.dim) - 1.0)
         assert np.max(np.abs(op.mat - expected)) < 1e-12
 
     def test_branches_agree_at_equal_powers(self):
@@ -124,6 +119,16 @@ class TestOrderingConversion:
                     closed = s_ordered_monomial(OrderedMonomialSpec(m, n, s), POLICY)
                     conv = s_to_t_convert(m, n, s, 1.0, POLICY)
                     assert rel_frobenius(closed.mat, conv.mat) < 1e-9, (m, n, s)
+
+
+def normal_reorder(m, n, policy):
+    """Normally ordered form of a^m (a^dag)^n.
+
+    a^m (a^dag)^n is the antinormally ordered monomial {(a^dag)^n a^m}_-1,
+    so the conversion sum to t = 1 gives its normal-order expansion
+    sum_l l! C(m,l) C(n,l) (a^dag)^(n-l) a^(m-l).
+    """
+    return s_to_t_convert(n, m, -1.0, 1.0, policy)
 
 
 class TestNormalReorder:

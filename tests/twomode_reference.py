@@ -1,0 +1,99 @@
+"""Dense two-mode references that the tests compare the sector routes against.
+
+The library never assembles the beam-splitter unitary: the oracle and the
+reduce routes contract each block of ``twomode._sector_blocks`` as it is
+produced.  The tests need the unitary itself, so this module assembles the
+same blocks into :class:`TwoModeOperator`, and builds the factored form of
+the unitary as an independent route to compare with.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from condibeam import twomode
+from condibeam.errors import DegenerateBeamSplitterError
+
+
+@dataclass(frozen=True)
+class TwoModeOperator:
+    """Photon-number-conserving two-mode operator stored sector by sector.
+
+    ``blocks[M]`` is the matrix over signal indices k1 = lo..hi of the
+    sector k1 + k2 = M (k2 = M - k1).
+    """
+
+    blocks: tuple
+    cutoff: int
+
+    def apply(self, state):
+        out = np.zeros_like(state.amps)
+        for total, block in enumerate(self.blocks):
+            lo, hi = twomode._sector_range(total, self.cutoff)
+            k1 = np.arange(lo, hi + 1)
+            out[k1, total - k1] = block @ state.amps[k1, total - k1]
+        return twomode.TwoModeState(out, self.cutoff)
+
+    def matrix(self):
+        """Dense matrix over the product basis, row/col index = k1*(N+1)+k2."""
+        d = self.cutoff + 1
+        mat = np.zeros((d * d, d * d), dtype=complex)
+        for total, block in enumerate(self.blocks):
+            lo, hi = twomode._sector_range(total, self.cutoff)
+            k1 = np.arange(lo, hi + 1)
+            idx = k1 * d + (total - k1)
+            mat[np.ix_(idx, idx)] = block
+        return mat
+
+
+def bs_unitary(bs, policy):
+    """The beam-splitter unitary, assembled from the library's sector blocks."""
+    blocks = tuple(left[:, None] * rot * right[None, :]
+                   for _, _, left, rot, right in twomode._sector_blocks(bs, policy.cutoff))
+    return TwoModeOperator(blocks, policy.cutoff)
+
+
+def nilpotent_exp(c, up):
+    """exp(c J) for the matrix J whose only nonzero entries are J[i+1, i] = up[i].
+
+    J is nilpotent, so the exponential series ends after len(up) terms:
+    exp(cJ)[i+k, i] = c^k / k! * up[i] * ... * up[i+k-1].  Built one
+    subdiagonal at a time in O(size^2).
+    """
+    size = len(up) + 1
+    out = np.zeros((size, size), dtype=complex)
+    idx = np.arange(size)
+    diag = np.ones(size, dtype=complex)
+    for k in range(size):
+        out[idx[k:], idx[:size - k]] = diag
+        diag = diag[:-1] * up[k:] * (c / (k + 1))
+    return out
+
+
+def bs_unitary_factored(bs, policy):
+    """The same unitary from its factored form (requires T != 0).
+
+    T^(n1) exp(-R* a2^dag a1) exp(R a1^dag a2) T^(-n2), assembled per
+    sector.  Within a sector a1^dag a2 has a single nonzero subdiagonal and
+    a2^dag a1 is its transpose, so both exponentials are finite series,
+    built exactly by :func:`nilpotent_exp` (no Pade approximant).  Sectors
+    with total <= cutoff agree with :func:`bs_unitary` to rounding; in
+    truncated sectors the product of the two truncated exponentials misses
+    the terms that pass through levels above the cutoff, so comparisons
+    stay on the safe block.
+    """
+    t = bs.transmittance
+    r = bs.reflectance
+    if abs(t) < 1e-15:
+        raise DegenerateBeamSplitterError("factored form needs T != 0")
+    cutoff = policy.cutoff
+    blocks = []
+    for total in range(2 * cutoff + 1):
+        lo, hi = twomode._sector_range(total, cutoff)
+        k1 = np.arange(lo, hi + 1)
+        up = np.sqrt((k1[:-1] + 1.0) * (total - k1[:-1]))  # a1^dag a2: k1 -> k1 + 1
+        blocks.append(np.diag(t ** k1)
+                      @ nilpotent_exp(-np.conj(r), up).T
+                      @ nilpotent_exp(r, up)
+                      @ np.diag((1.0 / t) ** (total - k1)))
+    return TwoModeOperator(tuple(blocks), cutoff)
