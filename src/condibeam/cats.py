@@ -33,7 +33,7 @@ import numpy as np
 
 from . import conditional, fock, twomode
 from .beamsplitter import BeamSplitterParams, ReferencePrep
-from .errors import TruncationError
+from .errors import DomainError, TruncationError
 from .polynomials import assoc_laguerre
 
 __all__ = [
@@ -70,23 +70,32 @@ class CatSpec:
 
 def cat_norm_and_prob(spec):
     """Normalization N and generation probability p of the chi state."""
-    amps = _chi_amps_unnormalized(spec.n, spec.beta)
-    n_sum = float(np.vdot(amps, amps).real)
+    _, n_sum = _chi_amps_and_norm(spec.n, spec.beta)
     p = 0.5 ** spec.n * math.exp(-abs(spec.beta) ** 2) * n_sum
     return n_sum, p
 
 
-def _chi_amps_unnormalized(n, beta):
-    """L_{n-k}^k(|b|^2) (-b)^k / sqrt(k!) for k = 0..n.
+def _chi_amps_and_norm(n, beta):
+    """L_{n-k}^k(|b|^2) (-b)^k / sqrt(k!) for k = 0..n, and their N.
 
     Written with the normalized Laguerre values u_j^a of
     :func:`polynomials.assoc_laguerre` as sqrt(C(n, k)) u_{n-k}^k(|b|^2)
     e^(ik arg(-b)), so no factorial or power of |b| is formed on its own.
+    Raises DomainError when N = sum_k |amp_k|^2 is not finite: at huge |b|
+    the Laguerre values overflow (while e^(-|b|^2) underflows to 0, so p
+    would be NaN).
     """
     k = np.arange(n + 1)
-    u = assoc_laguerre(n, k, abs(beta) ** 2)[n - k, k]
     binom = np.array([float(math.comb(n, j)) for j in k])
-    return np.sqrt(binom) * u * np.exp(1j * k * np.angle(-beta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = assoc_laguerre(n, k, abs(beta) ** 2)[n - k, k]
+        amps = np.sqrt(binom) * u * np.exp(1j * k * np.angle(-beta))
+        n_sum = float(np.vdot(amps, amps).real)
+    if not math.isfinite(n_sum):
+        raise DomainError(
+            f"chi state: normalization N overflows at n = {n}, "
+            f"|beta|^2 = {abs(beta) ** 2:.3e}")
+    return amps, n_sum
 
 
 def chi_state(spec, policy):
@@ -104,9 +113,9 @@ def chi_state(spec, policy):
         raise TruncationError(
             f"chi_state: n = {n} exceeds the safe block "
             f"({policy.safe_levels} levels) at cutoff {policy.cutoff}")
-    unnorm = _chi_amps_unnormalized(n, beta)
+    unnorm, n_sum = _chi_amps_and_norm(n, beta)
     amps = np.zeros(policy.dim, dtype=complex)
-    amps[:n + 1] = unnorm / math.sqrt(float(np.vdot(unnorm, unnorm).real))
+    amps[:n + 1] = unnorm / math.sqrt(n_sum)
     return fock.FockVector(amps, policy.cutoff)
 
 

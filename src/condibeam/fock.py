@@ -183,7 +183,10 @@ def coherent_tail_mass(alpha, cutoff):
     ~1e-12 relative at k ~ 1000); the result is good to ~2e-13 relative
     down to 1e-300.  With w = 12 sqrt(lam) + 40 the sum runs over
     max(cutoff + 1, lam - w) <= k <= max(cutoff + 1, lam) + w; terms
-    outside that window are below e^-70 of the largest one.
+    outside that window are below e^-70 of the largest one.  When the
+    window starts above cutoff + 1, everything at or below the cutoff lies
+    under e^-70 of the total and the tail is 1.0, with no window built (it
+    would hold ~24 |alpha| entries).
     """
     lam = abs(alpha) ** 2
     if lam == 0:
@@ -191,6 +194,8 @@ def coherent_tail_mass(alpha, cutoff):
     if not math.isfinite(lam):
         return 1.0 if lam > 0 else math.nan
     width = 12.0 * math.sqrt(lam) + 40.0
+    if lam - width > cutoff + 1:
+        return 1.0  # the head below the window is under e^-70 of the total
     k = np.arange(max(cutoff + 1, int(lam - width)),
                   max(cutoff + 1, int(lam)) + int(width) + 1)
     log_terms = (k * np.log(lam / k) + (k - lam)
@@ -285,6 +290,12 @@ def displacement_op(alpha, policy):
     return FockOperator(mat, policy.cutoff)
 
 
+# ln 2 = _LN2_HI + _LN2_LO, with _LN2_HI short enough that its product with
+# an integer below 2^20 is exact
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
 def hermite_functions(x, nmax):
     """Harmonic-oscillator eigenfunctions phi_k(x) for k = 0..nmax.
 
@@ -292,15 +303,40 @@ def hermite_functions(x, nmax):
     normalized recurrence phi_{k+1} = x sqrt(2/(k+1)) phi_k
     - sqrt(k/(k+1)) phi_{k-1}, which neither overflows nor loses the
     exponential envelope.  Returns shape (nmax+1,) + shape(x).
+
+    The envelope e^(-x^2/2) leaves the normal range above |x| ~ 37.6,
+    although the higher levels it multiplies are of order 1 there.  At such
+    points the recurrence runs on psi_k = phi_k 2^-scale, with the power of
+    two of the envelope carried per point in ``scale`` and folded in by
+    ``np.ldexp`` as each level is stored; psi_0 starts at ~2^-1000, and
+    the pair (psi_k, psi_{k-1}) is scaled down by 2^500 whenever |psi_k|
+    passes 2^500.  Elsewhere scale is 0 and psi_k is phi_k, bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros((nmax + 1,) + x.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if nmax >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for k in range(1, nmax):
-        out[k + 1] = (x * np.sqrt(2.0 / (k + 1)) * out[k]
-                      - np.sqrt(k / (k + 1.0)) * out[k - 1])
+    out = np.empty((nmax + 1,) + x.shape)
+    half_sq = 0.5 * x * x
+    far = (half_sq > 700.0) & np.isfinite(half_sq)
+    carry = bool(far.any())
+    # e^(-x^2/2) = e^r 2^m with |r| <= ln(2)/2; m = 0 where the envelope is normal
+    m = np.where(far, np.rint(-half_sq / math.log(2.0)), 0.0)
+    psi = np.pi ** -0.25 * np.exp((-half_sq - m * _LN2_HI) - m * _LN2_LO)
+    scale = 0
+    if carry:
+        psi = np.ldexp(psi, np.where(far, -1000, 0))
+        scale = np.where(far, m + 1000, 0).astype(int)
+    prev = np.zeros_like(psi)
+    for k in range(nmax + 1):
+        out[k] = np.ldexp(psi, scale) if carry else psi
+        if k == nmax:
+            break
+        psi, prev = (x * np.sqrt(2.0 / (k + 1)) * psi
+                     - np.sqrt(k / (k + 1.0)) * prev), psi
+        if carry:
+            big = np.abs(psi) > 2.0 ** 500
+            if big.any():
+                shift = np.where(big, -500, 0)
+                psi, prev = np.ldexp(psi, shift), np.ldexp(prev, shift)
+                scale = scale + 500 * big
     return out
 
 

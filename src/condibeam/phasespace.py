@@ -13,6 +13,14 @@ Closed forms for the cat states (Q, W and p(x, phi)) are implemented next
 to the generic overlap/transform routes; the pairs are cross-validated in
 the tests.  Pointwise evaluations are independent, so grids can be mapped
 in parallel.
+
+The generic routes run on the state's support, not on every level up to
+the cutoff: the Husimi overlap contracts over the nonzero levels only, and
+the wavefunction and quadrature routes stop at the highest nonzero level
+(the Hermite recurrence needs every level below it).  Their cost therefore
+depends on the state, not on the cutoff; a chi state with n photons costs
+the same at cutoff 64 as at 1024.  The Husimi truncation guard still reads
+the full vector.
 """
 
 import math
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cats import _chi_amps_unnormalized, cat_norm_and_prob, multi_cat_log_norm
+from .cats import _chi_amps_and_norm, cat_norm_and_prob, multi_cat_log_norm
 from .errors import IntegrationRangeError, TruncationError
 from .fock import coherent_tail_mass, hermite_functions
 from .polynomials import assoc_laguerre, log_factorial
@@ -107,15 +115,21 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
 
+def _support(state):
+    """Levels with a nonzero amplitude, ascending; level 0 for the zero vector."""
+    levels = np.flatnonzero(state.amps)
+    return levels if levels.size else np.zeros(1, dtype=int)
+
+
 def _coherent_overlap(state, alpha_flat):
     """<alpha|psi> for an array of coherent amplitudes.
 
-    Uses the exact analytic coherent amplitudes on the retained levels
-    (no renormalization), assembled in log space; every coefficient is
-    bounded by 1, so the contraction is stable for any |alpha|.
+    Uses the exact analytic coherent amplitudes (no renormalization),
+    assembled in log space, on the state's nonzero levels only; every
+    coefficient is bounded by 1, so the contraction is stable for any
+    |alpha|.  The truncation guard on the full vector is the caller's.
     """
-    dim = state.dim
-    k = np.arange(dim)
+    k = _support(state)
     r = np.abs(alpha_flat)
     safe_r = np.where(r > 0, r, 1.0)
     logmag = (k[None, :] * np.log(safe_r)[:, None]
@@ -124,9 +138,8 @@ def _coherent_overlap(state, alpha_flat):
     coeffs = np.exp(logmag) * phases  # conj(alpha)^k e^(-|a|^2/2) / sqrt(k!)
     zero = r == 0
     if np.any(zero):
-        coeffs[zero] = 0.0
-        coeffs[zero, 0] = 1.0
-    return coeffs @ state.amps
+        coeffs[zero] = k == 0  # <0|psi>, zero when level 0 is not in the support
+    return coeffs @ state.amps[k]
 
 
 def _husimi_tail_guard(state, grid, policy):
@@ -155,7 +168,11 @@ def _husimi_tail_guard(state, grid, policy):
 
 
 def husimi(state, grid, policy):
-    """Q(alpha) = |<alpha|psi>|^2 / pi on the grid (axis1 = Re, axis2 = Im)."""
+    """Q(alpha) = |<alpha|psi>|^2 / pi on the grid (axis1 = Re, axis2 = Im).
+
+    The truncation guard runs first, on the full vector; the overlap then
+    runs on the state's nonzero levels.
+    """
     _require_2d(grid)
     _husimi_tail_guard(state, grid, policy)
     alpha = grid.alpha().ravel()
@@ -209,8 +226,13 @@ def default_integration(state):
 
 
 def _wavefunction(state, u):
-    """<u,0|psi> evaluated with the stable oscillator-function recurrence."""
-    return np.tensordot(state.amps, hermite_functions(u, state.cutoff), axes=(0, 0))
+    """<u,0|psi> evaluated with the stable oscillator-function recurrence.
+
+    The recurrence runs up to the highest nonzero level of the state, not
+    up to the cutoff.
+    """
+    top = _support(state)[-1]
+    return np.tensordot(state.amps[:top + 1], hermite_functions(u, top), axes=(0, 0))
 
 
 def wigner_numeric(state, grid, integration=None):
@@ -265,7 +287,7 @@ def wigner_cat_closed(spec, grid):
     """
     _require_2d(grid)
     n = spec.n
-    amps = _chi_amps_unnormalized(n, spec.beta)
+    amps, n_sum = _chi_amps_and_norm(n, spec.beta)
     z = math.sqrt(2.0) * grid.alpha()
     z2 = np.abs(z) ** 2
     arg = np.angle(z)
@@ -276,16 +298,19 @@ def wigner_cat_closed(spec, grid):
         lag = assoc_laguerre(n - d, d, z2)
         term = np.real(np.tensordot(pairs, lag, axes=(0, 0)) * np.exp(1j * d * arg))
         total += term if d == 0 else 2.0 * term
-    n_sum = float(np.vdot(amps, amps).real)
     return GridFunction(total * np.exp(-0.5 * z2) / (np.pi * n_sum), grid, "wigner")
 
 
 def quadrature_dist(state, x_axis, phi):
-    """p(x, phi) = |<x,phi|psi>|^2 over a 1-D x grid (degenerate phi axis)."""
-    x = x_axis.values
-    fn = hermite_functions(x, state.cutoff)
-    k = np.arange(state.dim)
-    amp = np.tensordot(np.exp(-1j * k * phi) * state.amps, fn, axes=(0, 0))
+    """p(x, phi) = |<x,phi|psi>|^2 over a 1-D x grid (degenerate phi axis).
+
+    The oscillator functions are evaluated up to the highest nonzero level
+    of the state, not up to the cutoff.
+    """
+    top = _support(state)[-1]
+    fn = hermite_functions(x_axis.values, top)
+    k = np.arange(top + 1)
+    amp = np.tensordot(np.exp(-1j * k * phi) * state.amps[:top + 1], fn, axes=(0, 0))
     grid = PhaseGrid(x_axis, Axis("phi", phi, phi, 1))
     return GridFunction((np.abs(amp) ** 2)[:, None], grid, "quadrature")
 
@@ -297,7 +322,7 @@ def quadrature_chi_closed(spec, x_axis, phi):
     with w = -beta* e^(i phi) / sqrt(2); the Laguerre and power factors come
     in as the conjugate chi amplitudes times e^(ik phi) / sqrt(2^k k!).
     """
-    amps = _chi_amps_unnormalized(spec.n, spec.beta)
+    amps, n_sum = _chi_amps_and_norm(spec.n, spec.beta)
     k = np.arange(spec.n + 1)
     coeffs = np.conj(amps) * np.exp(1j * k * phi - 0.5 * (k * math.log(2.0)
                                                           + log_factorial(k)))
@@ -308,7 +333,6 @@ def quadrature_chi_closed(spec, x_axis, phi):
     for k, c in enumerate(coeffs):
         total += c * hk
         hk, h_prev = 2.0 * x * hk - 2.0 * k * h_prev, hk
-    n_sum = float(np.vdot(amps, amps).real)
     vals = np.abs(total) ** 2 * np.exp(-x * x) / (math.sqrt(math.pi) * n_sum)
     grid = PhaseGrid(x_axis, Axis("phi", phi, phi, 1))
     return GridFunction(vals[:, None], grid, "quadrature")

@@ -5,7 +5,7 @@ import pytest
 
 from condibeam import cats, fock, phasespace
 from condibeam.beamsplitter import BeamSplitterParams
-from condibeam.errors import TruncationError
+from condibeam.errors import DomainError, TruncationError
 
 POLICY = fock.TruncationPolicy(cutoff=48)
 
@@ -71,6 +71,16 @@ class TestCatNormAndProb:
             ref_p = float(2 ** -mpmath.mpf(n) * mpmath.exp(-b2) * ref)
         assert abs(n_sum / float(ref) - 1.0) < 1e-12
         assert abs(p / ref_p - 1.0) < 1e-12
+
+    def test_huge_beta(self):
+        # e^(-|beta|^2) underflows to 0: exact at n = 0, where N = 1 ...
+        assert cats.cat_norm_and_prob(cats.CatSpec(0, 1e150)) == (1.0, 0.0)
+        # ... while from n = 1 on the Laguerre values overflow and p would be NaN
+        for n in (1, 3):
+            with pytest.raises(DomainError, match="N overflows"):
+                cats.cat_norm_and_prob(cats.CatSpec(n, 1e150))
+        with pytest.raises(DomainError, match="N overflows"):
+            cats.chi_state(cats.CatSpec(3, 1e150), POLICY)
 
 
 class TestChiState:

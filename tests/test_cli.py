@@ -271,6 +271,25 @@ class TestMainExitCodes:
         assert err.startswith("config error: ") and "|beta|^2 must be finite" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("experiment, config, message", [
+        ("scheme-a", "n = 0\nbeta = 1e150\ncutoff = 32\n", "leaks mass 1.000e+00"),
+        ("scheme-a", "n = 4\nbeta = 1e150\ncutoff = 32\n", "normalization N overflows"),
+        ("prob-scan", "beta_rule = fixed\nbeta = 1e150\nn_min = 0\nn_max = 3\n",
+         "normalization N overflows at n = 1"),
+    ], ids=["scheme-a-n-0", "scheme-a-n-4", "prob-scan"])
+    def test_huge_finite_beta_is_a_domain_error(self, tmp_path, capsys, experiment,
+                                                config, message):
+        # |beta|^2 = 1e300 is finite, but no truncation holds it and the
+        # chi normalization overflows: exit 3, no NaN, no traceback
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(config)
+        rc = cli.main([experiment, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("domain error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "nan" not in captured.out
+
     def test_missing_config(self):
         assert cli.main(["scheme-a"]) == 2
 

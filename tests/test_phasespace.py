@@ -6,8 +6,37 @@ from scipy.integrate import simpson
 
 from condibeam import cats, fock, phasespace as ps
 from condibeam.errors import IntegrationRangeError, TruncationError
+from condibeam.polynomials import log_factorial
 
 POLICY = fock.TruncationPolicy(cutoff=32)
+
+
+# Full-level references: every level 0..cutoff at every sample point, as the
+# evaluators did before they ran on the state's support.
+
+def full_coherent_overlap(state, alpha_flat):
+    k = np.arange(state.dim)
+    r = np.abs(alpha_flat)
+    safe_r = np.where(r > 0, r, 1.0)
+    logmag = (k[None, :] * np.log(safe_r)[:, None]
+              - 0.5 * log_factorial(k)[None, :] - 0.5 * (r ** 2)[:, None])
+    phases = np.exp(-1j * k[None, :] * np.angle(alpha_flat)[:, None])
+    coeffs = np.exp(logmag) * phases
+    zero = r == 0
+    coeffs[zero] = 0.0
+    coeffs[zero, 0] = 1.0
+    return coeffs @ state.amps
+
+
+def full_wavefunction(state, u):
+    return np.tensordot(state.amps, fock.hermite_functions(u, state.cutoff), axes=(0, 0))
+
+
+def full_quadrature_dist(state, x, phi):
+    k = np.arange(state.dim)
+    amp = np.tensordot(np.exp(-1j * k * phi) * state.amps,
+                       fock.hermite_functions(x, state.cutoff), axes=(0, 0))
+    return np.abs(amp) ** 2
 
 
 class TestGridTypes:
@@ -189,3 +218,60 @@ class TestMarginals:
         marginal = simpson(w.values, dx=grid.axis2.step, axis=1)
         density = ps.quadrature_dist(state, x_axis, 0.0).values[:, 0]
         assert np.max(np.abs(marginal - density)) < 1e-5
+
+
+class TestSupportEvaluation:
+    """The evaluators run on the state's support and agree with the full sums."""
+
+    POL = fock.TruncationPolicy(cutoff=128)
+
+    @pytest.fixture(params=["chi-10", "chi-20", "multi-cat-5", "fock-7", "coherent"])
+    def state(self, request):
+        return {
+            "chi-10": lambda: cats.chi_state(cats.CatSpec(10, math.sqrt(5.0) * np.exp(0.4j)),
+                                             self.POL),
+            "chi-20": lambda: cats.chi_state(cats.CatSpec(20, math.sqrt(10.0)), self.POL),
+            "multi-cat-5": lambda: cats.multi_cat_state(cats.CatSpec(4, 1.3, k=5), self.POL),
+            "fock-7": lambda: fock.fock_state(7, self.POL),
+            "coherent": lambda: fock.coherent_state(1.5 - 0.7j, self.POL),
+        }[request.param]()
+
+    def test_coherent_overlap_matches_full_sum(self, state):
+        alpha = ps.PhaseGrid.square(-6, 6, 25).alpha().ravel()
+        assert np.any(alpha == 0)  # <0|psi>, which is 0 where level 0 is off the support
+        got = ps._coherent_overlap(state, alpha)
+        assert np.max(np.abs(got - full_coherent_overlap(state, alpha))) < 1e-14
+
+    def test_wavefunction_matches_full_sum(self, state):
+        u = np.linspace(-9, 9, 181)
+        got = ps._wavefunction(state, u)
+        assert np.max(np.abs(got - full_wavefunction(state, u))) < 1e-14
+
+    def test_quadrature_dist_matches_full_sum(self, state):
+        ax = ps.Axis("x", -9, 9, 181)
+        for phi in (0.0, 0.9, 2.6):
+            got = ps.quadrature_dist(state, ax, phi).values[:, 0]
+            assert np.max(np.abs(got - full_quadrature_dist(state, ax.values, phi))) < 1e-14
+
+    def test_grids_do_not_depend_on_cutoff(self, monkeypatch):
+        # the same chi state at cutoff 64 and 1024 gives bit-identical grids,
+        # and no evaluator asks for a level above the state's top level 10
+        levels = []
+        hermite, log_fact = ps.hermite_functions, ps.log_factorial
+        monkeypatch.setattr(ps, "hermite_functions",
+                            lambda x, nmax: levels.append(nmax) or hermite(x, nmax))
+        monkeypatch.setattr(ps, "log_factorial",
+                            lambda k: levels.append(np.size(k) - 1) or log_fact(k))
+        spec = cats.CatSpec(10, math.sqrt(5.0))
+        grid = ps.PhaseGrid.square(-5, 5, 11)
+        ax = ps.Axis("x", -7, 7, 57)
+        results = []
+        for cutoff in (64, 1024):
+            pol = fock.TruncationPolicy(cutoff=cutoff)
+            chi = cats.chi_state(spec, pol)
+            results.append((ps.husimi(chi, grid, pol).values,
+                            ps.wigner_numeric(chi, grid).values,
+                            ps.quadrature_dist(chi, ax, 0.7).values))
+        for small, large in zip(*results):
+            assert np.array_equal(small, large)
+        assert levels and max(levels) == 10

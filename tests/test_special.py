@@ -15,7 +15,7 @@ from scipy.special import gammaln
 
 from condibeam import cli
 from condibeam.beamsplitter import BeamSplitterParams
-from condibeam.fock import coherent_tail_mass
+from condibeam.fock import coherent_tail_mass, hermite_functions
 from condibeam.polynomials import log_factorial
 from twomode_reference import nilpotent_exp
 
@@ -53,6 +53,50 @@ def test_poisson_tail_edge_values():
     assert coherent_tail_mass(complex("inf"), 8) == 1.0
     assert math.isnan(coherent_tail_mass(complex("nan"), 8))
     assert coherent_tail_mass(40.0, 8) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_poisson_tail_far_above_cutoff():
+    # the summation window would hold ~24 |alpha| = 2.4e151 entries
+    assert coherent_tail_mass(1e150, 32) == 1.0
+    assert coherent_tail_mass(complex(0, 1e150), 1024) == 1.0
+
+
+def _hermite_functions_reference(x, nmax):
+    """pi^(-1/4) e^(-x^2/2) H_k(x) / sqrt(2^k k!) at 50 digits, k = 0..nmax.
+
+    H_k by its own recurrence H_{k+1} = 2x H_k - 2k H_{k-1} (not the
+    normalized one the package uses); mpmath floats have no underflow.
+    """
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        envelope = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-x * x / 2)
+        h_prev, h = mpmath.mpf(0), mpmath.mpf(1)
+        values = []
+        for k in range(nmax + 1):
+            values.append(envelope * h / mpmath.sqrt(mpmath.mpf(2) ** k * mpmath.factorial(k)))
+            h_prev, h = h, 2 * x * h - 2 * k * h_prev
+        return values
+
+
+@pytest.mark.parametrize("x", [30.0, 38.0, 40.0, 44.0])
+def test_hermite_functions_far_from_origin_against_mpmath(x):
+    # e^(-x^2/2) is subnormal or 0 above |x| ~ 37.6, yet the higher levels
+    # are of order 1 there (0.10968 at x = 40, k = 1024).  The error is
+    # measured against the running maximum |phi_j|, j <= k: that is the
+    # value itself where the levels still grow monotonically, and the
+    # oscillation's envelope past the turning point k ~ x^2/2, where single
+    # levels pass through zero.
+    nmax = 1024
+    got = hermite_functions(np.array([x, -x]), nmax)
+    ref = _hermite_functions_reference(x, nmax)
+    assert float(ref[nmax]) != 0.0
+    scale = mpmath.mpf(0)
+    for k in range(nmax + 1):
+        scale = max(scale, abs(ref[k]))
+        if scale <= mpmath.mpf("1e-300"):
+            continue
+        for sign, value in ((1, got[k, 0]), ((-1) ** k, got[k, 1])):
+            assert abs(mpmath.mpf(value) - sign * ref[k]) <= 1e-12 * scale, (x, k)
 
 
 def test_log_factorial_array_against_gammaln():
