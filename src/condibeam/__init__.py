@@ -29,19 +29,7 @@ from .conditional import (
     y_displaced_general,
     y_general,
 )
-from .errors import (
-    CondibeamError,
-    ConditioningWarning,
-    ConfigError,
-    CutoffExceededError,
-    CutoffMismatchError,
-    DegenerateBeamSplitterError,
-    DomainError,
-    IntegrationRangeError,
-    OracleMismatchError,
-    TruncationError,
-    ZeroProbabilityError,
-)
+from .errors import *  # noqa: F403 -- errors.__all__: every error and warning class
 from .fock import (
     FockOperator,
     FockVector,

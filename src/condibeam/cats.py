@@ -12,10 +12,11 @@ probability p = 2^(-n) e^(-|beta|^2) N.  For |beta|^2 = n/2 the state shows
 two phase-space peaks near +/- i beta whose separation grows like the
 square root of the detected photon number.  The Laguerre factors come from
 the normalized recurrence of :func:`polynomials.assoc_laguerre`; N and p
-stay within 1e-13 of a 60-digit evaluation up to n = 300.  The state is
-built from this sum alone; the two-mode oracle route of
-:func:`scheme_a_state` is its independent check, run by ``condibeam
-selftest`` and the tests rather than on every call.
+stay within 1e-13 of a 60-digit evaluation up to n = 300, and p stays
+within 1e-12 at n = 800, where N overflows.  The state is built from this
+sum alone; the two-mode oracle route of :func:`scheme_a_state` is its
+independent check, run by ``condibeam selftest`` and the tests rather than
+on every call.
 
 A second scheme mixes the coherent state |beta/T| with a Fock state |n> and
 detects |n>; its output is the displaced chi state D(beta) chi (balanced
@@ -34,7 +35,7 @@ import numpy as np
 from . import conditional, fock, twomode
 from .beamsplitter import BeamSplitterParams, ReferencePrep
 from .errors import DomainError, TruncationError
-from .polynomials import assoc_laguerre
+from .polynomials import assoc_laguerre, log_factorial
 
 __all__ = [
     "CatSpec",
@@ -69,33 +70,44 @@ class CatSpec:
 
 
 def cat_norm_and_prob(spec):
-    """Normalization N and generation probability p of the chi state."""
-    _, n_sum = _chi_amps_and_norm(spec.n, spec.beta)
-    p = 0.5 ** spec.n * math.exp(-abs(spec.beta) ** 2) * n_sum
+    """Normalization N and generation probability p of the chi state.
+
+    N is inf where it overflows, while p stays finite (:func:`_chi_sums`);
+    DomainError when p is not finite, or 0 while N overflows (huge |beta|).
+    """
+    _, n_sum, p = _chi_sums(spec.n, spec.beta)
+    if not math.isfinite(p) or (p == 0 and not math.isfinite(n_sum)):
+        raise DomainError(f"chi state: normalization N overflows at n = {spec.n}, "
+                          f"|beta|^2 = {abs(spec.beta) ** 2:.3e}")
     return n_sum, p
 
 
 def _chi_amps_and_norm(n, beta):
-    """L_{n-k}^k(|b|^2) (-b)^k / sqrt(k!) for k = 0..n, and their N.
+    """The chi amplitudes and N; DomainError when N is not finite."""
+    amps, n_sum, _ = _chi_sums(n, beta)
+    if not math.isfinite(n_sum):
+        raise DomainError(f"chi state: normalization N overflows at n = {n}, "
+                          f"|beta|^2 = {abs(beta) ** 2:.3e}")
+    return amps, n_sum
 
-    Written with the normalized Laguerre values u_j^a of
-    :func:`polynomials.assoc_laguerre` as sqrt(C(n, k)) u_{n-k}^k(|b|^2)
-    e^(ik arg(-b)), so no factorial or power of |b| is formed on its own.
-    Raises DomainError when N = sum_k |amp_k|^2 is not finite: at huge |b|
-    the Laguerre values overflow (while e^(-|b|^2) underflows to 0, so p
-    would be NaN).
+
+def _chi_sums(n, beta):
+    """L_{n-k}^k(|b|^2) (-b)^k / sqrt(k!) for k = 0..n, N and p.
+
+    The amplitudes are sqrt(C(n, k)) u_{n-k}^k(|b|^2) e^(ik arg(-b)), with the
+    normalized Laguerre values u_j^a of :func:`polynomials.assoc_laguerre`, so
+    no factorial or power of |b| is formed on its own.  p sums their squares
+    scaled by 2^-n e^(-|b|^2) inside the exponential; each scaled amplitude is
+    at most 1, so p stays finite where N overflows (n ~ 750 at |b|^2 = n/2).
     """
     k = np.arange(n + 1)
-    binom = np.array([float(math.comb(n, j)) for j in k])
+    b2 = abs(beta) ** 2
+    log_binom = log_factorial(n) - log_factorial(k) - log_factorial(n - k)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = assoc_laguerre(n, k, abs(beta) ** 2)[n - k, k]
-        amps = np.sqrt(binom) * u * np.exp(1j * k * np.angle(-beta))
-        n_sum = float(np.vdot(amps, amps).real)
-    if not math.isfinite(n_sum):
-        raise DomainError(
-            f"chi state: normalization N overflows at n = {n}, "
-            f"|beta|^2 = {abs(beta) ** 2:.3e}")
-    return amps, n_sum
+        u = assoc_laguerre(n, k, b2)[n - k, k] * np.exp(1j * k * np.angle(-beta))
+        amps = np.exp(0.5 * log_binom) * u
+        terms = np.exp(0.5 * (log_binom - n * math.log(2.0) - b2)) * u
+        return amps, float(np.sum(np.abs(amps) ** 2)), float(np.sum(np.abs(terms) ** 2))
 
 
 def chi_state(spec, policy):

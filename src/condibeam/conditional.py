@@ -36,8 +36,8 @@ import numpy as np
 
 from . import fock
 from .beamsplitter import OperatorPolynomial, ReferencePrep
-from .errors import (ConditioningWarning, OracleMismatchError, TruncationError,
-                     ZeroProbabilityError)
+from .errors import (ConditioningWarning, DomainError, OracleMismatchError,
+                     TruncationError, ZeroProbabilityError)
 from .fock import FockOperator, displacement_op
 from .ordering import OrderedMonomialSpec, s_ordered_monomial
 
@@ -62,13 +62,23 @@ def _check_displacement_budget(arg, policy):
 
 
 def _ordered_core(terms, bs, policy):
-    """sum of coeff * {(a^dag)^m a^n}_s, then T^n on the right."""
+    """sum of coeff * {(a^dag)^m a^n}_s, then T^n on the right.
+
+    DomainError when a term's coefficient underflows to 0 or its band
+    overflows (Fock references m = n from ~130 at |R|^2 = 1/2).
+    """
     s = bs.s
     total = np.zeros((policy.dim, policy.dim), dtype=complex)
     for m, n, coeff in terms:
-        if coeff == 0:
-            continue
-        total += coeff * s_ordered_monomial(OrderedMonomialSpec(m, n, s), policy).mat
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                term = coeff * s_ordered_monomial(OrderedMonomialSpec(m, n, s), policy).mat
+            if coeff == 0 or not np.isfinite(term).all():
+                raise OverflowError
+        except OverflowError:  # also m! [-(s+1)/2]^m overflowing as a Python float
+            raise DomainError(f"conditional operator: the s-ordered term (m, n) = "
+                              f"({m}, {n}) leaves the float range") from None
+        total += term
     # right-multiplying by diag(T^k) scales column k
     total *= np.asarray(bs.transmittance, dtype=complex) ** np.arange(policy.dim)
     return FockOperator(total, policy.cutoff)
@@ -166,8 +176,8 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
     _check_displacement_budget(right, policy)
 
     terms = [(m, n, fm * np.conj(gn) * r ** m * (-np.conj(r) / t) ** n)
-             for m, fm in enumerate(f_poly.coeffs)
-             for n, gn in enumerate(g_poly.coeffs)]
+             for m, fm in enumerate(f_poly.coeffs) if fm != 0
+             for n, gn in enumerate(g_poly.coeffs) if gn != 0]
     y = _ordered_core(terms, bs, policy)
     if left != 0:
         y = displacement_op(left, policy) @ y

@@ -5,6 +5,11 @@ outcomes) all derive from :class:`DomainError` so the CLI can map them to a
 single exit code; configuration problems derive from :class:`ConfigError`.
 """
 
+__all__ = ["CondibeamError", "ConfigError", "DomainError", "CutoffExceededError",
+           "CutoffMismatchError", "TruncationError", "DegenerateBeamSplitterError",
+           "ZeroProbabilityError", "IntegrationRangeError", "OracleMismatchError",
+           "ConditioningWarning"]
+
 
 class CondibeamError(Exception):
     """Base class for all library errors."""

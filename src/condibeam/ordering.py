@@ -6,8 +6,8 @@ Two independent realizations are provided and cross-validated:
   second Jacobi parameter is the photon-number operator shifted by the
   annihilation power; since n is diagonal, the polynomial becomes a diagonal
   operator whose entries are scalar Jacobi values P_m^(b, q-n)(z) at each
-  Fock level q.  Those parameters run through negative integers on low
-  levels, which is why the generalized-binomial Jacobi evaluation is used.
+  Fock level q.  Those parameters run down to -m on low levels, which
+  :func:`polynomials.jacobi` maps to nonnegative ones for its recurrence.
   A ladder power times that diagonal is one shifted diagonal, built as such.
 * :func:`s_to_t_convert` -- the ordering-conversion sum, recursing down to
   normal order where the monomial is a plain matrix product.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CutoffExceededError
 from .fock import FockOperator, annihilation_op, creation_op, identity_op
-from .polynomials import gen_binomial, jacobi, log_factorial
+from .polynomials import jacobi, log_factorial
 
 __all__ = [
     "OrderedMonomialSpec",
@@ -99,8 +99,7 @@ def s_to_t_convert(m, n, s, t, policy):
         base = lambda mm, nn: s_to_t_convert(mm, nn, t, 1.0, policy)
     total = np.zeros((policy.dim, policy.dim), dtype=complex)
     for k in range(min(m, n) + 1):
-        ck = (math.factorial(k) * gen_binomial(m, k) * gen_binomial(n, k)
-              * ((t - s) / 2.0) ** k)
+        ck = math.factorial(k) * math.comb(m, k) * math.comb(n, k) * ((t - s) / 2.0) ** k
         if ck == 0.0:
             continue
         term = base(m - k, n - k)

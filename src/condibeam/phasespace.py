@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cats import _chi_amps_and_norm, cat_norm_and_prob, multi_cat_log_norm
+from .cats import _chi_amps_and_norm, multi_cat_log_norm
 from .errors import IntegrationRangeError, TruncationError
 from .fock import coherent_tail_mass, hermite_functions
 from .polynomials import assoc_laguerre, log_factorial
@@ -184,7 +184,7 @@ def husimi(state, grid, policy):
 def husimi_chi_closed(spec, grid):
     """Closed form for the chi state: |L_n(beta(a* + b*))|^2 e^(-|a|^2)/(pi N)."""
     _require_2d(grid)
-    n_sum, _ = cat_norm_and_prob(spec)
+    _, n_sum = _chi_amps_and_norm(spec.n, spec.beta)
     alpha = grid.alpha()
     arg = spec.beta * (np.conj(alpha) + np.conj(spec.beta))
     q = (np.abs(assoc_laguerre(spec.n, 0, arg)[spec.n]) ** 2

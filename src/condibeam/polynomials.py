@@ -1,7 +1,7 @@
 """Special polynomials used throughout the package.
 
-Associated Laguerre and Jacobi polynomials, log-factorials and generalized
-binomial coefficients.  (Hermite functions live in :mod:`fock`.)
+Associated Laguerre and Jacobi polynomials and log-factorials.  (Hermite
+functions live in :mod:`fock`.)
 
 Associated Laguerre values are evaluated in one place, :func:`assoc_laguerre`,
 by the three-term recurrence in the degree applied to the normalized values
@@ -11,22 +11,22 @@ nothing of the size of (j+a)!/j! is formed.  The alternating finite sum
 sum_i C(j+a, j-i) (-x)^i / i! is not used: its terms cancel and it loses
 digits from degree ~25 on at x ~ j/2.
 
-The Jacobi evaluation accepts *any* real parameters, including negative
-integers: it uses the finite sum over generalized binomial coefficients,
+Jacobi values P_m^(b,c)(z) come from the three-term recurrence in the
+degree.  ``c`` may be an array, one value per Fock level, and runs down to
+-m on the lowest levels, where the recurrence would divide by zero; there a
+negative c = -l is first mapped by Szego's identity (Orthogonal Polynomials,
+4.22.2), so the recurrence meets only parameters >= 0:
 
-    P_m^(b,c)(z) = 2^-m sum_j C(m+b, j) C(m+c, m-j) (z-1)^(m-j) (z+1)^j,
-
-which stays well defined where gamma-function forms have poles.  Negative
-integer parameters occur for real once the second Jacobi parameter is an
-operator (the photon-number operator shifted by a detected photon count)
-evaluated on low Fock levels; ``c`` may therefore be an array, one value per
-level.
+    P_m^(b,-l)(z) = [C(m+b, l) / C(m, l)] ((1+z)/2)^l P_{m-l}^(b,l)(z).
 """
 
 import functools
 import math
+from numbers import Integral
 
 import numpy as np
+
+__all__ = ["log_factorial", "assoc_laguerre", "jacobi"]
 
 
 def log_factorial(k):
@@ -50,33 +50,6 @@ def _log_factorial_table(length):
     table = np.array([math.lgamma(j + 1) for j in range(length)])
     table.setflags(write=False)
     return table
-
-
-def gen_binomial(r, k):
-    """Generalized binomial coefficient C(r, k) = r(r-1)...(r-k+1)/k!.
-
-    Parameters
-    ----------
-    r : float or ndarray
-        Any real number (negative integers included), or an array of them
-        evaluated elementwise.
-    k : int
-        Nonnegative integer.
-
-    Exact for scalar integer r with 0 <= k <= r; otherwise the
-    falling-factorial product is evaluated with interleaved divisions so
-    intermediate values stay bounded.
-    """
-    if k < 0:
-        raise ValueError(f"gen_binomial needs k >= 0, got {k}")
-    if np.ndim(r) == 0:
-        r_int = round(r)
-        if r == r_int and 0 <= r_int and k <= r_int:
-            return float(math.comb(r_int, k))
-    out = np.ones(np.shape(r))
-    for i in range(k):
-        out *= (r - i) / (i + 1)
-    return out if out.ndim else float(out)
 
 
 def assoc_laguerre(nmax, a, x):
@@ -120,18 +93,29 @@ def assoc_laguerre(nmax, a, x):
 
 
 def jacobi(m, b, c, z):
-    """Jacobi polynomial P_m^(b,c)(z) via generalized binomials.
+    """P_m^(b,c)(z) for integers m, b >= 0 and c >= -m, and real z.
 
-    Valid for any real b, c including negative integers; see module
-    docstring for the defining sum.  ``c`` may be an array, evaluated
-    elementwise.
+    ``c`` may be an integer array, evaluated elementwise; a scalar ``c``
+    gives a float.
     """
-    if m < 0:
-        raise ValueError(f"jacobi needs degree m >= 0, got {m}")
-    zm = z - 1.0
-    zp = z + 1.0
-    out = 0.0
-    for j in range(m + 1):
-        out += (gen_binomial(m + b, j) * gen_binomial(m + c, m - j)
-                * zm ** (m - j) * zp ** j)
-    return out * 0.5 ** m
+    c = np.asarray(c)
+    if not (isinstance(m, Integral) and isinstance(b, Integral) and c.dtype.kind in "iu"
+            and m >= 0 and b >= 0 and np.all(c >= -m) and not np.iscomplexobj(z)):
+        raise ValueError(f"jacobi needs integers m >= 0, b >= 0, c >= -m and a real z, got m = "
+                         f"{m!r}, b = {b!r}, c = {np.array2string(c, threshold=6)}, z = {z!r}")
+    flat = c.ravel()
+    a = np.abs(flat).astype(float)  # c = -l is read from P_{m-l}^(b,l)
+    p = np.ones((m + 1, flat.size))
+    if m:
+        p[1] = 0.5 * ((b + a + 2) * z + (b - a))
+    for j in range(2, m + 1):
+        t = 2 * j + b + a
+        p[j] = (((t - 1) * (t * (t - 2) * z + b * b - a * a) * p[j - 1]
+                 - 2 * (j + b - 1) * (j + a - 1) * t * p[j - 2])
+                / (2 * j * (j + b + a) * (t - 2)))
+    l = np.arange(m + 1)  # Szego's prefactor for l = 0..m; 1 at l = 0
+    lf = log_factorial(np.arange(m + b + 1))
+    prefactor = np.exp(lf[m + b] - lf[m + b - l] - lf[m] + lf[m - l]) * (0.5 * (1.0 + z)) ** l
+    lc = np.maximum(-flat, 0)  # l for c = -l, 0 for c >= 0
+    out = p[m - lc, np.arange(flat.size)] * prefactor[lc]
+    return out.reshape(c.shape) if c.ndim else float(out[0])

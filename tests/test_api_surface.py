@@ -4,7 +4,8 @@ A name in a module's ``__all__`` stays only if code outside its own
 definition uses it: another function or class of ``src/condibeam`` (the
 CLI and ``selftest`` included), or the benchmark under ``bench/``.  The
 paper's named results are the exception.  Verification-only code belongs
-in the tests.
+in the tests.  Every module but the package's ``__init__`` declares its
+public names in ``__all__``, so none escapes the check.
 """
 
 import ast
@@ -22,7 +23,7 @@ def exported(tree):
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
             return ast.literal_eval(node.value)
-    return []
+    return None
 
 
 def used_names(nodes):
@@ -42,7 +43,7 @@ def test_every_exported_name_has_a_caller():
     bench = used_names(ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py")))
     unused = []
     for module, tree in trees.items():
-        for name in exported(tree):
+        for name in exported(tree) or []:
             callers = set(bench)
             for other, other_tree in trees.items():
                 if other == "__init__":
@@ -54,3 +55,9 @@ def test_every_exported_name_has_a_caller():
             if name not in callers and name not in PAPER_RESULTS:
                 unused.append(f"{module}.{name}")
     assert not unused, f"exported but never called outside the tests: {unused}"
+
+
+def test_every_module_declares_all():
+    missing = [path.stem for path in sorted(SRC.glob("*.py"))
+               if path.stem != "__init__" and exported(ast.parse(path.read_text())) is None]
+    assert not missing, f"modules without __all__: {missing}"

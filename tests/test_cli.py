@@ -141,17 +141,47 @@ class TestExperiments:
         scalars, _, _ = cli.run_experiment(experiment,
                                            self.CHI_40 + self.CHI_40_EXTRA[experiment])
         assert all(np.isfinite(v) for v in scalars.values())
-        # scheme-b's accuracy at this size is the Jacobi defect recorded in
-        # test_conditional; the other experiments keep their usual limits
         if experiment == "scheme-a":
             assert scalars["fidelity_vs_chi"] == pytest.approx(1.0, abs=1e-10)
+            assert scalars["probability"] == pytest.approx(
+                scalars["probability_formula"], rel=1e-10)
+        elif experiment == "scheme-b":
+            assert scalars["fidelity_vs_displaced_chi"] >= 1.0 - 1e-10
             assert scalars["probability"] == pytest.approx(
                 scalars["probability_formula"], rel=1e-10)
         elif experiment == "wigner-grid":
             assert scalars["closed_vs_numeric_max_abs_dev"] < 1e-6
             assert scalars["min_value"] < 0
-        elif experiment != "scheme-b":
+        else:
             assert scalars["closed_form_max_abs_dev"] < 1e-8
+
+    def test_scheme_b_at_n_60(self):
+        scalars, _, _ = cli.run_experiment(
+            "scheme-b", "n = 60\nbeta = 5.477225575051661\ncutoff = 240\n")  # |beta|^2 = 30
+        assert scalars["fidelity_vs_displaced_chi"] >= 1.0 - 1e-10
+        assert scalars["probability"] == pytest.approx(
+            scalars["probability_formula"], rel=1e-10)
+
+    def test_prob_scan_where_n_overflows(self):
+        # N overflows from n ~ 750 at |beta|^2 = n/2; p is summed from terms
+        # of magnitude at most 1 and stays finite
+        mpmath = pytest.importorskip("mpmath")
+        scalars, _, _ = cli.run_experiment("prob-scan", "n_min = 800\nn_max = 800\n")
+        with mpmath.workdps(60):
+            b2 = mpmath.mpf(400)
+            norm = mpmath.fsum(b2 ** k / mpmath.factorial(k)
+                               * mpmath.laguerre(800 - k, k, b2, zeroprec=1000) ** 2
+                               for k in range(801))
+            ref = float(2 ** -mpmath.mpf(800) * mpmath.exp(-b2) * norm)
+        assert abs(scalars["p_800"] / ref - 1.0) < 1e-12
+
+    def test_prob_scan_past_float_binomials(self, tmp_path, capsys):
+        # C(1300, 650) does not fit a float
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("n_min = 1300\nn_max = 1300\n")
+        assert cli.main(["prob-scan", "--config", str(cfg)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("p_1300 = ") and 0 < float(line.split("=")[1]) < 1
 
     def test_scheme_a_n_100_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -289,6 +319,18 @@ class TestMainExitCodes:
         assert captured.err.startswith("domain error: ") and message in captured.err
         assert captured.err.count("\n") == 1
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("n", [150, 180])
+    def test_high_fock_reference_is_a_domain_error(self, tmp_path, capsys, n):
+        # the s-ordered term (n, n) leaves the float range: its band overflows
+        # at n = 150 and its coefficient underflows at n = 180
+        cfg = tmp_path / "high.cfg"
+        cfg.write_text(f"n = {n}\nbeta = {math.sqrt(n / 2.0)!r}\ncutoff = {4 * n}\n")
+        rc = cli.main(["scheme-b", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("domain error: ") and "leaves the float range" in err
+        assert err.count("\n") == 1
 
     def test_missing_config(self):
         assert cli.main(["scheme-a"]) == 2

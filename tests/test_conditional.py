@@ -252,19 +252,26 @@ class TestOracleInvariants:
 
 
 class TestHighFockReferences:
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known defect (ROADMAP item 4f): polynomials.jacobi's generalized-binomial "
-        "sum cancels at high degree (relative error 1.8e-4 at m = 30 against mpmath), "
-        "so Y for Fock references m = n = 30 misses the oracle by 2.2e-6"))
-    def test_fock_30_matches_oracle_on_safe_block(self):
-        policy = fock.TruncationPolicy(cutoff=128)
+    @pytest.mark.parametrize("n, cutoff", [(30, 128), (40, 168), (60, 256), (100, 400)])
+    def test_fock_matches_oracle_on_safe_block(self, n, cutoff):
+        policy = fock.TruncationPolicy(cutoff=cutoff)
         bs = BeamSplitterParams(math.pi / 4)
-        y = conditional.y_displaced_fock(30, 30, 0j, 0j, bs, policy)
-        oracle = twomode.oracle_y(ReferencePrep.fock(30), ReferencePrep.fock(30), bs, policy)
+        y = conditional.y_displaced_fock(n, n, 0j, 0j, bs, policy)
+        oracle = twomode.oracle_y(ReferencePrep.fock(n), ReferencePrep.fock(n), bs, policy)
         half = policy.safe_levels
         dev = (np.linalg.norm(y.mat[:half, :half] - oracle.mat[:half, :half])
                / np.linalg.norm(oracle.mat[:half, :half]))
         assert dev < 1e-8
+
+    @pytest.mark.parametrize("n", [150, 180])
+    def test_float_range_is_a_domain_error(self, n):
+        # m! [-(s+1)/2]^m times the band overflows at n = 150; at n = 180 the
+        # term coefficient 1/sqrt(m! n!) underflows to 0
+        policy = fock.TruncationPolicy(cutoff=4 * n)
+        bs = BeamSplitterParams(math.pi / 4)
+        with pytest.raises(DomainError,
+                           match=rf"\(m, n\) = \({n}, {n}\) leaves the float range"):
+            conditional.y_displaced_fock(n, n, 0j, 0j, bs, policy)
 
 
 class TestSwapSymmetry:

@@ -19,31 +19,6 @@ def brute_jacobi(m, b, c, z):
                            for j in range(m + 1))
 
 
-class TestGenBinomial:
-    def test_integer_values(self):
-        assert poly.gen_binomial(5, 2) == 10
-        assert poly.gen_binomial(7, 0) == 1
-        assert poly.gen_binomial(3, 3) == 1
-
-    def test_negative_upper(self):
-        # (-1)(-2)(-3)/3! = -1
-        assert poly.gen_binomial(-1, 3) == pytest.approx(-1.0)
-        assert poly.gen_binomial(-2.5, 2) == pytest.approx((-2.5) * (-3.5) / 2)
-
-    def test_k_zero_any_r(self):
-        for r in (-3.7, 0.0, 2.0, 11.5):
-            assert poly.gen_binomial(r, 0) == 1.0
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            poly.gen_binomial(2.0, -1)
-
-    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
-    def test_matches_comb_for_integers(self, r, k):
-        if k <= r:
-            assert poly.gen_binomial(r, k) == math.comb(r, k)
-
-
 def sum_laguerre(n, a, z):
     """Reference L_n^a(z) by its finite sum, sum_j C(n+a, n-j) (-z)^j / j!.
 
@@ -52,28 +27,9 @@ def sum_laguerre(n, a, z):
     out = 0.0
     term = 1.0  # (-z)^j / j!
     for j in range(n + 1):
-        out += poly.gen_binomial(n + a, n - j) * term
+        out += math.comb(n + a, n - j) * term
         term *= -z / (j + 1)
     return out
-
-
-def recurrence_jacobi(m, b, c, z):
-    """Reference P_m^(b,c) by the classical three-term recurrence.
-
-    The recurrence divides by 2m(m+b+c)(2m+b+c-2); it is only used as a
-    cross-check for generic (non-degenerate) parameters.
-    """
-    if m == 0:
-        return 1.0
-    pm1 = 1.0
-    p = 0.5 * ((b + c + 2) * z + (b - c))
-    for j in range(2, m + 1):
-        a1 = 2 * j * (j + b + c) * (2 * j + b + c - 2)
-        a2 = (2 * j + b + c - 1) * (b * b - c * c)
-        a3 = (2 * j + b + c - 1) * (2 * j + b + c) * (2 * j + b + c - 2)
-        a4 = 2 * (j + b - 1) * (j + c - 1) * (2 * j + b + c)
-        p, pm1 = ((a2 + a3 * z) * p - a4 * pm1) / a1, p
-    return p
 
 
 class TestLaguerre:
@@ -125,41 +81,65 @@ class TestLaguerre:
 
 
 class TestJacobi:
+    """Integer b >= 0, integer c >= -m (scalar or array) and real z."""
+
     def test_degree_zero(self):
-        assert poly.jacobi(0, 1.5, -2.5, 0.3) == 1.0
+        assert poly.jacobi(0, 2, 5, 0.3) == 1.0
 
     def test_endpoint_identity(self):
         # P_m^(b,c)(1) = C(m+b, m)
-        for m, b, c in [(3, 2.0, 1.0), (4, -1.5, 0.7), (2, 0.0, -3.0)]:
-            assert poly.jacobi(m, b, c, 1.0) == pytest.approx(
-                poly.gen_binomial(m + b, m))
+        for m, b, c in [(3, 2, 1), (4, 1, 7), (2, 0, -2), (5, 3, -4)]:
+            assert poly.jacobi(m, b, c, 1.0) == pytest.approx(math.comb(m + b, m))
 
     def test_negative_integer_parameter(self):
-        assert poly.jacobi(2, 1, -3, 0.0) == pytest.approx(brute_jacobi(2, 1, -3, 0.0))
+        for c in (-1, -2, -3):
+            assert poly.jacobi(3, 1, c, 0.4) == pytest.approx(brute_jacobi(3, 1, c, 0.4))
 
     def test_against_brute_sum_random(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             m = int(rng.integers(0, 13))
-            b, c, z = rng.uniform(-2, 2, 3)
+            b = int(rng.integers(0, 6))
+            c = int(rng.integers(-m, 13))
+            z = rng.uniform(-2, 2)
             val = poly.jacobi(m, b, c, z)
             ref = brute_jacobi(m, b, c, z)
             assert val == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
-    def test_recurrence_route_generic_parameters(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            m = int(rng.integers(0, 13))
-            b, c, z = rng.uniform(-2, 2, 3)
-            ref = recurrence_jacobi(m, b, c, z)
-            scale = max(1.0, abs(ref))
-            assert abs(poly.jacobi(m, b, c, z) - ref) / scale < 1e-9
-
     def test_array_parameter_matches_scalar_calls(self):
-        c = np.arange(-6, 5) + 0.0
         for m, b, z in [(0, 2, 0.4), (3, 1, -0.7), (5, 4, 2.5)]:
+            c = np.arange(-m, 5)
             ref = [poly.jacobi(m, b, ci, z) for ci in c]
             assert np.allclose(poly.jacobi(m, b, c, z), ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("m, b, c, z", [
+        (-1, 0, 0, 0.5), (2, -1, 0, 0.5), (2, 1.5, 0, 0.5), (2, 0, -3, 0.5),
+        (2, 0, np.array([0.5, 1.0]), 0.5), (2, 0, 1, 0.5 + 0.1j)])
+    def test_rejects_outside_domain(self, m, b, c, z):
+        with pytest.raises(ValueError, match="jacobi needs"):
+            poly.jacobi(m, b, c, z)
+
+    def test_matches_mpmath(self):
+        """Within 1e-12 of the running maximum of |P| over c, up to m = 100."""
+        mpmath = pytest.importorskip("mpmath")
+
+        def defining_sum(m, b, c, z):
+            z = mpmath.mpf(z)
+            return mpmath.fsum(math.comb(m + b, j) * math.comb(m + c, m - j)
+                               * (z - 1) ** (m - j) * (z + 1) ** j
+                               for j in range(m + 1)) / 2 ** m
+
+        for m in (7, 30, 64, 100):
+            # c sampled: its negative range with stride m // 8, then up to 200
+            c = np.unique(np.r_[np.arange(-m, 0, max(1, m // 8)), -1, 0,
+                                np.arange(1, 201, 13)])
+            for b in (0, 1, 5, 20):
+                for z in (-1.0, -0.9, -0.3, 0.0, 0.5, 0.95, 1.0):
+                    with mpmath.workdps(60):
+                        ref = np.array([float(defining_sum(m, b, int(ci), z)) for ci in c])
+                    scale = np.maximum.accumulate(np.abs(ref))
+                    err = np.abs(poly.jacobi(m, b, c, z) - ref)
+                    assert np.all(err <= 1e-12 * scale), (m, b, z)
 
 
 def test_log_factorial():
