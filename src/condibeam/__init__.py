@@ -23,6 +23,7 @@ from .cats import (
     scheme_b_state,
 )
 from .conditional import (
+    ConditionalOperator,
     apply_conditional,
     swap_roles,
     y_displaced_fock,
@@ -38,6 +39,7 @@ from .fock import (
     apply,
     coherent_state,
     creation_op,
+    displace,
     displacement_op,
     fock_state,
     identity_op,
@@ -47,6 +49,7 @@ from .fock import (
 )
 from .ordering import (
     OrderedMonomialSpec,
+    s_ordered_band,
     s_ordered_monomial,
     s_to_t_convert,
 )

@@ -13,8 +13,9 @@ two phase-space peaks near +/- i beta whose separation grows like the
 square root of the detected photon number.  The Laguerre factors come from
 the normalized recurrence of :func:`polynomials.assoc_laguerre`; N and p
 stay within 1e-13 of a 60-digit evaluation up to n = 300, and p stays
-within 1e-12 at n = 800, where N overflows.  The state is built from this
-sum alone; the two-mode oracle route of :func:`scheme_a_state` is its
+within 1e-12 at n = 800, where N overflows.  The state itself is
+normalized from scaled terms, so it needs no finite N.  It is built from
+this sum alone; the two-mode oracle route of :func:`scheme_a_state` is its
 independent check, run by ``condibeam selftest`` and the tests rather than
 on every call.
 
@@ -72,42 +73,61 @@ class CatSpec:
 def cat_norm_and_prob(spec):
     """Normalization N and generation probability p of the chi state.
 
-    N is inf where it overflows, while p stays finite (:func:`_chi_sums`);
-    DomainError when p is not finite, or 0 while N overflows (huge |beta|).
+    N = sum |amp_k|^2 with amp_k = sqrt(C(n, k)) u_{n-k}^k(|b|^2) e^(ik arg(-b))
+    (:func:`_chi_factors`), so no factorial or power of |b| is formed on
+    its own.  p sums the squares of the amplitudes scaled by
+    2^-n e^(-|b|^2) inside the exponential; each scaled amplitude is at most
+    1, so p stays finite where N overflows (n ~ 750 at |b|^2 = n/2) and N
+    is then inf.  DomainError when p is not finite, or 0 while N overflows
+    (huge |beta|).
     """
-    _, n_sum, p = _chi_sums(spec.n, spec.beta)
+    n, b2 = spec.n, abs(spec.beta) ** 2
+    log_binom, u = _chi_factors(n, spec.beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_sum = float(np.sum(np.abs(np.exp(0.5 * log_binom) * u) ** 2))
+        p = float(np.sum(np.abs(np.exp(0.5 * (log_binom - n * math.log(2.0) - b2)) * u) ** 2))
     if not math.isfinite(p) or (p == 0 and not math.isfinite(n_sum)):
-        raise DomainError(f"chi state: normalization N overflows at n = {spec.n}, "
-                          f"|beta|^2 = {abs(spec.beta) ** 2:.3e}")
+        raise DomainError(_overflow_message(n, b2))
     return n_sum, p
 
 
-def _chi_amps_and_norm(n, beta):
-    """The chi amplitudes and N; DomainError when N is not finite."""
-    amps, n_sum, _ = _chi_sums(n, beta)
-    if not math.isfinite(n_sum):
-        raise DomainError(f"chi state: normalization N overflows at n = {n}, "
-                          f"|beta|^2 = {abs(beta) ** 2:.3e}")
-    return amps, n_sum
+def _overflow_message(n, b2):
+    return f"chi state: normalization N overflows at n = {n}, |beta|^2 = {b2:.3e}"
 
 
-def _chi_sums(n, beta):
-    """L_{n-k}^k(|b|^2) (-b)^k / sqrt(k!) for k = 0..n, N and p.
+def _chi_factors(n, beta):
+    """ln C(n, k) and u_{n-k}^k(|b|^2) e^(ik arg(-b)) for k = 0..n.
 
-    The amplitudes are sqrt(C(n, k)) u_{n-k}^k(|b|^2) e^(ik arg(-b)), with the
-    normalized Laguerre values u_j^a of :func:`polynomials.assoc_laguerre`, so
-    no factorial or power of |b| is formed on its own.  p sums their squares
-    scaled by 2^-n e^(-|b|^2) inside the exponential; each scaled amplitude is
-    at most 1, so p stays finite where N overflows (n ~ 750 at |b|^2 = n/2).
+    The chi amplitude L_{n-k}^k(|b|^2) (-b)^k / sqrt(k!) is
+    e^(ln C(n, k) / 2) times the second factor, with u_j^a the normalized
+    Laguerre values of :func:`polynomials.assoc_laguerre`.
     """
     k = np.arange(n + 1)
-    b2 = abs(beta) ** 2
     log_binom = log_factorial(n) - log_factorial(k) - log_factorial(n - k)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = assoc_laguerre(n, k, b2)[n - k, k] * np.exp(1j * k * np.angle(-beta))
-        amps = np.exp(0.5 * log_binom) * u
-        terms = np.exp(0.5 * (log_binom - n * math.log(2.0) - b2)) * u
-        return amps, float(np.sum(np.abs(amps) ** 2)), float(np.sum(np.abs(terms) ** 2))
+        u = assoc_laguerre(n, k, abs(beta) ** 2)[n - k, k] * np.exp(1j * k * np.angle(-beta))
+    return log_binom, u
+
+
+def _chi_amplitudes(n, beta):
+    """The normalized chi amplitudes k = 0..n and ln N.
+
+    The amplitudes are scaled by their largest binomial factor inside the
+    exponential and by their largest magnitude after it, then normalized,
+    so neither an overflowing N nor an underflowing p enters (at n = 800,
+    |b|^2 = 400, N is ~1e414).  ln N comes from the same scaled terms.
+    DomainError when the Laguerre values leave the float range.
+    """
+    log_binom, u = _chi_factors(n, beta)
+    shift = 0.5 * log_binom.max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(0.5 * log_binom - shift) * u
+        top = np.max(np.abs(terms))
+        terms /= top
+    if not np.isfinite(terms).all():  # an inf or NaN Laguerre value
+        raise DomainError(_overflow_message(n, abs(beta) ** 2))
+    norm = np.linalg.norm(terms)
+    return terms / norm, 2.0 * (shift + math.log(top) + math.log(norm))
 
 
 def chi_state(spec, policy):
@@ -125,9 +145,8 @@ def chi_state(spec, policy):
         raise TruncationError(
             f"chi_state: n = {n} exceeds the safe block "
             f"({policy.safe_levels} levels) at cutoff {policy.cutoff}")
-    unnorm, n_sum = _chi_amps_and_norm(n, beta)
     amps = np.zeros(policy.dim, dtype=complex)
-    amps[:n + 1] = unnorm / math.sqrt(n_sum)
+    amps[:n + 1] = _chi_amplitudes(n, beta)[0]
     return fock.FockVector(amps, policy.cutoff)
 
 

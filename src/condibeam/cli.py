@@ -182,12 +182,18 @@ _Y_MATRIX_SCHEMA = {
 }
 
 
+def _route(params):
+    if params["route"] not in ("closed", "oracle"):
+        raise ConfigError(f"route must be closed or oracle, got {params['route']!r}")
+    return params["route"]
+
+
 def _run_scheme_a(params):
+    route = _route(params)
     policy = _policy(params)
     spec = _cat_spec(params)
     chi = cats.chi_state(spec, policy)
-    state, p = cats.scheme_a_state(spec, policy, params["phi_t"], params["phi_r"],
-                                   route=params["route"])
+    state, p = cats.scheme_a_state(spec, policy, params["phi_t"], params["phi_r"], route=route)
     n_sum, p_formula = cats.cat_norm_and_prob(spec)
     scalars = {
         "probability": p,
@@ -211,11 +217,14 @@ _SCHEME_A_SCHEMA = {
 
 
 def _run_scheme_b(params):
+    route = _route(params)
     policy = _policy(params)
     spec = _cat_spec(params)
-    state, p = cats.scheme_b_state(spec, policy, route=params["route"])
+    # the coherent input |beta/T> has passed its truncation check, and
+    # |beta| <= |beta/T|, so D(beta) needs none of its own
+    state, p = cats.scheme_b_state(spec, policy, route=route)
     chi = cats.chi_state(spec, policy)
-    displaced = fock.apply(fock.displacement_op(spec.beta, policy), chi)
+    displaced = fock.displace(spec.beta, chi)
     _, p_formula = cats.cat_norm_and_prob(spec)
     scalars = {
         "probability": p,

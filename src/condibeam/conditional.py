@@ -16,6 +16,21 @@ polynomial references are alpha = beta = 0 (:func:`y_general`).  Each
 s-ordered monomial is one shifted diagonal and T^n scales the columns, so
 the bracket is a banded matrix of width deg F + deg G + 1.
 
+Y is kept in that factored form, a :class:`ConditionalOperator`: the two
+displacement arguments and the bracket's diagonals (offset -> values, the
+T^n column factor folded in).  Applying it to a state displaces, runs the
+band and displaces again, O(N^2) with no dense operator
+(:func:`fock.displace`).  Its ``mat`` builds the dense matrix from the same
+factors, for SVDs, norms and the oracle comparisons only.
+
+Both forms stop the inner index of D(left) . band . D(right) at the
+cutoff, as the dense product of the three truncated matrices does.  The
+displacements carry levels near the cutoff past it, and the mass they
+carry there is dropped, so Y is exact on its safe block only while that
+mass is negligible.  Making Y an exact compression means summing the
+inner index up to a working dimension W above the cutoff; that choice is
+open (ROADMAP item 4a), and a strict xfail in the tests records the defect.
+
 The adjoint of G lands on the signal mode with conjugated coefficients,
 conjugated argument and annihilation operators; this is the unique reading
 consistent with the Fock-monomial special case, and the oracle-equivalence
@@ -29,19 +44,22 @@ Success-probability bookkeeping: ||Y psi||^2 is the probability of the
 conditioned outcome when psi and both reference states are normalized.
 """
 
+import functools
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
 from .beamsplitter import OperatorPolynomial, ReferencePrep
-from .errors import (ConditioningWarning, DomainError, OracleMismatchError,
-                     TruncationError, ZeroProbabilityError)
-from .fock import FockOperator, displacement_op
-from .ordering import OrderedMonomialSpec, s_ordered_monomial
+from .errors import (ConditioningWarning, CutoffMismatchError, DomainError,
+                     OracleMismatchError, TruncationError, ZeroProbabilityError)
+from .fock import TruncationPolicy, displacement_op
+from .ordering import OrderedMonomialSpec, s_ordered_band
 
 __all__ = [
+    "ConditionalOperator",
     "y_displaced_fock",
     "y_general",
     "y_displaced_general",
@@ -62,26 +80,83 @@ def _check_displacement_budget(arg, policy):
 
 
 def _ordered_core(terms, bs, policy):
-    """sum of coeff * {(a^dag)^m a^n}_s, then T^n on the right.
+    """Diagonals of sum of coeff * {(a^dag)^m a^n}_s, then T^n on the right.
 
-    DomainError when a term's coefficient underflows to 0 or its band
-    overflows (Fock references m = n from ~130 at |R|^2 = 1/2).
+    Returns offset n - m -> values.  DomainError when a term's coefficient
+    underflows to 0 or its band overflows (Fock references m = n from ~130
+    at |R|^2 = 1/2).
     """
     s = bs.s
-    total = np.zeros((policy.dim, policy.dim), dtype=complex)
+    core = {}
     for m, n, coeff in terms:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                term = coeff * s_ordered_monomial(OrderedMonomialSpec(m, n, s), policy).mat
-            if coeff == 0 or not np.isfinite(term).all():
+                values = coeff * s_ordered_band(OrderedMonomialSpec(m, n, s), policy)
+            if coeff == 0 or not np.isfinite(values).all():
                 raise OverflowError
         except OverflowError:  # also m! [-(s+1)/2]^m overflowing as a Python float
             raise DomainError(f"conditional operator: the s-ordered term (m, n) = "
                               f"({m}, {n}) leaves the float range") from None
-        total += term
-    # right-multiplying by diag(T^k) scales column k
-    total *= np.asarray(bs.transmittance, dtype=complex) ** np.arange(policy.dim)
-    return FockOperator(total, policy.cutoff)
+        core[n - m] = core[n - m] + values if n - m in core else values
+    t_powers = np.asarray(bs.transmittance, dtype=complex) ** np.arange(policy.dim)
+    # T^k scales column k: element i of the diagonal at offset d sits in
+    # column i + d above the main diagonal and in column i below it
+    return {d: fock._freeze(values * t_powers[max(d, 0):max(d, 0) + len(values)])
+            for d, values in core.items()}
+
+
+def _band_times(core, x):
+    """B x for the banded core B (offset -> values) and a vector or matrix x;
+    each diagonal scales and shifts the rows of x."""
+    dim = len(x)
+    out = np.zeros(x.shape, dtype=complex)
+    for d, values in core.items():
+        values = values.reshape((-1,) + (1,) * (x.ndim - 1))
+        if d >= 0:
+            out[:dim - d] += values * x[d:]
+        else:
+            out[-d:] += values * x[:dim + d]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ConditionalOperator:
+    """Y = D(left) B D(right) in factored form.
+
+    ``left`` and ``right`` are the displacement arguments, ``core`` maps
+    each diagonal offset d of the banded core B to its values (B[i, i + d]
+    for d >= 0, B[i - d, i] below the diagonal), with the T^n column factor
+    folded in.
+    """
+
+    left: complex
+    core: dict
+    right: complex
+    policy: TruncationPolicy
+
+    @property
+    def cutoff(self):
+        return self.policy.cutoff
+
+    def apply(self, vector):
+        """Y|vector>: displace, run the band, displace; O(N^2)."""
+        if vector.cutoff != self.cutoff:
+            raise CutoffMismatchError(f"cutoff mismatch: {self.cutoff} vs {vector.cutoff}")
+        if self.right != 0:
+            vector = fock.displace(self.right, vector)
+        out = fock.FockVector(_band_times(self.core, vector.amps), self.cutoff)
+        return fock.displace(self.left, out) if self.left != 0 else out
+
+    @functools.cached_property
+    def mat(self):
+        """The dense matrix: B D(right) by shifted rows, then one product with D(left)."""
+        right = (displacement_op(self.right, self.policy).mat if self.right != 0
+                 else np.eye(self.policy.dim))
+        mat = _band_times(self.core, right)
+        if self.left != 0:
+            mat = displacement_op(self.left, self.policy).mat @ mat
+        mat.setflags(write=False)
+        return mat
 
 
 def _caller_stacklevel():
@@ -159,6 +234,7 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
 
     The one builder of Y (module docstring): alpha, beta are the
     displacements of ``prep_in`` and ``prep_meas``, F, G their polynomials.
+    Returns a :class:`ConditionalOperator`.
     """
     bs.require_nondegenerate()
     f_poly, g_poly = prep_in.poly, prep_meas.poly
@@ -178,21 +254,19 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
     terms = [(m, n, fm * np.conj(gn) * r ** m * (-np.conj(r) / t) ** n)
              for m, fm in enumerate(f_poly.coeffs) if fm != 0
              for n, gn in enumerate(g_poly.coeffs) if gn != 0]
-    y = _ordered_core(terms, bs, policy)
-    if left != 0:
-        y = displacement_op(left, policy) @ y
-    if right != 0:
-        y = y @ displacement_op(right, policy)
+    y = ConditionalOperator(left, _ordered_core(terms, bs, policy), right, policy)
     return _guard_conditioning(y, prep_in, prep_meas, bs, policy)
 
 
 def apply_conditional(y, psi_in):
     """Apply a conditional operator; returns (normalized output, probability).
 
-    p = ||Y psi||^2; raises ZeroProbabilityError when the outcome is
-    numerically impossible (norm below 1e-7, i.e. p < 1e-14).
+    ``y`` is a :class:`ConditionalOperator`, applied in factored form, or a
+    dense ``FockOperator`` (the two-mode oracle's).  p = ||Y psi||^2;
+    raises ZeroProbabilityError when the outcome is numerically impossible
+    (norm below 1e-7, i.e. p < 1e-14).
     """
-    out = fock.apply(y, psi_in)
+    out = y.apply(psi_in) if isinstance(y, ConditionalOperator) else fock.apply(y, psi_in)
     p = fock.norm(out) ** 2
     if p < 1e-14:
         raise ZeroProbabilityError(

@@ -1,8 +1,13 @@
 """Truncated single-mode Fock-space linear algebra.
 
-States are complex amplitude vectors over photon numbers 0..cutoff,
-operators are dense complex matrices.  Everything is immutable after
-construction, so values can be shared freely between threads.
+States are complex amplitude vectors over photon numbers 0..cutoff.
+:class:`FockOperator` is a dense complex matrix, built where a whole
+operator is wanted (norms, SVDs, oracle comparisons).  A displacement of a
+state needs no such matrix: :func:`displace` applies D(alpha) to a vector
+from one real table of Laguerre values in O(N^2), and
+:func:`displacement_op` assembles the matrix from the same table.
+Everything is immutable after construction, so values can be shared freely
+between threads.
 
 Truncation discipline: ladder operators and diagonal operators are exact on
 the retained levels; displacement-like operators are only faithful away from
@@ -25,6 +30,7 @@ __all__ = [
     "fock_state",
     "coherent_state",
     "displacement_op",
+    "displace",
     "annihilation_op",
     "creation_op",
     "identity_op",
@@ -263,6 +269,36 @@ def _coherent_amps(alpha, dim):
     return np.exp(logmag) * phase
 
 
+def _displacement_factors(alpha, cutoff):
+    """D(alpha) = e^(-x/2) P M P* over the levels 0..cutoff, x = |alpha|^2.
+
+    P = diag(e^(ik arg alpha)), and M is real: with j <= k its lower triangle
+    is M[k, j] = u_j^(k-j)(x), the normalized Laguerre values of
+    :func:`polynomials.assoc_laguerre`, and its upper triangle is the
+    transpose times (-1)^(k-j).  Returns (lower, phase, e^(-x/2)), where
+    ``lower`` is M's lower triangle (zeros above the diagonal) as a view of
+    the one Laguerre table: the table gets one parameter column more than
+    it needs and zeros wherever degree + parameter exceeds the cutoff, so
+    reading row j from column j on, with the row length one longer than
+    the dimension, walks down the lower triangle and lands in those zeros
+    above it.  No index grid or complex N x N array is formed.
+    """
+    dim = cutoff + 1
+    x = abs(alpha) ** 2
+    lag = assoc_laguerre(cutoff, np.arange(dim + 1), x)
+    for j in range(dim):
+        lag[j, dim - j:] = 0.0
+    # lag[j, k - j] sits at offset j (dim + 1) + k - j = k + j dim
+    lower = np.lib.stride_tricks.as_strided(lag, (dim, dim), (lag.itemsize, dim * lag.itemsize),
+                                            writeable=False)
+    return lower, np.exp(1j * np.arange(dim) * np.angle(alpha)), math.exp(-x / 2)
+
+
+def _alternating(dim):
+    """(-1)^k for k = 0..dim-1."""
+    return np.where(np.arange(dim) % 2, -1.0, 1.0)
+
+
 def displacement_op(alpha, policy):
     """Displacement operator D(alpha) from its analytic matrix elements.
 
@@ -273,21 +309,41 @@ def displacement_op(alpha, policy):
 
     where u_j^a(x) = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x) are the normalized
     Laguerre values of :func:`polynomials.assoc_laguerre`, one table for all
-    diagonals.  Every factor is bounded, so no element overflows at any
-    cutoff, and truncation error stays local to high indices.
+    diagonals (:func:`_displacement_factors`).  Every factor is bounded, so
+    no element overflows at any cutoff, and truncation error stays local to
+    high indices.  To displace a state, :func:`displace` needs no matrix.
     """
     _check_coherent_tail(
         alpha, policy, "displacement_op(|alpha|={a:.3g}): displaced vacuum has "
         "mass {tail:.3e} above cutoff {cutoff}")
-    x = abs(alpha) ** 2
-    k = np.arange(policy.dim)
-    lo = np.minimum.outer(k, k)
-    d = np.abs(np.subtract.outer(k, k))
-    sign = np.where(k[:, None] < k, (-1.0) ** d, 1.0)
-    lag = assoc_laguerre(policy.cutoff, k, x)[lo, d]
-    phase = np.exp(1j * k * np.angle(alpha))
-    mat = math.exp(-x / 2) * sign * lag * phase[:, None] * phase.conj()
+    lower, phase, scale = _displacement_factors(alpha, policy.cutoff)
+    sign = _alternating(policy.dim)
+    real = lower.T * sign  # the upper triangle, up to the sign of its row
+    real *= sign[:, None]
+    real += lower
+    np.fill_diagonal(real, lower.diagonal())  # the sum counted it twice
+    mat = np.multiply.outer(scale * phase, phase.conj())
+    mat *= real
     return FockOperator(mat, policy.cutoff)
+
+
+def displace(alpha, vector):
+    """D(alpha)|vector>, the matrix of :func:`displacement_op` applied
+    without forming it.
+
+    e^(-x/2) P M P* v takes two real products with M's lower triangle L
+    (:func:`_displacement_factors`): M w = L w + S L^T S w - diag(L) w,
+    S = diag((-1)^k), with the real and imaginary parts of w as the two
+    columns.  O(N^2) time and one real N x (N+1) table.  No truncation
+    check: the caller owns it (``displacement_op`` checks the displaced
+    vacuum).
+    """
+    lower, phase, scale = _displacement_factors(alpha, vector.cutoff)
+    sign = _alternating(vector.dim)[:, None]
+    w = phase.conj() * vector.amps
+    w = np.stack([w.real, w.imag], axis=1)
+    out = lower @ w + sign * (lower.T @ (sign * w)) - lower.diagonal()[:, None] * w
+    return FockVector(scale * phase * (out[:, 0] + 1j * out[:, 1]), vector.cutoff)
 
 
 # ln 2 = _LN2_HI + _LN2_LO, with _LN2_HI short enough that its product with

@@ -2,13 +2,14 @@
 
 Two independent realizations are provided and cross-validated:
 
-* :func:`s_ordered_monomial` -- the closed Jacobi-polynomial form.  The
+* :func:`s_ordered_band` -- the closed Jacobi-polynomial form.  The
   second Jacobi parameter is the photon-number operator shifted by the
   annihilation power; since n is diagonal, the polynomial becomes a diagonal
   operator whose entries are scalar Jacobi values P_m^(b, q-n)(z) at each
   Fock level q.  Those parameters run down to -m on low levels, which
   :func:`polynomials.jacobi` maps to nonnegative ones for its recurrence.
-  A ladder power times that diagonal is one shifted diagonal, built as such.
+  A ladder power times that diagonal is one shifted diagonal, returned as
+  its values; :func:`s_ordered_monomial` places them in a matrix.
 * :func:`s_to_t_convert` -- the ordering-conversion sum, recursing down to
   normal order where the monomial is a plain matrix product.
 
@@ -31,6 +32,7 @@ from .polynomials import jacobi, log_factorial
 
 __all__ = [
     "OrderedMonomialSpec",
+    "s_ordered_band",
     "s_ordered_monomial",
     "s_to_t_convert",
 ]
@@ -63,12 +65,13 @@ def _ladder_power(op, k, policy):
     return out
 
 
-def s_ordered_monomial(spec, policy):
-    """{(a^dag)^m a^n}_s as a matrix, from the closed Jacobi form.
+def s_ordered_band(spec, policy):
+    """{(a^dag)^m a^n}_s as its one diagonal, from the closed Jacobi form.
 
     For m <= n:  m! [-(s+1)/2]^m  a^(n-m)  P_m^(n-m, n-hat - n)[(s-3)/(s+1)],
     and symmetrically with creation operators for m >= n.  Both branches
-    coincide at m = n.  The result is the single diagonal at offset n - m.
+    coincide at m = n.  Returns the values of the diagonal at offset
+    n - m, in the order of ``np.diag``.
     """
     m, n, s = spec.m, spec.n, spec.s
     _check_budget(m, n, policy)
@@ -80,8 +83,13 @@ def s_ordered_monomial(spec, policy):
     q = np.arange(k, dim) if m <= n else np.arange(dim - k)
     lf = log_factorial(np.arange(dim))
     ratio = np.exp(0.5 * (lf[k:] - lf[:dim - k]))  # sqrt((j+k)!/j!)
-    band = ratio * jacobi(lo, k, q - n, z)
-    return FockOperator(np.diag(coeff * band, n - m), policy.cutoff)
+    return coeff * (ratio * jacobi(lo, k, q - n, z))
+
+
+def s_ordered_monomial(spec, policy):
+    """{(a^dag)^m a^n}_s as a matrix: the diagonal of :func:`s_ordered_band`."""
+    return FockOperator(np.diag(s_ordered_band(spec, policy), spec.n - spec.m),
+                        policy.cutoff)
 
 
 def s_to_t_convert(m, n, s, t, policy):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cats import _chi_amps_and_norm, multi_cat_log_norm
+from .cats import _chi_amplitudes, multi_cat_log_norm
 from .errors import IntegrationRangeError, TruncationError
 from .fock import coherent_tail_mass, hermite_functions
 from .polynomials import assoc_laguerre, log_factorial
@@ -182,14 +182,18 @@ def husimi(state, grid, policy):
 
 
 def husimi_chi_closed(spec, grid):
-    """Closed form for the chi state: |L_n(beta(a* + b*))|^2 e^(-|a|^2)/(pi N)."""
+    """Closed form for the chi state: |L_n(beta(a* + b*))|^2 e^(-|a|^2)/(pi N).
+
+    N enters as ln N inside the exponential, so the form holds where N
+    overflows.
+    """
     _require_2d(grid)
-    _, n_sum = _chi_amps_and_norm(spec.n, spec.beta)
+    _, log_norm = _chi_amplitudes(spec.n, spec.beta)
     alpha = grid.alpha()
     arg = spec.beta * (np.conj(alpha) + np.conj(spec.beta))
-    q = (np.abs(assoc_laguerre(spec.n, 0, arg)[spec.n]) ** 2
-         * np.exp(-np.abs(alpha) ** 2) / (np.pi * n_sum))
-    return GridFunction(q, grid, "husimi")
+    scaled = (assoc_laguerre(spec.n, 0, arg)[spec.n]
+              * np.exp(-0.5 * (np.abs(alpha) ** 2 + log_norm)))
+    return GridFunction(np.abs(scaled) ** 2 / np.pi, grid, "husimi")
 
 
 def husimi_multi_cat_closed(spec, grid):
@@ -287,7 +291,7 @@ def wigner_cat_closed(spec, grid):
     """
     _require_2d(grid)
     n = spec.n
-    amps, n_sum = _chi_amps_and_norm(n, spec.beta)
+    amps, _ = _chi_amplitudes(n, spec.beta)
     z = math.sqrt(2.0) * grid.alpha()
     z2 = np.abs(z) ** 2
     arg = np.angle(z)
@@ -298,7 +302,7 @@ def wigner_cat_closed(spec, grid):
         lag = assoc_laguerre(n - d, d, z2)
         term = np.real(np.tensordot(pairs, lag, axes=(0, 0)) * np.exp(1j * d * arg))
         total += term if d == 0 else 2.0 * term
-    return GridFunction(total * np.exp(-0.5 * z2) / (np.pi * n_sum), grid, "wigner")
+    return GridFunction(total * np.exp(-0.5 * z2) / np.pi, grid, "wigner")
 
 
 def quadrature_dist(state, x_axis, phi):
@@ -322,7 +326,7 @@ def quadrature_chi_closed(spec, x_axis, phi):
     with w = -beta* e^(i phi) / sqrt(2); the Laguerre and power factors come
     in as the conjugate chi amplitudes times e^(ik phi) / sqrt(2^k k!).
     """
-    amps, n_sum = _chi_amps_and_norm(spec.n, spec.beta)
+    amps, _ = _chi_amplitudes(spec.n, spec.beta)
     k = np.arange(spec.n + 1)
     coeffs = np.conj(amps) * np.exp(1j * k * phi - 0.5 * (k * math.log(2.0)
                                                           + log_factorial(k)))
@@ -333,6 +337,6 @@ def quadrature_chi_closed(spec, x_axis, phi):
     for k, c in enumerate(coeffs):
         total += c * hk
         hk, h_prev = 2.0 * x * hk - 2.0 * k * h_prev, hk
-    vals = np.abs(total) ** 2 * np.exp(-x * x) / (math.sqrt(math.pi) * n_sum)
+    vals = np.abs(total) ** 2 * np.exp(-x * x) / math.sqrt(math.pi)
     grid = PhaseGrid(x_axis, Axis("phi", phi, phi, 1))
     return GridFunction(vals[:, None], grid, "quadrature")

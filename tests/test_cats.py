@@ -136,6 +136,30 @@ class TestChiState:
         with pytest.raises(TruncationError):
             cats.chi_state(cats.CatSpec(30, 1.0), POLICY)
 
+    def test_matches_mpmath_where_the_norm_overflows(self):
+        # at n = 800, |beta|^2 = 400 the normalization N ~ 1e414 overflows
+        # while p = 3.98e-4; the state and the closed Husimi form need no N
+        mpmath = pytest.importorskip("mpmath")
+        n = 800
+        spec = cats.CatSpec(n, math.sqrt(n / 2.0) * np.exp(0.7j))
+        policy = fock.TruncationPolicy(2 * n)
+        n_sum, p = cats.cat_norm_and_prob(spec)
+        assert n_sum == math.inf
+        chi = cats.chi_state(spec, policy)
+        ref, ref_p = chi_referee(mpmath, n, spec.beta)
+        assert abs(p / ref_p - 1.0) < 1e-12
+        assert np.max(np.abs(chi.amps[:n + 1] - ref)) < 1e-12
+        assert np.all(chi.amps[n + 1:] == 0)
+        # the closed Husimi form around the peak at i beta, against the overlap route
+        peak = 1j * spec.beta
+        grid = phasespace.PhaseGrid(
+            phasespace.Axis("re_alpha", peak.real - 1.0, peak.real + 1.0, 5),
+            phasespace.Axis("im_alpha", peak.imag - 1.0, peak.imag + 1.0, 5))
+        closed = phasespace.husimi_chi_closed(spec, grid).values
+        overlap = phasespace.husimi(chi, grid, policy).values
+        assert closed.max() > 0.1
+        assert np.max(np.abs(closed - overlap)) < 1e-12
+
 
 class TestChiVsOracle:
     # the two-mode oracle route shares no Laguerre or ordering code with the

@@ -275,8 +275,8 @@ class TestMainExitCodes:
     def test_guard_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
         # a closed form that disagrees with the oracle below |R|^2 = 0.05 is
         # a domain error, not a traceback
-        original = conditional.s_ordered_monomial
-        monkeypatch.setattr(conditional, "s_ordered_monomial",
+        original = conditional.s_ordered_band
+        monkeypatch.setattr(conditional, "s_ordered_band",
                             lambda spec, policy: 1.001 * original(spec, policy))
         cfg = tmp_path / "guard.cfg"
         cfg.write_text("m = 1\nn = 1\ntheta = 0.2\ncutoff = 32\n")
@@ -363,12 +363,18 @@ class TestMainExitCodes:
          "signal_n must be in 0..32"),
         ("success_probability_scan", "n_min", "-1", "prob-scan", "n_min must be >= 0"),
         ("two_peak_cat", "beta", "nan", "scheme-a", "|beta|^2 must be finite"),
+        ("two_peak_cat", "route", "bogus", "scheme-a", "route must be closed or oracle"),
+        ("two_peak_cat", "route", "bogus", "scheme-b", "route must be closed or oracle"),
     ])
     def test_bad_value_in_shipped_config(self, tmp_path, capsys, config, key, value,
                                          experiment, message):
+        # the edited key replaces its line, or is appended when the config
+        # leaves it at its default; the experiment line names the experiment run
+        edits = {"experiment": experiment, key: value}
         lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
-        lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line
-                 for line in lines]
+        keys = [line.split("#")[0].split("=")[0].strip() for line in lines]
+        lines = [f"{k} = {edits[k]}" if k in edits else line for k, line in zip(keys, lines)]
+        lines += [f"{k} = {v}" for k, v in edits.items() if k not in keys]
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("\n".join(lines) + "\n")
         rc = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
@@ -420,8 +426,8 @@ class TestSelftest:
     def test_corrupted_coefficient_is_caught(self, monkeypatch, capsys):
         # flip the sign of every s-ordered monomial of the closed form: the
         # oracle comparison must fail and the exit code must be nonzero
-        original = conditional.s_ordered_monomial
-        monkeypatch.setattr(conditional, "s_ordered_monomial",
+        original = conditional.s_ordered_band
+        monkeypatch.setattr(conditional, "s_ordered_band",
                             lambda spec, policy: -1.0 * original(spec, policy))
         assert cli.main(["selftest"]) == 4
         out = capsys.readouterr().out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from condibeam import conditional, fock, twomode
+from condibeam import cats, conditional, fock, twomode
 from condibeam.beamsplitter import BeamSplitterParams, OperatorPolynomial, ReferencePrep
 from condibeam.errors import (
     ConditioningWarning,
@@ -251,6 +251,74 @@ class TestOracleInvariants:
         assert dev < 1e-8
 
 
+@st.composite
+def three_term_configs(draw):
+    """Displaced preparations D(alpha) F(a^dag)|0>, D(beta) G(a^dag)|0> with
+    three-term F and G (coefficient magnitudes in [0.1, 1]), on a beam
+    splitter drawn as in oracle_configs."""
+    phase = st.floats(0.0, 2 * math.pi)
+    bs = BeamSplitterParams(draw(st.floats(0.3, 1.3)), draw(phase), draw(phase))
+    preps = []
+    for _ in range(2):
+        coeffs = [draw(st.floats(0.1, 1.0)) * np.exp(1j * draw(phase)) for _ in range(3)]
+        poly = OperatorPolynomial(tuple(coeffs)).normalized()
+        preps.append(ReferencePrep(poly, draw(st.floats(0.0, 0.5)) * np.exp(1j * draw(phase))))
+    return preps[0], preps[1], bs
+
+
+@st.composite
+def factored_cases(draw):
+    """A conditional operator from oracle_configs or three_term_configs, and a
+    random signal on the lowest six levels."""
+    if draw(st.booleans()):
+        m, n, alpha, beta, bs = draw(oracle_configs())
+        prep_in, prep_meas = ReferencePrep.fock(m, alpha), ReferencePrep.fock(n, beta)
+    else:
+        prep_in, prep_meas, bs = draw(three_term_configs())
+    amps = np.zeros(POLICY32.dim, dtype=complex)
+    amps[:6] = [draw(st.complex_numbers(max_magnitude=1.0)) for _ in range(6)]
+    if np.linalg.norm(amps) < 1e-3:
+        reject()
+    return prep_in, prep_meas, bs, fock.normalize(fock.FockVector(amps, POLICY32.cutoff))
+
+
+class TestFactoredForm:
+    @given(factored_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_apply_matches_dense_matrix(self, case):
+        # displace -> band -> displace on the vector equals the dense matrix
+        # built from the same factors
+        prep_in, prep_meas, bs, psi = case
+        try:
+            y = conditional.y_displaced_general(prep_in, prep_meas, bs, POLICY32)
+            out, p = conditional.apply_conditional(y, psi)
+        except (TruncationError, ZeroProbabilityError):
+            reject()  # refused budgets and impossible outcomes are defined outcomes
+        dense = y.mat @ psi.amps
+        assert np.linalg.norm(math.sqrt(p) * out.amps - dense) <= 1e-13 * np.linalg.norm(dense)
+        assert abs(p / np.vdot(dense, dense).real - 1.0) <= 1e-13
+
+    def test_vector_route_builds_no_dense_operator(self, monkeypatch):
+        # neither a dense product nor a dense displacement on the vector
+        # route: scheme_a_state at n = 100 and a 3-term Y on a coherent state
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator built on the vector route")
+
+        monkeypatch.setattr(fock.FockOperator, "__matmul__", refuse)
+        monkeypatch.setattr(fock, "displacement_op", refuse)
+        monkeypatch.setattr(conditional, "displacement_op", refuse)
+        policy = fock.TruncationPolicy(512)
+        spec = cats.CatSpec(100, math.sqrt(50.0) * np.exp(0.4j))
+        _, p = cats.scheme_a_state(spec, policy, 0.3, 1.2)
+        assert p == pytest.approx(cats.cat_norm_and_prob(spec)[1], rel=1e-10)
+        prep_in = ReferencePrep(OperatorPolynomial((1.0, 0.5, 0.25j)), 0.8).normalized()
+        prep_meas = ReferencePrep(OperatorPolynomial((0.7, -0.3j, 0.2)), 0.5j).normalized()
+        y = conditional.y_displaced_general(prep_in, prep_meas,
+                                            BeamSplitterParams(math.pi / 4, 0.3, 1.1), policy)
+        _, p = conditional.apply_conditional(y, fock.coherent_state(1.5, policy))
+        assert 0.0 < p <= 1.0
+
+
 class TestHighFockReferences:
     @pytest.mark.parametrize("n, cutoff", [(30, 128), (40, 168), (60, 256), (100, 400)])
     def test_fock_matches_oracle_on_safe_block(self, n, cutoff):
@@ -344,8 +412,8 @@ class TestConditioningGuard:
             conditional.y_displaced_general(prep_in, prep_out, bs, POLICY)
 
     def test_mismatch_is_a_domain_error(self, monkeypatch):
-        original = conditional.s_ordered_monomial
-        monkeypatch.setattr(conditional, "s_ordered_monomial",
+        original = conditional.s_ordered_band
+        monkeypatch.setattr(conditional, "s_ordered_band",
                             lambda spec, policy: 1.001 * original(spec, policy))
         with pytest.warns(ConditioningWarning), \
                 pytest.raises(OracleMismatchError, match="deviates from oracle") as info:

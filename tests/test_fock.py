@@ -5,12 +5,26 @@ import pytest
 
 from condibeam import fock, phasespace
 from condibeam.errors import CutoffExceededError, CutoffMismatchError, TruncationError
+from condibeam.polynomials import assoc_laguerre
 
 POLICY = fock.TruncationPolicy(cutoff=32)
 
 
 def number_op(policy):
     return fock.creation_op(policy) @ fock.annihilation_op(policy)
+
+
+def displacement_reference(alpha, cutoff):
+    """<k|D(alpha)|j> element by element: e^(-x/2) e^(i(k-j) arg alpha) u_j^(k-j)(x)
+    for j <= k and e^(-x/2) (-e^(-i arg alpha))^(k-j) u_j^(k-j)(x) above."""
+    x = abs(alpha) ** 2
+    k = np.arange(cutoff + 1)
+    lo = np.minimum.outer(k, k)
+    d = np.abs(np.subtract.outer(k, k))
+    sign = np.where(k[:, None] < k, (-1.0) ** d, 1.0)
+    lag = assoc_laguerre(cutoff, k, x)[lo, d]
+    phase = np.exp(1j * k * np.angle(alpha))
+    return math.exp(-x / 2) * sign * lag * phase[:, None] * phase.conj()
 
 
 class TestTruncationPolicy:
@@ -125,6 +139,21 @@ class TestDisplacement:
     def test_tail_violation(self):
         with pytest.raises(TruncationError):
             fock.displacement_op(6.5, POLICY)
+
+    @pytest.mark.parametrize("cutoff, alpha", [
+        (8, 0.4 + 0.3j), (64, 2.1 - 1.3j), (1024, 7.0 * np.exp(2.5j)), (64, 0.0)])
+    def test_displace_matches_the_matrix(self, cutoff, alpha):
+        # the matrix against its elements, and the matrix-free route against
+        # the matrix on a vector that fills every level up to the cutoff
+        rng = np.random.default_rng(cutoff)
+        v = fock.FockVector(rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1),
+                            cutoff)
+        mat = fock.displacement_op(alpha, fock.TruncationPolicy(cutoff)).mat
+        assert np.max(np.abs(mat - displacement_reference(alpha, cutoff))) < 1e-15
+        expected = mat @ v.amps
+        out = fock.displace(alpha, v)
+        assert out.cutoff == cutoff
+        assert np.linalg.norm(out.amps - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 class TestAttenuation:
