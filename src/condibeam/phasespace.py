@@ -11,8 +11,15 @@ function Q(alpha) = |<alpha|psi>|^2 / pi.
 
 Closed forms for the cat states (Q, W and p(x, phi)) are implemented next
 to the generic overlap/transform routes; the pairs are cross-validated in
-the tests.  Pointwise evaluations are independent, so grids can be mapped
-in parallel.
+the tests.
+
+Each generic route evaluates a whole grid in one pass over one table.  The
+Husimi overlap is one contraction of the coherent coefficients of every
+grid point.  The Wigner transform evaluates the wavefunction once, on a
+lattice that holds every point x +- y of the grid and of the y-integral,
+and contracts the integrand rows with the weighted phases in one matrix
+product.  The quadrature route builds one table of oscillator functions
+over the x axis and applies every phase to it as one (level, phi) matrix.
 
 The generic routes run on the state's support, not on every level up to
 the cutoff: the Husimi overlap contracts over the nonzero levels only, and
@@ -27,9 +34,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cats import _chi_amplitudes, multi_cat_log_norm
-from .errors import IntegrationRangeError, TruncationError
+from .errors import DomainError, IntegrationRangeError, TruncationError
 from .fock import coherent_tail_mass, hermite_functions
 from .polynomials import assoc_laguerre, log_factorial
 
@@ -77,8 +85,8 @@ class PhaseGrid:
     """Two axes spanning a phase-space rectangle.
 
     Quasiprobability evaluations require >= 2 points per axis; quadrature
-    distributions reuse the type with a degenerate (single-point) phase
-    axis.
+    distributions take an x axis and a phase axis of any length, a single
+    phase included.
     """
 
     axis1: Axis
@@ -212,12 +220,20 @@ def husimi_multi_cat_closed(spec, grid):
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Fixed-step rule for the Wigner y-integral."""
+    """Fixed-step trapezoid rule for the Wigner y-integral over +-half_range.
+
+    ``step`` is an upper bound.  The step used is at most ``step`` and
+    shares one lattice with the x spacing: it divides the spacing, or is a
+    whole multiple of it when the spacing is below ``step``.  The window is
+    rounded up to whole steps, so it covers at least +-half_range.
+    """
 
     half_range: float
     step: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.half_range) and math.isfinite(self.step)):
+            raise ValueError("half_range and step must be finite")
         if self.half_range <= 0 or self.step <= 0:
             raise ValueError("half_range and step must be > 0")
 
@@ -242,6 +258,15 @@ def _wavefunction(state, u):
 def wigner_numeric(state, grid, integration=None):
     """W(x, p) by trapezoidal quadrature of the defining y-integral.
 
+    With dx the x spacing, the y-step is dy = s delta <= step for a lattice
+    step delta with |dx| = r delta (r, s whole), and the window is
+    +-h dy with h = ceil(half_range / dy).  Every point x_i +- y_j is then
+    a point of one lattice, on which the wavefunction is evaluated once:
+    row i of psi(x + y) is a strided window of that table and psi(x - y) the
+    same window reversed.  Where the lattice would hold more points than
+    the rows and the window together (a y-step or an x spacing far wider
+    than the other), the points x_i + y_j themselves are evaluated instead.
+
     Raises IntegrationRangeError when the integrand has not decayed at the
     ends of the integration window (boundary magnitude above 1e-6 of the
     global maximum).
@@ -250,28 +275,45 @@ def wigner_numeric(state, grid, integration=None):
     if integration is None:
         integration = default_integration(state)
     half, step = integration.half_range, integration.step
-    npts = int(math.ceil(2.0 * half / step)) + 1
-    y = np.linspace(-half, half, npts)
-    dy = y[1] - y[0]
     x = grid.axis1.values
     p = grid.axis2.values
-    phase = np.exp(2j * np.outer(y, p))  # (ny, np)
-    values = np.empty((x.size, p.size))
-    boundary = 0.0
-    peak = 0.0
-    weights = np.ones(y.size)
-    weights[0] = weights[-1] = 0.5
-    for i, xi in enumerate(x):
-        f = _wavefunction(state, xi - y) * np.conj(_wavefunction(state, xi + y))
-        absf = np.abs(f)
-        boundary = max(boundary, absf[0], absf[-1])
-        peak = max(peak, absf.max())
-        values[i] = (dy / np.pi) * np.real((weights * f) @ phase)
+    dx = abs(grid.axis1.step)
+    rows = x.size if dx > 0 else 1  # lo == hi: every row is the same
+    if dx >= step:
+        r, s = math.ceil(dx / step), 1
+    elif dx > 0:
+        r, s = 1, math.floor(step / dx)
+    else:
+        r, s = 1, 1
+    delta = dx / r if dx > 0 else step
+    dy = s * delta
+    h = math.ceil(half / dy)
+    ny = 2 * h + 1
+    x_lo = min(x[0], x[-1])
+    size = (rows - 1) * r + 2 * h * s + 1
+    if size <= rows * ny:
+        lattice = x_lo + (np.arange(size) - h * s) * delta
+        psi = sliding_window_view(_wavefunction(state, lattice), 2 * h * s + 1)[::r, ::s]
+    else:
+        offsets = (np.arange(ny) - h) * dy
+        psi = _wavefunction(state, (x_lo + np.arange(rows) * r * delta)[:, None] + offsets)
+    f = np.conj(psi)  # (rows, ny): psi(x_i + y_j)* psi(x_i - y_j)
+    f *= psi[:, ::-1]
+    absf = np.abs(f)
+    boundary = max(absf[:, 0].max(), absf[:, -1].max())
+    peak = absf.max()
+    del absf
     if boundary > 1e-6 * max(peak, 1e-300):
         raise IntegrationRangeError(
             f"wigner_numeric: integrand magnitude {boundary:.3e} at the "
             f"window ends (peak {peak:.3e}); enlarge half_range > {half:.3g}")
-    return GridFunction(values, grid, "wigner")
+    weights = np.full(ny, dy / np.pi)
+    weights[0] = weights[-1] = 0.5 * dy / np.pi
+    y = (np.arange(ny) - h) * dy
+    values = np.real(f @ (weights[:, None] * np.exp(2j * np.outer(y, p))))
+    if grid.axis1.step < 0:
+        values = values[::-1]
+    return GridFunction(np.broadcast_to(values, (x.size, p.size)), grid, "wigner")
 
 
 def wigner_cat_closed(spec, grid):
@@ -305,38 +347,47 @@ def wigner_cat_closed(spec, grid):
     return GridFunction(total * np.exp(-0.5 * z2) / np.pi, grid, "wigner")
 
 
-def quadrature_dist(state, x_axis, phi):
-    """p(x, phi) = |<x,phi|psi>|^2 over a 1-D x grid (degenerate phi axis).
+def quadrature_dist(state, grid):
+    """p(x, phi) = |<x,phi|psi>|^2 over x (axis1) and phi (axis2).
 
-    The oscillator functions are evaluated up to the highest nonzero level
-    of the state, not up to the cutoff.
+    <x,phi|psi> = sum_k e^(-ik phi) c_k phi_k(x): one table of oscillator
+    functions, up to the highest nonzero level of the state, is contracted
+    with the (level, phi) matrix of phased amplitudes.
     """
     top = _support(state)[-1]
-    fn = hermite_functions(x_axis.values, top)
     k = np.arange(top + 1)
-    amp = np.tensordot(np.exp(-1j * k * phi) * state.amps[:top + 1], fn, axes=(0, 0))
-    grid = PhaseGrid(x_axis, Axis("phi", phi, phi, 1))
-    return GridFunction((np.abs(amp) ** 2)[:, None], grid, "quadrature")
+    coeffs = np.exp(-1j * np.outer(k, grid.axis2.values)) * state.amps[:top + 1, None]
+    amp = np.tensordot(hermite_functions(grid.axis1.values, top), coeffs, axes=(0, 0))
+    return GridFunction(np.abs(amp) ** 2, grid, "quadrature")
 
 
-def quadrature_chi_closed(spec, x_axis, phi):
+def quadrature_chi_closed(spec, grid):
     """Closed Hermite-sum form of p(x, phi) for the chi state.
 
     p = |sum_k L_{n-k}^k(|beta|^2) w^k H_k(x) / k!|^2 e^(-x^2) / (sqrt(pi) N)
     with w = -beta* e^(i phi) / sqrt(2); the Laguerre and power factors come
     in as the conjugate chi amplitudes times e^(ik phi) / sqrt(2^k k!).
+
+    The Hermite polynomials H_k(x) are not normalized and leave the float
+    range from k ~ 300 at |x| ~ 6; raises DomainError when the sum does.
     """
     amps, _ = _chi_amplitudes(spec.n, spec.beta)
     k = np.arange(spec.n + 1)
-    coeffs = np.conj(amps) * np.exp(1j * k * phi - 0.5 * (k * math.log(2.0)
-                                                          + log_factorial(k)))
-    x = x_axis.values
-    total = np.zeros(x.size, dtype=complex)
-    hk = np.ones_like(x)
-    h_prev = np.zeros_like(x)
-    for k, c in enumerate(coeffs):
-        total += c * hk
-        hk, h_prev = 2.0 * x * hk - 2.0 * k * h_prev, hk
-    vals = np.abs(total) ** 2 * np.exp(-x * x) / math.sqrt(math.pi)
-    grid = PhaseGrid(x_axis, Axis("phi", phi, phi, 1))
-    return GridFunction(vals[:, None], grid, "quadrature")
+    coeffs = np.conj(amps)[:, None] * np.exp(
+        1j * np.outer(k, grid.axis2.values)
+        - 0.5 * (k * math.log(2.0) + log_factorial(k))[:, None])
+    x = grid.axis1.values
+    hermite = np.empty((spec.n + 1, x.size))
+    hermite[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.n >= 1:
+            hermite[1] = 2.0 * x
+        for j in range(1, spec.n):
+            hermite[j + 1] = 2.0 * x * hermite[j] - 2.0 * j * hermite[j - 1]
+        total = np.tensordot(hermite, coeffs, axes=(0, 0))
+        vals = np.abs(total) ** 2 * (np.exp(-x * x) / math.sqrt(math.pi))[:, None]
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(
+            f"quadrature_chi_closed: the Hermite sum leaves the float range "
+            f"at n = {spec.n}")
+    return GridFunction(vals, grid, "quadrature")

@@ -155,7 +155,8 @@ def test_criterion_5_wigner_closed_form():
         wide = ps.PhaseGrid(x_axis, ps.Axis("p", -6.5, 6.5, 131))
         w_wide = ps.wigner_numeric(chi, wide)
         marginal = simpson(w_wide.values, dx=wide.axis2.step, axis=1)
-        density = ps.quadrature_dist(chi, x_axis, 0.0).values[:, 0]
+        density = ps.quadrature_dist(
+            chi, ps.PhaseGrid(x_axis, ps.Axis("phi", 0.0, 0.0, 1))).values[:, 0]
         assert np.max(np.abs(marginal - density)) <= 1e-5
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 60s"

@@ -332,6 +332,19 @@ class TestMainExitCodes:
         assert err.startswith("domain error: ") and "leaves the float range" in err
         assert err.count("\n") == 1
 
+    def test_quadrature_closed_form_outside_float_range(self, tmp_path, capsys):
+        # at n = 300 the closed-form referee's Hermite sum overflows: exit 3
+        # with one line, not a deviation of 0.0 over NaN values
+        cfg = tmp_path / "q300.cfg"
+        cfg.write_text(f"n = 300\nbeta = {math.sqrt(150.0)!r}\ncutoff = 1024\n")
+        rc = cli.main(["quadrature-grid", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("domain error: ")
+        assert "leaves the float range" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "closed_form_max_abs_dev" not in captured.out
+
     def test_missing_config(self):
         assert cli.main(["scheme-a"]) == 2
 

@@ -180,9 +180,12 @@ class TestQuadratureState:
         # <x,phi| = <x,0| exp(-i phi n) and exp(-i phi n)|alpha> = |alpha e^(-i phi)>
         alpha, phi = 1.2 + 0.4j, 0.9
         x_axis = phasespace.Axis("x", -5.0, 5.0, 41)
-        rotated = phasespace.quadrature_dist(fock.coherent_state(alpha, POLICY), x_axis, phi)
+        rotated = phasespace.quadrature_dist(
+            fock.coherent_state(alpha, POLICY),
+            phasespace.PhaseGrid(x_axis, phasespace.Axis("phi", phi, phi, 1)))
         direct = phasespace.quadrature_dist(
-            fock.coherent_state(alpha * np.exp(-1j * phi), POLICY), x_axis, 0.0)
+            fock.coherent_state(alpha * np.exp(-1j * phi), POLICY),
+            phasespace.PhaseGrid(x_axis, phasespace.Axis("phi", 0.0, 0.0, 1)))
         assert np.max(np.abs(rotated.values - direct.values)) < 1e-12
 
     def test_coherent_overlap_normalization(self):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from condibeam import cats, fock, phasespace as ps
-from condibeam.errors import IntegrationRangeError, TruncationError
+from condibeam.errors import DomainError, IntegrationRangeError, TruncationError
 from condibeam.polynomials import log_factorial
 
 POLICY = fock.TruncationPolicy(cutoff=32)
@@ -37,6 +37,26 @@ def full_quadrature_dist(state, x, phi):
     amp = np.tensordot(np.exp(-1j * k * phi) * state.amps,
                        fock.hermite_functions(x, state.cutoff), axes=(0, 0))
     return np.abs(amp) ** 2
+
+
+def wigner_reference(state, grid, integration):
+    """The per-row transform: for each x, two wavefunction evaluations over
+    y = linspace(-half_range, half_range) at a step <= integration.step."""
+    half, step = integration.half_range, integration.step
+    y = np.linspace(-half, half, int(math.ceil(2.0 * half / step)) + 1)
+    dy = y[1] - y[0]
+    weights = np.ones(y.size)
+    weights[0] = weights[-1] = 0.5
+    phase = np.exp(2j * np.outer(y, grid.axis2.values))
+    rows = [(dy / np.pi) * np.real((weights * full_wavefunction(state, xi - y)
+                                    * np.conj(full_wavefunction(state, xi + y))) @ phase)
+            for xi in grid.axis1.values]
+    return np.array(rows)
+
+
+def at_phase(x_axis, phi):
+    """The grid of one quadrature distribution: x_axis at the single phase phi."""
+    return ps.PhaseGrid(x_axis, ps.Axis("phi", phi, phi, 1))
 
 
 class TestGridTypes:
@@ -131,11 +151,61 @@ class TestWignerNumeric:
                            dx=grid.axis1.step)
         assert integral == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("half_range, step", [
+        (math.nan, 0.02), (math.inf, 0.02), (5.0, math.nan), (5.0, math.inf),
+    ])
+    def test_integration_spec_rejects_non_finite(self, half_range, step):
+        with pytest.raises(ValueError, match="finite"):
+            ps.IntegrationSpec(half_range=half_range, step=step)
+
     def test_range_too_small(self):
         grid = ps.PhaseGrid.square(-2, 2, 11)
         with pytest.raises(IntegrationRangeError):
             ps.wigner_numeric(fock.fock_state(0, POLICY), grid,
                               ps.IntegrationSpec(half_range=2.0, step=0.02))
+
+
+class TestWignerLattice:
+    """The grid is evaluated from one wavefunction table on a shared lattice."""
+
+    SPEC = cats.CatSpec(10, math.sqrt(5.0) * np.exp(0.4j))
+    P_AXIS = ps.Axis("p", -5, 5, 41)
+
+    @pytest.mark.parametrize("x_axis", [
+        ps.Axis("x", -6, 6, 81),          # spacing 0.15 > step: r = 8, s = 1
+        ps.Axis("x", -0.84, 0.84, 81),    # spacing 0.021, just above the step
+        ps.Axis("x", -0.2, 0.2, 81),      # spacing 0.005 < step: r = 1, s = 4
+        ps.Axis("x", 5, -5, 41),          # descending
+        ps.Axis("x", 1.3, 1.3, 4),        # lo == hi: every row is the same
+        ps.Axis("x", -2e-3, 2e-3, 41),    # y-step far wider than the spacing
+        ps.Axis("x", -40, 40, 3),         # spacing far wider than the window
+    ], ids=["0.15", "0.021", "0.005", "descending", "lo-eq-hi", "fine", "coarse"])
+    def test_matches_closed_form_and_per_row_route(self, x_axis):
+        chi = cats.chi_state(self.SPEC, fock.TruncationPolicy(cutoff=64))
+        grid = ps.PhaseGrid(x_axis, self.P_AXIS)
+        w = ps.wigner_numeric(chi, grid).values
+        closed = ps.wigner_cat_closed(self.SPEC, grid).values
+        reference = wigner_reference(chi, grid, ps.default_integration(chi))
+        assert np.max(np.abs(w - closed)) < 1e-8
+        peak = np.max(np.abs(reference))
+        assert np.max(np.abs(w - reference)) < 1e-12 * peak
+
+    def test_one_table_per_grid(self, monkeypatch):
+        # one wavefunction table per Wigner grid and one oscillator table
+        # per quadrature grid, whatever the number of rows or phases
+        calls = []
+        hermite = ps.hermite_functions
+        monkeypatch.setattr(ps, "hermite_functions",
+                            lambda x, nmax: calls.append(nmax) or hermite(x, nmax))
+        chi = cats.chi_state(self.SPEC, fock.TruncationPolicy(cutoff=64))
+        for points in (5, 41):
+            calls.clear()
+            ps.wigner_numeric(chi, ps.PhaseGrid.square(-5, 5, points))
+            assert len(calls) == 1
+            calls.clear()
+            ps.quadrature_dist(chi, ps.PhaseGrid(ps.Axis("x", -6, 6, 3 * points),
+                                                 ps.Axis("phi", 0, 3, points)))
+            assert len(calls) == 1
 
 
 class TestWignerCatClosed:
@@ -170,7 +240,7 @@ class TestWignerCatClosed:
 class TestQuadratureDist:
     def test_vacuum_density(self):
         ax = ps.Axis("x", -4, 4, 161)
-        p = ps.quadrature_dist(fock.fock_state(0, POLICY), ax, 0.0)
+        p = ps.quadrature_dist(fock.fock_state(0, POLICY), at_phase(ax, 0.0))
         expected = np.exp(-ax.values ** 2) / math.sqrt(math.pi)
         assert np.max(np.abs(p.values[:, 0] - expected)) < 1e-14
 
@@ -178,14 +248,14 @@ class TestQuadratureDist:
         chi = cats.chi_state(cats.CatSpec(4, math.sqrt(2)), POLICY)
         ax = ps.Axis("x", -8, 8, 801)
         for phi in (0.0, 0.7, 2.9):
-            p = ps.quadrature_dist(chi, ax, phi)
+            p = ps.quadrature_dist(chi, at_phase(ax, phi))
             assert simpson(p.values[:, 0], dx=ax.step) == pytest.approx(1.0, abs=1e-6)
 
     def test_fock_state_phase_invariance(self):
         ax = ps.Axis("x", -5, 5, 101)
-        base = ps.quadrature_dist(fock.fock_state(3, POLICY), ax, 0.0)
+        base = ps.quadrature_dist(fock.fock_state(3, POLICY), at_phase(ax, 0.0))
         for phi in (0.4, 1.8):
-            rotated = ps.quadrature_dist(fock.fock_state(3, POLICY), ax, phi)
+            rotated = ps.quadrature_dist(fock.fock_state(3, POLICY), at_phase(ax, phi))
             assert np.max(np.abs(rotated.values - base.values)) < 1e-10
 
     def test_chi_closed_form(self):
@@ -194,14 +264,25 @@ class TestQuadratureDist:
         chi = cats.chi_state(spec, pol)
         ax = ps.Axis("x", -6, 6, 121)
         for phi in np.linspace(0, math.pi, 7, endpoint=False):
-            overlap = ps.quadrature_dist(chi, ax, float(phi))
-            closed = ps.quadrature_chi_closed(spec, ax, float(phi))
+            overlap = ps.quadrature_dist(chi, at_phase(ax, float(phi)))
+            closed = ps.quadrature_chi_closed(spec, at_phase(ax, float(phi)))
             assert np.max(np.abs(overlap.values - closed.values)) < 1e-8
 
     def test_nonnegative(self):
         chi = cats.chi_state(cats.CatSpec(5, 1.0), POLICY)
         ax = ps.Axis("x", -5, 5, 101)
-        assert np.all(ps.quadrature_dist(chi, ax, 1.0).values >= 0)
+        assert np.all(ps.quadrature_dist(chi, at_phase(ax, 1.0)).values >= 0)
+
+    def test_closed_form_outside_float_range(self):
+        # at n = 300 the unnormalized H_k(x) overflow; the closed form raises
+        # instead of returning NaN, with no RuntimeWarning, while the overlap
+        # route stays finite
+        spec = cats.CatSpec(300, math.sqrt(150.0))
+        chi = cats.chi_state(spec, fock.TruncationPolicy(cutoff=1024))
+        grid = ps.PhaseGrid(ps.Axis("x", -6, 6, 25), ps.Axis("phi", 0, 3, 3))
+        assert np.all(np.isfinite(ps.quadrature_dist(chi, grid).values))
+        with pytest.raises(DomainError, match="leaves the float range"):
+            ps.quadrature_chi_closed(spec, grid)
 
 
 class TestMarginals:
@@ -216,7 +297,7 @@ class TestMarginals:
         grid = ps.PhaseGrid(x_axis, ps.Axis("p", -6.5, 6.5, 131))
         w = ps.wigner_numeric(state, grid)
         marginal = simpson(w.values, dx=grid.axis2.step, axis=1)
-        density = ps.quadrature_dist(state, x_axis, 0.0).values[:, 0]
+        density = ps.quadrature_dist(state, at_phase(x_axis, 0.0)).values[:, 0]
         assert np.max(np.abs(marginal - density)) < 1e-5
 
 
@@ -250,8 +331,15 @@ class TestSupportEvaluation:
     def test_quadrature_dist_matches_full_sum(self, state):
         ax = ps.Axis("x", -9, 9, 181)
         for phi in (0.0, 0.9, 2.6):
-            got = ps.quadrature_dist(state, ax, phi).values[:, 0]
+            got = ps.quadrature_dist(state, at_phase(ax, phi)).values[:, 0]
             assert np.max(np.abs(got - full_quadrature_dist(state, ax.values, phi))) < 1e-14
+
+    def test_quadrature_grid_columns_match_full_sum(self, state):
+        ax = ps.Axis("x", -9, 9, 181)
+        phi_axis = ps.Axis("phi", 0.0, 2.6, 7)
+        got = ps.quadrature_dist(state, ps.PhaseGrid(ax, phi_axis)).values
+        for j, phi in enumerate(phi_axis.values):
+            assert np.max(np.abs(got[:, j] - full_quadrature_dist(state, ax.values, phi))) < 1e-14
 
     def test_grids_do_not_depend_on_cutoff(self, monkeypatch):
         # the same chi state at cutoff 64 and 1024 gives bit-identical grids,
@@ -271,7 +359,7 @@ class TestSupportEvaluation:
             chi = cats.chi_state(spec, pol)
             results.append((ps.husimi(chi, grid, pol).values,
                             ps.wigner_numeric(chi, grid).values,
-                            ps.quadrature_dist(chi, ax, 0.7).values))
+                            ps.quadrature_dist(chi, at_phase(ax, 0.7)).values))
         for small, large in zip(*results):
             assert np.array_equal(small, large)
         assert levels and max(levels) == 10
