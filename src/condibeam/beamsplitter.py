@@ -148,6 +148,10 @@ class ReferencePrep:
     poly: OperatorPolynomial
     displacement: complex = 0j
 
+    def __post_init__(self):
+        if not cmath.isfinite(self.displacement):
+            raise ValueError(f"displacement must be finite, got {self.displacement!r}")
+
     @classmethod
     def fock(cls, n, displacement=0j):
         return cls(OperatorPolynomial.fock_monomial(n), displacement)

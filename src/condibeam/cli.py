@@ -155,11 +155,11 @@ def _run_y_matrix(params):
             raise ConfigError(f"{key} must be >= 0, got {params[key]}")
     policy = _policy(params)
     bs = _bs(params)
+    prep_in = _build(ReferencePrep.fock, params["m"], params["alpha"])
+    prep_out = _build(ReferencePrep.fock, params["n"], params["beta"])
     y = conditional.y_displaced_fock(params["m"], params["n"], params["alpha"],
                                      params["beta"], bs, policy)
-    oracle = twomode.oracle_y(ReferencePrep.fock(params["m"], params["alpha"]),
-                              ReferencePrep.fock(params["n"], params["beta"]),
-                              bs, policy)
+    oracle = twomode.oracle_y(prep_in, prep_out, bs, policy)
     half = policy.safe_levels
     dev = (np.linalg.norm(y.mat[:half, :half] - oracle.mat[:half, :half])
            / np.linalg.norm(oracle.mat[:half, :half]))

@@ -69,7 +69,8 @@ __all__ = [
 
 # Below this reflectance the [-(s+1)/2]^m coefficients of the ordering are
 # badly conditioned; the construction still runs but warns and verifies
-# itself against the two-mode oracle.
+# itself against the two-mode oracle, at O(N L^2) for cutoff N and the
+# references' band L (twomode.oracle_y).
 _CONDITIONING_R2 = 0.05
 
 

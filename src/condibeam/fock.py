@@ -16,6 +16,7 @@ lowest ceil(cutoff/2) levels), which :class:`TruncationPolicy` exposes.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,10 +193,12 @@ def coherent_tail_mass(alpha, cutoff):
     outside that window are below e^-70 of the largest one.  When the
     window starts above cutoff + 1, everything at or below the cutoff lies
     under e^-70 of the total and the tail is 1.0, with no window built (it
-    would hold ~24 |alpha| entries).
+    would hold ~24 |alpha| entries).  Below the smallest normal float the
+    tail, at most 1 - e^-lam <= lam, is returned as 0.0 (lam / k would
+    underflow to 0 in the log).
     """
     lam = abs(alpha) ** 2
-    if lam == 0:
+    if lam < sys.float_info.min:
         return 0.0
     if not math.isfinite(lam):
         return 1.0 if lam > 0 else math.nan

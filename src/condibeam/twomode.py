@@ -12,6 +12,14 @@ max(0, M - cutoff)..cutoff, so its block is a compression of a unitary
 (spectral norm <= 1), not a unitary.  That is why closed-form comparisons
 are restricted to the safe block.
 
+The recurrence is closed on the reference-mode levels q <= L: each step
+reads only the element's own reference indices or one below them.  A
+routine that needs only such levels runs it on that band alone, O(N L^2)
+for cutoff N instead of O(N^3).  The oracle takes L from the reference
+amplitudes (the level above which each holds at most 1e-17 of its norm);
+:func:`conditional_reduce` takes the highest sector its input occupies,
+which bounds every reference index it meets.
+
 Everything here is deliberately independent of the closed-form construction
 in the conditional module (no ``polynomials`` evaluator, ``ordering`` or
 ``conditional`` import): the two routes check each other.
@@ -59,11 +67,6 @@ def product_state(v1, v2):
     return TwoModeState(np.outer(v1.amps, v2.amps), v1.cutoff)
 
 
-def _sector_range(total, cutoff):
-    """Signal-mode indices k1 present in the sector k1 + k2 = total."""
-    return max(0, total - cutoff), min(cutoff, total)
-
-
 @dataclass(frozen=True)
 class DensityOperator:
     """Single-mode density matrix with physicality checks."""
@@ -96,15 +99,9 @@ class DensityOperator:
         return self
 
 
-def _sector_phases(total, cutoff, phi):
-    """exp(i * phi * (k1 - k2)/2) over the sector, as a vector."""
-    lo, hi = _sector_range(total, cutoff)
-    k1 = np.arange(lo, hi + 1)
-    return np.exp(1j * phi * (k1 - (total - k1)) / 2.0)
-
-
-def _sector_rotations(theta, cutoff):
-    """Windows R_M of the mixing rotation, sector by sector.
+def _sector_rotations(theta, cutoff, band):
+    """Windows R_M of the mixing rotation, sector by sector, on the
+    reference band.
 
     Apart from the phases, sector M of the beam splitter is the real window
 
@@ -120,26 +117,42 @@ def _sector_rotations(theta, cutoff):
         (M+1) R_{M+1}[p, k] = sqrt(k) (c sqrt(p) R_M[p-1, k-1] - s sqrt(q) R_M[p, k-1])
                             + sqrt(M+1-k) (c sqrt(q) R_M[p, k] + s sqrt(p) R_M[p-1, k]).
 
-    Every window follows from the previous one in O(1) per element, O(N^3)
-    for all 2N + 1 sectors.  Either two-term step alone divides by the
-    square root of one input index and is unstable: at theta = pi/4 its
-    sectors miss unitarity by 4e-3 at M = 96 and by 5e4 at M = 128.
+    Either two-term step alone divides by the square root of one input
+    index and is unstable: at theta = pi/4 its sectors miss unitarity by
+    4e-3 at M = 96 and by 5e4 at M = 128.
 
-    Yields (total, lo, rot) for total = 0..2*cutoff, where
-    rot[p - lo, k - lo] = R_total[p, k] over the sector's retained signal
-    indices lo..hi (:func:`_sector_range`), one vectorized recurrence step
-    per sector; every yielded array is new.
+    In the reference-mode indices M - p and M - k, the step reads R_M only
+    at the element's own reference indices or one below them.  So the
+    elements whose reference indices are both <= ``band`` follow from
+    elements of the same kind: the band is closed under the recurrence, and
+    each banded element is the same exact element of the untruncated
+    rotation.  Sector M keeps the signal indices lo = max(0, M - band) ..
+    hi = min(cutoff, M), and the stream ends at M = cutoff + band; every
+    window follows from the previous one in O(1) per element, O(N band^2)
+    in all.  ``band = cutoff`` keeps every element of the truncated
+    two-mode space, O(N^3) for the 2N + 1 sectors.
+
+    Yields (total, lo, rot) for total = 0..cutoff + band (0 <= band <=
+    cutoff), where
+    rot[p - lo, k - lo] = R_total[p, k] over lo..hi, one vectorized
+    recurrence step per sector; every yielded array is new.
     """
     c, s = math.cos(theta), math.sin(theta)
+    roots = np.sqrt(np.arange(cutoff + band + 1, dtype=float))
     rot = np.ones((1, 1))
     yield 0, 0, rot
-    for total in range(1, 2 * cutoff + 1):
-        lo, hi = _sector_range(total, cutoff)
-        # prev[i, j] = R_{total-1}[lo-1+i, lo-1+j]; a complete sector gains a
-        # zero border (index -1 and index total, where sqrt(q) = 0)
-        prev = np.pad(rot, 1) if total <= cutoff else rot
-        p = np.arange(lo, hi + 1, dtype=float)
-        sp, sq = np.sqrt(p), np.sqrt(total - p)  # also sqrt(k), sqrt(total-k)
+    for total in range(1, cutoff + band + 1):
+        lo, hi = max(0, total - band), min(cutoff, total)
+        # prev[i, j] = R_{total-1}[lo-1+i, lo-1+j]; a window that starts at
+        # index 0 or ends at index total gains a zero border there (index -1,
+        # and index total, where sqrt(q) = 0)
+        prev = rot
+        if lo == 0 or hi == total:
+            prev = np.zeros((hi - lo + 2, hi - lo + 2))
+            start = int(lo == 0)
+            prev[start:start + len(rot), start:start + len(rot)] = rot
+        # sqrt(p) and sqrt(total - p) over lo..hi, also sqrt(k), sqrt(total - k)
+        sp, sq = roots[lo:hi + 1], roots[total - hi:total - lo + 1][::-1]
         rot = (((c / total) * sp)[:, None] * prev[:-1, :-1]
                - ((s / total) * sq)[:, None] * prev[1:, :-1]) * sp
         rot += (((c / total) * sq)[:, None] * prev[1:, 1:]
@@ -147,8 +160,9 @@ def _sector_rotations(theta, cutoff):
         yield total, lo, rot
 
 
-def _sector_blocks(bs, cutoff):
-    """Exact sector blocks of the beam-splitter unitary, one sector at a time.
+def _sector_blocks(bs, cutoff, band):
+    """Exact sector blocks of the beam-splitter unitary on the reference
+    band, one sector at a time.
 
     Yields (total, lo, left, rot, right) with block = left[:, None] * rot *
     right: the window R_total of :func:`_sector_rotations` between the
@@ -156,37 +170,69 @@ def _sector_blocks(bs, cutoff):
     generators, phi = phi_t + phi_r on the left and phi_t - phi_r on the
     right.  Valid for every parameter value, T = 0 included.
     """
-    for total, lo, rot in _sector_rotations(bs.theta, cutoff):
-        yield (total, lo, _sector_phases(total, cutoff, bs.phi_t + bs.phi_r), rot,
-               _sector_phases(total, cutoff, bs.phi_t - bs.phi_r))
+    # exp(i phi j/2) for j = k1 - k2 in -band..cutoff, indexed by band + j
+    j = np.arange(-band, cutoff + 1)
+    left, right = (np.exp(1j * phi * j / 2.0)
+                   for phi in (bs.phi_t + bs.phi_r, bs.phi_t - bs.phi_r))
+    for total, lo, rot in _sector_rotations(bs.theta, cutoff, band):
+        hi = lo + len(rot) - 1
+        at = slice(band + 2 * lo - total, band + 2 * hi - total + 1, 2)
+        yield total, lo, left[at], rot, right[at]
+
+
+# A reference is served on the band of levels 0..L at which the norm of its
+# amplitudes above L is at most this fraction of its norm.
+_BAND_TAIL = 1e-17
+
+
+def _reference_band(vectors):
+    """Smallest level L with ||v[L+1:]|| <= _BAND_TAIL ||v|| for every v."""
+    band = 0
+    for v in vectors:
+        mass = np.abs(v) ** 2
+        above = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # ||v[l+1:]||^2
+        band = max(band, int(np.argmax(above <= _BAND_TAIL ** 2 * mass.sum())))
+    return band
 
 
 def _oracle_ys(pairs, bs, cutoff, top):
     """Y for every (v_in, v_out) pair of reference amplitudes, from one pass
-    over the sectors 0..top.
+    over the sectors 0..top on the pairs' reference band.
 
     Y[j, i] = <j| <v_out| U |i> |v_in> takes from each sector its block
     between the reference amplitudes it pairs with: amplitudes and sector
     phases fold into one vector per side, and the window is contracted as
-    it is produced.
+    it is produced.  The band L is :func:`_reference_band` of all the
+    amplitudes, so the reference levels above L that the stream leaves out
+    hold at most 1e-17 of each amplitude vector's norm.
     """
     dim = cutoff + 1
+    band = _reference_band(v for pair in pairs for v in pair)
+    pairs = [(vin, vout.conj()) for vin, vout in pairs]
     ys = np.zeros((len(pairs), dim, dim), dtype=complex)
-    for total, lo, left, rot, right in _sector_blocks(bs, cutoff):
+    for total, lo, left, rot, right in _sector_blocks(bs, cutoff, band):
         if total > top:
             break
-        k2 = total - np.arange(lo, lo + len(rot))
-        window = slice(lo, lo + len(rot))
-        for y, (vin, vout) in zip(ys, pairs):
-            y[window, window] += np.outer(vout[k2].conj() * left, right * vin[k2]) * rot
+        hi = lo + len(rot) - 1
+        k2 = slice(total - hi, total - lo + 1)  # reversed against the window
+        window = slice(lo, hi + 1)
+        for y, (vin, vout_conj) in zip(ys, pairs):
+            y[window, window] += (np.outer(vout_conj[k2][::-1] * left, right * vin[k2][::-1])
+                                  * rot)
     return ys
 
 
 def oracle_y(ref_in, ref_out, bs, policy):
-    """Conditional operator from the full two-mode simulation.
+    """Conditional operator from the two-mode simulation.
 
     Y[j, i] = <j| <ref_out| U |i> |ref_in>, contracted sector by sector as
     the exact blocks of :func:`_sector_blocks` are produced (none is kept).
+    Only reference levels up to L enter, L the smallest level at which the
+    norm of either reference's amplitudes above L is at most 1e-17 of its
+    norm (computed from the amplitudes, no closed form involved).  U is
+    unitary, so the dropped part of Y has norm at most
+    ||tail_out|| ||v_in|| + ||v_out|| ||tail_in||, and the cost is
+    O(N L^2) for cutoff N instead of O(N^3).
     """
     pair = (ref_in.state(policy).amps, ref_out.state(policy).amps)
     ymat = _oracle_ys([pair], bs, policy.cutoff, 2 * policy.cutoff)[0]
@@ -247,9 +293,11 @@ def conditional_reduce(state_in, povm_element, bs, policy):
     """
     amps = state_in.amps
     occupied = np.add(*np.nonzero(amps))
-    top = int(occupied.max()) if occupied.size else -1
+    top = int(occupied.max()) if occupied.size else 0
     vout = np.zeros_like(amps)
-    for total, lo, left, rot, right in _sector_blocks(bs, policy.cutoff):
+    # a sector M <= top has reference indices <= top
+    for total, lo, left, rot, right in _sector_blocks(bs, policy.cutoff,
+                                                      min(top, policy.cutoff)):
         if total > top:
             break
         k1 = np.arange(lo, lo + len(rot))
@@ -271,10 +319,11 @@ def conditional_reduce_mixed(rho_in1, ref_ensemble, meas_ensemble, bs, policy):
     (p(l | state), ReferencePrep) decomposing the POVM element of the
     observed outcome l.  The output state is the weighted sum of Y rho Y^dag
     over all ensemble pairs, with Y from the two-mode oracle, normalized by
-    the total outcome probability.  One pass over the sectors serves every
-    pair, and it stops at the highest sector the input (rho tensor the
-    input references) occupies: columns of Y beyond rho's support meet only
-    zeros of rho.
+    the total outcome probability.  One pass over the sectors, on the
+    reference band of all the ensembles' states (:func:`oracle_y`), serves
+    every pair, and it stops at the highest sector the input (rho tensor
+    the input references) occupies: columns of Y beyond rho's support meet
+    only zeros of rho.
     """
     w_in = [w for w, _ in ref_ensemble]
     if any(w < 0 for w in w_in) or abs(sum(w_in) - 1.0) > 1e-10:

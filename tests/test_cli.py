@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,22 @@ class TestMainExitCodes:
         assert err.startswith("config error: ") and "|beta|^2 must be finite" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("experiment, n", [("scheme-a", 3), ("scheme-b", 4)])
+    def test_subnormal_beta_runs(self, tmp_path, capsys, experiment, n):
+        # |beta|^2 = 4.9e-324 is a valid (subnormal) intensity: exit 0 with
+        # the undisplaced probability 2^-n and no warning
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"n = {n}\nbeta = 1.786e-162\ncutoff = 32\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main([experiment, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert not caught, [str(w.message) for w in caught]
+        scalars = dict(line.split(" = ") for line in captured.out.splitlines()
+                       if not line.startswith("#"))
+        assert float(scalars["probability"]) == pytest.approx(0.5 ** n, rel=1e-12)
+
     @pytest.mark.parametrize("experiment, config, message", [
         ("scheme-a", "n = 0\nbeta = 1e150\ncutoff = 32\n", "leaks mass 1.000e+00"),
         ("scheme-a", "n = 4\nbeta = 1e150\ncutoff = 32\n", "normalization N overflows"),
@@ -363,6 +380,10 @@ class TestMainExitCodes:
         ("two_peak_husimi", "cutoff", "4", "q-grid", "cutoff must be >= 8"),
         ("two_peak_husimi", "n", "-1", "q-grid", "n must be >= 0"),
         ("conditional_operator_demo", "theta", "nan", "y-matrix", "theta must be finite"),
+        ("conditional_operator_demo", "alpha", "nan", "y-matrix",
+         "displacement must be finite"),
+        ("conditional_operator_demo", "beta", "1e400", "y-matrix",
+         "displacement must be finite"),
         ("inefficient_detection_demo", "eta", "1.5", "povm-demo", "efficiency must be in"),
         ("conditional_operator_demo", "m", "-1", "y-matrix", "m must be >= 0"),
         ("conditional_operator_demo", "n", "-1", "y-matrix", "n must be >= 0"),

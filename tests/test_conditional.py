@@ -219,14 +219,30 @@ def oracle_configs(draw):
 
 
 class TestOracleInvariants:
-    @given(oracle_configs())
+    @given(oracle_configs(), st.integers(16, 256))
+    # |beta|^2 = 4.9e-324 is subnormal: its tail mass was NaN (a log of 0)
+    @example((1, 2, 0.3, 1.786e-162, BeamSplitterParams(0.7, 1.0, 2.0)), 32)
     @settings(max_examples=25, deadline=None)
-    def test_oracle_is_a_contraction(self, config):
+    def test_oracle_is_a_contraction(self, config, cutoff):
         # Y compresses the unitary between normalized references
         m, n, alpha, beta, bs = config
         y = twomode.oracle_y(ReferencePrep.fock(m, alpha), ReferencePrep.fock(n, beta),
-                             bs, POLICY32)
+                             bs, fock.TruncationPolicy(cutoff))
         assert np.linalg.norm(y.mat, 2) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("beta", [1.786e-162, 1e-155j])
+    def test_subnormal_displacement_is_undisplaced(self, beta):
+        # |beta|^2 below the smallest normal float: both routes give the Y of
+        # the undisplaced references to rounding, with no warning
+        bs = BeamSplitterParams(0.7, 1.0, 2.0)
+        y = conditional.y_displaced_fock(1, 2, 0.0, beta, bs, POLICY32).mat
+        y0 = conditional.y_displaced_fock(1, 2, 0.0, 0.0, bs, POLICY32).mat
+        assert np.max(np.abs(y - y0)) < 1e-14
+        oracle = twomode.oracle_y(ReferencePrep.fock(1), ReferencePrep.fock(2, beta),
+                                  bs, POLICY32).mat
+        oracle0 = twomode.oracle_y(ReferencePrep.fock(1), ReferencePrep.fock(2),
+                                   bs, POLICY32).mat
+        assert np.max(np.abs(oracle - oracle0)) < 1e-14
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "known defect (ROADMAP item 4): the closed form multiplies D(left) core "

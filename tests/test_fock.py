@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +140,22 @@ class TestDisplacement:
     def test_tail_violation(self):
         with pytest.raises(TruncationError):
             fock.displacement_op(6.5, POLICY)
+
+    @pytest.mark.parametrize("alpha", [1.786e-162, 1e-155j])
+    def test_subnormal_intensity(self, alpha):
+        # |alpha|^2 below the smallest normal float: the tail mass is 0, not
+        # NaN, and the displacement is the identity to rounding, with no
+        # warning (pytest turns a RuntimeWarning into an error)
+        lam = abs(alpha) ** 2
+        assert 0 < lam < sys.float_info.min
+        for cutoff in (0, 8, 32):
+            assert fock.coherent_tail_mass(alpha, cutoff) == 0.0
+        coherent = fock.coherent_state(alpha, POLICY).amps
+        assert coherent[0] == 1.0 and coherent[1] == pytest.approx(alpha, rel=1e-12)
+        v = fock.fock_state(2, POLICY)
+        displaced = fock.displace(alpha, v).amps
+        assert np.all(np.isfinite(displaced))
+        assert np.max(np.abs(displaced - v.amps)) < 1e-15
 
     @pytest.mark.parametrize("cutoff, alpha", [
         (8, 0.4 + 0.3j), (64, 2.1 - 1.3j), (1024, 7.0 * np.exp(2.5j)), (64, 0.0)])

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from condibeam import fock, twomode
 from condibeam.beamsplitter import BeamSplitterParams, ReferencePrep
 from condibeam.errors import DegenerateBeamSplitterError, ZeroProbabilityError
-from twomode_reference import bs_unitary, bs_unitary_factored
+from twomode_reference import (bs_unitary, bs_unitary_factored, sector_range,
+                               sector_rotations_full)
 
 POLICY = fock.TruncationPolicy(cutoff=24)
 HALF = POLICY.safe_levels
@@ -170,11 +171,156 @@ class TestSectorRecurrence:
     def test_complete_sectors_unitary_at_cutoff_256(self):
         cutoff = 256
         for theta in RECURRENCE_ANGLES:
-            for total, _, rot in twomode._sector_rotations(theta, cutoff):
+            for total, _, rot in twomode._sector_rotations(theta, cutoff, cutoff):
                 if total > cutoff:
                     break
                 dev = np.max(np.abs(rot.T @ rot - np.eye(total + 1)))
                 assert dev < 1e-12, (theta, total, dev)
+
+
+class TestBandedSectors:
+    @pytest.mark.parametrize("cutoff", [24, 96, 256])
+    def test_windows_match_full_recurrence(self, cutoff):
+        # every banded window is the corner of the full window that keeps
+        # the reference indices <= band, element for element
+        bands = sorted({0, 3, 20, cutoff})
+        for theta in RECURRENCE_ANGLES:
+            streams = {band: twomode._sector_rotations(theta, cutoff, band)
+                       for band in bands}
+            for total, ref_lo, ref in sector_rotations_full(theta, cutoff):
+                for band, stream in streams.items():
+                    if total > cutoff + band:
+                        continue
+                    got_total, lo, rot = next(stream)
+                    assert got_total == total and lo == max(0, total - band)
+                    assert rot.shape == (min(cutoff, total) - lo + 1,) * 2
+                    cut = lo - ref_lo
+                    dev = np.max(np.abs(rot - ref[cut:, cut:]))
+                    assert dev <= 1e-15, (theta, band, total, dev)
+            for band, stream in streams.items():
+                assert next(stream, None) is None, (theta, band)
+
+
+BALANCED = BeamSplitterParams(math.pi / 4, 0.37, 1.3)
+
+# reference pairs with the band L the oracle serves them on
+BANDED_PAIRS = {
+    "demo": (ReferencePrep.fock(2, 0.3), ReferencePrep.fock(1, 0.2), BALANCED, 20),
+    "low-reflectance": (ReferencePrep.fock(2, 0.3), ReferencePrep.fock(2, 0.2),
+                        BeamSplitterParams(0.2, 0.37, 1.3), 20),
+    "large-displacement": (ReferencePrep.fock(1, 1.5), ReferencePrep.fock(0, 1.2),
+                           BALANCED, 41),
+    "undisplaced": (ReferencePrep.fock(3), ReferencePrep.fock(2), BALANCED, 3),
+}
+
+
+def dense_contraction(prep_in, prep_out, bs, policy):
+    """<j| <v_out| U |i> |v_in> from the dense sector blocks of the unitary."""
+    vin, vout = prep_in.state(policy).amps, prep_out.state(policy).amps
+    y = np.zeros((policy.dim, policy.dim), dtype=complex)
+    for total, block in enumerate(bs_unitary(bs, policy).blocks):
+        lo, hi = sector_range(total, policy.cutoff)
+        k2 = total - np.arange(lo, hi + 1)
+        y[lo:hi + 1, lo:hi + 1] += np.outer(vout[k2].conj(), vin[k2]) * block
+    return y
+
+
+def tail_bound(prep_in, prep_out, policy):
+    """The band L of the pair and the a-priori bound on the norm of the part
+    of Y that the reference levels above L carry."""
+    vin, vout = prep_in.state(policy).amps, prep_out.state(policy).amps
+    band = twomode._reference_band([vin, vout])
+    norm = np.linalg.norm
+    return band, (norm(vout[band + 1:]) * norm(vin) + norm(vout) * norm(vin[band + 1:]))
+
+
+def count_windows(monkeypatch):
+    """Record (total, window size) of every window the sector stream yields."""
+    seen = []
+    original = twomode._sector_rotations
+
+    def counting(theta, cutoff, band):
+        for total, lo, rot in original(theta, cutoff, band):
+            seen.append((total, rot.size))
+            yield total, lo, rot
+
+    monkeypatch.setattr(twomode, "_sector_rotations", counting)
+    return seen
+
+
+class TestBandedOracle:
+    @pytest.mark.parametrize("cutoff", [64, 96])
+    @pytest.mark.parametrize("name", BANDED_PAIRS)
+    def test_matches_dense_contraction(self, name, cutoff):
+        prep_in, prep_out, bs, expected_band = BANDED_PAIRS[name]
+        policy = fock.TruncationPolicy(cutoff)
+        band, bound = tail_bound(prep_in, prep_out, policy)
+        assert band == expected_band
+        y = twomode.oracle_y(prep_in, prep_out, bs, policy).mat
+        dev = np.linalg.norm(y - dense_contraction(prep_in, prep_out, bs, policy), 2)
+        assert dev <= bound + 1e-14, (name, dev, bound)
+
+    def test_vacuum_references_use_band_zero(self, monkeypatch):
+        bs = BeamSplitterParams(1.0, 0.3, 0.8)
+        seen = count_windows(monkeypatch)
+        y = twomode.oracle_y(ReferencePrep.vacuum(), ReferencePrep.vacuum(), bs, POLICY)
+        assert seen == [(total, 1) for total in range(POLICY.cutoff + 1)]
+        expected = np.diag(bs.transmittance ** np.arange(POLICY.dim))
+        assert np.max(np.abs(y.mat - expected)) < 1e-12
+
+    def test_support_at_the_cutoff_keeps_every_window(self):
+        # D(1.5)|1> needs levels up to 41 for a 1e-17 tail: at cutoff 24
+        # the band is the cutoff and the windows are the full ones
+        prep_in, prep_out, bs, _ = BANDED_PAIRS["large-displacement"]
+        policy = fock.TruncationPolicy(cutoff=24, tail_tol=1e-6)
+        band, bound = tail_bound(prep_in, prep_out, policy)
+        assert band == policy.cutoff and bound == 0.0
+        y = twomode.oracle_y(prep_in, prep_out, bs, policy).mat
+        assert np.max(np.abs(y - dense_contraction(prep_in, prep_out, bs, policy))) <= 1e-15
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2], ids=["R=0", "T=0"])
+    def test_extreme_splitters(self, theta):
+        prep_in, prep_out, _, _ = BANDED_PAIRS["demo"]
+        bs = BeamSplitterParams(theta, 0.37, 1.3)
+        policy = fock.TruncationPolicy(cutoff=64)
+        _, bound = tail_bound(prep_in, prep_out, policy)
+        y = twomode.oracle_y(prep_in, prep_out, bs, policy).mat
+        dev = np.linalg.norm(y - dense_contraction(prep_in, prep_out, bs, policy), 2)
+        assert dev <= bound + 1e-14
+        vin, vout = prep_in.state(policy).amps, prep_out.state(policy).amps
+        k = np.arange(policy.dim)
+        if theta == 0.0:
+            # U|k1, k2> = exp(i phi_t (k1 - k2)) |k1, k2>: Y is diagonal
+            overlap = np.vdot(vout, np.exp(-1j * bs.phi_t * k) * vin)
+            expected = np.diag(np.exp(1j * bs.phi_t * k) * overlap)
+            assert np.max(np.abs(y - expected)) < 1e-13
+        else:
+            # the modes swap: Y[j, i] = vin[j] conj(vout[i]) up to a phase per element
+            assert np.linalg.matrix_rank(y, tol=1e-12) == 1
+            assert np.allclose(np.abs(y), np.abs(np.outer(vin, vout.conj())), atol=1e-15)
+
+
+class TestSectorCost:
+    def test_oracle_windows_stay_in_the_band(self, monkeypatch):
+        # the shipped demo's references at cutoff 384: O(N L^2) elements,
+        # not the O(N^3) of every window
+        policy = fock.TruncationPolicy(cutoff=384)
+        prep_in, prep_out = ReferencePrep.fock(2, 0.3), ReferencePrep.fock(1, -0.2j)
+        band, _ = tail_bound(prep_in, prep_out, policy)
+        assert band == 20
+        seen = count_windows(monkeypatch)
+        twomode.oracle_y(prep_in, prep_out, BeamSplitterParams(math.pi / 4, 0.4, 1.1),
+                         policy)
+        assert len(seen) == policy.cutoff + band + 1
+        assert sum(size for _, size in seen) <= (policy.cutoff + band + 1) * (band + 1) ** 2
+
+    def test_conditional_reduce_stops_at_its_top_sector(self, monkeypatch):
+        # |3>|2> occupies sector 5 only: the stream is left at sector 6
+        state = twomode.product_state(fock.fock_state(3, POLICY), fock.fock_state(2, POLICY))
+        seen = count_windows(monkeypatch)
+        twomode.conditional_reduce(state, fock.identity_op(POLICY),
+                                   BeamSplitterParams(0.8, 0.1, 1.5), POLICY)
+        assert [total for total, _ in seen] == list(range(7))
 
 
 class TestOracleY:

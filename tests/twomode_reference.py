@@ -1,18 +1,55 @@
-"""Dense two-mode references that the tests compare the sector routes against.
+"""Two-mode references that the tests compare the sector routes against.
 
 The library never assembles the beam-splitter unitary: the oracle and the
 reduce routes contract each block of ``twomode._sector_blocks`` as it is
-produced.  The tests need the unitary itself, so this module assembles the
-same blocks into :class:`TwoModeOperator`, and builds the factored form of
-the unitary as an independent route to compare with.
+produced, on the reference band they need.  The tests need the unitary
+itself, so this module assembles the same blocks into
+:class:`TwoModeOperator`, and builds the factored form of the unitary as an
+independent route to compare with.  It also keeps the full-window sector
+recurrence, which runs over every retained signal index of every sector,
+as the referee of the banded one.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from condibeam import twomode
 from condibeam.errors import DegenerateBeamSplitterError
+
+
+def sector_range(total, cutoff):
+    """Signal-mode indices k1 present in the sector k1 + k2 = total."""
+    return max(0, total - cutoff), min(cutoff, total)
+
+
+def sector_rotations_full(theta, cutoff):
+    """Windows R_M of the mixing rotation over every retained signal index.
+
+    The recurrence of ``twomode._sector_rotations`` without the reference
+    band: O(N^3) for all 2N + 1 sectors.
+
+    Yields (total, lo, rot) for total = 0..2*cutoff, where
+    rot[p - lo, k - lo] = R_total[p, k] over the sector's retained signal
+    indices lo..hi (:func:`sector_range`), one vectorized recurrence step
+    per sector; every yielded array is new.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.ones((1, 1))
+    yield 0, 0, rot
+    for total in range(1, 2 * cutoff + 1):
+        lo, hi = sector_range(total, cutoff)
+        # prev[i, j] = R_{total-1}[lo-1+i, lo-1+j]; a complete sector gains a
+        # zero border (index -1 and index total, where sqrt(q) = 0)
+        prev = np.pad(rot, 1) if total <= cutoff else rot
+        p = np.arange(lo, hi + 1, dtype=float)
+        sp, sq = np.sqrt(p), np.sqrt(total - p)  # also sqrt(k), sqrt(total-k)
+        rot = (((c / total) * sp)[:, None] * prev[:-1, :-1]
+               - ((s / total) * sq)[:, None] * prev[1:, :-1]) * sp
+        rot += (((c / total) * sq)[:, None] * prev[1:, 1:]
+                + ((s / total) * sp)[:, None] * prev[:-1, 1:]) * sq
+        yield total, lo, rot
 
 
 @dataclass(frozen=True)
@@ -29,7 +66,7 @@ class TwoModeOperator:
     def apply(self, state):
         out = np.zeros_like(state.amps)
         for total, block in enumerate(self.blocks):
-            lo, hi = twomode._sector_range(total, self.cutoff)
+            lo, hi = sector_range(total, self.cutoff)
             k1 = np.arange(lo, hi + 1)
             out[k1, total - k1] = block @ state.amps[k1, total - k1]
         return twomode.TwoModeState(out, self.cutoff)
@@ -39,7 +76,7 @@ class TwoModeOperator:
         d = self.cutoff + 1
         mat = np.zeros((d * d, d * d), dtype=complex)
         for total, block in enumerate(self.blocks):
-            lo, hi = twomode._sector_range(total, self.cutoff)
+            lo, hi = sector_range(total, self.cutoff)
             k1 = np.arange(lo, hi + 1)
             idx = k1 * d + (total - k1)
             mat[np.ix_(idx, idx)] = block
@@ -47,9 +84,11 @@ class TwoModeOperator:
 
 
 def bs_unitary(bs, policy):
-    """The beam-splitter unitary, assembled from the library's sector blocks."""
+    """The beam-splitter unitary, assembled from the library's sector blocks
+    on the full reference band."""
+    cutoff = policy.cutoff
     blocks = tuple(left[:, None] * rot * right[None, :]
-                   for _, _, left, rot, right in twomode._sector_blocks(bs, policy.cutoff))
+                   for _, _, left, rot, right in twomode._sector_blocks(bs, cutoff, cutoff))
     return TwoModeOperator(blocks, policy.cutoff)
 
 
@@ -89,7 +128,7 @@ def bs_unitary_factored(bs, policy):
     cutoff = policy.cutoff
     blocks = []
     for total in range(2 * cutoff + 1):
-        lo, hi = twomode._sector_range(total, cutoff)
+        lo, hi = sector_range(total, cutoff)
         k1 = np.arange(lo, hi + 1)
         up = np.sqrt((k1[:-1] + 1.0) * (total - k1[:-1]))  # a1^dag a2: k1 -> k1 + 1
         blocks.append(np.diag(t ** k1)
