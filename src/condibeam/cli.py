@@ -59,8 +59,11 @@ def parse_config(text):
 
 
 def _parse_complex(text):
+    compact = text.replace(" ", "")
+    if compact.endswith("i"):  # only a trailing i is the imaginary unit: inf keeps its i
+        compact = compact[:-1] + "j"
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        return complex(compact)
     except ValueError:
         raise ConfigError(f"cannot parse complex value {text!r} (use re+imi)") from None
 

@@ -19,9 +19,10 @@ the bracket is a banded matrix of width deg F + deg G + 1.
 Y is kept in that factored form, a :class:`ConditionalOperator`: the two
 displacement arguments and the bracket's diagonals (offset -> values, the
 T^n column factor folded in).  Applying it to a state displaces, runs the
-band and displaces again, O(N^2) with no dense operator
-(:func:`fock.displace`).  Its ``mat`` builds the dense matrix from the same
-factors, for SVDs, norms and the oracle comparisons only.
+band and displaces again with no dense operator (:func:`fock.displace`):
+O(N t) for a state whose highest nonzero level is t, such as a Fock
+signal, and O(N^2) at most.  Its ``mat`` builds the dense matrix from the
+same factors, for SVDs, norms and the oracle comparisons only.
 
 Both forms stop the inner index of D(left) . band . D(right) at the
 cutoff, as the dense product of the three truncated matrices does.  The
@@ -140,7 +141,11 @@ class ConditionalOperator:
         return self.policy.cutoff
 
     def apply(self, vector):
-        """Y|vector>: displace, run the band, displace; O(N^2)."""
+        """Y|vector>: displace, run the band, displace.
+
+        Each displacement costs O(N t) for its input's highest nonzero
+        level t (:func:`fock.displace`), so O(N^2) at most.
+        """
         if vector.cutoff != self.cutoff:
             raise CutoffMismatchError(f"cutoff mismatch: {self.cutoff} vs {vector.cutoff}")
         if self.right != 0:

@@ -4,8 +4,9 @@ States are complex amplitude vectors over photon numbers 0..cutoff.
 :class:`FockOperator` is a dense complex matrix, built where a whole
 operator is wanted (norms, SVDs, oracle comparisons).  A displacement of a
 state needs no such matrix: :func:`displace` applies D(alpha) to a vector
-from one real table of Laguerre values in O(N^2), and
-:func:`displacement_op` assembles the matrix from the same table.
+whose highest nonzero level is t from the Laguerre values of degrees 0..t
+alone, O(N t) for N levels, and :func:`displacement_op` assembles the
+matrix from the same values at t = cutoff.
 Everything is immutable after construction, so values can be shared freely
 between threads.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffExceededError, CutoffMismatchError, TruncationError
-from .polynomials import assoc_laguerre, log_factorial
+from .polynomials import laguerre_rows, log_factorial
 
 __all__ = [
     "TruncationPolicy",
@@ -272,27 +273,32 @@ def _coherent_amps(alpha, dim):
     return np.exp(logmag) * phase
 
 
-def _displacement_factors(alpha, cutoff):
-    """D(alpha) = e^(-x/2) P M P* over the levels 0..cutoff, x = |alpha|^2.
+def _displacement_factors(alpha, cutoff, top):
+    """Columns 0..top of D(alpha) = e^(-x/2) P M P* over the levels 0..cutoff,
+    x = |alpha|^2.
 
     P = diag(e^(ik arg alpha)), and M is real: with j <= k its lower triangle
     is M[k, j] = u_j^(k-j)(x), the normalized Laguerre values of
-    :func:`polynomials.assoc_laguerre`, and its upper triangle is the
+    :func:`polynomials.laguerre_rows`, and its upper triangle is the
     transpose times (-1)^(k-j).  Returns (lower, phase, e^(-x/2)), where
-    ``lower`` is M's lower triangle (zeros above the diagonal) as a view of
-    the one Laguerre table: the table gets one parameter column more than
-    it needs and zeros wherever degree + parameter exceeds the cutoff, so
-    reading row j from column j on, with the row length one longer than
-    the dimension, walks down the lower triangle and lands in those zeros
-    above it.  No index grid or complex N x N array is formed.
+    ``lower`` is columns 0..top of M's lower triangle (zeros above the
+    diagonal), a (cutoff + 1) x (top + 1) view of one table of the Laguerre
+    rows of degrees 0..top: row j holds the parameters 0..cutoff - j of the
+    triangular recurrence and zeros after them, one parameter column more
+    than the dimension, so reading row j from column j on, with the row
+    length one longer than the dimension, walks down the lower triangle and
+    lands in those zeros above it.  No index grid or complex N x N array is
+    formed.
     """
     dim = cutoff + 1
     x = abs(alpha) ** 2
-    lag = assoc_laguerre(cutoff, np.arange(dim + 1), x)
-    for j in range(dim):
-        lag[j, dim - j:] = 0.0
+    lag = np.empty((top + 1, dim + 1))
+    for j, row in zip(range(top + 1), laguerre_rows(cutoff, x)):
+        lag[j, :dim - j] = row
+        lag[j, dim - j:] = 0.0  # read above the diagonal
     # lag[j, k - j] sits at offset j (dim + 1) + k - j = k + j dim
-    lower = np.lib.stride_tricks.as_strided(lag, (dim, dim), (lag.itemsize, dim * lag.itemsize),
+    lower = np.lib.stride_tricks.as_strided(lag, (dim, top + 1),
+                                            (lag.itemsize, dim * lag.itemsize),
                                             writeable=False)
     return lower, np.exp(1j * np.arange(dim) * np.angle(alpha)), math.exp(-x / 2)
 
@@ -311,15 +317,16 @@ def displacement_op(alpha, policy):
         <j|D|k> = e^(-x/2) (-e^(-i arg alpha))^(k-j) u_j^(k-j)(x),
 
     where u_j^a(x) = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x) are the normalized
-    Laguerre values of :func:`polynomials.assoc_laguerre`, one table for all
-    diagonals (:func:`_displacement_factors`).  Every factor is bounded, so
-    no element overflows at any cutoff, and truncation error stays local to
-    high indices.  To displace a state, :func:`displace` needs no matrix.
+    Laguerre values of :func:`polynomials.laguerre_rows`, one triangular
+    table for all diagonals (:func:`_displacement_factors`).  Every factor
+    is bounded, so no element overflows at any cutoff, and truncation error
+    stays local to high indices.  To displace a state, :func:`displace`
+    needs no matrix.
     """
     _check_coherent_tail(
         alpha, policy, "displacement_op(|alpha|={a:.3g}): displaced vacuum has "
         "mass {tail:.3e} above cutoff {cutoff}")
-    lower, phase, scale = _displacement_factors(alpha, policy.cutoff)
+    lower, phase, scale = _displacement_factors(alpha, policy.cutoff, policy.cutoff)
     sign = _alternating(policy.dim)
     real = lower.T * sign  # the upper triangle, up to the sign of its row
     real *= sign[:, None]
@@ -334,18 +341,25 @@ def displace(alpha, vector):
     """D(alpha)|vector>, the matrix of :func:`displacement_op` applied
     without forming it.
 
-    e^(-x/2) P M P* v takes two real products with M's lower triangle L
-    (:func:`_displacement_factors`): M w = L w + S L^T S w - diag(L) w,
-    S = diag((-1)^k), with the real and imaginary parts of w as the two
-    columns.  O(N^2) time and one real N x (N+1) table.  No truncation
-    check: the caller owns it (``displacement_op`` checks the displaced
-    vacuum).
+    With t the highest nonzero level of the vector, e^(-x/2) P M P* v reads
+    columns 0..t of M only.  It takes two real products with their lower
+    triangle L (:func:`_displacement_factors`) and its top (t+1) x (t+1)
+    block L0: M w = L w + S L0^T S w - diag(L0) w, S = diag((-1)^k), the
+    last two terms on levels 0..t, with the real and imaginary parts of w as
+    the two columns.  O(N t) time for N levels, from the (t+1)(2N - t)/2
+    Laguerre values of degree <= t; a Fock state |n> costs O(N n).  No
+    truncation check: the caller owns it (``displacement_op`` checks the
+    displaced vacuum).
     """
-    lower, phase, scale = _displacement_factors(alpha, vector.cutoff)
-    sign = _alternating(vector.dim)[:, None]
-    w = phase.conj() * vector.amps
+    levels = np.flatnonzero(vector.amps)
+    top = int(levels[-1]) if levels.size else 0
+    lower, phase, scale = _displacement_factors(alpha, vector.cutoff, top)
+    w = phase[:top + 1].conj() * vector.amps[:top + 1]
     w = np.stack([w.real, w.imag], axis=1)
-    out = lower @ w + sign * (lower.T @ (sign * w)) - lower.diagonal()[:, None] * w
+    out = lower @ w
+    head = lower[:top + 1]
+    sign = _alternating(top + 1)[:, None]
+    out[:top + 1] += sign * (head.T @ (sign * w)) - head.diagonal()[:, None] * w
     return FockVector(scale * phase * (out[:, 0] + 1j * out[:, 1]), vector.cutoff)
 
 

@@ -14,12 +14,19 @@ to the generic overlap/transform routes; the pairs are cross-validated in
 the tests.
 
 Each generic route evaluates a whole grid in one pass over one table.  The
-Husimi overlap is one contraction of the coherent coefficients of every
-grid point.  The Wigner transform evaluates the wavefunction once, on a
-lattice that holds every point x +- y of the grid and of the y-integral,
-and contracts the integrand rows with the weighted phases in one matrix
-product.  The quadrature route builds one table of oscillator functions
-over the x axis and applies every phase to it as one (level, phi) matrix.
+Husimi overlap takes one table of log-space coherent magnitudes and sums
+the levels by Horner in e^(-i arg alpha), one complex exponential per grid
+point instead of one per (point, level) pair.  The Wigner transform
+evaluates the wavefunction once, on a lattice that holds every point
+x +- y of the grid and of the y-integral, and contracts the integrand rows
+with the weighted phases in one matrix product.  The quadrature route
+builds one table of oscillator functions over the x axis and applies every
+phase to it as one (level, phi) matrix.
+
+The chi-state Wigner closed form runs one triangular Laguerre recurrence
+for all diagonals, on the grid's distinct |z|^2 values only (at most 861
+for the 6561 points of a symmetric 81 x 81 grid), and sums the diagonals by
+Horner in e^(i arg z).
 
 The generic routes run on the state's support, not on every level up to
 the cutoff: the Husimi overlap contracts over the nonzero levels only, and
@@ -39,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cats import _chi_amplitudes, multi_cat_log_norm
 from .errors import DomainError, IntegrationRangeError, TruncationError
 from .fock import coherent_tail_mass, hermite_functions
-from .polynomials import assoc_laguerre, log_factorial
+from .polynomials import assoc_laguerre, laguerre_rows, log_factorial
 
 __all__ = [
     "Axis",
@@ -132,22 +139,35 @@ def _support(state):
 def _coherent_overlap(state, alpha_flat):
     """<alpha|psi> for an array of coherent amplitudes.
 
-    Uses the exact analytic coherent amplitudes (no renormalization),
-    assembled in log space, on the state's nonzero levels only; every
-    coefficient is bounded by 1, so the contraction is stable for any
-    |alpha|.  The truncation guard on the full vector is the caller's.
+    Uses the exact analytic coherent amplitudes (no renormalization) on the
+    state's nonzero levels k_0 < ... < k_m only.  Their magnitudes
+    |alpha|^k e^(-|alpha|^2/2) / sqrt(k!) are assembled in log space, so
+    every one is bounded by 1 and the sum is stable for any |alpha|; their
+    phases come from Horner's rule in v = e^(-i arg alpha),
+
+        sum_i c_i m_i v^(k_i) = v^(k_0) (c_0 m_0 + v^(k_1 - k_0) (c_1 m_1 + ...)),
+
+    with one power v^g = e^(-ig arg alpha) per distinct gap g (and for
+    k_0), so a grid takes as many complex exponentials as the support has
+    distinct gaps, not one per level.  At alpha = 0 the overlap is <0|psi>.
+    The truncation guard on the full vector is the caller's.
     """
     k = _support(state)
     r = np.abs(alpha_flat)
     safe_r = np.where(r > 0, r, 1.0)
-    logmag = (k[None, :] * np.log(safe_r)[:, None]
-              - 0.5 * log_factorial(k)[None, :] - 0.5 * (r ** 2)[:, None])
-    phases = np.exp(-1j * k[None, :] * np.angle(alpha_flat)[:, None])
-    coeffs = np.exp(logmag) * phases  # conj(alpha)^k e^(-|a|^2/2) / sqrt(k!)
+    mag = np.exp(k[:, None] * np.log(safe_r) - 0.5 * log_factorial(k)[:, None]
+                 - 0.5 * r ** 2)  # (level, point)
     zero = r == 0
     if np.any(zero):
-        coeffs[zero] = k == 0  # <0|psi>, zero when level 0 is not in the support
-    return coeffs @ state.amps[k]
+        mag[:, zero] = (k == 0)[:, None]  # <0|psi>, zero when level 0 is not in the support
+    arg = np.angle(alpha_flat)
+    amps = state.amps[k]
+    gaps = np.diff(k)
+    powers = {g: np.exp(-1j * g * arg) for g in np.unique(gaps).tolist()}
+    total = amps[-1] * mag[-1]
+    for i in range(k.size - 2, -1, -1):
+        total = total * powers[gaps[i]] + amps[i] * mag[i]
+    return total * np.exp(-1j * k[0] * arg) if k[0] else total
 
 
 def _husimi_tail_guard(state, grid, policy):
@@ -328,23 +348,30 @@ def wigner_cat_closed(spec, grid):
 
     This is the conjugate-symmetric transcription of the paper's sum
     (L_k^(m-k)(|z|^2) z^(m-k)/m! for k <= m, L_m^(k-m)(|z|^2) (-z*)^(k-m)/k!
-    for k > m); it is validated against the numeric transform.  Each
-    diagonal d = |m - k| takes one table of Laguerre values.
+    for k > m); it is validated against the numeric transform.
+
+    The radial sums S_d(rho) = sum_j (-1)^j c_j c_(j+d)* u_j^d(rho) depend on
+    |z|^2 = rho alone.  They are accumulated row by row of one triangular
+    Laguerre recurrence (degree j, diagonals d <= n - j) over the grid's
+    distinct rho, and W = Re sum_d w_d S_d e^(id arg z), w_0 = 1 and
+    w_d = 2, is then summed by Horner in e^(i arg z).
     """
     _require_2d(grid)
     n = spec.n
     amps, _ = _chi_amplitudes(n, spec.beta)
     z = math.sqrt(2.0) * grid.alpha()
     z2 = np.abs(z) ** 2
-    arg = np.angle(z)
-    total = np.zeros_like(z2)
-    for d in range(n + 1):
-        j = np.arange(n + 1 - d)
-        pairs = (-1.0) ** j * amps[:n + 1 - d] * np.conj(amps[d:])
-        lag = assoc_laguerre(n - d, d, z2)
-        term = np.real(np.tensordot(pairs, lag, axes=(0, 0)) * np.exp(1j * d * arg))
-        total += term if d == 0 else 2.0 * term
-    return GridFunction(total * np.exp(-0.5 * z2) / np.pi, grid, "wigner")
+    rho, where = np.unique(z2, return_inverse=True)
+    where = where.reshape(z2.shape)
+    radial = np.zeros((n + 1, rho.size), dtype=complex)
+    for j, row in enumerate(laguerre_rows(n, rho)):
+        radial[:n + 1 - j] += ((-1.0) ** j * amps[j] * np.conj(amps[j:]))[:, None] * row
+    radial[1:] *= 2.0
+    unit = np.exp(1j * np.angle(z))
+    total = radial[n, where]
+    for d in range(n - 1, -1, -1):
+        total = total * unit + radial[d, where]
+    return GridFunction(total.real * np.exp(-0.5 * z2) / np.pi, grid, "wigner")
 
 
 def quadrature_dist(state, grid):
@@ -368,24 +395,37 @@ def quadrature_chi_closed(spec, grid):
     with w = -beta* e^(i phi) / sqrt(2); the Laguerre and power factors come
     in as the conjugate chi amplitudes times e^(ik phi) / sqrt(2^k k!).
 
-    The Hermite polynomials H_k(x) are not normalized and leave the float
-    range from k ~ 300 at |x| ~ 6; raises DomainError when the sum does.
+    The Hermite polynomials come from their own recurrence
+    H_{k+1} = 2x H_k - 2k H_{k-1}, not from the oscillator functions of the
+    overlap route.  They leave the float range from k ~ 300 at |x| ~ 6, so
+    each x point carries H_k as a mantissa times 2^e: the pair (H_k, H_{k-1})
+    is scaled down by 2^500 whenever |H_k| passes 2^500.  The exponent e,
+    the envelope e^(-x^2/2) and 1/sqrt(2^k k!) are summed in log space
+    before the contraction, where each level weighs at most ~1.  Raises
+    DomainError when the sum leaves the float range all the same.
     """
     amps, _ = _chi_amplitudes(spec.n, spec.beta)
     k = np.arange(spec.n + 1)
-    coeffs = np.conj(amps)[:, None] * np.exp(
-        1j * np.outer(k, grid.axis2.values)
-        - 0.5 * (k * math.log(2.0) + log_factorial(k))[:, None])
+    coeffs = np.conj(amps)[:, None] * np.exp(1j * np.outer(k, grid.axis2.values))
     x = grid.axis1.values
-    hermite = np.empty((spec.n + 1, x.size))
-    hermite[0] = 1.0
+    mantissa = np.empty((spec.n + 1, x.size))
+    exponent = np.empty((spec.n + 1, x.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.n >= 1:
-            hermite[1] = 2.0 * x
-        for j in range(1, spec.n):
-            hermite[j + 1] = 2.0 * x * hermite[j] - 2.0 * j * hermite[j - 1]
-        total = np.tensordot(hermite, coeffs, axes=(0, 0))
-        vals = np.abs(total) ** 2 * (np.exp(-x * x) / math.sqrt(math.pi))[:, None]
+        h, prev, e = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+        for j in range(spec.n + 1):
+            mantissa[j], exponent[j] = h, e
+            if j == spec.n:
+                break
+            h, prev = 2.0 * x * h - 2.0 * j * prev, h
+            big = np.abs(h) > 2.0 ** 500
+            if big.any():
+                shift = np.where(big, -500, 0)
+                h, prev = np.ldexp(h, shift), np.ldexp(prev, shift)
+                e = e + 500.0 * big
+        log_weight = (exponent * math.log(2.0) - 0.5 * x * x
+                      - 0.5 * (k * math.log(2.0) + log_factorial(k))[:, None])
+        total = np.tensordot(mantissa * np.exp(log_weight), coeffs, axes=(0, 0))
+        vals = np.abs(total) ** 2 / math.sqrt(math.pi)
     if not np.all(np.isfinite(vals)):
         raise DomainError(
             f"quadrature_chi_closed: the Hermite sum leaves the float range "

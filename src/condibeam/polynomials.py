@@ -3,13 +3,22 @@
 Associated Laguerre and Jacobi polynomials and log-factorials.  (Hermite
 functions live in :mod:`fock`.)
 
-Associated Laguerre values are evaluated in one place, :func:`assoc_laguerre`,
+Associated Laguerre values are evaluated in one place, :func:`laguerre_rows`,
 by the three-term recurrence in the degree applied to the normalized values
 sqrt(j!/(j+a)!) x^(a/2) L_j^a(x).  Times e^(-x/2) these are the matrix
 elements of a displacement operator, so they are bounded by e^(x/2) and
 nothing of the size of (j+a)!/j! is formed.  The alternating finite sum
 sum_i C(j+a, j-i) (-x)^i / i! is not used: its terms cancel and it loses
 digits from degree ~25 on at x ~ j/2.
+
+The recurrence yields one row per degree, so a caller stops at the degree
+it needs.  By default a row covers the triangle j + a <= nmax only: each
+degree advances a prefix of the parameters one shorter than the last, and
+the nmax + 1 rows hold (nmax + 1)(nmax + 2)/2 values, half the square
+table, each bit for bit the value the square table holds.  The displacement
+matrix, the chi amplitudes and the chi Wigner sum read that triangle;
+:func:`assoc_laguerre` stacks the rows over given parameters into the
+square table.
 
 Jacobi values P_m^(b,c)(z) come from the three-term recurrence in the
 degree.  ``c`` may be an array, one value per Fock level, and runs down to
@@ -26,7 +35,7 @@ from numbers import Integral
 
 import numpy as np
 
-__all__ = ["log_factorial", "assoc_laguerre", "jacobi"]
+__all__ = ["log_factorial", "laguerre_rows", "assoc_laguerre", "jacobi"]
 
 
 def log_factorial(k):
@@ -52,10 +61,11 @@ def _log_factorial_table(length):
     return table
 
 
-def assoc_laguerre(nmax, a, x):
-    """Normalized associated Laguerre values for degrees j = 0..nmax.
+def laguerre_rows(nmax, x, a=None):
+    """Yield the normalized associated Laguerre values degree by degree.
 
-    u_j = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x), by the normalized recurrence
+    Row j holds u_j^a(x) = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x), by the
+    normalized recurrence
 
         u_{j+1} = [(2j+1+a-x) u_j - sqrt(j(j+a)) u_{j-1}] / sqrt((j+1)(j+1+a))
 
@@ -67,29 +77,48 @@ def assoc_laguerre(nmax, a, x):
     ----------
     nmax : int
         Highest degree, >= 0.
-    a : int or integer ndarray
-        Parameter(s) a >= 0.
     x : float or ndarray
-        Argument(s) x >= 0, broadcast against ``a``.  Complex arguments are
-        allowed at a = 0, where u_j = L_j(x).
+        Argument(s) x >= 0.  Complex arguments are allowed at a = 0, where
+        u_j = L_j(x).
+    a : int or integer ndarray, optional
+        Parameter(s) a >= 0, broadcast against ``x``; every row then has
+        the broadcast shape of (a, x).  Without ``a`` the rows are the
+        triangle j + a <= nmax: row j has shape (nmax - j + 1,) + shape(x)
+        over a = 0..nmax - j, and the first nmax - j entries of row j - 1
+        and row j - 2 are all that degree j reads.
 
-    Returns shape (nmax+1,) + broadcast shape of (a, x).
+    Yields nmax + 1 new arrays, j = 0..nmax; a consumer that stops early
+    leaves the higher degrees uncomputed.
     """
     if nmax < 0:
-        raise ValueError(f"assoc_laguerre needs degree nmax >= 0, got {nmax}")
-    a = np.asarray(a)
+        raise ValueError(f"laguerre_rows needs degree nmax >= 0, got {nmax}")
     x = np.asarray(x)
+    triangle = a is None
+    if triangle:
+        a = np.arange(nmax + 1).reshape((-1,) + (1,) * x.ndim)
+    a = np.asarray(a)
     with np.errstate(divide="ignore"):  # x = 0 with a > 0 gives u_0 = 0
         log_x = np.log(np.where(a == 0, 1.0, x))
-    u = np.empty((nmax + 1,) + np.broadcast(a, x).shape,
-                 dtype=complex if np.iscomplexobj(x) else float)
-    u[0] = np.exp(0.5 * (a * log_x - log_factorial(a)))
-    prev = 0.0
+    u, prev = np.exp(0.5 * (a * log_x - log_factorial(a))), 0.0
+    yield u
     for j in range(nmax):
-        u[j + 1] = (((2 * j + 1 + a - x) * u[j] - np.sqrt(j * (j + a)) * prev)
-                    / np.sqrt((j + 1) * (j + 1 + a)))
-        prev = u[j]
-    return u
+        if triangle:  # degree j + 1 keeps the parameters a <= nmax - j - 1
+            a, u = a[:nmax - j], u[:nmax - j]
+            if j:
+                prev = prev[:nmax - j]
+        u, prev = (((2 * j + 1 + a - x) * u - np.sqrt(j * (j + a)) * prev)
+                   / np.sqrt((j + 1) * (j + 1 + a))), u
+        yield u
+
+
+def assoc_laguerre(nmax, a, x):
+    """Normalized associated Laguerre values for degrees j = 0..nmax.
+
+    The rows of :func:`laguerre_rows` over the parameters ``a``, stacked:
+    u_j^a(x) = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x).  ``a`` and ``x`` broadcast;
+    returns shape (nmax+1,) + broadcast shape of (a, x).
+    """
+    return np.stack(list(laguerre_rows(nmax, x, a)))
 
 
 def jacobi(m, b, c, z):

@@ -173,6 +173,75 @@ class TestDisplacement:
         assert np.linalg.norm(out.amps - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
+def count_laguerre_rows(monkeypatch, module):
+    """Record the size of every Laguerre row ``module`` reads."""
+    seen = []
+    original = module.laguerre_rows
+
+    def counting(nmax, x, *args):
+        for row in original(nmax, x, *args):
+            seen.append(row.size)
+            yield row
+
+    monkeypatch.setattr(module, "laguerre_rows", counting)
+    return seen
+
+
+class TestDisplaceOnSupport:
+    """``displace`` reads columns 0..t of D(alpha), t the vector's top level."""
+
+    @staticmethod
+    def vectors(cutoff, rng):
+        def random(top, zeros=()):
+            amps = np.zeros(cutoff + 1, dtype=complex)
+            amps[:top + 1] = rng.normal(size=top + 1) + 1j * rng.normal(size=top + 1)
+            amps[list(zeros)] = 0.0
+            return fock.FockVector(amps, cutoff)
+
+        top = cutoff // 3
+        return {
+            "t=0": fock.fock_state(0, fock.TruncationPolicy(cutoff)),
+            "t=1": random(1),
+            "interior zeros": random(top, zeros=(0, 2, 3, top // 2, top - 1)),
+            "fock": fock.fock_state(top, fock.TruncationPolicy(cutoff)),
+            "t=cutoff": random(cutoff),
+        }
+
+    @pytest.mark.parametrize("cutoff", [64, 512, 1024])
+    def test_matches_the_matrix(self, cutoff):
+        alpha = 2.5 * np.exp(-0.7j)
+        mat = fock.displacement_op(alpha, fock.TruncationPolicy(cutoff)).mat
+        for name, v in self.vectors(cutoff, np.random.default_rng(cutoff)).items():
+            expected = mat @ v.amps
+            out = fock.displace(alpha, v).amps
+            assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected), name
+        zero = fock.FockVector(np.zeros(cutoff + 1), cutoff)
+        assert np.all(fock.displace(alpha, zero).amps == 0)
+
+    def test_fock_state_is_the_matching_column(self):
+        pol = fock.TruncationPolicy(cutoff=512)
+        mat = fock.displacement_op(-1.2 + 3.1j, pol).mat
+        for n in (0, 1, 100, 512):
+            out = fock.displace(-1.2 + 3.1j, fock.fock_state(n, pol)).amps
+            assert np.max(np.abs(out - mat[:, n])) < 1e-15
+
+
+class TestDisplaceCost:
+    def test_rows_stop_at_the_top_level(self, monkeypatch):
+        # |100> at cutoff 512: degrees 0..100 (100 recurrence steps) and the
+        # triangle's entries of those degrees, not the full 513 x 514 table
+        seen = count_laguerre_rows(monkeypatch, fock)
+        cutoff, top = 512, 100
+        fock.displace(2.0 + 1.0j, fock.fock_state(top, fock.TruncationPolicy(cutoff)))
+        assert len(seen) == top + 1
+        assert sum(seen) <= (top + 1) * (cutoff + 1) - top * (top + 1) // 2
+
+    def test_matrix_reads_the_whole_triangle(self, monkeypatch):
+        seen = count_laguerre_rows(monkeypatch, fock)
+        fock.displacement_op(1.5, fock.TruncationPolicy(cutoff=64))
+        assert seen == list(range(65, 0, -1))
+
+
 class TestAttenuation:
     def test_coherent_scaling_identity(self):
         # T^n |alpha> = exp(-|alpha|^2 (1-|T|^2)/2) |T alpha>, both sides numeric

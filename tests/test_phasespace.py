@@ -7,6 +7,7 @@ from scipy.integrate import simpson
 from condibeam import cats, fock, phasespace as ps
 from condibeam.errors import DomainError, IntegrationRangeError, TruncationError
 from condibeam.polynomials import log_factorial
+from phasespace_reference import coherent_overlap_exp, wigner_cat_per_diagonal
 
 POLICY = fock.TruncationPolicy(cutoff=32)
 
@@ -274,13 +275,22 @@ class TestQuadratureDist:
         assert np.all(ps.quadrature_dist(chi, at_phase(ax, 1.0)).values >= 0)
 
     def test_closed_form_outside_float_range(self):
-        # at n = 300 the unnormalized H_k(x) overflow; the closed form raises
-        # instead of returning NaN, with no RuntimeWarning, while the overlap
-        # route stays finite
+        # at n = 300 the unnormalized H_k(x) leave the float range; the closed
+        # form carries their power-of-two exponents and matches the overlap
+        # route, with no RuntimeWarning
         spec = cats.CatSpec(300, math.sqrt(150.0))
         chi = cats.chi_state(spec, fock.TruncationPolicy(cutoff=1024))
         grid = ps.PhaseGrid(ps.Axis("x", -6, 6, 25), ps.Axis("phi", 0, 3, 3))
-        assert np.all(np.isfinite(ps.quadrature_dist(chi, grid).values))
+        overlap = ps.quadrature_dist(chi, grid).values
+        closed = ps.quadrature_chi_closed(spec, grid).values
+        assert np.all(np.isfinite(overlap)) and overlap.max() > 0.05
+        assert np.max(np.abs(closed - overlap)) < 1e-8
+
+    def test_closed_form_raises_when_the_sum_overflows(self):
+        # at |x| = 1e300 one recurrence step 2x H_k leaves the float range
+        # between two rescalings: DomainError, not NaN, and no RuntimeWarning
+        spec = cats.CatSpec(3, 1.2)
+        grid = ps.PhaseGrid(ps.Axis("x", -1e300, 1e300, 3), ps.Axis("phi", 0, 1, 2))
         with pytest.raises(DomainError, match="leaves the float range"):
             ps.quadrature_chi_closed(spec, grid)
 
@@ -363,3 +373,73 @@ class TestSupportEvaluation:
         for small, large in zip(*results):
             assert np.array_equal(small, large)
         assert levels and max(levels) == 10
+
+
+# Grids on which the Horner sums meet their direct referees: symmetric (many
+# repeated |z|^2), off-center, asymmetric (few repeats), with a reversed
+# axis, and through z = 0.
+REFEREE_GRIDS = {
+    "symmetric": ps.PhaseGrid.square(-5, 5, 81),
+    "off-center": ps.PhaseGrid(ps.Axis("x", -1.0, 4.0, 37), ps.Axis("p", -3.0, 2.0, 29)),
+    "asymmetric": ps.PhaseGrid(ps.Axis("x", -2.3, 3.7, 41), ps.Axis("p", -1.1, 4.9, 23)),
+    "reversed": ps.PhaseGrid(ps.Axis("x", 4.0, -4.0, 33), ps.Axis("p", -4.0, 4.0, 33)),
+    "through zero": ps.PhaseGrid(ps.Axis("x", 0.0, 3.0, 7), ps.Axis("p", -3.0, 3.0, 7)),
+}
+
+
+class TestHornerAgainstReferees:
+    @pytest.mark.parametrize("grid", REFEREE_GRIDS.values(), ids=REFEREE_GRIDS.keys())
+    @pytest.mark.parametrize("spec", [cats.CatSpec(0, 0.4), cats.CatSpec(3, math.sqrt(1.5)),
+                                      cats.CatSpec(10, math.sqrt(5.0) * np.exp(2.2j)),
+                                      cats.CatSpec(20, math.sqrt(10.0) * np.exp(-0.6j))],
+                             ids=lambda spec: f"n={spec.n}")
+    def test_wigner_closed_matches_per_diagonal_sum(self, spec, grid):
+        got = ps.wigner_cat_closed(spec, grid).values
+        ref = wigner_cat_per_diagonal(spec, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.fixture(params=["chi", "fock-7", "from-level-3-with-gaps", "multi-cat-5",
+                            "coherent", "empty"])
+    def state(self, request):
+        pol = fock.TruncationPolicy(cutoff=128)
+        if request.param == "from-level-3-with-gaps":
+            amps = np.zeros(pol.dim, dtype=complex)
+            amps[[3, 4, 9, 17, 40]] = [0.5, -0.3j, 0.6 + 0.2j, -0.4, 0.25j]
+            return fock.normalize(fock.FockVector(amps, pol.cutoff))
+        return {
+            "chi": lambda: cats.chi_state(cats.CatSpec(12, math.sqrt(6.0) * np.exp(0.9j)), pol),
+            "fock-7": lambda: fock.fock_state(7, pol),
+            "multi-cat-5": lambda: cats.multi_cat_state(cats.CatSpec(6, 1.4, k=5), pol),
+            "coherent": lambda: fock.coherent_state(2.0 - 1.0j, pol),
+            "empty": lambda: fock.FockVector(np.zeros(pol.dim), pol.cutoff),
+        }[request.param]()
+
+    @pytest.mark.parametrize("grid", REFEREE_GRIDS.values(), ids=REFEREE_GRIDS.keys())
+    def test_husimi_overlap_matches_exp_phases(self, state, grid):
+        alpha = grid.alpha().ravel()
+        got = ps._coherent_overlap(state, alpha)
+        ref = coherent_overlap_exp(state, alpha)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1e-300)
+        if not np.any(state.amps):
+            assert np.all(got == 0)
+
+    def test_overlap_at_the_origin_is_the_vacuum_amplitude(self, state):
+        alpha = np.array([0.0, 1e-3])
+        assert ps._coherent_overlap(state, alpha)[0] == state.amps[0]
+
+
+class TestHornerCost:
+    def test_wigner_recurrence_runs_on_distinct_radii(self, monkeypatch):
+        # the 81 x 81 grid of the shipped Wigner config is symmetric in x, p
+        # and x <-> p: at most 41 * 42 / 2 = 861 distinct |z|^2 among 6561
+        # points (fewer where two pairs (|x|, |p|) give the same radius)
+        widths = []
+        original = ps.laguerre_rows
+
+        def counting(nmax, x, *args):
+            widths.append(np.shape(x))
+            return original(nmax, x, *args)
+
+        monkeypatch.setattr(ps, "laguerre_rows", counting)
+        ps.wigner_cat_closed(cats.CatSpec(10, math.sqrt(5.0)), ps.PhaseGrid.square(-5, 5, 81))
+        assert len(widths) == 1 and widths[0][0] <= 861

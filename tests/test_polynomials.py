@@ -32,6 +32,59 @@ def sum_laguerre(n, a, z):
     return out
 
 
+def full_laguerre_table(nmax, a, x):
+    """The normalized Laguerre recurrence over every (degree, parameter) pair,
+    written out as one loop over the degree: the square table the
+    triangular rows of ``laguerre_rows`` are cut from."""
+    a, x = np.asarray(a), np.asarray(x)
+    with np.errstate(divide="ignore"):
+        log_x = np.log(np.where(a == 0, 1.0, x))
+    u = np.empty((nmax + 1,) + np.broadcast(a, x).shape)
+    u[0] = np.exp(0.5 * (a * log_x - poly.log_factorial(a)))
+    prev = 0.0
+    for j in range(nmax):
+        u[j + 1] = (((2 * j + 1 + a - x) * u[j] - np.sqrt(j * (j + a)) * prev)
+                    / np.sqrt((j + 1) * (j + 1 + a)))
+        prev = u[j]
+    return u
+
+
+class TestLaguerreRows:
+    """The triangular rows: degree j over the parameters a = 0..nmax - j."""
+
+    @pytest.mark.parametrize("nmax", [128, 512, 1024])
+    def test_triangle_is_bit_identical_to_the_full_recurrence(self, nmax):
+        for x in (0.0, 0.37, nmax / 2, 1.3 * nmax):
+            full = full_laguerre_table(nmax, np.arange(nmax + 1), x)
+            rows = list(poly.laguerre_rows(nmax, x))
+            assert [row.shape for row in rows] == [(nmax + 1 - j,) for j in range(nmax + 1)]
+            for j, row in enumerate(rows):
+                assert np.array_equal(row, full[j, :nmax + 1 - j]), (x, j)
+
+    def test_array_argument(self):
+        # one parameter axis in front of the argument's shape
+        x = np.array([[0.0, 2.5, 40.0], [7.0, 0.1, 128.0]])
+        full = full_laguerre_table(128, np.arange(129)[:, None, None], x)
+        for j, row in enumerate(poly.laguerre_rows(128, x)):
+            assert row.shape == (129 - j, 2, 3)
+            assert np.array_equal(row, full[j, :129 - j])
+
+    def test_given_parameters_are_the_square_table(self):
+        x = np.linspace(0, 30, 7)
+        a = np.array([0, 3, 11])[:, None]
+        assert np.array_equal(poly.assoc_laguerre(60, a, x), full_laguerre_table(60, a, x))
+
+    def test_early_stop_computes_nothing_further(self):
+        rows = poly.laguerre_rows(1000, 3.0)
+        first = [next(rows) for _ in range(3)]
+        assert [r.size for r in first] == [1001, 1000, 999]
+        assert np.array_equal(first[2], full_laguerre_table(2, np.arange(999), 3.0)[2])
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="nmax >= 0"):
+            next(poly.laguerre_rows(-1, 1.0))
+
+
 class TestLaguerre:
     """``assoc_laguerre`` gives u_j = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x), j <= nmax."""
 
