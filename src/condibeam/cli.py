@@ -195,6 +195,8 @@ def _run_scheme_a(params):
     route = _route(params)
     policy = _policy(params)
     spec = _cat_spec(params)
+    # scheme_a_state builds this splitter itself, outside _build
+    _build(BeamSplitterParams, math.pi / 4, params["phi_t"], params["phi_r"])
     chi = cats.chi_state(spec, policy)
     state, p = cats.scheme_a_state(spec, policy, params["phi_t"], params["phi_r"], route=route)
     n_sum, p_formula = cats.cat_norm_and_prob(spec)

@@ -20,9 +20,10 @@ Y is kept in that factored form, a :class:`ConditionalOperator`: the two
 displacement arguments and the bracket's diagonals (offset -> values, the
 T^n column factor folded in).  Applying it to a state displaces, runs the
 band and displaces again with no dense operator (:func:`fock.displace`):
-O(N t) for a state whose highest nonzero level is t, such as a Fock
-signal, and O(N^2) at most.  Its ``mat`` builds the dense matrix from the
-same factors, for SVDs, norms and the oracle comparisons only.
+O(N t) for a state whose numerical top is t (the levels above it hold at
+most 1e-17 of its norm), such as a Fock or coherent signal, and O(N^2) at
+most.  Its ``mat`` builds the dense matrix from the same factors, for SVDs,
+norms and the oracle comparisons only.
 
 Both forms stop the inner index of D(left) . band . D(right) at the
 cutoff, as the dense product of the three truncated matrices does.  The
@@ -143,8 +144,9 @@ class ConditionalOperator:
     def apply(self, vector):
         """Y|vector>: displace, run the band, displace.
 
-        Each displacement costs O(N t) for its input's highest nonzero
-        level t (:func:`fock.displace`), so O(N^2) at most.
+        Each displacement costs O(N t) for its input's numerical top t
+        (:func:`fock.displace`), so O(N^2) at most; each drops at most
+        1e-17 of its input's norm.
         """
         if vector.cutoff != self.cutoff:
             raise CutoffMismatchError(f"cutoff mismatch: {self.cutoff} vs {vector.cutoff}")

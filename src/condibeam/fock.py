@@ -4,9 +4,10 @@ States are complex amplitude vectors over photon numbers 0..cutoff.
 :class:`FockOperator` is a dense complex matrix, built where a whole
 operator is wanted (norms, SVDs, oracle comparisons).  A displacement of a
 state needs no such matrix: :func:`displace` applies D(alpha) to a vector
-whose highest nonzero level is t from the Laguerre values of degrees 0..t
-alone, O(N t) for N levels, and :func:`displacement_op` assembles the
-matrix from the same values at t = cutoff.
+whose numerical top is t (the levels above it hold at most 1e-17 of its
+norm) from the Laguerre values of degrees 0..t alone, O(N t) for N levels,
+and :func:`displacement_op` assembles the matrix from the same values at
+t = cutoff.
 Everything is immutable after construction, so values can be shared freely
 between threads.
 
@@ -337,22 +338,38 @@ def displacement_op(alpha, policy):
     return FockOperator(mat, policy.cutoff)
 
 
+# The levels of a vector above its numerical top hold at most this fraction
+# of its norm.
+_NUMERICAL_TAIL = 1e-17
+
+
+def _numerical_top(amps):
+    """Smallest level t with ||amps[t+1:]|| <= _NUMERICAL_TAIL ||amps||
+    (0 for the zero vector)."""
+    mass = np.abs(amps) ** 2
+    above = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # ||amps[l+1:]||^2
+    return int(np.argmax(above <= _NUMERICAL_TAIL ** 2 * mass.sum()))
+
+
 def displace(alpha, vector):
     """D(alpha)|vector>, the matrix of :func:`displacement_op` applied
     without forming it.
 
-    With t the highest nonzero level of the vector, e^(-x/2) P M P* v reads
-    columns 0..t of M only.  It takes two real products with their lower
-    triangle L (:func:`_displacement_factors`) and its top (t+1) x (t+1)
-    block L0: M w = L w + S L0^T S w - diag(L0) w, S = diag((-1)^k), the
-    last two terms on levels 0..t, with the real and imaginary parts of w as
-    the two columns.  O(N t) time for N levels, from the (t+1)(2N - t)/2
-    Laguerre values of degree <= t; a Fock state |n> costs O(N n).  No
-    truncation check: the caller owns it (``displacement_op`` checks the
-    displaced vacuum).
+    The vector is taken on levels 0..t, t its numerical top: the smallest
+    level with ||v[t+1:]|| <= 1e-17 ||v||, its highest nonzero level or
+    below it.  The truncated D(alpha) is a compression of a unitary
+    (spectral norm <= 1), so the part of the output this drops has norm at
+    most 1e-17 ||v||.  e^(-x/2) P M P* v then reads columns 0..t of M only.
+    It takes two real products with their lower triangle L
+    (:func:`_displacement_factors`) and its top (t+1) x (t+1) block L0:
+    M w = L w + S L0^T S w - diag(L0) w, S = diag((-1)^k), the last two
+    terms on levels 0..t, with the real and imaginary parts of w as the two
+    columns.  O(N t) time for N levels, from the (t+1)(2N - t)/2 Laguerre
+    values of degree <= t; a Fock state |n> costs O(N n).  No truncation
+    check: the caller owns it (``displacement_op`` checks the displaced
+    vacuum).
     """
-    levels = np.flatnonzero(vector.amps)
-    top = int(levels[-1]) if levels.size else 0
+    top = _numerical_top(vector.amps)
     lower, phase, scale = _displacement_factors(alpha, vector.cutoff, top)
     w = phase[:top + 1].conj() * vector.amps[:top + 1]
     w = np.stack([w.real, w.imag], axis=1)

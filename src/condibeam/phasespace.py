@@ -18,10 +18,12 @@ Husimi overlap takes one table of log-space coherent magnitudes and sums
 the levels by Horner in e^(-i arg alpha), one complex exponential per grid
 point instead of one per (point, level) pair.  The Wigner transform
 evaluates the wavefunction once, on a lattice that holds every point
-x +- y of the grid and of the y-integral, and contracts the integrand rows
-with the weighted phases in one matrix product.  The quadrature route
-builds one table of oscillator functions over the x axis and applies every
-phase to it as one (level, phi) matrix.
+x +- y of the grid and of the y-integral.  Its integrand is Hermitian in y,
+f(x, -y) = f(x, y)*, so the rows are contracted on the y >= 0 half only,
+their real and imaginary parts with real weighted cos(2py) and sin(2py)
+tables in two real matrix products.  The quadrature route builds one table
+of oscillator functions over the x axis and applies every phase to it as
+one (level, phi) matrix.
 
 The chi-state Wigner closed form runs one triangular Laguerre recurrence
 for all diagonals, on the grid's distinct |z|^2 values only (at most 861
@@ -287,6 +289,11 @@ def wigner_numeric(state, grid, integration=None):
     the rows and the window together (a y-step or an x spacing far wider
     than the other), the points x_i + y_j themselves are evaluated instead.
 
+    The integrand f(x, y) = psi(x + y)* psi(x - y) satisfies
+    f(x, -y) = f(x, y)*, so the transform is contracted on the y >= 0 half
+    alone: 2 Re[f e^(2ipy)] = 2 (Re f cos 2py - Im f sin 2py) for y > 0,
+    with real weighted cos and sin tables, and y = 0 counted once.
+
     Raises IntegrationRangeError when the integrand has not decayed at the
     ends of the integration window (boundary magnitude above 1e-6 of the
     global maximum).
@@ -327,10 +334,12 @@ def wigner_numeric(state, grid, integration=None):
         raise IntegrationRangeError(
             f"wigner_numeric: integrand magnitude {boundary:.3e} at the "
             f"window ends (peak {peak:.3e}); enlarge half_range > {half:.3g}")
-    weights = np.full(ny, dy / np.pi)
-    weights[0] = weights[-1] = 0.5 * dy / np.pi
-    y = (np.arange(ny) - h) * dy
-    values = np.real(f @ (weights[:, None] * np.exp(2j * np.outer(y, p))))
+    weights = np.full(h + 1, 2.0 * dy / np.pi)
+    weights[0] = weights[-1] = dy / np.pi  # y = 0 once; the window ends at half weight
+    angle = 2.0 * np.outer(np.arange(h + 1) * dy, p)
+    half_f = f[:, h:]
+    values = (half_f.real @ (weights[:, None] * np.cos(angle))
+              - half_f.imag @ (weights[:, None] * np.sin(angle)))
     if grid.axis1.step < 0:
         values = values[::-1]
     return GridFunction(np.broadcast_to(values, (x.size, p.size)), grid, "wigner")

@@ -73,6 +73,12 @@ def laguerre_rows(nmax, x, a=None):
     is the magnitude of the displacement-operator element <j+a|D(alpha)|j>
     at |alpha|^2 = x, so |u_j| <= e^(x/2).
 
+    The denominator sqrt((j+1)(j+1+a)) of step j is the root the next step
+    multiplies u_{j-1} by, so it is kept for that step.  The integers 2j+1+a
+    and (j+1)(j+1+a) are carried as running integer arrays (+2, then plus
+    the new 2j+1+a, per step), so each step rounds the same operands as the
+    formula written out and every row is bit for bit the same.
+
     Parameters
     ----------
     nmax : int
@@ -101,13 +107,18 @@ def laguerre_rows(nmax, x, a=None):
         log_x = np.log(np.where(a == 0, 1.0, x))
     u, prev = np.exp(0.5 * (a * log_x - log_factorial(a))), 0.0
     yield u
+    lead, norm, root = 1 + a, 1 + a, 0.0  # 2j+1+a, (j+1)(j+1+a), sqrt(j(j+a))
     for j in range(nmax):
         if triangle:  # degree j + 1 keeps the parameters a <= nmax - j - 1
-            a, u = a[:nmax - j], u[:nmax - j]
+            keep = nmax - j
+            u, lead, norm = u[:keep], lead[:keep], norm[:keep]
             if j:
-                prev = prev[:nmax - j]
-        u, prev = (((2 * j + 1 + a - x) * u - np.sqrt(j * (j + a)) * prev)
-                   / np.sqrt((j + 1) * (j + 1 + a))), u
+                prev, root = prev[:keep], root[:keep]
+        denom = np.sqrt(norm)
+        u, prev = ((lead - x) * u - root * prev) / denom, u
+        root = denom
+        lead += 2
+        norm += lead
         yield u
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffMismatchError, ZeroProbabilityError
-from .fock import FockOperator, _freeze
+from .fock import FockOperator, _freeze, _numerical_top
 
 __all__ = [
     "TwoModeState",
@@ -180,21 +180,6 @@ def _sector_blocks(bs, cutoff, band):
         yield total, lo, left[at], rot, right[at]
 
 
-# A reference is served on the band of levels 0..L at which the norm of its
-# amplitudes above L is at most this fraction of its norm.
-_BAND_TAIL = 1e-17
-
-
-def _reference_band(vectors):
-    """Smallest level L with ||v[L+1:]|| <= _BAND_TAIL ||v|| for every v."""
-    band = 0
-    for v in vectors:
-        mass = np.abs(v) ** 2
-        above = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # ||v[l+1:]||^2
-        band = max(band, int(np.argmax(above <= _BAND_TAIL ** 2 * mass.sum())))
-    return band
-
-
 def _oracle_ys(pairs, bs, cutoff, top):
     """Y for every (v_in, v_out) pair of reference amplitudes, from one pass
     over the sectors 0..top on the pairs' reference band.
@@ -202,12 +187,13 @@ def _oracle_ys(pairs, bs, cutoff, top):
     Y[j, i] = <j| <v_out| U |i> |v_in> takes from each sector its block
     between the reference amplitudes it pairs with: amplitudes and sector
     phases fold into one vector per side, and the window is contracted as
-    it is produced.  The band L is :func:`_reference_band` of all the
-    amplitudes, so the reference levels above L that the stream leaves out
-    hold at most 1e-17 of each amplitude vector's norm.
+    it is produced.  The band L is the highest numerical top
+    (:func:`fock._numerical_top`) of all the amplitudes, so the reference
+    levels above L that the stream leaves out hold at most 1e-17 of each
+    amplitude vector's norm.
     """
     dim = cutoff + 1
-    band = _reference_band(v for pair in pairs for v in pair)
+    band = max((_numerical_top(v) for pair in pairs for v in pair), default=0)
     pairs = [(vin, vout.conj()) for vin, vout in pairs]
     ys = np.zeros((len(pairs), dim, dim), dtype=complex)
     for total, lo, left, rot, right in _sector_blocks(bs, cutoff, band):

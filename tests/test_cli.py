@@ -401,6 +401,8 @@ class TestMainExitCodes:
          "signal_n must be in 0..32"),
         ("success_probability_scan", "n_min", "-1", "prob-scan", "n_min must be >= 0"),
         ("two_peak_cat", "beta", "nan", "scheme-a", "|beta|^2 must be finite"),
+        ("two_peak_cat", "phi_t", "nan", "scheme-a", "phi_t must be finite"),
+        ("two_peak_cat", "phi_r", "inf", "scheme-a", "phi_r must be finite"),
         ("two_peak_cat", "route", "bogus", "scheme-a", "route must be closed or oracle"),
         ("two_peak_cat", "route", "bogus", "scheme-b", "route must be closed or oracle"),
     ])

@@ -15,6 +15,7 @@ from condibeam.errors import (
     TruncationError,
     ZeroProbabilityError,
 )
+from test_fock import count_laguerre_rows
 
 POLICY = fock.TruncationPolicy(cutoff=48)
 HALF = POLICY.safe_levels
@@ -333,6 +334,25 @@ class TestFactoredForm:
                                             BeamSplitterParams(math.pi / 4, 0.3, 1.1), policy)
         _, p = conditional.apply_conditional(y, fock.coherent_state(1.5, policy))
         assert 0.0 < p <= 1.0
+
+    def test_displacements_run_on_the_numerical_top(self, monkeypatch):
+        # the 3-term displaced preparation on |1.5 e^0.3i> at cutoff 384: each
+        # displacement reads the degrees up to its input's numerical top, not
+        # up to the highest nonzero level (363 and 384, 749 degrees in all)
+        policy = fock.TruncationPolicy(384)
+        prep_in = ReferencePrep(OperatorPolynomial((1.0, 0.5, 0.25j)),
+                                0.8 * np.exp(1.1j)).normalized()
+        prep_meas = ReferencePrep(OperatorPolynomial((0.7, -0.3j, 0.2)),
+                                  0.5 * np.exp(-2.0j)).normalized()
+        y = conditional.y_displaced_general(prep_in, prep_meas,
+                                            BeamSplitterParams(math.pi / 4, 0.3, 1.1), policy)
+        v = fock.coherent_state(1.5 * np.exp(0.3j), policy)
+        seen = count_laguerre_rows(monkeypatch, fock)
+        out = y.apply(v).amps
+        assert len(seen) < 150
+        monkeypatch.undo()
+        expected = y.mat @ v.amps
+        assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 class TestHighFockReferences:

@@ -236,6 +236,36 @@ class TestDisplaceCost:
         assert len(seen) == top + 1
         assert sum(seen) <= (top + 1) * (cutoff + 1) - top * (top + 1) // 2
 
+    def test_coherent_input_stops_at_its_numerical_top(self, monkeypatch):
+        # |1.5 e^0.3i> is nonzero up to level 363, but above level t it holds
+        # at most 1e-17 of its norm: degrees 0..t only
+        policy = fock.TruncationPolicy(cutoff=384)
+        v = fock.coherent_state(1.5 * np.exp(0.3j), policy)
+        top = fock._numerical_top(v.amps)
+        assert top < 50 < np.flatnonzero(v.amps)[-1]
+        assert np.linalg.norm(v.amps[top + 1:]) <= 1e-17 * np.linalg.norm(v.amps)
+        assert np.linalg.norm(v.amps[top:]) > 1e-17 * np.linalg.norm(v.amps)
+        seen = count_laguerre_rows(monkeypatch, fock)
+        alpha = 2.0 - 0.7j
+        out = fock.displace(alpha, v).amps
+        assert len(seen) <= top + 1
+        monkeypatch.undo()
+        expected = fock.displacement_op(alpha, policy).mat @ v.amps
+        assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("tail, degrees", [(1.01e-17, 101), (0.99e-17, 1)])
+    def test_tail_just_above_the_bound_keeps_the_top_level(self, monkeypatch, tail, degrees):
+        # unit amplitude on level 0 and `tail` on level 100: level 100 is
+        # read while its norm is above 1e-17 of the vector's, dropped below
+        amps = np.zeros(257, dtype=complex)
+        amps[0], amps[100] = 1.0, tail
+        seen = count_laguerre_rows(monkeypatch, fock)
+        out = fock.displace(0.8j, fock.FockVector(amps, 256)).amps
+        assert len(seen) == degrees
+        monkeypatch.undo()
+        expected = fock.displacement_op(0.8j, fock.TruncationPolicy(256)).mat @ amps
+        assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
+
     def test_matrix_reads_the_whole_triangle(self, monkeypatch):
         seen = count_laguerre_rows(monkeypatch, fock)
         fock.displacement_op(1.5, fock.TruncationPolicy(cutoff=64))

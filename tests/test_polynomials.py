@@ -74,6 +74,13 @@ class TestLaguerreRows:
         a = np.array([0, 3, 11])[:, None]
         assert np.array_equal(poly.assoc_laguerre(60, a, x), full_laguerre_table(60, a, x))
 
+    def test_running_integers_at_high_degree(self):
+        # given parameters up to 1024 and degrees up to 1024: the running
+        # 2j+1+a and (j+1)(j+1+a) round as the formula written out does
+        x = np.array([0.0, 0.37, 40.0, 512.0, 1331.2])
+        a = np.array([0, 1, 7, 100, 513, 1024])[:, None]
+        assert np.array_equal(poly.assoc_laguerre(1024, a, x), full_laguerre_table(1024, a, x))
+
     def test_early_stop_computes_nothing_further(self):
         rows = poly.laguerre_rows(1000, 3.0)
         first = [next(rows) for _ in range(3)]

@@ -229,7 +229,7 @@ def tail_bound(prep_in, prep_out, policy):
     """The band L of the pair and the a-priori bound on the norm of the part
     of Y that the reference levels above L carry."""
     vin, vout = prep_in.state(policy).amps, prep_out.state(policy).amps
-    band = twomode._reference_band([vin, vout])
+    band = max(fock._numerical_top(vin), fock._numerical_top(vout))
     norm = np.linalg.norm
     return band, (norm(vout[band + 1:]) * norm(vin) + norm(vout) * norm(vin[band + 1:]))
 
