@@ -30,7 +30,7 @@ from .conditional import (
     y_displaced_general,
     y_general,
 )
-from .errors import *  # noqa: F403 -- errors.__all__: every error and warning class
+from .errors import *  # noqa: F403 -- errors.__all__: every error class
 from .fock import (
     FockOperator,
     FockVector,

@@ -39,24 +39,18 @@ consistent with the Fock-monomial special case, and the oracle-equivalence
 tests enforce it (amplitudes, not just moduli, so the global phase is
 pinned as well).
 
-Below |R|^2 = 0.05 the ordering coefficients are ill-conditioned: the
-builder warns and checks the Y it returns against the two-mode oracle.
-
 Success-probability bookkeeping: ||Y psi||^2 is the probability of the
 conditioned outcome when psi and both reference states are normalized.
 """
 
 import functools
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
 from .beamsplitter import OperatorPolynomial, ReferencePrep
-from .errors import (ConditioningWarning, CutoffMismatchError, DomainError,
-                     OracleMismatchError, TruncationError, ZeroProbabilityError)
+from .errors import CutoffMismatchError, DomainError, TruncationError, ZeroProbabilityError
 from .fock import TruncationPolicy, displacement_op
 from .ordering import OrderedMonomialSpec, s_ordered_band
 
@@ -68,13 +62,6 @@ __all__ = [
     "apply_conditional",
     "swap_roles",
 ]
-
-# Below this reflectance the [-(s+1)/2]^m coefficients of the ordering are
-# badly conditioned; the construction still runs but warns and verifies
-# itself against the two-mode oracle, at O(N L^2) for cutoff N and the
-# references' band L (twomode.oracle_y).
-_CONDITIONING_R2 = 0.05
-
 
 def _check_displacement_budget(arg, policy):
     fock._check_coherent_tail(
@@ -167,38 +154,6 @@ class ConditionalOperator:
         return mat
 
 
-def _caller_stacklevel():
-    """warnings stacklevel of the first frame outside this module, counted
-    from the function that calls this one."""
-    frame, level = sys._getframe(1), 1
-    while frame.f_code.co_filename == __file__:
-        frame, level = frame.f_back, level + 1
-    return level
-
-
-def _guard_conditioning(y, prep_in, prep_out, bs, policy):
-    """Warn and oracle-verify when |R|^2 is small (ill-conditioned ordering)."""
-    if abs(bs.reflectance) ** 2 >= _CONDITIONING_R2:
-        return y
-    warnings.warn(
-        f"|R|^2 = {abs(bs.reflectance)**2:.3g} < {_CONDITIONING_R2}: s-ordered "
-        "coefficients are ill-conditioned; verifying against the two-mode oracle",
-        ConditioningWarning,
-        stacklevel=_caller_stacklevel(),
-    )
-    from . import twomode  # deferred: keep the oracle out of the hot path
-
-    reference = twomode.oracle_y(prep_in, prep_out, bs, policy).mat
-    half = policy.safe_levels
-    scale = np.linalg.norm(reference[:half, :half])
-    err = np.linalg.norm(y.mat[:half, :half] - reference[:half, :half])
-    if scale > 0 and err / scale > 1e-6:
-        raise OracleMismatchError(
-            f"ill-conditioned closed form deviates from oracle by {err / scale:.3e}; "
-            "use the two-mode oracle for this reflectance")
-    return y
-
-
 def y_displaced_fock(m, n, alpha, beta, bs, policy):
     """Conditional operator for reference modes in displaced Fock states.
 
@@ -262,8 +217,7 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
     terms = [(m, n, fm * np.conj(gn) * r ** m * (-np.conj(r) / t) ** n)
              for m, fm in enumerate(f_poly.coeffs) if fm != 0
              for n, gn in enumerate(g_poly.coeffs) if gn != 0]
-    y = ConditionalOperator(left, _ordered_core(terms, bs, policy), right, policy)
-    return _guard_conditioning(y, prep_in, prep_meas, bs, policy)
+    return ConditionalOperator(left, _ordered_core(terms, bs, policy), right, policy)
 
 
 def apply_conditional(y, psi_in):

@@ -1,4 +1,4 @@
-"""Exception hierarchy and warnings.
+"""Exception hierarchy.
 
 Domain errors (truncation, degenerate optics, impossible measurement
 outcomes) all derive from :class:`DomainError` so the CLI can map them to a
@@ -7,8 +7,7 @@ single exit code; configuration problems derive from :class:`ConfigError`.
 
 __all__ = ["CondibeamError", "ConfigError", "DomainError", "CutoffExceededError",
            "CutoffMismatchError", "TruncationError", "DegenerateBeamSplitterError",
-           "ZeroProbabilityError", "IntegrationRangeError", "OracleMismatchError",
-           "ConditioningWarning"]
+           "ZeroProbabilityError", "IntegrationRangeError"]
 
 
 class CondibeamError(Exception):
@@ -50,10 +49,3 @@ class ZeroProbabilityError(DomainError):
 class IntegrationRangeError(DomainError):
     """Numeric quadrature range too small for the state's support."""
 
-
-class OracleMismatchError(DomainError):
-    """An ill-conditioned closed form disagrees with the two-mode oracle."""
-
-
-class ConditioningWarning(UserWarning):
-    """Closed-form ordering coefficients are poorly conditioned (|R|^2 small)."""

@@ -15,10 +15,6 @@ Two independent realizations are provided and cross-validated:
 
 The second is the reference route of ``condibeam selftest`` and the tests,
 built from dense ladder powers.
-
-Conditioning: the closed-form coefficients contain [-(s+1)/2]^m and grow
-without bound as |R| -> 0 (s -> infinity); below |R|^2 = 0.05 the
-conditional module checks the Y it builds against the two-mode oracle.
 """
 
 import math

@@ -290,9 +290,10 @@ def wigner_numeric(state, grid, integration=None):
     than the other), the points x_i + y_j themselves are evaluated instead.
 
     The integrand f(x, y) = psi(x + y)* psi(x - y) satisfies
-    f(x, -y) = f(x, y)*, so the transform is contracted on the y >= 0 half
+    f(x, -y) = f(x, y)*, so it is formed and contracted on the y >= 0 half
     alone: 2 Re[f e^(2ipy)] = 2 (Re f cos 2py - Im f sin 2py) for y > 0,
-    with real weighted cos and sin tables, and y = 0 counted once.
+    with real weighted cos and sin tables, and y = 0 counted once.  Since
+    |f(x, -y)| = |f(x, y)|, the half holds the peak and the window end.
 
     Raises IntegrationRangeError when the integrand has not decayed at the
     ends of the integration window (boundary magnitude above 1e-6 of the
@@ -324,12 +325,11 @@ def wigner_numeric(state, grid, integration=None):
     else:
         offsets = (np.arange(ny) - h) * dy
         psi = _wavefunction(state, (x_lo + np.arange(rows) * r * delta)[:, None] + offsets)
-    f = np.conj(psi)  # (rows, ny): psi(x_i + y_j)* psi(x_i - y_j)
-    f *= psi[:, ::-1]
+    f = np.conj(psi[:, h:])  # (rows, h + 1): psi(x_i + y_j)* psi(x_i - y_j), y_j >= 0
+    f *= psi[:, h::-1]
     absf = np.abs(f)
-    boundary = max(absf[:, 0].max(), absf[:, -1].max())
+    boundary = absf[:, -1].max()
     peak = absf.max()
-    del absf
     if boundary > 1e-6 * max(peak, 1e-300):
         raise IntegrationRangeError(
             f"wigner_numeric: integrand magnitude {boundary:.3e} at the "
@@ -337,9 +337,8 @@ def wigner_numeric(state, grid, integration=None):
     weights = np.full(h + 1, 2.0 * dy / np.pi)
     weights[0] = weights[-1] = dy / np.pi  # y = 0 once; the window ends at half weight
     angle = 2.0 * np.outer(np.arange(h + 1) * dy, p)
-    half_f = f[:, h:]
-    values = (half_f.real @ (weights[:, None] * np.cos(angle))
-              - half_f.imag @ (weights[:, None] * np.sin(angle)))
+    values = (f.real @ (weights[:, None] * np.cos(angle))
+              - f.imag @ (weights[:, None] * np.sin(angle)))
     if grid.axis1.step < 0:
         values = values[::-1]
     return GridFunction(np.broadcast_to(values, (x.size, p.size)), grid, "wigner")

@@ -36,6 +36,7 @@ def _check_closed_form_vs_oracle():
         (2, 1, -0.2, 0.3j, BeamSplitterParams(math.pi / 3, 1.7, 0.9)),
         (1, 2, 0.25j, -0.1, BeamSplitterParams(1.0, 0.0, 2.2)),
         (3, 3, 0.1, 0.1j, BeamSplitterParams(math.pi / 4, 0.8, 0.2)),
+        (2, 2, 0j, 0j, BeamSplitterParams(0.05, 0.7, 1.9)),  # |R|^2 ~ 0.0025
     ]
     for m, n, alpha, beta, bs in configs:
         closed = conditional.y_displaced_fock(m, n, alpha, beta, bs, _POLICY)
