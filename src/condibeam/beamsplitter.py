@@ -168,9 +168,7 @@ class ReferencePrep:
         """The prepared state as a FockVector (tail-checked)."""
         base = fock.FockVector(self.poly.state_amplitudes(policy.dim), policy.cutoff)
         if self.displacement != 0:
-            fock._check_coherent_tail(
-                self.displacement, policy, "ReferencePrep.state(|alpha|={a:.3g}): "
-                "displaced vacuum has mass {tail:.3e} above cutoff {cutoff}")
+            policy.check_displacement(self.displacement, "ReferencePrep.state")
             base = fock.displace(self.displacement, base)
         policy.check_tail(base.amps, "ReferencePrep.state")
         return base

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import conditional, fock, twomode
 from .beamsplitter import BeamSplitterParams, ReferencePrep
-from .errors import DomainError, TruncationError
+from .errors import DomainError
 from .polynomials import laguerre_rows, log_factorial
 
 __all__ = [
@@ -143,10 +143,7 @@ def chi_state(spec, policy):
     amplitudes.
     """
     n, beta = spec.n, spec.beta
-    if n > policy.safe_levels:
-        raise TruncationError(
-            f"chi_state: n = {n} exceeds the safe block "
-            f"({policy.safe_levels} levels) at cutoff {policy.cutoff}")
+    policy.check_levels(n, "chi_state: n")
     amps = np.zeros(policy.dim, dtype=complex)
     amps[:n + 1] = _chi_amplitudes(n, beta)[0]
     return fock.FockVector(amps, policy.cutoff)
@@ -215,10 +212,7 @@ def multi_cat_state(spec, policy):
     overflow.
     """
     n, k, beta = spec.n, spec.k, spec.beta
-    if k * n > policy.safe_levels:
-        raise TruncationError(
-            f"multi_cat_state: k*n = {k * n} exceeds the safe block "
-            f"({policy.safe_levels} levels) at cutoff {policy.cutoff}")
+    policy.check_levels(k * n, "multi_cat_state: k*n")
     amps = np.zeros(policy.dim, dtype=complex)
     if beta == 0:
         amps[k * n] = 1.0

@@ -17,7 +17,7 @@ with everything inline instead.  Identical configs reproduce identical
 results.
 
 Exit codes: 0 success, 2 config error, 3 domain error (zero probability,
-truncation, ...), 4 selftest failure.
+truncation, a NaN result, ...), 4 selftest failure.
 """
 
 import argparse
@@ -487,6 +487,10 @@ def run_experiment(experiment, config_text):
     params = _extract(parse_config(config_text), experiment, schema)
     start = time.perf_counter()
     scalars, grids = runner(params)
+    nan = ([key for key, value in scalars.items() if np.isnan(value)]
+           + [name for name, gf in grids if np.isnan(gf.values).any()])
+    if nan:
+        raise DomainError(f"{experiment}: NaN in {', '.join(nan)}")
     return scalars, grids, time.perf_counter() - start
 
 

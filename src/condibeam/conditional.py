@@ -28,7 +28,8 @@ norms and the oracle comparisons only.
 Both forms stop the inner index of D(left) . band . D(right) at the
 cutoff, as the dense product of the three truncated matrices does.  The
 displacements carry levels near the cutoff past it, and the mass they
-carry there is dropped, so Y is exact on its safe block only while that
+carry there is dropped (``TruncationPolicy.check_displacement`` sees only
+the displaced vacuum's), so Y is exact on its safe block only while that
 mass is negligible.  Making Y an exact compression means summing the
 inner index up to a working dimension W above the cutoff; that choice is
 open (ROADMAP item 4a), and a strict xfail in the tests records the defect.
@@ -62,12 +63,6 @@ __all__ = [
     "apply_conditional",
     "swap_roles",
 ]
-
-def _check_displacement_budget(arg, policy):
-    fock._check_coherent_tail(
-        arg, policy, "y_displaced_general: displacement |{a:.3g}| leaks mass "
-        "{tail:.3e} above cutoff {cutoff}")
-
 
 def _ordered_core(terms, bs, policy):
     """Diagonals of sum of coeff * {(a^dag)^m a^n}_s, then T^n on the right.
@@ -197,22 +192,20 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
 
     The one builder of Y (module docstring): alpha, beta are the
     displacements of ``prep_in`` and ``prep_meas``, F, G their polynomials.
-    Returns a :class:`ConditionalOperator`.
+    Returns a :class:`ConditionalOperator`.  ``policy`` admits deg F + deg G
+    and both displacement arguments (``check_levels``, ``check_displacement``).
     """
     bs.require_nondegenerate()
     f_poly, g_poly = prep_in.poly, prep_meas.poly
-    if f_poly.degree + g_poly.degree > policy.safe_levels:
-        raise TruncationError(
-            f"deg F + deg G = {f_poly.degree + g_poly.degree} exceeds the "
-            f"safe block ({policy.safe_levels} levels)")
+    policy.check_levels(f_poly.degree + g_poly.degree, "y_displaced_general: deg F + deg G")
     t = bs.transmittance
     r = bs.reflectance
     alpha = prep_in.displacement
     beta = prep_meas.displacement
     left = (alpha - t * beta) / np.conj(r)
     right = (beta - np.conj(t) * alpha) / np.conj(r)
-    _check_displacement_budget(left, policy)
-    _check_displacement_budget(right, policy)
+    policy.check_displacement(left, "y_displaced_general")
+    policy.check_displacement(right, "y_displaced_general")
 
     terms = [(m, n, fm * np.conj(gn) * r ** m * (-np.conj(r) / t) ** n)
              for m, fm in enumerate(f_poly.coeffs) if fm != 0

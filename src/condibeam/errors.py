@@ -3,6 +3,8 @@
 Domain errors (truncation, degenerate optics, impossible measurement
 outcomes) all derive from :class:`DomainError` so the CLI can map them to a
 single exit code; configuration problems derive from :class:`ConfigError`.
+:mod:`fock` raises every :class:`TruncationError` (:class:`CutoffExceededError`
+for a level count) but ``conditional.y_displaced_fock``'s cutoff/4 index rule.
 """
 
 __all__ = ["CondibeamError", "ConfigError", "DomainError", "CutoffExceededError",
@@ -22,20 +24,20 @@ class DomainError(CondibeamError):
     """Base class for physics/numerics errors raised by library operations."""
 
 
-class CutoffExceededError(DomainError):
-    """A requested photon number or operator power does not fit the cutoff."""
-
-
 class CutoffMismatchError(DomainError):
     """Two objects built for different Fock-space cutoffs were combined."""
 
 
 class TruncationError(DomainError):
-    """Probability mass lost to truncation exceeds the policy tolerance."""
+    """A state, operator or overlap does not fit the truncated Fock space."""
 
     def __init__(self, message, tail_mass=None):
         super().__init__(message)
         self.tail_mass = tail_mass
+
+
+class CutoffExceededError(TruncationError):
+    """A requested photon number or operator power does not fit the cutoff."""
 
 
 class DegenerateBeamSplitterError(DomainError):

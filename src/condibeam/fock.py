@@ -14,7 +14,8 @@ between threads.
 Truncation discipline: ladder operators and diagonal operators are exact on
 the retained levels; displacement-like operators are only faithful away from
 the cutoff edge.  Identities are therefore asserted on the "safe block" (the
-lowest ceil(cutoff/2) levels), which :class:`TruncationPolicy` exposes.
+lowest ceil(cutoff/2) levels).  :class:`TruncationPolicy` makes and reports
+every truncation decision; callers pass its ``check_*`` methods what they check.
 """
 
 import math
@@ -82,22 +83,40 @@ class TruncationPolicy:
         """First level of the top-10% block used for tail-mass checks."""
         return self.dim - max(1, self.dim // 10)
 
-    def tail_mass(self, amps):
-        """Fraction of |amps|^2 in the top-10% block."""
-        prob = np.abs(np.asarray(amps)) ** 2
-        total = prob.sum()
-        if total == 0.0:
-            return 0.0
-        return float(prob[self.tail_start:].sum() / total)
+    def check_levels(self, levels, what):
+        """Raise CutoffExceededError when ``levels`` exceed the safe block."""
+        if levels > self.safe_levels:
+            raise CutoffExceededError(f"{what} = {levels} exceeds the safe block "
+                                      f"({self.safe_levels} levels) at cutoff {self.cutoff}")
+
+    def check_displacement(self, alpha, what):
+        """Refuse |alpha> with more than tail_tol above the cutoff
+        (:func:`coherent_tail_mass`), and a NaN alpha."""
+        self._refuse_above_tol(coherent_tail_mass(alpha, self.cutoff),
+                               f"{what}: displacement |{abs(alpha):.3g}| leaks mass")
 
     def check_tail(self, amps, what):
-        mass = self.tail_mass(amps)
-        if mass > self.tail_tol:
-            raise TruncationError(
-                f"{what}: tail mass {mass:.3e} in top Fock levels exceeds "
-                f"tail_tol {self.tail_tol:.1e} at cutoff {self.cutoff}",
-                tail_mass=mass,
-            )
+        """Refuse a vector with more than tail_tol of |amps|^2 in the top-10% block."""
+        prob = np.abs(np.asarray(amps)) ** 2
+        total = prob.sum()
+        self._refuse_above_tol(float(prob[self.tail_start:].sum() / total) if total else 0.0,
+                               f"{what}: tail mass in top Fock levels")
+
+    def check_overlap(self, amps, radius, what):
+        """Refuse <alpha|amps>, |alpha| <= radius, when its part from the top-10%
+        block, bounded by sqrt(state tail x coherent tail at the radius), may
+        exceed tail_tol.  A state with no mass in the block passes any radius."""
+        tail_state = float(np.sum(np.abs(np.asarray(amps)[self.tail_start:]) ** 2))
+        if tail_state:
+            coherent = coherent_tail_mass(radius, self.tail_start - 1)
+            self._refuse_above_tol(math.sqrt(tail_state * coherent),
+                                   f"{what}: overlap truncation bound")
+
+    def _refuse_above_tol(self, mass, label):
+        """TruncationError unless mass <= tail_tol (a NaN mass fails)."""
+        if not mass <= self.tail_tol:
+            raise TruncationError(f"{label} {mass:.3e} > tail_tol {self.tail_tol:.1e} "
+                                  f"at cutoff {self.cutoff}", tail_mass=mass)
 
 
 def _freeze(arr, dtype=complex):
@@ -160,11 +179,6 @@ class FockOperator:
             return FockOperator(self.mat @ other.mat, self.cutoff)
         return NotImplemented
 
-    def __mul__(self, scalar):
-        return FockOperator(self.mat * scalar, self.cutoff)
-
-    __rmul__ = __mul__
-
 
 # --- elementary constructors --------------------------------------------
 
@@ -199,7 +213,8 @@ def coherent_tail_mass(alpha, cutoff):
     tail, at most 1 - e^-lam <= lam, is returned as 0.0 (lam / k would
     underflow to 0 in the log).
     """
-    lam = abs(alpha) ** 2
+    lam = float(abs(alpha))
+    lam *= lam  # inf, not OverflowError or a warning, past the float range
     if lam < sys.float_info.min:
         return 0.0
     if not math.isfinite(lam):
@@ -231,21 +246,6 @@ def _stirling_error(k):
     return np.where(k < 16, direct, series)
 
 
-def _check_coherent_tail(alpha, policy, message):
-    """Raise TruncationError if |alpha> leaks more than tail_tol above the cutoff.
-
-    ``message`` is a format string over ``a`` (|alpha|), ``tail``,
-    ``cutoff`` and ``tail_tol``.  A NaN tail (NaN alpha) raises as well.
-    """
-    tail = coherent_tail_mass(alpha, policy.cutoff)
-    if not tail <= policy.tail_tol:
-        raise TruncationError(
-            message.format(a=abs(alpha), tail=tail, cutoff=policy.cutoff,
-                           tail_tol=policy.tail_tol),
-            tail_mass=tail,
-        )
-
-
 def coherent_state(alpha, policy):
     """Coherent state |alpha>, truncated and renormalized.
 
@@ -254,9 +254,7 @@ def coherent_state(alpha, policy):
     overflow.  Raises TruncationError when the analytic mass above the
     cutoff exceeds the policy's tail_tol.
     """
-    _check_coherent_tail(
-        alpha, policy, "coherent_state(|alpha|={a:.3g}): mass {tail:.3e} above "
-        "cutoff {cutoff} exceeds tail_tol {tail_tol:.1e}")
+    policy.check_displacement(alpha, "coherent_state")
     amps = _coherent_amps(alpha, policy.dim)
     amps /= np.linalg.norm(amps)
     return FockVector(amps, policy.cutoff)
@@ -324,9 +322,7 @@ def displacement_op(alpha, policy):
     stays local to high indices.  To displace a state, :func:`displace`
     needs no matrix.
     """
-    _check_coherent_tail(
-        alpha, policy, "displacement_op(|alpha|={a:.3g}): displaced vacuum has "
-        "mass {tail:.3e} above cutoff {cutoff}")
+    policy.check_displacement(alpha, "displacement_op")
     lower, phase, scale = _displacement_factors(alpha, policy.cutoff, policy.cutoff)
     sign = _alternating(policy.dim)
     real = lower.T * sign  # the upper triangle, up to the sign of its row
@@ -401,8 +397,15 @@ def hermite_functions(x, nmax):
     ``np.ldexp`` as each level is stored; psi_0 starts at ~2^-1000, and
     the pair (psi_k, psi_{k-1}) is scaled down by 2^500 whenever |psi_k|
     passes 2^500.  Elsewhere scale is 0 and psi_k is phi_k, bit for bit.
+
+    Past the radius 40 + 2 sqrt(nmax) every phi_k is 0 in floating point:
+    it exceeds every zero of H_k, so |H_k(x)| <= (2|x|)^k there, and by
+    Stirling ln |phi_k| < -800 - 0.46 nmax.  x is clipped to the radius, so
+    those points give signed zeros; the power-of-two split of the envelope
+    would fail from |x| ~ 3e9.
     """
-    x = np.asarray(x, dtype=float)
+    radius = 40.0 + 2.0 * math.sqrt(nmax)
+    x = np.clip(np.asarray(x, dtype=float), -radius, radius)
     out = np.empty((nmax + 1,) + x.shape)
     half_sq = 0.5 * x * x
     far = (half_sq > 700.0) & np.isfinite(half_sq)

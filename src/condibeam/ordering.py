@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffExceededError
 from .fock import FockOperator, annihilation_op, creation_op, identity_op
 from .polynomials import jacobi, log_factorial
 
@@ -47,13 +46,6 @@ class OrderedMonomialSpec:
             raise ValueError(f"powers must be >= 0, got m={self.m}, n={self.n}")
 
 
-def _check_budget(m, n, policy):
-    if m + n > policy.safe_levels:
-        raise CutoffExceededError(
-            f"operator powers m+n = {m + n} exceed the safe block "
-            f"({policy.safe_levels} levels) at cutoff {policy.cutoff}")
-
-
 def _ladder_power(op, k, policy):
     out = identity_op(policy)
     for _ in range(k):
@@ -70,7 +62,7 @@ def s_ordered_band(spec, policy):
     n - m, in the order of ``np.diag``.
     """
     m, n, s = spec.m, spec.n, spec.s
-    _check_budget(m, n, policy)
+    policy.check_levels(m + n, "s_ordered_band: operator powers m+n")
     z = (s - 3.0) / (s + 1.0)
     lo, k = min(m, n), abs(n - m)
     coeff = math.factorial(lo) * (-(s + 1.0) / 2.0) ** lo
@@ -95,7 +87,7 @@ def s_to_t_convert(m, n, s, t, policy):
     with the t-ordered base itself converted recursively to normal order
     (t = 1), where {(a^dag)^a a^b}_1 is the plain matrix product.
     """
-    _check_budget(m, n, policy)
+    policy.check_levels(m + n, "s_to_t_convert: operator powers m+n")
     if t == 1.0:
         base = lambda mm, nn: (_ladder_power(creation_op(policy), mm, policy)
                                @ _ladder_power(annihilation_op(policy), nn, policy))

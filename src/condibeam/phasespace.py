@@ -35,8 +35,8 @@ the cutoff: the Husimi overlap contracts over the nonzero levels only, and
 the wavefunction and quadrature routes stop at the highest nonzero level
 (the Hermite recurrence needs every level below it).  Their cost therefore
 depends on the state, not on the cutoff; a chi state with n photons costs
-the same at cutoff 64 as at 1024.  The Husimi truncation guard still reads
-the full vector.
+the same at cutoff 64 as at 1024.  The Husimi truncation check
+(:meth:`fock.TruncationPolicy.check_overlap`) still reads the full vector.
 """
 
 import math
@@ -46,8 +46,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cats import _chi_amplitudes, multi_cat_log_norm
-from .errors import DomainError, IntegrationRangeError, TruncationError
-from .fock import coherent_tail_mass, hermite_functions
+from .errors import DomainError, IntegrationRangeError
+from .fock import hermite_functions
 from .polynomials import assoc_laguerre, laguerre_rows, log_factorial
 
 __all__ = [
@@ -152,7 +152,7 @@ def _coherent_overlap(state, alpha_flat):
     with one power v^g = e^(-ig arg alpha) per distinct gap g (and for
     k_0), so a grid takes as many complex exponentials as the support has
     distinct gaps, not one per level.  At alpha = 0 the overlap is <0|psi>.
-    The truncation guard on the full vector is the caller's.
+    The truncation check on the full vector is the caller's.
     """
     k = _support(state)
     r = np.abs(alpha_flat)
@@ -172,40 +172,16 @@ def _coherent_overlap(state, alpha_flat):
     return total * np.exp(-1j * k[0] * arg) if k[0] else total
 
 
-def _husimi_tail_guard(state, grid, policy):
-    """Error bound for the truncated overlap: sqrt(state tail x coherent tail).
-
-    The neglected part of <alpha|psi> lives above the top-10% boundary; it
-    is bounded by the product of the state's tail norm and the coherent
-    tail norm at the worst grid corner.  States supported strictly below
-    the boundary therefore never trip the guard, no matter how far the
-    grid reaches.
-    """
-    prob = np.abs(state.amps) ** 2
-    tail_state = float(prob[policy.tail_start:].sum())
-    if tail_state == 0.0:
-        return
-    corners = [abs(complex(x, p)) for x in (grid.axis1.lo, grid.axis1.hi)
-               for p in (grid.axis2.lo, grid.axis2.hi)]
-    tail_coh = max(coherent_tail_mass(c, policy.tail_start - 1) for c in corners)
-    bound = math.sqrt(tail_state * tail_coh)
-    if bound > policy.tail_tol:
-        raise TruncationError(
-            f"husimi: overlap truncation bound {bound:.3e} exceeds tail_tol "
-            f"{policy.tail_tol:.1e} (state tail {tail_state:.3e})",
-            tail_mass=bound,
-        )
-
-
 def husimi(state, grid, policy):
     """Q(alpha) = |<alpha|psi>|^2 / pi on the grid (axis1 = Re, axis2 = Im).
 
-    The truncation guard runs first, on the full vector; the overlap then
-    runs on the state's nonzero levels.
+    :meth:`TruncationPolicy.check_overlap` runs first, on the full vector
+    and the largest |alpha| of the grid; the overlap then runs on the
+    state's nonzero levels.
     """
     _require_2d(grid)
-    _husimi_tail_guard(state, grid, policy)
     alpha = grid.alpha().ravel()
+    policy.check_overlap(state.amps, np.abs(alpha).max(), "husimi")
     q = np.abs(_coherent_overlap(state, alpha)) ** 2 / np.pi
     return GridFunction(q.reshape(grid.axis1.points, grid.axis2.points),
                         grid, "husimi")
@@ -297,7 +273,8 @@ def wigner_numeric(state, grid, integration=None):
 
     Raises IntegrationRangeError when the integrand has not decayed at the
     ends of the integration window (boundary magnitude above 1e-6 of the
-    global maximum).
+    global maximum), and when max|p| + half_range > pi/dy, where W at the
+    aliases p + k pi/dy (k whole) that the y-sum adds in may be nonzero.
     """
     _require_2d(grid)
     if integration is None:
@@ -315,6 +292,11 @@ def wigner_numeric(state, grid, integration=None):
         r, s = 1, 1
     delta = dx / r if dx > 0 else step
     dy = s * delta
+    p_max = max(abs(p[0]), abs(p[-1]))
+    if p_max + half > math.pi / dy:
+        raise IntegrationRangeError(
+            f"wigner_numeric: |p| up to {p_max:.3g} plus half_range {half:.3g} "
+            f"exceeds pi/dy = {math.pi / dy:.3g}; the y-sum would alias")
     h = math.ceil(half / dy)
     ny = 2 * h + 1
     x_lo = min(x[0], x[-1])
@@ -324,7 +306,7 @@ def wigner_numeric(state, grid, integration=None):
         psi = sliding_window_view(_wavefunction(state, lattice), 2 * h * s + 1)[::r, ::s]
     else:
         offsets = (np.arange(ny) - h) * dy
-        psi = _wavefunction(state, (x_lo + np.arange(rows) * r * delta)[:, None] + offsets)
+        psi = _wavefunction(state, (x_lo + np.arange(rows) * float(r) * delta)[:, None] + offsets)
     f = np.conj(psi[:, h:])  # (rows, h + 1): psi(x_i + y_j)* psi(x_i - y_j), y_j >= 0
     f *= psi[:, h::-1]
     absf = np.abs(f)
@@ -362,24 +344,30 @@ def wigner_cat_closed(spec, grid):
     |z|^2 = rho alone.  They are accumulated row by row of one triangular
     Laguerre recurrence (degree j, diagonals d <= n - j) over the grid's
     distinct rho, and W = Re sum_d w_d S_d e^(id arg z), w_0 = 1 and
-    w_d = 2, is then summed by Horner in e^(i arg z).
+    w_d = 2, is then summed by Horner in e^(i arg z).  Raises DomainError
+    when the sums leave the float range (|z|^2 ~ 1e32 and beyond).
     """
     _require_2d(grid)
     n = spec.n
     amps, _ = _chi_amplitudes(n, spec.beta)
     z = math.sqrt(2.0) * grid.alpha()
-    z2 = np.abs(z) ** 2
-    rho, where = np.unique(z2, return_inverse=True)
-    where = where.reshape(z2.shape)
-    radial = np.zeros((n + 1, rho.size), dtype=complex)
-    for j, row in enumerate(laguerre_rows(n, rho)):
-        radial[:n + 1 - j] += ((-1.0) ** j * amps[j] * np.conj(amps[j:]))[:, None] * row
-    radial[1:] *= 2.0
-    unit = np.exp(1j * np.angle(z))
-    total = radial[n, where]
-    for d in range(n - 1, -1, -1):
-        total = total * unit + radial[d, where]
-    return GridFunction(total.real * np.exp(-0.5 * z2) / np.pi, grid, "wigner")
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = np.abs(z) ** 2
+        rho, where = np.unique(z2, return_inverse=True)
+        where = where.reshape(z2.shape)
+        radial = np.zeros((n + 1, rho.size), dtype=complex)
+        for j, row in enumerate(laguerre_rows(n, rho)):
+            radial[:n + 1 - j] += ((-1.0) ** j * amps[j] * np.conj(amps[j:]))[:, None] * row
+        radial[1:] *= 2.0
+        unit = np.exp(1j * np.angle(z))
+        total = radial[n, where]
+        for d in range(n - 1, -1, -1):
+            total = total * unit + radial[d, where]
+        values = total.real * np.exp(-0.5 * z2) / np.pi
+    if not np.isfinite(values).all():
+        raise DomainError(f"wigner_cat_closed: the closed sum leaves the float range "
+                          f"at |z|^2 = {rho[-1]:.3g}")
+    return GridFunction(values, grid, "wigner")
 
 
 def quadrature_dist(state, grid):

@@ -61,3 +61,35 @@ def test_every_module_declares_all():
     missing = [path.stem for path in sorted(SRC.glob("*.py"))
                if path.stem != "__init__" and exported(ast.parse(path.read_text())) is None]
     assert not missing, f"modules without __all__: {missing}"
+
+
+TRUNCATION_ERRORS = {"TruncationError", "CutoffExceededError"}
+
+
+def raised_names(tree):
+    """(enclosing function, exception class name) for every ``raise X(...)``."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                out.append((func, getattr(exc, "id", getattr(exc, "attr", None))))
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_truncation_is_decided_only_in_fock():
+    # fock.TruncationPolicy owns every cutoff and tail check; the one rule
+    # kept apart is y_displaced_fock's max(m, n) <= cutoff // 4
+    strays = [f"{path.stem}.{func} raises {name}"
+              for path in sorted(SRC.glob("*.py")) if path.stem != "fock"
+              for func, name in raised_names(ast.parse(path.read_text()))
+              if name in TRUNCATION_ERRORS
+              and (path.stem, func) != ("conditional", "y_displaced_fock")]
+    assert not strays, strays

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condibeam import cli, conditional
-from condibeam.errors import ConfigError
+from condibeam import cli, conditional, phasespace
+from condibeam.errors import ConfigError, DomainError
 from condibeam.selftest import run_selftest
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -333,6 +333,37 @@ class TestMainExitCodes:
         assert rc == 3
         assert err.startswith("domain error: ") and "leaves the float range" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("span, method", [
+        (1e3, "numeric"), (1e3, "both"),
+        (1e16, "closed"), (1e16, "numeric"), (1e16, "both"),
+        (1e200, "closed"), (1e200, "numeric"), (1e200, "both"),
+    ])
+    def test_far_wigner_grid_is_a_domain_error(self, tmp_path, capsys, span, method):
+        # the numeric y-sum would alias these momenta, and the closed sum
+        # leaves the float range from |x + ip| ~ 1e16
+        edits = {"grid_lo": -span, "grid_hi": span, "method": method}
+        lines = (CONFIGS / "two_peak_wigner.cfg").read_text().splitlines()
+        keys = [line.split("#")[0].split("=")[0].strip() for line in lines]
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("\n".join(f"{k} = {edits[k]}" if k in edits else line
+                                 for k, line in zip(keys, lines)) + "\n")
+        rc = cli.main(["wigner-grid", "--config", str(cfg), "--out", str(tmp_path / "w.csv")])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err.startswith("domain error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("scalars, grid_value", [
+        ({"p_0": math.nan}, 0.0), ({"amp_0": complex(0.5, math.nan)}, 0.0), ({"p_0": 1.0}, math.nan),
+    ], ids=["float", "complex", "grid"])
+    def test_nan_result_is_a_domain_error(self, monkeypatch, scalars, grid_value):
+        grid = phasespace.PhaseGrid.square(-1, 1, 2)
+        values = np.full((2, 2), grid_value)
+        schema, _ = cli._EXPERIMENTS["prob-scan"]
+        monkeypatch.setitem(cli._EXPERIMENTS, "prob-scan", (schema, lambda params: (
+            scalars, [("wigner", phasespace.GridFunction(values, grid, "wigner"))])))
+        with pytest.raises(DomainError, match="prob-scan: NaN in"):
+            cli.run_experiment("prob-scan", "")
 
     def test_quadrature_closed_form_outside_float_range(self, tmp_path, capsys):
         # at n = 300 the unnormalized H_k(x) of the closed-form referee leave

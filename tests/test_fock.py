@@ -43,6 +43,42 @@ class TestTruncationPolicy:
         pol = fock.TruncationPolicy(cutoff=49)  # dim 50, top 5 levels
         assert pol.tail_start == 45
 
+    def test_check_levels_admits_the_safe_block_and_no_more(self):
+        pol = fock.TruncationPolicy(cutoff=48)
+        pol.check_levels(pol.safe_levels, "n")
+        with pytest.raises(CutoffExceededError, match="n = 25 exceeds the safe block") as exc:
+            pol.check_levels(pol.safe_levels + 1, "n")
+        assert isinstance(exc.value, TruncationError) and exc.value.tail_mass is None
+
+    def test_check_displacement(self):
+        POLICY.check_displacement(1.0, "probe")
+        with pytest.raises(TruncationError, match=r"probe: displacement \|6\| leaks mass") as exc:
+            POLICY.check_displacement(6.0, "probe")
+        assert exc.value.tail_mass == fock.coherent_tail_mass(6.0, POLICY.cutoff)
+        assert exc.value.tail_mass > POLICY.tail_tol
+        with pytest.raises(TruncationError) as exc:
+            POLICY.check_displacement(complex("nan"), "probe")
+        assert math.isnan(exc.value.tail_mass)
+
+    def test_check_tail(self):
+        POLICY.check_tail(np.zeros(POLICY.dim), "zero vector")
+        amps = np.zeros(POLICY.dim)
+        amps[0] = amps[-1] = 1.0
+        with pytest.raises(TruncationError, match="edge: tail mass") as exc:
+            POLICY.check_tail(amps, "edge")
+        assert exc.value.tail_mass == 0.5
+
+    def test_check_overlap(self):
+        # no mass in the top-10% block: nothing of the overlap is truncated
+        low = fock.fock_state(POLICY.tail_start - 1, POLICY).amps
+        POLICY.check_overlap(low, 1e150, "low")
+        edge = fock.fock_state(POLICY.cutoff, POLICY).amps
+        POLICY.check_overlap(edge, 0.1, "edge")
+        with pytest.raises(TruncationError, match="edge: overlap truncation bound") as exc:
+            POLICY.check_overlap(edge, 10.0, "edge")
+        coherent = fock.coherent_tail_mass(10.0, POLICY.tail_start - 1)
+        assert exc.value.tail_mass == math.sqrt(coherent) > POLICY.tail_tol
+
 
 class TestFockState:
     def test_vacuum(self):

@@ -166,6 +166,36 @@ class TestWignerNumeric:
                               ps.IntegrationSpec(half_range=2.0, step=0.02))
 
 
+class TestWignerFarField:
+    """Momenta the y-sum would alias, and x far past the state's support."""
+
+    SPEC = cats.CatSpec(10, math.sqrt(5.0))
+    CHI = cats.chi_state(SPEC, fock.TruncationPolicy(cutoff=64))
+
+    @pytest.mark.parametrize("grid", [
+        ps.PhaseGrid.square(-1e3, 1e3, 81),   # W(0, -625) would read W(0, 3.3185)
+        ps.PhaseGrid(ps.Axis("x", -2, 2, 5), ps.Axis("p", -149, 149, 41)),
+    ], ids=["1e3", "149"])
+    def test_aliasing_momenta_are_refused(self, grid):
+        # with dy = 0.02 the sum returns W summed over p + k pi/dy, k whole;
+        # half_range is ~8.6 here, so |p| past ~148.5 lets an alias reach it
+        with pytest.raises(IntegrationRangeError, match="alias"):
+            ps.wigner_numeric(self.CHI, grid)
+
+    @pytest.mark.parametrize("p_max", [100.0, 148.0])
+    def test_momenta_inside_the_alias_bound(self, p_max):
+        grid = ps.PhaseGrid(ps.Axis("x", -2, 2, 5), ps.Axis("p", -p_max, p_max, 41))
+        w = ps.wigner_numeric(self.CHI, grid).values
+        assert np.max(np.abs(w - ps.wigner_cat_closed(self.SPEC, grid).values)) < 1e-13
+
+    def test_x_axis_past_int64(self):
+        # the row stride r = ceil(dx / step) ~ 1.25e200 passes int64
+        grid = ps.PhaseGrid(ps.Axis("x", -1e200, 1e200, 81), ps.Axis("p", -5, 5, 11))
+        w = ps.wigner_numeric(self.CHI, grid).values
+        assert np.isfinite(w).all()
+        assert not w[0].any() and not w[-1].any()
+
+
 class TestWignerLattice:
     """The grid is evaluated from one wavefunction table on a shared lattice."""
 
@@ -236,6 +266,12 @@ class TestWignerCatClosed:
         grid = ps.PhaseGrid.square(-3, 3, 21)
         w = ps.wigner_cat_closed(cats.CatSpec(4, 1.2), grid)
         assert w.values.dtype == np.float64
+
+    @pytest.mark.parametrize("span", [1e16, 1e200])
+    def test_raises_outside_float_range(self, span):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            ps.wigner_cat_closed(cats.CatSpec(10, math.sqrt(5.0)),
+                                 ps.PhaseGrid.square(-span, span, 5))
 
 
 class TestQuadratureDist:

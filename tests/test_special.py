@@ -99,6 +99,16 @@ def test_hermite_functions_far_from_origin_against_mpmath(x):
             assert abs(mpmath.mpf(value) - sign * ref[k]) <= 1e-12 * scale, (x, k)
 
 
+@pytest.mark.parametrize("nmax", [0, 300, 1024])
+@pytest.mark.parametrize("x", [1.3e3, 1e9, 3.1e9, 1e16, 1e200])
+def test_hermite_functions_far_field_against_mpmath(x, nmax):
+    # every phi_k underflows out here, and from |x| ~ 3e9 on the envelope's
+    # power-of-two split no longer holds
+    got = hermite_functions(np.array([x, -x]), nmax)
+    ref = [float(v) for v in _hermite_functions_reference(x, nmax)]
+    assert np.array_equal(got[:, 0], ref) and np.array_equal(got[:, 1], ref)
+
+
 def test_log_factorial_array_against_gammaln():
     k = np.arange(2049)
     got = log_factorial(k)
