@@ -160,13 +160,7 @@ def scheme_a_state(spec, policy, phi_t=0.0, phi_r=0.0, route="closed"):
     bs = BeamSplitterParams(math.pi / 4, phi_t, phi_r)
     beta_meas = spec.beta * np.exp(-1j * (phi_t + phi_r + math.pi))
     signal = fock.fock_state(spec.n, policy)
-    if route == "closed":
-        y = conditional.y_displaced_fock(0, spec.n, 0j, beta_meas, bs, policy)
-    elif route == "oracle":
-        y = twomode.oracle_y(ReferencePrep.vacuum(),
-                             ReferencePrep.fock(spec.n, beta_meas), bs, policy)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    y = _conditional_y(route, 0, 0j, spec.n, beta_meas, bs, policy)
     return conditional.apply_conditional(y, signal)
 
 
@@ -182,14 +176,19 @@ def scheme_b_state(spec, policy, bs=None, route="closed"):
     if not bs.is_balanced:
         raise ValueError("scheme_b_state needs a balanced beam splitter")
     signal = fock.coherent_state(spec.beta / bs.transmittance, policy)
-    if route == "closed":
-        y = conditional.y_displaced_fock(spec.n, spec.n, 0j, 0j, bs, policy)
-    elif route == "oracle":
-        y = twomode.oracle_y(ReferencePrep.fock(spec.n),
-                             ReferencePrep.fock(spec.n), bs, policy)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    y = _conditional_y(route, spec.n, 0j, spec.n, 0j, bs, policy)
     return conditional.apply_conditional(y, signal)
+
+
+def _conditional_y(route, m, alpha, n, beta, bs, policy):
+    """Y for the references D(alpha)|m> in and D(beta)|n> detected, from the
+    closed form (``route = "closed"``) or the two-mode oracle ("oracle")."""
+    if route == "closed":
+        return conditional.y_displaced_fock(m, n, alpha, beta, bs, policy)
+    if route == "oracle":
+        return twomode.oracle_y(ReferencePrep.fock(m, alpha), ReferencePrep.fock(n, beta),
+                                bs, policy)
+    raise ValueError(f"unknown route {route!r}")
 
 
 def multi_cat_log_norm(spec):

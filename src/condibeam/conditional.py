@@ -20,10 +20,10 @@ Y is kept in that factored form, a :class:`ConditionalOperator`: the two
 displacement arguments and the bracket's diagonals (offset -> values, the
 T^n column factor folded in).  Applying it to a state displaces, runs the
 band and displaces again with no dense operator (:func:`fock.displace`):
-O(N t) for a state whose numerical top is t (the levels above it hold at
-most 1e-17 of its norm), such as a Fock or coherent signal, and O(N^2) at
-most.  Its ``mat`` builds the dense matrix from the same factors, for SVDs,
-norms and the oracle comparisons only.
+O(N t) for a state whose numerical top is t (:func:`fock._numerical_top`),
+such as a Fock or coherent signal, and O(N^2) at most.  Its ``mat`` builds
+the dense matrix from the same factors, for SVDs, norms and the oracle
+comparisons only.
 
 Both forms stop the inner index of D(left) . band . D(right) at the
 cutoff, as the dense product of the three truncated matrices does.  The
@@ -252,11 +252,11 @@ def swap_roles(psi_in, prep_ref, prep_meas, bs, policy):
 
     This helper applies the exchanged pipeline and counter-rotates the
     output, so the returned state matches the direct pipeline's output up
-    to a global phase.  Returns (state, probability).
+    to a global phase.  The signal enters as a polynomial of degree
+    :func:`fock._numerical_top` (psi_in).  Returns (state, probability).
     """
-    amps = psi_in.amps
-    deg = max(int(i) for i in np.nonzero(np.abs(amps) > 1e-14)[0]) if np.any(amps) else 0
-    new_ref = ReferencePrep(OperatorPolynomial.from_state_amplitudes(amps[: deg + 1]))
+    deg = fock._numerical_top(psi_in.amps)
+    new_ref = ReferencePrep(OperatorPolynomial.from_state_amplitudes(psi_in.amps[:deg + 1]))
     new_signal = prep_ref.state(policy)
     y = y_displaced_general(new_ref, _rotate_prep(prep_meas, np.pi / 2),
                             bs.swapped(), policy)

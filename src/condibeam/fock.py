@@ -126,6 +126,17 @@ def _freeze(arr, dtype=complex):
     return arr
 
 
+def _freeze_field(obj, name, ndim):
+    """Replace the array field ``name`` of the frozen dataclass ``obj`` by its
+    :func:`_freeze` copy, after checking that each of its ``ndim`` axes holds
+    the levels 0..obj.cutoff."""
+    arr = _freeze(getattr(obj, name))
+    shape = (obj.cutoff + 1,) * ndim
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class FockVector:
     """Amplitudes of a single-mode state over photon numbers 0..cutoff."""
@@ -134,11 +145,7 @@ class FockVector:
     cutoff: int
 
     def __post_init__(self):
-        amps = _freeze(self.amps)
-        if amps.shape != (self.cutoff + 1,):
-            raise ValueError(
-                f"amps has shape {amps.shape}, expected ({self.cutoff + 1},)")
-        object.__setattr__(self, "amps", amps)
+        _freeze_field(self, "amps", 1)
 
     @property
     def dim(self):
@@ -158,11 +165,7 @@ class FockOperator:
     cutoff: int
 
     def __post_init__(self):
-        mat = _freeze(self.mat)
-        d = self.cutoff + 1
-        if mat.shape != (d, d):
-            raise ValueError(f"mat has shape {mat.shape}, expected ({d}, {d})")
-        object.__setattr__(self, "mat", mat)
+        _freeze_field(self, "mat", 2)
 
     @property
     def dim(self):
@@ -255,21 +258,13 @@ def coherent_state(alpha, policy):
     cutoff exceeds the policy's tail_tol.
     """
     policy.check_displacement(alpha, "coherent_state")
-    amps = _coherent_amps(alpha, policy.dim)
+    if alpha == 0:
+        return fock_state(0, policy)
+    k = np.arange(policy.dim)
+    logmag = k * np.log(abs(alpha)) - 0.5 * log_factorial(k) - abs(alpha) ** 2 / 2
+    amps = np.exp(logmag) * np.exp(1j * k * np.angle(alpha))
     amps /= np.linalg.norm(amps)
     return FockVector(amps, policy.cutoff)
-
-
-def _coherent_amps(alpha, dim):
-    """Unnormalized-by-truncation coherent amplitudes (exact analytic values)."""
-    k = np.arange(dim)
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    logmag = k * np.log(abs(alpha)) - 0.5 * log_factorial(k) - abs(alpha) ** 2 / 2
-    phase = np.exp(1j * k * np.angle(alpha))
-    return np.exp(logmag) * phase
 
 
 def _displacement_factors(alpha, cutoff, top):
@@ -341,7 +336,8 @@ _NUMERICAL_TAIL = 1e-17
 
 def _numerical_top(amps):
     """Smallest level t with ||amps[t+1:]|| <= _NUMERICAL_TAIL ||amps||
-    (0 for the zero vector)."""
+    (0 for the zero vector): the one rule for where a state lives.  A caller
+    with levels spread over a matrix passes the root of its per-level mass."""
     mass = np.abs(amps) ** 2
     above = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # ||amps[l+1:]||^2
     return int(np.argmax(above <= _NUMERICAL_TAIL ** 2 * mass.sum()))
@@ -351,12 +347,11 @@ def displace(alpha, vector):
     """D(alpha)|vector>, the matrix of :func:`displacement_op` applied
     without forming it.
 
-    The vector is taken on levels 0..t, t its numerical top: the smallest
-    level with ||v[t+1:]|| <= 1e-17 ||v||, its highest nonzero level or
-    below it.  The truncated D(alpha) is a compression of a unitary
-    (spectral norm <= 1), so the part of the output this drops has norm at
-    most 1e-17 ||v||.  e^(-x/2) P M P* v then reads columns 0..t of M only.
-    It takes two real products with their lower triangle L
+    The vector is taken on levels 0..t, t its numerical top
+    (:func:`_numerical_top`).  The truncated D(alpha) is a compression of a
+    unitary (spectral norm <= 1), so the part of the output this drops has
+    norm at most 1e-17 ||v||.  e^(-x/2) P M P* v then reads columns 0..t of
+    M only.  It takes two real products with their lower triangle L
     (:func:`_displacement_factors`) and its top (t+1) x (t+1) block L0:
     M w = L w + S L0^T S w - diag(L0) w, S = diag((-1)^k), the last two
     terms on levels 0..t, with the real and imaginary parts of w as the two

@@ -26,17 +26,19 @@ of oscillator functions over the x axis and applies every phase to it as
 one (level, phi) matrix.
 
 The chi-state Wigner closed form runs one triangular Laguerre recurrence
-for all diagonals, on the grid's distinct |z|^2 values only (at most 861
-for the 6561 points of a symmetric 81 x 81 grid), and sums the diagonals by
-Horner in e^(i arg z).
+for all diagonals, on the grid's distinct |z|^2 values only, and sums the
+diagonals by Horner in e^(i arg z).
 
-The generic routes run on the state's support, not on every level up to
-the cutoff: the Husimi overlap contracts over the nonzero levels only, and
-the wavefunction and quadrature routes stop at the highest nonzero level
-(the Hermite recurrence needs every level below it).  Their cost therefore
-depends on the state, not on the cutoff; a chi state with n photons costs
-the same at cutoff 64 as at 1024.  The Husimi truncation check
+The generic routes stop at the state's numerical top t
+(:func:`fock._numerical_top`), not at the cutoff: the Husimi overlap runs
+on the nonzero levels up to t, skipping gaps such as a multi-cat's, and
+the wavefunction and quadrature routes on every level up to t (the
+Hermite recurrence needs them all).  So a chi state with n photons, or a
+conditional output whose amplitudes stay tiny up to the cutoff, costs the
+same at any cutoff.  The Husimi truncation check
 (:meth:`fock.TruncationPolicy.check_overlap`) still reads the full vector.
+Past :func:`_far_radius` (t) the Husimi routes return exact zeros, as
+:func:`fock.hermite_functions` does past its radius.
 """
 
 import math
@@ -47,7 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cats import _chi_amplitudes, multi_cat_log_norm
 from .errors import DomainError, IntegrationRangeError
-from .fock import hermite_functions
+from .fock import _numerical_top, hermite_functions
 from .polynomials import assoc_laguerre, laguerre_rows, log_factorial
 
 __all__ = [
@@ -133,16 +135,23 @@ class GridFunction:
 
 
 def _support(state):
-    """Levels with a nonzero amplitude, ascending; level 0 for the zero vector."""
-    levels = np.flatnonzero(state.amps)
-    return levels if levels.size else np.zeros(1, dtype=int)
+    """The nonzero levels below the numerical top t, then t."""
+    top = _numerical_top(state.amps)
+    return np.append(np.flatnonzero(state.amps[:top]), top)
+
+
+def _far_radius(top):
+    """R = 40 + 2u, u = sqrt(top).  For |alpha| >= R the magnitudes
+    e^(-|alpha|^2/2) |alpha|^k / sqrt(k!), k <= top, peak at k = top and fall
+    with |alpha|; at R their log is below u^2 (ln 2 + 20/u + 1/2) - R^2/2 < -800."""
+    return 40.0 + 2.0 * math.sqrt(top)
 
 
 def _coherent_overlap(state, alpha_flat):
     """<alpha|psi> for an array of coherent amplitudes.
 
     Uses the exact analytic coherent amplitudes (no renormalization) on the
-    state's nonzero levels k_0 < ... < k_m only.  Their magnitudes
+    levels k_0 < ... < k_m of :func:`_support` only.  Their magnitudes
     |alpha|^k e^(-|alpha|^2/2) / sqrt(k!) are assembled in log space, so
     every one is bounded by 1 and the sum is stable for any |alpha|; their
     phases come from Horner's rule in v = e^(-i arg alpha),
@@ -152,10 +161,11 @@ def _coherent_overlap(state, alpha_flat):
     with one power v^g = e^(-ig arg alpha) per distinct gap g (and for
     k_0), so a grid takes as many complex exponentials as the support has
     distinct gaps, not one per level.  At alpha = 0 the overlap is <0|psi>.
+    |alpha| is clipped to :func:`_far_radius`, where every magnitude is 0.
     The truncation check on the full vector is the caller's.
     """
     k = _support(state)
-    r = np.abs(alpha_flat)
+    r = np.minimum(np.abs(alpha_flat), _far_radius(k[-1]))
     safe_r = np.where(r > 0, r, 1.0)
     mag = np.exp(k[:, None] * np.log(safe_r) - 0.5 * log_factorial(k)[:, None]
                  - 0.5 * r ** 2)  # (level, point)
@@ -177,7 +187,7 @@ def husimi(state, grid, policy):
 
     :meth:`TruncationPolicy.check_overlap` runs first, on the full vector
     and the largest |alpha| of the grid; the overlap then runs on the
-    state's nonzero levels.
+    nonzero levels up to the state's numerical top.
     """
     _require_2d(grid)
     alpha = grid.alpha().ravel()
@@ -191,27 +201,35 @@ def husimi_chi_closed(spec, grid):
     """Closed form for the chi state: |L_n(beta(a* + b*))|^2 e^(-|a|^2)/(pi N).
 
     N enters as ln N inside the exponential, so the form holds where N
-    overflows.
+    overflows.  Past :func:`_far_radius` (n) Q is 0 and not evaluated.
     """
     _require_2d(grid)
     _, log_norm = _chi_amplitudes(spec.n, spec.beta)
     alpha = grid.alpha()
+    near = np.abs(alpha) <= _far_radius(spec.n)
+    alpha = alpha[near]
     arg = spec.beta * (np.conj(alpha) + np.conj(spec.beta))
     scaled = (assoc_laguerre(spec.n, 0, arg)[spec.n]
               * np.exp(-0.5 * (np.abs(alpha) ** 2 + log_norm)))
-    return GridFunction(np.abs(scaled) ** 2 / np.pi, grid, "husimi")
+    q = np.zeros(near.shape)
+    q[near] = np.abs(scaled) ** 2 / np.pi
+    return GridFunction(q, grid, "husimi")
 
 
 def husimi_multi_cat_closed(spec, grid):
-    """Closed form |alpha^k - beta^k|^(2n) e^(-|alpha|^2) / (pi N_k), in log space."""
+    """Closed form |alpha^k - beta^k|^(2n) e^(-|alpha|^2) / (pi N_k), in log
+    space; past :func:`_far_radius` (kn) Q is 0 and not evaluated."""
     _require_2d(grid)
     alpha = grid.alpha()
+    near = np.abs(alpha) <= _far_radius(spec.k * spec.n)
+    alpha = alpha[near]
     log_norm = multi_cat_log_norm(spec)
     diff = alpha ** spec.k - spec.beta ** spec.k
     with np.errstate(divide="ignore"):
         logq = (2.0 * spec.n * np.log(np.abs(diff)) - np.abs(alpha) ** 2
                 - math.log(math.pi) - log_norm)
-    q = np.exp(logq)
+    q = np.zeros(near.shape)
+    q[near] = np.exp(logq)
     q[~np.isfinite(q)] = 0.0  # log(0) at the exact zeros of the pattern
     return GridFunction(q, grid, "husimi")
 
@@ -246,10 +264,10 @@ def default_integration(state):
 def _wavefunction(state, u):
     """<u,0|psi> evaluated with the stable oscillator-function recurrence.
 
-    The recurrence runs up to the highest nonzero level of the state, not
-    up to the cutoff.
+    The recurrence runs up to the state's numerical top, not up to the
+    cutoff.
     """
-    top = _support(state)[-1]
+    top = _numerical_top(state.amps)
     return np.tensordot(state.amps[:top + 1], hermite_functions(u, top), axes=(0, 0))
 
 
@@ -374,10 +392,10 @@ def quadrature_dist(state, grid):
     """p(x, phi) = |<x,phi|psi>|^2 over x (axis1) and phi (axis2).
 
     <x,phi|psi> = sum_k e^(-ik phi) c_k phi_k(x): one table of oscillator
-    functions, up to the highest nonzero level of the state, is contracted
-    with the (level, phi) matrix of phased amplitudes.
+    functions, up to the state's numerical top, is contracted with the
+    (level, phi) matrix of phased amplitudes.
     """
-    top = _support(state)[-1]
+    top = _numerical_top(state.amps)
     k = np.arange(top + 1)
     coeffs = np.exp(-1j * np.outer(k, grid.axis2.values)) * state.amps[:top + 1, None]
     amp = np.tensordot(hermite_functions(grid.axis1.values, top), coeffs, axes=(0, 0))

@@ -15,10 +15,10 @@ are restricted to the safe block.
 The recurrence is closed on the reference-mode levels q <= L: each step
 reads only the element's own reference indices or one below them.  A
 routine that needs only such levels runs it on that band alone, O(N L^2)
-for cutoff N instead of O(N^3).  The oracle takes L from the reference
-amplitudes (the level above which each holds at most 1e-17 of its norm);
-:func:`conditional_reduce` takes the highest sector its input occupies,
-which bounds every reference index it meets.
+for cutoff N instead of O(N^3).  Each such bound is a numerical top
+(:func:`fock._numerical_top`): the oracle takes L from the reference
+amplitudes, and the reduce routes stop at the top sector of their input,
+which bounds every reference index they meet.
 
 Everything here is deliberately independent of the closed-form construction
 in the conditional module (no ``polynomials`` evaluator, ``ordering`` or
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffMismatchError, ZeroProbabilityError
-from .fock import FockOperator, _freeze, _numerical_top
+from .fock import FockOperator, _freeze, _freeze_field, _numerical_top
 
 __all__ = [
     "TwoModeState",
@@ -53,11 +53,7 @@ class TwoModeState:
     cutoff: int
 
     def __post_init__(self):
-        amps = _freeze(self.amps)
-        d = self.cutoff + 1
-        if amps.shape != (d, d):
-            raise ValueError(f"amps has shape {amps.shape}, expected ({d}, {d})")
-        object.__setattr__(self, "amps", amps)
+        _freeze_field(self, "amps", 2)
 
 
 def product_state(v1, v2):
@@ -75,11 +71,7 @@ class DensityOperator:
     cutoff: int
 
     def __post_init__(self):
-        mat = _freeze(self.mat)
-        d = self.cutoff + 1
-        if mat.shape != (d, d):
-            raise ValueError(f"mat has shape {mat.shape}, expected ({d}, {d})")
-        object.__setattr__(self, "mat", mat)
+        _freeze_field(self, "mat", 2)
 
     @classmethod
     def from_pure(cls, v):
@@ -213,9 +205,8 @@ def oracle_y(ref_in, ref_out, bs, policy):
 
     Y[j, i] = <j| <ref_out| U |i> |ref_in>, contracted sector by sector as
     the exact blocks of :func:`_sector_blocks` are produced (none is kept).
-    Only reference levels up to L enter, L the smallest level at which the
-    norm of either reference's amplitudes above L is at most 1e-17 of its
-    norm (computed from the amplitudes, no closed form involved).  U is
+    Only reference levels up to L enter, L the higher numerical top of the
+    two references' amplitudes (no closed form involved).  U is
     unitary, so the dropped part of Y has norm at most
     ||tail_out|| ||v_in|| + ||v_out|| ||tail_in||, and the cost is
     O(N L^2) for cutoff N instead of O(N^3).
@@ -263,23 +254,17 @@ def photon_counting_povm(eta, policy):
     return PhotonCountingPovm(weights, eta, policy.cutoff)
 
 
-def _top_level(amps):
-    """Highest index along any axis at which ``amps`` is nonzero (-1 if none)."""
-    nonzero = np.nonzero(amps)
-    return max((int(idx.max()) for idx in nonzero if idx.size), default=-1)
-
-
 def conditional_reduce(state_in, povm_element, bs, policy):
     """Propagate a pure two-mode state and condition on a POVM outcome.
 
     Returns the normalized reduced signal-mode density matrix and the
     outcome probability p = Tr[ U rho U^dag (1 x Pi) ].  The unitary
-    conserves the total photon number, so the sectors above the highest one
-    the input occupies are never built.
+    conserves the total photon number, so the sectors above the numerical
+    top of the input's per-sector mass are never built.
     """
     amps = state_in.amps
-    occupied = np.add(*np.nonzero(amps))
-    top = int(occupied.max()) if occupied.size else 0
+    sectors = np.bincount(np.indices(amps.shape).sum(0).ravel(), (np.abs(amps) ** 2).ravel())
+    top = _numerical_top(np.sqrt(sectors))
     vout = np.zeros_like(amps)
     # a sector M <= top has reference indices <= top
     for total, lo, left, rot, right in _sector_blocks(bs, policy.cutoff,
@@ -288,13 +273,7 @@ def conditional_reduce(state_in, povm_element, bs, policy):
             break
         k1 = np.arange(lo, lo + len(rot))
         vout[k1, total - k1] = left * (rot @ (right * amps[k1, total - k1]))
-    rho1 = vout @ povm_element.mat.T @ vout.conj().T
-    p = float(np.real(np.trace(rho1)))
-    if p < 1e-14:
-        raise ZeroProbabilityError(
-            f"measurement outcome has probability {p:.3e}")
-    rho1 = (rho1 + rho1.conj().T) / (2.0 * p)  # symmetrize FP noise
-    return DensityOperator(rho1, policy.cutoff).validate(), p
+    return _conditioned(vout @ povm_element.mat.T @ vout.conj().T, policy)
 
 
 def conditional_reduce_mixed(rho_in1, ref_ensemble, meas_ensemble, bs, policy):
@@ -307,9 +286,9 @@ def conditional_reduce_mixed(rho_in1, ref_ensemble, meas_ensemble, bs, policy):
     over all ensemble pairs, with Y from the two-mode oracle, normalized by
     the total outcome probability.  One pass over the sectors, on the
     reference band of all the ensembles' states (:func:`oracle_y`), serves
-    every pair, and it stops at the highest sector the input (rho tensor
-    the input references) occupies: columns of Y beyond rho's support meet
-    only zeros of rho.
+    every pair, and it stops at the numerical top of diag(rho) plus the
+    highest top of the input references: rho is positive, |rho_ij| <=
+    sqrt(rho_ii rho_jj), so its diagonal bounds its rows and columns.
     """
     w_in = [w for w, _ in ref_ensemble]
     if any(w < 0 for w in w_in) or abs(sum(w_in) - 1.0) > 1e-10:
@@ -320,13 +299,18 @@ def conditional_reduce_mixed(rho_in1, ref_ensemble, meas_ensemble, bs, policy):
     outs = [(pl, prep.state(policy).amps) for pl, prep in meas_ensemble if pl != 0.0]
     weights = [w * pl for w, _ in ins for pl, _ in outs]
     pairs = [(vin, vout) for _, vin in ins for _, vout in outs]
-    top = _top_level(rho_in1.mat) + max((_top_level(v) for _, v in ins), default=0)
+    top = (_numerical_top(np.sqrt(np.abs(rho_in1.mat.diagonal())))
+           + max((_numerical_top(v) for _, v in ins), default=0))
     accum = np.zeros((policy.dim, policy.dim), dtype=complex)
     for wt, y in zip(weights, _oracle_ys(pairs, bs, policy.cutoff, top)):
         accum += wt * (y @ rho_in1.mat @ y.conj().T)
-    p = float(np.real(np.trace(accum)))
+    return _conditioned(accum, policy)
+
+
+def _conditioned(rho, policy):
+    """(rho / p, p) for the outcome probability p = Tr rho, symmetrized
+    against rounding and validated; ZeroProbabilityError for p < 1e-14."""
+    p = float(np.real(np.trace(rho)))
     if p < 1e-14:
-        raise ZeroProbabilityError(
-            f"measurement outcome has probability {p:.3e}")
-    accum = (accum + accum.conj().T) / (2.0 * p)
-    return DensityOperator(accum, policy.cutoff).validate(), p
+        raise ZeroProbabilityError(f"measurement outcome has probability {p:.3e}")
+    return DensityOperator((rho + rho.conj().T) / (2.0 * p), policy.cutoff).validate(), p

@@ -93,3 +93,26 @@ def test_truncation_is_decided_only_in_fock():
               if name in TRUNCATION_ERRORS
               and (path.stem, func) != ("conditional", "y_displaced_fock")]
     assert not strays, strays
+
+
+ZERO_SCANS = {"nonzero", "flatnonzero", "argwhere"}
+
+
+def test_state_extent_is_decided_only_by_the_numerical_top():
+    # fock._numerical_top is the one rule for where a state lives; only
+    # phasespace._support looks for exact zeros, to skip the gaps below the top
+    strays = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "fock":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.stem == "phasespace":
+            support = next(node for node in tree.body if getattr(node, "name", None) == "_support")
+            allowed = {id(node) for node in ast.walk(support)}
+        # np.nonzero(...), a.nonzero() and ``from numpy import nonzero``
+        strays += [f"{path.stem}.py:{node.lineno}" for node in ast.walk(tree)
+                   if (getattr(node, "attr", None) in ZERO_SCANS
+                       or isinstance(node, ast.alias) and node.name in ZERO_SCANS)
+                   and id(node) not in allowed]
+    assert not strays, strays

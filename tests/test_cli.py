@@ -353,6 +353,29 @@ class TestMainExitCodes:
         assert rc == 3 and captured.out == ""
         assert captured.err.startswith("domain error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("config", ["two_peak_husimi", "five_component_cat_husimi"])
+    def test_far_husimi_grid_is_zero(self, tmp_path, capsys, config):
+        # e^(-|alpha|^2) underflows far out, so the overlap and the closed form
+        # give exact zeros there, with no warning; only the origin is nonzero
+        edits = {"grid_lo": -1e200, "grid_hi": 1e200}
+        lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
+        keys = [line.split("#")[0].split("=")[0].strip() for line in lines]
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("\n".join(f"{k} = {edits[k]}" if k in edits else line
+                                 for k, line in zip(keys, lines)) + "\n")
+        out = tmp_path / "q.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["q-grid", "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert not caught, [str(w.message) for w in caught]
+        scalars = dict(line.split(" = ") for line in captured.out.splitlines()
+                       if not line.startswith("#"))
+        assert float(scalars["closed_form_max_abs_dev"]) < 1e-15
+        q = np.loadtxt(out, delimiter=",", comments="#")
+        assert q.shape == (81, 81) and np.count_nonzero(q) == 1 and q[40, 40] > 0
+
     @pytest.mark.parametrize("scalars, grid_value", [
         ({"p_0": math.nan}, 0.0), ({"amp_0": complex(0.5, math.nan)}, 0.0), ({"p_0": 1.0}, math.nan),
     ], ids=["float", "complex", "grid"])

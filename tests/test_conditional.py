@@ -353,6 +353,34 @@ class TestFactoredForm:
         assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
+@st.composite
+def finite_signals(draw):
+    """A signal on levels 0..top (top <= 5) with random amplitudes and phases,
+    a Fock reference m <= 3, a splitter with theta in [0.2, 1.37] and random
+    phases, and a cutoff >= 4 (top + m), so every outcome n <= top + m builds."""
+    phase = st.floats(0.0, 2 * math.pi)
+    top, m = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    bs = BeamSplitterParams(draw(st.floats(0.2, 1.37)), draw(phase), draw(phase))
+    cutoff = max(8, 4 * (top + m)) + draw(st.integers(0, 16))
+    amps = np.zeros(cutoff + 1, dtype=complex)
+    amps[:top + 1] = [draw(st.floats(0.05, 1.0)) * np.exp(1j * draw(phase))
+                      for _ in range(top + 1)]
+    return fock.normalize(fock.FockVector(amps, cutoff)), top, m, bs
+
+
+class TestOutcomeCompleteness:
+    @given(finite_signals())
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_probabilities_sum_to_one(self, case):
+        # photon number is conserved, so the detector sees at most top + m
+        # photons and the closed-form outcome probabilities exhaust them
+        psi, top, m, bs = case
+        policy = fock.TruncationPolicy(psi.cutoff)
+        total = sum(fock.norm(conditional.y_displaced_fock(m, n, 0j, 0j, bs, policy)
+                              .apply(psi)) ** 2 for n in range(top + m + 1))
+        assert abs(total - 1.0) <= 1e-12
+
+
 class TestHighFockReferences:
     @pytest.mark.parametrize("n, cutoff", [(30, 128), (40, 168), (60, 256), (100, 400)])
     def test_fock_matches_oracle_on_safe_block(self, n, cutoff):

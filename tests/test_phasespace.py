@@ -410,6 +410,35 @@ class TestSupportEvaluation:
             assert np.array_equal(small, large)
         assert levels and max(levels) == 10
 
+    def test_conditional_output_runs_on_its_numerical_top(self, monkeypatch):
+        # a scheme-b output is nonzero on every level up to the cutoff, but
+        # the levels above its numerical top t hold at most 1e-17 of its norm:
+        # the evaluators read levels 0..t only and match the full sums
+        pol = fock.TruncationPolicy(cutoff=512)
+        state, _ = cats.scheme_b_state(cats.CatSpec(20, math.sqrt(10.0)), pol)
+        top = fock._numerical_top(state.amps)
+        assert np.count_nonzero(state.amps) == pol.dim and top < 128
+        grid = ps.PhaseGrid.square(-6, 6, 25)
+        ax = ps.Axis("x", -9, 9, 37)
+
+        def evaluate():
+            return (ps.husimi(state, grid, pol).values, ps.wigner_numeric(state, grid).values,
+                    ps.quadrature_dist(state, at_phase(ax, 0.7)).values)
+
+        levels = []
+        hermite, log_fact = ps.hermite_functions, ps.log_factorial
+        monkeypatch.setattr(ps, "hermite_functions",
+                            lambda x, nmax: levels.append(nmax) or hermite(x, nmax))
+        monkeypatch.setattr(ps, "log_factorial",
+                            lambda k: levels.append(int(np.max(k))) or log_fact(k))
+        got = evaluate()
+        assert len(levels) >= 3 and max(levels) <= top
+        monkeypatch.setattr(ps, "_numerical_top", lambda amps: len(amps) - 1)
+        full = evaluate()
+        assert max(levels) == pol.cutoff
+        for value, reference in zip(got, full):
+            assert np.max(np.abs(value - reference)) <= 1e-15
+
 
 # Grids on which the Horner sums meet their direct referees: symmetric (many
 # repeated |z|^2), off-center, asymmetric (few repeats), with a reversed
