@@ -25,6 +25,7 @@ from .cats import (
 from .conditional import (
     ConditionalOperator,
     apply_conditional,
+    apply_conditional_mixed,
     swap_roles,
     y_displaced_fock,
     y_displaced_general,
@@ -32,6 +33,7 @@ from .conditional import (
 )
 from .errors import *  # noqa: F403 -- errors.__all__: every error class
 from .fock import (
+    DensityOperator,
     FockOperator,
     FockVector,
     TruncationPolicy,
@@ -67,11 +69,9 @@ from .phasespace import (
     wigner_numeric,
 )
 from .twomode import (
-    DensityOperator,
     PhotonCountingPovm,
     TwoModeState,
     conditional_reduce,
-    conditional_reduce_mixed,
     oracle_y,
     photon_counting_povm,
     product_state,

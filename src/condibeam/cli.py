@@ -435,16 +435,18 @@ def _run_povm_demo(params):
     two = twomode.product_state(signal, fock.fock_state(0, policy))
     rho_direct, p_direct = twomode.conditional_reduce(
         two, povm.element(params["outcome"]), bs, policy)
-    # same outcome through the ensemble decomposition over Fock projectors;
-    # with a vacuum reference the detector never sees more than signal_n
-    # photons, so the decomposition can stop there exactly
+    # the same outcome from the closed form: the POVM element decomposed
+    # over Fock projectors, one closed-form Y per projector (a Kraus map),
+    # checked against the two-mode route above; with a vacuum reference the
+    # detector never sees more than signal_n photons, so the decomposition
+    # can stop there exactly
     weights = povm.weights[params["outcome"]]
     meas_ensemble = [(float(w), ReferencePrep.fock(k))
                      for k, w in enumerate(weights[: params["signal_n"] + 1])
                      if w > 0]
-    rho_in1 = twomode.DensityOperator.from_pure(signal)
-    rho_mixed, p_mixed = twomode.conditional_reduce_mixed(
-        rho_in1, [(1.0, ReferencePrep.vacuum())], meas_ensemble, bs, policy)
+    rho_mixed, p_mixed = conditional.apply_conditional_mixed(
+        fock.DensityOperator.from_pure(signal), [(1.0, ReferencePrep.vacuum())],
+        meas_ensemble, bs, policy)
     scalars = {
         "completeness_max_dev": completeness,
         "p_outcome": p_direct,

@@ -42,6 +42,9 @@ pinned as well).
 
 Success-probability bookkeeping: ||Y psi||^2 is the probability of the
 conditioned outcome when psi and both reference states are normalized.
+A mixed reference or a non-projective measurement splits into pure
+ensembles, and :func:`apply_conditional_mixed` runs their Kraus map from
+the same builder.
 """
 
 import functools
@@ -61,6 +64,7 @@ __all__ = [
     "y_general",
     "y_displaced_general",
     "apply_conditional",
+    "apply_conditional_mixed",
     "swap_roles",
 ]
 
@@ -227,6 +231,41 @@ def apply_conditional(y, psi_in):
         raise ZeroProbabilityError(
             f"conditioning on an outcome of probability {p:.3e}")
     return fock.normalize(out), p
+
+
+def apply_conditional_mixed(rho, ref_ensemble, meas_ensemble, bs, policy):
+    """Mixed reference state and non-projective measurement, in closed form.
+
+    ``ref_ensemble`` is a list of (weight, ReferencePrep) describing the
+    input reference mode; ``meas_ensemble`` a list of (p(l | state),
+    ReferencePrep) decomposing the POVM element of the observed outcome l.
+    ``rho`` (a :class:`fock.DensityOperator`) goes through the Kraus map
+    sum_il w_i p_l Y_il rho Y_il^dag, Y_il from :func:`y_displaced_general`;
+    returns the normalized output and the outcome probability, its trace
+    (ZeroProbabilityError for p < 1e-14).  rho is positive,
+    |rho_ij| <= sqrt(rho_ii rho_jj), so it is taken on the levels 0..t, t
+    the numerical top of sqrt(diag rho), and K = Y restricted to them is
+    Y|0>..Y|t>, each applied in factored form: O(N t) per column.
+    """
+    if rho.cutoff != policy.cutoff:
+        raise CutoffMismatchError(f"cutoff mismatch: {policy.cutoff} vs {rho.cutoff}")
+    w_in = [w for w, _ in ref_ensemble]
+    if not all(0 <= w < np.inf for w in w_in) or not abs(sum(w_in) - 1.0) <= 1e-10:
+        raise ValueError("input ensemble weights must be finite, >= 0 and sum to 1")
+    if not all(0 <= pl < np.inf for pl, _ in meas_ensemble):
+        raise ValueError("measurement ensemble weights must be finite and >= 0")
+    top = fock._numerical_top(np.sqrt(np.abs(rho.mat.diagonal())))
+    block = rho.mat[:top + 1, :top + 1]
+    columns = [fock.FockVector(e, policy.cutoff) for e in np.eye(top + 1, policy.dim)]
+    accum = np.zeros((policy.dim, policy.dim), dtype=complex)
+    for w, prep_in in ref_ensemble:
+        for pl, prep_meas in meas_ensemble:
+            if w * pl == 0:
+                continue
+            y = y_displaced_general(prep_in, prep_meas, bs, policy)
+            kraus = np.stack([y.apply(e).amps for e in columns], axis=1)
+            accum += w * pl * (kraus @ block @ kraus.conj().T)
+    return fock._conditioned(accum, policy.cutoff)
 
 
 def _rotate_prep(prep, chi):

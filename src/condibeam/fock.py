@@ -1,6 +1,7 @@
 """Truncated single-mode Fock-space linear algebra.
 
-States are complex amplitude vectors over photon numbers 0..cutoff.
+States are complex amplitude vectors over photon numbers 0..cutoff, or
+density matrices over them (:class:`DensityOperator`).
 :class:`FockOperator` is a dense complex matrix, built where a whole
 operator is wanted (norms, SVDs, oracle comparisons).  A displacement of a
 state needs no such matrix: :func:`displace` applies D(alpha) to a vector
@@ -24,13 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffExceededError, CutoffMismatchError, TruncationError
+from .errors import (CutoffExceededError, CutoffMismatchError, TruncationError,
+                     ZeroProbabilityError)
 from .polynomials import laguerre_rows, log_factorial
 
 __all__ = [
     "TruncationPolicy",
     "FockVector",
     "FockOperator",
+    "DensityOperator",
     "fock_state",
     "coherent_state",
     "displacement_op",
@@ -181,6 +184,47 @@ class FockOperator:
                     f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
             return FockOperator(self.mat @ other.mat, self.cutoff)
         return NotImplemented
+
+
+@dataclass(frozen=True)
+class DensityOperator:
+    """Single-mode density matrix with physicality checks."""
+
+    mat: np.ndarray
+    cutoff: int
+
+    def __post_init__(self):
+        _freeze_field(self, "mat", 2)
+
+    @classmethod
+    def from_pure(cls, v):
+        return cls(np.outer(v.amps, v.amps.conj()), v.cutoff)
+
+    def validate(self):
+        """Finite entries, Hermiticity within 1e-12, unit trace within 1e-10,
+        eigenvalues >= -1e-10; ValueError otherwise."""
+        if not np.isfinite(self.mat).all():
+            raise ValueError("density matrix has non-finite entries")
+        herm = np.max(np.abs(self.mat - self.mat.conj().T))
+        if herm > 1e-12:
+            raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
+        tr = self.mat.trace()
+        if abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"density matrix trace {tr!r} is not 1")
+        lam_min = float(np.linalg.eigvalsh(self.mat).min())
+        if lam_min < -1e-10:
+            raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} < 0")
+        return self
+
+
+def _conditioned(rho, cutoff):
+    """(rho / p, p) for the outcome probability p = Tr rho, symmetrized
+    against rounding and validated; ZeroProbabilityError for p < 1e-14.
+    Both reduce routes, two-mode and closed-form, end here."""
+    p = float(np.real(np.trace(rho)))
+    if p < 1e-14:
+        raise ZeroProbabilityError(f"measurement outcome has probability {p:.3e}")
+    return DensityOperator((rho + rho.conj().T) / (2.0 * p), cutoff).validate(), p
 
 
 # --- elementary constructors --------------------------------------------

@@ -1,28 +1,29 @@
-"""Brute-force two-mode beam-splitter simulation (the ground-truth oracle).
+"""Brute-force two-mode beam-splitter simulation: the referee of the closed form.
 
-The unitary commutes with the total photon number, so it acts sector by
-sector on k1 + k2 = M.  :func:`_sector_blocks` produces the exact blocks of
-the untruncated beam splitter (the convention :func:`fock.displacement_op`
-follows as well) one sector at a time, from the recurrence of
-:func:`_sector_rotations`; the oracle (:func:`oracle_y`) and both reduce
-routes contract each block as it is produced, and no dense two-mode
-unitary is ever assembled.  Sectors with M <= cutoff are complete and their
-blocks are unitary; a higher sector keeps only the signal indices
-max(0, M - cutoff)..cutoff, so its block is a compression of a unitary
-(spectral norm <= 1), not a unitary.  That is why closed-form comparisons
-are restricted to the safe block.
+The conditional module builds Y and the conditioned states; this module
+checks them by an independent route.  The unitary commutes with the total
+photon number, so it acts sector by sector on k1 + k2 = M.
+:func:`_sector_blocks` produces the exact blocks of the untruncated beam
+splitter (the convention :func:`fock.displacement_op` follows as well) one
+sector at a time, from the recurrence of :func:`_sector_rotations`;
+:func:`oracle_y` and :func:`conditional_reduce` contract each block as it
+is produced, and no dense two-mode unitary is ever assembled.  Sectors
+with M <= cutoff are complete and their blocks are unitary; a higher
+sector keeps only the signal indices max(0, M - cutoff)..cutoff, so its
+block is a compression of a unitary (spectral norm <= 1), not a unitary.
+That is why closed-form comparisons are restricted to the safe block.
 
 The recurrence is closed on the reference-mode levels q <= L: each step
 reads only the element's own reference indices or one below them.  A
 routine that needs only such levels runs it on that band alone, O(N L^2)
 for cutoff N instead of O(N^3).  Each such bound is a numerical top
 (:func:`fock._numerical_top`): the oracle takes L from the reference
-amplitudes, and the reduce routes stop at the top sector of their input,
-which bounds every reference index they meet.
+amplitudes, and the reduce route stops at the top sector of its input,
+which bounds every reference index it meets.
 
 Everything here is deliberately independent of the closed-form construction
-in the conditional module (no ``polynomials`` evaluator, ``ordering`` or
-``conditional`` import): the two routes check each other.
+(no ``polynomials``, ``ordering`` or ``conditional`` import, and
+``conditional`` imports nothing from here): the two routes check each other.
 """
 
 import math
@@ -30,18 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffMismatchError, ZeroProbabilityError
-from .fock import FockOperator, _freeze, _freeze_field, _numerical_top
+from .errors import CutoffMismatchError
+from .fock import FockOperator, _conditioned, _freeze, _freeze_field, _numerical_top
 
 __all__ = [
     "TwoModeState",
-    "DensityOperator",
     "PhotonCountingPovm",
     "product_state",
     "oracle_y",
     "photon_counting_povm",
     "conditional_reduce",
-    "conditional_reduce_mixed",
 ]
 
 
@@ -61,34 +60,6 @@ def product_state(v1, v2):
     if v1.cutoff != v2.cutoff:
         raise CutoffMismatchError(f"cutoff mismatch: {v1.cutoff} vs {v2.cutoff}")
     return TwoModeState(np.outer(v1.amps, v2.amps), v1.cutoff)
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Single-mode density matrix with physicality checks."""
-
-    mat: np.ndarray
-    cutoff: int
-
-    def __post_init__(self):
-        _freeze_field(self, "mat", 2)
-
-    @classmethod
-    def from_pure(cls, v):
-        return cls(np.outer(v.amps, v.amps.conj()), v.cutoff)
-
-    def validate(self):
-        """Hermiticity within 1e-12, unit trace within 1e-10, eigenvalues >= -1e-10."""
-        herm = np.max(np.abs(self.mat - self.mat.conj().T))
-        if herm > 1e-12:
-            raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
-        tr = self.mat.trace()
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {tr!r} is not 1")
-        lam_min = float(np.linalg.eigvalsh(self.mat).min())
-        if lam_min < -1e-10:
-            raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} < 0")
-        return self
 
 
 def _sector_rotations(theta, cutoff, band):
@@ -172,47 +143,28 @@ def _sector_blocks(bs, cutoff, band):
         yield total, lo, left[at], rot, right[at]
 
 
-def _oracle_ys(pairs, bs, cutoff, top):
-    """Y for every (v_in, v_out) pair of reference amplitudes, from one pass
-    over the sectors 0..top on the pairs' reference band.
-
-    Y[j, i] = <j| <v_out| U |i> |v_in> takes from each sector its block
-    between the reference amplitudes it pairs with: amplitudes and sector
-    phases fold into one vector per side, and the window is contracted as
-    it is produced.  The band L is the highest numerical top
-    (:func:`fock._numerical_top`) of all the amplitudes, so the reference
-    levels above L that the stream leaves out hold at most 1e-17 of each
-    amplitude vector's norm.
-    """
-    dim = cutoff + 1
-    band = max((_numerical_top(v) for pair in pairs for v in pair), default=0)
-    pairs = [(vin, vout.conj()) for vin, vout in pairs]
-    ys = np.zeros((len(pairs), dim, dim), dtype=complex)
-    for total, lo, left, rot, right in _sector_blocks(bs, cutoff, band):
-        if total > top:
-            break
-        hi = lo + len(rot) - 1
-        k2 = slice(total - hi, total - lo + 1)  # reversed against the window
-        window = slice(lo, hi + 1)
-        for y, (vin, vout_conj) in zip(ys, pairs):
-            y[window, window] += (np.outer(vout_conj[k2][::-1] * left, right * vin[k2][::-1])
-                                  * rot)
-    return ys
-
-
 def oracle_y(ref_in, ref_out, bs, policy):
     """Conditional operator from the two-mode simulation.
 
-    Y[j, i] = <j| <ref_out| U |i> |ref_in>, contracted sector by sector as
-    the exact blocks of :func:`_sector_blocks` are produced (none is kept).
+    Y[j, i] = <j| <ref_out| U |i> |ref_in> takes from each sector its block
+    between the reference amplitudes it pairs with: amplitudes and sector
+    phases fold into one vector per side, and each exact block of
+    :func:`_sector_blocks` is contracted as it is produced (none is kept).
     Only reference levels up to L enter, L the higher numerical top of the
-    two references' amplitudes (no closed form involved).  U is
-    unitary, so the dropped part of Y has norm at most
+    two references' amplitudes (no closed form involved).  U is unitary, so
+    the dropped part of Y has norm at most
     ||tail_out|| ||v_in|| + ||v_out|| ||tail_in||, and the cost is
     O(N L^2) for cutoff N instead of O(N^3).
     """
-    pair = (ref_in.state(policy).amps, ref_out.state(policy).amps)
-    ymat = _oracle_ys([pair], bs, policy.cutoff, 2 * policy.cutoff)[0]
+    vin = ref_in.state(policy).amps
+    vout_conj = ref_out.state(policy).amps.conj()
+    ymat = np.zeros((policy.dim, policy.dim), dtype=complex)
+    band = max(_numerical_top(vin), _numerical_top(vout_conj))
+    for total, lo, left, rot, right in _sector_blocks(bs, policy.cutoff, band):
+        hi = lo + len(rot) - 1
+        k2 = slice(total - hi, total - lo + 1)  # reversed against the window
+        ymat[lo:hi + 1, lo:hi + 1] += (np.outer(vout_conj[k2][::-1] * left,
+                                                right * vin[k2][::-1]) * rot)
     return FockOperator(ymat, policy.cutoff)
 
 
@@ -273,44 +225,4 @@ def conditional_reduce(state_in, povm_element, bs, policy):
             break
         k1 = np.arange(lo, lo + len(rot))
         vout[k1, total - k1] = left * (rot @ (right * amps[k1, total - k1]))
-    return _conditioned(vout @ povm_element.mat.T @ vout.conj().T, policy)
-
-
-def conditional_reduce_mixed(rho_in1, ref_ensemble, meas_ensemble, bs, policy):
-    """Mixed reference state and non-projective measurement.
-
-    ``ref_ensemble`` is a list of (weight, ReferencePrep) describing the
-    input reference mode; ``meas_ensemble`` a list of
-    (p(l | state), ReferencePrep) decomposing the POVM element of the
-    observed outcome l.  The output state is the weighted sum of Y rho Y^dag
-    over all ensemble pairs, with Y from the two-mode oracle, normalized by
-    the total outcome probability.  One pass over the sectors, on the
-    reference band of all the ensembles' states (:func:`oracle_y`), serves
-    every pair, and it stops at the numerical top of diag(rho) plus the
-    highest top of the input references: rho is positive, |rho_ij| <=
-    sqrt(rho_ii rho_jj), so its diagonal bounds its rows and columns.
-    """
-    w_in = [w for w, _ in ref_ensemble]
-    if any(w < 0 for w in w_in) or abs(sum(w_in) - 1.0) > 1e-10:
-        raise ValueError("input ensemble weights must be >= 0 and sum to 1")
-    if any(w < 0 for w, _ in meas_ensemble):
-        raise ValueError("measurement ensemble weights must be >= 0")
-    ins = [(w, prep.state(policy).amps) for w, prep in ref_ensemble if w != 0.0]
-    outs = [(pl, prep.state(policy).amps) for pl, prep in meas_ensemble if pl != 0.0]
-    weights = [w * pl for w, _ in ins for pl, _ in outs]
-    pairs = [(vin, vout) for _, vin in ins for _, vout in outs]
-    top = (_numerical_top(np.sqrt(np.abs(rho_in1.mat.diagonal())))
-           + max((_numerical_top(v) for _, v in ins), default=0))
-    accum = np.zeros((policy.dim, policy.dim), dtype=complex)
-    for wt, y in zip(weights, _oracle_ys(pairs, bs, policy.cutoff, top)):
-        accum += wt * (y @ rho_in1.mat @ y.conj().T)
-    return _conditioned(accum, policy)
-
-
-def _conditioned(rho, policy):
-    """(rho / p, p) for the outcome probability p = Tr rho, symmetrized
-    against rounding and validated; ZeroProbabilityError for p < 1e-14."""
-    p = float(np.real(np.trace(rho)))
-    if p < 1e-14:
-        raise ZeroProbabilityError(f"measurement outcome has probability {p:.3e}")
-    return DensityOperator((rho + rho.conj().T) / (2.0 * p), policy.cutoff).validate(), p
+    return _conditioned(vout @ povm_element.mat.T @ vout.conj().T, policy.cutoff)

@@ -235,8 +235,8 @@ def test_criterion_8_photon_counting_povm():
             pol.cutoff))
         prep_in = ReferencePrep.fock(1, 0.2)
         prep_out = ReferencePrep.fock(2, -0.1j)
-        rho_mixed, p_mixed = twomode.conditional_reduce_mixed(
-            twomode.DensityOperator.from_pure(psi),
+        rho_mixed, p_mixed = conditional.apply_conditional_mixed(
+            fock.DensityOperator.from_pure(psi),
             [(1.0, prep_in)], [(1.0, prep_out)], bs, pol)
         proj_state = prep_out.state(pol)
         proj = fock.FockOperator(np.outer(proj_state.amps, proj_state.amps.conj()),

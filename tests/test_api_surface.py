@@ -116,3 +116,29 @@ def test_state_extent_is_decided_only_by_the_numerical_top():
                        or isinstance(node, ast.alias) and node.name in ZERO_SCANS)
                    and id(node) not in allowed]
     assert not strays, strays
+
+
+def imported_modules(tree):
+    """Package modules a module imports: ``from . import x``, ``from .x import
+    y`` and ``import condibeam.x`` all name x."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= ({node.module.split(".")[0]} if node.module
+                    else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("condibeam"):
+            parts = node.module.split(".")
+            out |= {parts[1]} if len(parts) > 1 else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("condibeam.")}
+    return out
+
+
+def test_oracle_and_closed_form_routes_are_independent():
+    # the two-mode oracle referees the closed form, so neither may reach
+    # into the other: twomode shares only fock's linear algebra with it
+    imports = {stem: imported_modules(ast.parse((SRC / f"{stem}.py").read_text()))
+               for stem in ("twomode", "conditional")}
+    assert not imports["twomode"] & {"conditional", "ordering", "polynomials"}, imports
+    assert "twomode" not in imports["conditional"], imports

@@ -274,6 +274,19 @@ class TestMainExitCodes:
         assert cli.main(["y-matrix", "--config", str(cfg)]) == 3
 
     @pytest.mark.parametrize("experiment, config", [
+        ("y-matrix", "m = 1\nn = 1\n"), ("povm-demo", "eta = 0.8\n")],
+        ids=["y-matrix", "povm-demo"])
+    def test_zero_transmittance_is_a_domain_error(self, tmp_path, capsys, experiment,
+                                                  config):
+        # the closed form divides by T, and both experiments build it
+        cfg = tmp_path / "t0.cfg"
+        cfg.write_text(f"{config}theta = {math.pi / 2!r}\ncutoff = 24\n")
+        rc = cli.main([experiment, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("domain error: ") and "needs T != 0" in err
+
+    @pytest.mark.parametrize("experiment, config", [
         ("prob-scan", "beta_rule = fixed\nbeta = 1e200\n"),
         ("prob-scan", "beta_rule = fixed\nbeta = nan\n"),
         ("multi-cat", "n = 2\nk = 2\nbeta = nan\ncutoff = 32\n"),

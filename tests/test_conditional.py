@@ -8,14 +8,17 @@ from hypothesis import example, given, reject, settings, strategies as st
 from condibeam import cats, conditional, fock, twomode
 from condibeam.beamsplitter import BeamSplitterParams, OperatorPolynomial, ReferencePrep
 from condibeam.errors import (
+    CutoffMismatchError,
     DegenerateBeamSplitterError,
     DomainError,
     TruncationError,
     ZeroProbabilityError,
 )
 from test_fock import count_laguerre_rows
+from twomode_reference import conditional_reduce_mixed
 
 POLICY = fock.TruncationPolicy(cutoff=48)
+POLICY24 = fock.TruncationPolicy(cutoff=24)
 HALF = POLICY.safe_levels
 BS = BeamSplitterParams(math.pi / 3, 0.4, 1.1)
 K = np.arange(POLICY.dim)
@@ -381,6 +384,107 @@ class TestOutcomeCompleteness:
         assert abs(total - 1.0) <= 1e-12
 
 
+@st.composite
+def inefficient_detection_cases(draw):
+    """A signal on levels 0..top (top <= 5) with random amplitudes and phases,
+    a reference mixing |m1> and |m2> (m1, m2 <= 3), a splitter with theta in
+    [0.2, 1.37] and random phases, and photon counting with efficiency eta in
+    [0.05, 1], at cutoff 24."""
+    phase = st.floats(0.0, 2 * math.pi)
+    top = draw(st.integers(0, 5))
+    w = draw(st.floats(0.0, 1.0))
+    refs = [(w, ReferencePrep.fock(draw(st.integers(0, 3)))),
+            (1.0 - w, ReferencePrep.fock(draw(st.integers(0, 3))))]
+    bs = BeamSplitterParams(draw(st.floats(0.2, 1.37)), draw(phase), draw(phase))
+    amps = np.zeros(POLICY24.dim, dtype=complex)
+    amps[:top + 1] = [draw(st.floats(0.05, 1.0)) * np.exp(1j * draw(phase))
+                      for _ in range(top + 1)]
+    psi = fock.normalize(fock.FockVector(amps, POLICY24.cutoff))
+    return psi, top, refs, bs, draw(st.floats(0.05, 1.0))
+
+
+@st.composite
+def mixed_ensembles(draw, max_disp):
+    """A rank-2 signal density matrix on levels 0..4, a two-element reference
+    ensemble of displaced Fock states (m <= 2) and a three-element measurement
+    ensemble of displaced Fock states (n <= 3), displacements up to
+    ``max_disp``, on a splitter with theta in [0.3, 1.3] and random phases."""
+    phase = st.floats(0.0, 2 * math.pi)
+
+    def prep(top):
+        disp = draw(st.floats(0.0, max_disp)) * np.exp(1j * draw(phase))
+        return ReferencePrep.fock(draw(st.integers(0, top)), disp)
+
+    rho = 0.0
+    for weight in (1.0, draw(st.floats(0.0, 1.0))):
+        amps = [draw(st.floats(0.05, 1.0)) * np.exp(1j * draw(phase)) for _ in range(5)]
+        rho = rho + weight * np.outer(amps, np.conj(amps)) / np.vdot(amps, amps).real
+    w = draw(st.floats(0.1, 0.9))
+    refs = [(w, prep(2)), (1.0 - w, prep(2))]
+    meas = [(draw(st.floats(0.1, 1.0)), prep(3)) for _ in range(3)]
+    bs = BeamSplitterParams(draw(st.floats(0.3, 1.3)), draw(phase), draw(phase))
+    return rho / np.trace(rho).real, refs, meas, bs
+
+
+class TestMixedEnsembles:
+    """The closed-form Kraus map for mixed references and non-projective
+    measurements."""
+
+    @pytest.mark.parametrize("cutoff, max_disp", [(32, 0.0), (64, 0.5)])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_oracle_referee(self, cutoff, max_disp, data):
+        rho, refs, meas, bs = data.draw(mixed_ensembles(max_disp))
+        policy = fock.TruncationPolicy(cutoff)
+        mat = np.zeros((policy.dim, policy.dim), dtype=complex)
+        mat[:5, :5] = rho
+        rho = fock.DensityOperator(mat, cutoff)
+        out, p = conditional.apply_conditional_mixed(rho, refs, meas, bs, policy)
+        ref_out, ref_p = conditional_reduce_mixed(rho, refs, meas, bs, policy)
+        assert abs(p - ref_p) <= 1e-12
+        assert np.max(np.abs(out.mat - ref_out.mat)) <= 1e-12
+
+    @given(inefficient_detection_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_outcome_probabilities_sum_to_one(self, case):
+        # the detector sees at most top + max(m) photons, and each binomial row
+        # of the photon-counting POVM sums to one
+        psi, top, refs, bs, eta = case
+        seen = top + max(prep.poly.degree for _, prep in refs)
+        povm = twomode.photon_counting_povm(eta, POLICY24)
+        rho = fock.DensityOperator.from_pure(psi)
+        total = 0.0
+        for outcome in range(seen + 1):
+            meas = [(povm.weights[outcome, k], ReferencePrep.fock(k))
+                    for k in range(outcome, seen + 1)]
+            try:
+                total += conditional.apply_conditional_mixed(rho, refs, meas, bs, POLICY24)[1]
+            except ZeroProbabilityError:
+                pass  # p < 1e-14
+        assert abs(total - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("weights", [
+        ([math.nan], [1.0]), ([math.inf], [1.0]), ([0.5, math.nan], [1.0]),
+        ([1.0], [math.nan]), ([1.0], [math.inf])])
+    def test_non_finite_weights_are_refused(self, weights):
+        # a NaN weight passed the w < 0 and sum checks and ended in LinAlgError
+        w_in, w_meas = weights
+        rho = fock.DensityOperator.from_pure(fock.fock_state(1, POLICY24))
+        with pytest.raises(ValueError, match="finite"):
+            conditional.apply_conditional_mixed(
+                rho, [(w, ReferencePrep.vacuum()) for w in w_in],
+                [(w, ReferencePrep.fock(1)) for w in w_meas], BS, POLICY24)
+
+
+    def test_cutoff_mismatch(self):
+        # a state wider than the policy would lose its upper levels unseen
+        rho = fock.DensityOperator.from_pure(fock.fock_state(30, POLICY32))
+        with pytest.raises(CutoffMismatchError):
+            conditional.apply_conditional_mixed(
+                rho, [(1.0, ReferencePrep.vacuum())], [(1.0, ReferencePrep.fock(1))],
+                BS, POLICY24)
+
+
 class TestHighFockReferences:
     @pytest.mark.parametrize("n, cutoff", [(30, 128), (40, 168), (60, 256), (100, 400)])
     def test_fock_matches_oracle_on_safe_block(self, n, cutoff):
@@ -422,6 +526,30 @@ class TestSwapSymmetry:
                                                         bs, POLICY)
             assert abs(fock.inner(direct, swapped)) == pytest.approx(1.0, abs=1e-8)
             assert p_swapped == pytest.approx(p_direct, rel=1e-8)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_swap_roles_reproduces_output_at_random_splitters(self, data):
+        phase = st.floats(0.0, 2 * math.pi)
+
+        def poly(size):
+            return OperatorPolynomial(tuple(
+                data.draw(st.floats(0.1, 1.0)) * np.exp(1j * data.draw(phase))
+                for _ in range(size))).normalized()
+
+        amps = np.zeros(POLICY.dim, dtype=complex)
+        amps[:5] = [data.draw(st.floats(0.1, 1.0)) * np.exp(1j * data.draw(phase))
+                    for _ in range(5)]
+        psi = fock.normalize(fock.FockVector(amps, POLICY.cutoff))
+        prep_ref = ReferencePrep(poly(data.draw(st.integers(1, 4))))
+        prep_meas = ReferencePrep(poly(data.draw(st.integers(1, 4))))
+        bs = BeamSplitterParams(data.draw(st.floats(0.3, 1.3)), data.draw(phase),
+                                data.draw(phase))
+        y = conditional.y_displaced_general(prep_ref, prep_meas, bs, POLICY)
+        direct, p_direct = conditional.apply_conditional(y, psi)
+        swapped, p_swapped = conditional.swap_roles(psi, prep_ref, prep_meas, bs, POLICY)
+        assert abs(fock.inner(direct, swapped)) == pytest.approx(1.0, abs=1e-12)
+        assert p_swapped == pytest.approx(p_direct, rel=1e-12)
 
     def test_fock_measurement_needs_no_frame_change(self):
         # measured states of definite photon-number parity: plain (T,R)->(R,T)

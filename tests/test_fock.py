@@ -399,3 +399,31 @@ class TestLinearAlgebra:
         op = fock.identity_op(POLICY)
         with pytest.raises(ValueError):
             op.mat[0, 0] = 1.0
+
+
+class TestDensityOperator:
+    def test_rejects_unnormalized(self):
+        mat = 2.0 * np.eye(POLICY.dim)
+        with pytest.raises(ValueError):
+            fock.DensityOperator(mat, POLICY.cutoff).validate()
+
+    def test_rejects_non_hermitian(self):
+        mat = np.eye(POLICY.dim, dtype=complex) / POLICY.dim
+        mat[0, 1] = 0.5
+        with pytest.raises(ValueError):
+            fock.DensityOperator(mat, POLICY.cutoff).validate()
+
+    def test_fidelity_with_pure(self):
+        # <v| rho |v> = 1 for the projector onto a normalized v
+        v = fock.coherent_state(0.6 - 0.3j, POLICY)
+        rho = fock.DensityOperator.from_pure(v).validate()
+        assert np.vdot(v.amps, rho.mat @ v.amps).real == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN passed every comparison and reached eigvalsh, which raised
+        # LinAlgError after a RuntimeWarning
+        mat = np.eye(POLICY.dim, dtype=complex) / POLICY.dim
+        mat[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fock.DensityOperator(mat, POLICY.cutoff).validate()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from condibeam import fock, twomode
+from condibeam import conditional, fock, twomode
 from condibeam.beamsplitter import BeamSplitterParams, ReferencePrep
 from condibeam.errors import DegenerateBeamSplitterError, ZeroProbabilityError
 from twomode_reference import (bs_unitary, bs_unitary_factored, sector_range,
@@ -412,8 +412,25 @@ class TestConditionalReduce:
         assert np.max(np.abs(rho.mat - rho.mat.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho.mat).min() > -1e-10
 
+    def test_outcome_probabilities_sum_to_one(self):
+        bs = BeamSplitterParams(1.0, 0.0, 0.4)
+        povm = twomode.photon_counting_povm(0.7, POLICY)
+        signal = fock.fock_state(2, POLICY)
+        state = twomode.product_state(signal, fock.coherent_state(0.6, POLICY))
+        total = 0.0
+        for outcome in range(POLICY.dim):
+            try:
+                _, p = twomode.conditional_reduce(state, povm.element(outcome),
+                                                  bs, POLICY)
+            except ZeroProbabilityError:
+                p = 0.0
+            total += p
+        assert total == pytest.approx(1.0, abs=1e-10)
 
-class TestConditionalReduceMixed:
+
+class TestApplyConditionalMixed:
+    """The closed-form Kraus map against the two-mode POVM route."""
+
     def test_singleton_matches_pure(self):
         bs = BeamSplitterParams(math.pi / 3, 0.5, 1.0)
         psi = fock.normalize(fock.FockVector(
@@ -421,8 +438,8 @@ class TestConditionalReduceMixed:
             POLICY.cutoff))
         prep_in = ReferencePrep.fock(1)
         prep_out = ReferencePrep.fock(2)
-        rho_mixed, p_mixed = twomode.conditional_reduce_mixed(
-            twomode.DensityOperator.from_pure(psi),
+        rho_mixed, p_mixed = conditional.apply_conditional_mixed(
+            fock.DensityOperator.from_pure(psi),
             [(1.0, prep_in)], [(1.0, prep_out)], bs, POLICY)
         proj_state = prep_out.state(POLICY)
         proj = fock.FockOperator(np.outer(proj_state.amps, proj_state.amps.conj()),
@@ -445,50 +462,16 @@ class TestConditionalReduceMixed:
         # capping the decomposition at the safe block keeps equality exact
         meas = [(float(w), ReferencePrep.fock(k))
                 for k, w in enumerate(povm.weights[1]) if w > 0 and k <= HALF]
-        rho_mixed, p_mixed = twomode.conditional_reduce_mixed(
-            twomode.DensityOperator.from_pure(signal),
+        rho_mixed, p_mixed = conditional.apply_conditional_mixed(
+            fock.DensityOperator.from_pure(signal),
             [(1.0, ReferencePrep.vacuum())], meas, bs, POLICY)
         assert abs(p_direct - p_mixed) < 1e-12
         assert np.max(np.abs(rho_direct.mat - rho_mixed.mat)) < 1e-12
 
-    def test_outcome_probabilities_sum_to_one(self):
-        bs = BeamSplitterParams(1.0, 0.0, 0.4)
-        povm = twomode.photon_counting_povm(0.7, POLICY)
-        signal = fock.fock_state(2, POLICY)
-        state = twomode.product_state(signal, fock.coherent_state(0.6, POLICY))
-        total = 0.0
-        for outcome in range(POLICY.dim):
-            try:
-                _, p = twomode.conditional_reduce(state, povm.element(outcome),
-                                                  bs, POLICY)
-            except ZeroProbabilityError:
-                p = 0.0
-            total += p
-        assert total == pytest.approx(1.0, abs=1e-10)
-
     def test_weight_validation(self):
-        rho = twomode.DensityOperator.from_pure(fock.fock_state(0, POLICY))
+        rho = fock.DensityOperator.from_pure(fock.fock_state(0, POLICY))
         with pytest.raises(ValueError):
-            twomode.conditional_reduce_mixed(
+            conditional.apply_conditional_mixed(
                 rho, [(0.5, ReferencePrep.vacuum())],
                 [(1.0, ReferencePrep.vacuum())],
                 BeamSplitterParams(1.0), POLICY)
-
-
-class TestDensityOperator:
-    def test_rejects_unnormalized(self):
-        mat = 2.0 * np.eye(POLICY.dim)
-        with pytest.raises(ValueError):
-            twomode.DensityOperator(mat, POLICY.cutoff).validate()
-
-    def test_rejects_non_hermitian(self):
-        mat = np.eye(POLICY.dim, dtype=complex) / POLICY.dim
-        mat[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            twomode.DensityOperator(mat, POLICY.cutoff).validate()
-
-    def test_fidelity_with_pure(self):
-        # <v| rho |v> = 1 for the projector onto a normalized v
-        v = fock.coherent_state(0.6 - 0.3j, POLICY)
-        rho = twomode.DensityOperator.from_pure(v).validate()
-        assert np.vdot(v.amps, rho.mat @ v.amps).real == pytest.approx(1.0)

@@ -7,7 +7,8 @@ itself, so this module assembles the same blocks into
 :class:`TwoModeOperator`, and builds the factored form of the unitary as an
 independent route to compare with.  It also keeps the full-window sector
 recurrence, which runs over every retained signal index of every sector,
-as the referee of the banded one.
+as the referee of the banded one, and the mixed-ensemble route that runs
+the two-mode oracle's Y where the library runs the closed form.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from condibeam import twomode
+from condibeam import fock, twomode
 from condibeam.errors import DegenerateBeamSplitterError
 
 
@@ -136,3 +137,15 @@ def bs_unitary_factored(bs, policy):
                       @ nilpotent_exp(r, up)
                       @ np.diag((1.0 / t) ** (total - k1)))
     return TwoModeOperator(tuple(blocks), cutoff)
+
+
+def conditional_reduce_mixed(rho_in1, ref_ensemble, meas_ensemble, bs, policy):
+    """The Kraus map of ``conditional.apply_conditional_mixed`` with the
+    oracle's Y (``twomode.oracle_y``) for every ensemble pair: the weighted
+    sum of Y rho Y^dag, normalized by its trace, the outcome probability."""
+    accum = np.zeros((policy.dim, policy.dim), dtype=complex)
+    for w, prep_in in ref_ensemble:
+        for pl, prep_meas in meas_ensemble:
+            y = twomode.oracle_y(prep_in, prep_meas, bs, policy).mat
+            accum += w * pl * (y @ rho_in1.mat @ y.conj().T)
+    return fock._conditioned(accum, policy.cutoff)
