@@ -42,7 +42,6 @@ from .fock import (
     coherent_state,
     creation_op,
     displace,
-    displacement_op,
     fock_state,
     identity_op,
     inner,

@@ -153,19 +153,18 @@ _BS_KEYS = {
 
 
 def _run_y_matrix(params):
-    for key in ("m", "n"):
-        if params[key] < 0:
-            raise ConfigError(f"{key} must be >= 0, got {params[key]}")
     policy = _policy(params)
+    for key in ("m", "n"):
+        if not 0 <= params[key] <= policy.cutoff:
+            bound = ">= 0" if params[key] < 0 else f"<= cutoff {policy.cutoff}"
+            raise ConfigError(f"{key} must be {bound}, got {params[key]}")
     bs = _bs(params)
     prep_in = _build(ReferencePrep.fock, params["m"], params["alpha"])
     prep_out = _build(ReferencePrep.fock, params["n"], params["beta"])
     y = conditional.y_displaced_fock(params["m"], params["n"], params["alpha"],
                                      params["beta"], bs, policy)
     oracle = twomode.oracle_y(prep_in, prep_out, bs, policy)
-    half = policy.safe_levels
-    dev = (np.linalg.norm(y.mat[:half, :half] - oracle.mat[:half, :half])
-           / np.linalg.norm(oracle.mat[:half, :half]))
+    dev = np.linalg.norm(y.mat - oracle.mat) / np.linalg.norm(oracle.mat)
     sv = np.linalg.svd(y.mat, compute_uv=False)
     scalars = {
         "frobenius_norm": float(np.linalg.norm(y.mat)),

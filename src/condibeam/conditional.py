@@ -17,22 +17,14 @@ s-ordered monomial is one shifted diagonal and T^n scales the columns, so
 the bracket is a banded matrix of width deg F + deg G + 1.
 
 Y is kept in that factored form, a :class:`ConditionalOperator`: the two
-displacement arguments and the bracket's diagonals (offset -> values, the
-T^n column factor folded in).  Applying it to a state displaces, runs the
-band and displaces again with no dense operator (:func:`fock.displace`):
-O(N t) for a state whose numerical top is t (:func:`fock._numerical_top`),
-such as a Fock or coherent signal, and O(N^2) at most.  Its ``mat`` builds
-the dense matrix from the same factors, for SVDs, norms and the oracle
-comparisons only.
-
-Both forms stop the inner index of D(left) . band . D(right) at the
-cutoff, as the dense product of the three truncated matrices does.  The
-displacements carry levels near the cutoff past it, and the mass they
-carry there is dropped (``TruncationPolicy.check_displacement`` sees only
-the displaced vacuum's), so Y is exact on its safe block only while that
-mass is negligible.  Making Y an exact compression means summing the
-inner index up to a working dimension W above the cutoff; that choice is
-open (ROADMAP item 4a), and a strict xfail in the tests records the defect.
+displacement arguments and the bracket's diagonals (T^n folded in).
+``apply`` displaces, runs the band and displaces again with no dense
+operator, O(W t) for a state whose numerical top is t; ``mat`` builds the
+dense matrix from the same factors, for SVDs, norms and oracle comparisons.
+Both give Y's exact compression onto the levels 0..cutoff, as the oracle
+does: the inner index runs over working levels 0..W, the numerical top of
+the D(right) columns they read plus the band's lift
+(``TruncationPolicy.working_factors``), and drops below 1e-17 of them.
 
 The adjoint of G lands on the signal mode with conjugated coefficients,
 conjugated argument and annihilation operators; this is the unique reading
@@ -54,8 +46,8 @@ import numpy as np
 
 from . import fock
 from .beamsplitter import OperatorPolynomial, ReferencePrep
-from .errors import CutoffMismatchError, DomainError, TruncationError, ZeroProbabilityError
-from .fock import TruncationPolicy, displacement_op
+from .errors import CutoffMismatchError, DomainError, ZeroProbabilityError
+from .fock import TruncationPolicy
 from .ordering import OrderedMonomialSpec, s_ordered_band
 
 __all__ = [
@@ -95,16 +87,17 @@ def _ordered_core(terms, bs, policy):
 
 
 def _band_times(core, x):
-    """B x for the banded core B (offset -> values) and a vector or matrix x;
-    each diagonal scales and shifts the rows of x."""
+    """B x for the banded core B (offset -> values, on at least the levels of
+    x) and a vector or matrix x; each diagonal scales and shifts the rows of x."""
     dim = len(x)
     out = np.zeros(x.shape, dtype=complex)
     for d, values in core.items():
-        values = values.reshape((-1,) + (1,) * (x.ndim - 1))
+        size = max(dim - abs(d), 0)
+        values = values[:size].reshape((-1,) + (1,) * (x.ndim - 1))
         if d >= 0:
-            out[:dim - d] += values * x[d:]
+            out[:size] += values * x[d:]
         else:
-            out[-d:] += values * x[:dim + d]
+            out[-d:] += values * x[:size]
     return out
 
 
@@ -114,8 +107,8 @@ class ConditionalOperator:
 
     ``left`` and ``right`` are the displacement arguments, ``core`` maps
     each diagonal offset d of the banded core B to its values (B[i, i + d]
-    for d >= 0, B[i - d, i] below the diagonal), with the T^n column factor
-    folded in.
+    for d >= 0, B[i - d, i] below the diagonal) on every working level the
+    operator may need, with the T^n column factor folded in.
     """
 
     left: complex
@@ -127,28 +120,38 @@ class ConditionalOperator:
     def cutoff(self):
         return self.policy.cutoff
 
-    def apply(self, vector):
-        """Y|vector>: displace, run the band, displace.
+    @property
+    def reach(self):
+        """Levels the core lifts a state by: its largest creation excess."""
+        return max(0, -min(self.core))
 
-        Each displacement costs O(N t) for its input's numerical top t
-        (:func:`fock.displace`), so O(N^2) at most; each drops at most
-        1e-17 of its input's norm.
+    def apply(self, vector):
+        """Y|vector>: displace onto the working levels, run the band, displace.
+
+        Each displacement costs O(W t) for its input's numerical top t
+        (:func:`fock.displace`) and drops at most 1e-17 of its input's norm;
+        with right = 0 the whole input enters the band.
         """
         if vector.cutoff != self.cutoff:
             raise CutoffMismatchError(f"cutoff mismatch: {self.cutoff} vs {vector.cutoff}")
-        if self.right != 0:
-            vector = fock.displace(self.right, vector)
-        out = fock.FockVector(_band_times(self.core, vector.amps), self.cutoff)
-        return fock.displace(self.left, out) if self.left != 0 else out
+        top = fock._numerical_top(vector.amps) if self.right != 0 else self.cutoff
+        w, factors = self.policy.working_factors(self.right, top, self.reach)
+        amps = _band_times(self.core, fock._displaced(factors, vector.amps[:top + 1]))
+        if self.left != 0:
+            amps = fock.displace(self.left, fock.FockVector(amps, w)).amps
+        return fock.FockVector(amps[:self.cutoff + 1], self.cutoff)
 
     @functools.cached_property
     def mat(self):
-        """The dense matrix: B D(right) by shifted rows, then one product with D(left)."""
-        right = (displacement_op(self.right, self.policy).mat if self.right != 0
-                 else np.eye(self.policy.dim))
-        mat = _band_times(self.core, right)
+        """The dense matrix: B times columns 0..cutoff of D(right) on the
+        working levels 0..W, then rows 0..cutoff of D(left), the adjoint of
+        D(-left)'s columns; one (N+1) x (W+1) x (N+1) product."""
+        n = self.cutoff
+        w, factors = self.policy.working_factors(self.right, n, self.reach)
+        mat = _band_times(self.core, fock._dense_columns(factors))
         if self.left != 0:
-            mat = displacement_op(self.left, self.policy).mat @ mat
+            mat = fock._dense_columns(fock._displacement_factors(-self.left, w, n)).conj().T @ mat
+        mat = mat[:n + 1]
         mat.setflags(write=False)
         return mat
 
@@ -158,36 +161,20 @@ def y_displaced_fock(m, n, alpha, beta, bs, policy):
 
     The special case ``y_displaced_general(ReferencePrep.fock(m, alpha),
     ReferencePrep.fock(n, beta), bs, policy)``: the bracket reduces to
-    R^m (-R*)^n / (T^n sqrt(m! n!)) {(a^dag)^m a^n}_s.
-
-    Parameters
-    ----------
-    m, n : int
-        Photon number of the prepared (m) and detected (n) reference state;
-        both >= 0 and at most cutoff/4.
-    alpha, beta : complex
-        Displacements of the prepared and detected reference states.
-    bs : BeamSplitterParams
-        Requires T != 0 and R != 0.
-    policy : TruncationPolicy
+    R^m (-R*)^n / (T^n sqrt(m! n!)) {(a^dag)^m a^n}_s.  m, n >= 0 are the
+    photon numbers of the prepared and detected reference states, alpha,
+    beta their displacements; ``bs`` needs T != 0 and R != 0.
     """
     if m < 0 or n < 0:
         raise ValueError(f"Fock indices must be >= 0, got m={m}, n={n}")
-    if max(m, n) > policy.cutoff // 4:
-        raise TruncationError(
-            f"Fock indices m={m}, n={n} exceed cutoff/4 = {policy.cutoff // 4}")
     return y_displaced_general(ReferencePrep.fock(m, alpha),
                                ReferencePrep.fock(n, beta), bs, policy)
 
 
 def y_general(f_poly, g_poly, bs, policy):
-    """Conditional operator for undisplaced pure reference preparations.
-
-    ``f_poly`` prepares the input reference mode, ``g_poly`` the detected
-    state; both are OperatorPolynomial instances (coefficients of powers of
-    the creation operator).  The special case of
-    :func:`y_displaced_general` with both displacements zero.
-    """
+    """Conditional operator for undisplaced pure reference preparations:
+    :func:`y_displaced_general` for F(a^dag)|0> in and G(a^dag)|0> detected,
+    ``f_poly`` and ``g_poly`` the OperatorPolynomials F and G."""
     return y_displaced_general(ReferencePrep(f_poly), ReferencePrep(g_poly), bs, policy)
 
 
@@ -196,12 +183,11 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
 
     The one builder of Y (module docstring): alpha, beta are the
     displacements of ``prep_in`` and ``prep_meas``, F, G their polynomials.
-    Returns a :class:`ConditionalOperator`.  ``policy`` admits deg F + deg G
-    and both displacement arguments (``check_levels``, ``check_displacement``).
+    Returns a :class:`ConditionalOperator`, its core on the working levels of
+    ``mat``; ``policy`` admits both displacement arguments.
     """
     bs.require_nondegenerate()
     f_poly, g_poly = prep_in.poly, prep_meas.poly
-    policy.check_levels(f_poly.degree + g_poly.degree, "y_displaced_general: deg F + deg G")
     t = bs.transmittance
     r = bs.reflectance
     alpha = prep_in.displacement
@@ -214,7 +200,9 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
     terms = [(m, n, fm * np.conj(gn) * r ** m * (-np.conj(r) / t) ** n)
              for m, fm in enumerate(f_poly.coeffs) if fm != 0
              for n, gn in enumerate(g_poly.coeffs) if gn != 0]
-    return ConditionalOperator(left, _ordered_core(terms, bs, policy), right, policy)
+    levels = policy.working_levels(right, policy.cutoff, max(0, *(m - n for m, n, _ in terms)))
+    return ConditionalOperator(left, _ordered_core(terms, bs, TruncationPolicy(levels)),
+                               right, policy)
 
 
 def apply_conditional(y, psi_in):
@@ -241,11 +229,10 @@ def apply_conditional_mixed(rho, ref_ensemble, meas_ensemble, bs, policy):
     ReferencePrep) decomposing the POVM element of the observed outcome l.
     ``rho`` (a :class:`fock.DensityOperator`) goes through the Kraus map
     sum_il w_i p_l Y_il rho Y_il^dag, Y_il from :func:`y_displaced_general`;
-    returns the normalized output and the outcome probability, its trace
-    (ZeroProbabilityError for p < 1e-14).  rho is positive,
-    |rho_ij| <= sqrt(rho_ii rho_jj), so it is taken on the levels 0..t, t
-    the numerical top of sqrt(diag rho), and K = Y restricted to them is
-    Y|0>..Y|t>, each applied in factored form: O(N t) per column.
+    returns the normalized output and its trace, the outcome probability
+    (ZeroProbabilityError for p < 1e-14).  rho is positive, so it is taken
+    on the levels 0..t, t the numerical top of sqrt(diag rho), and the Kraus
+    columns are Y|0>..Y|t>, each applied in factored form.
     """
     if rho.cutoff != policy.cutoff:
         raise CutoffMismatchError(f"cutoff mismatch: {policy.cutoff} vs {rho.cutoff}")

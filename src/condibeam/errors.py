@@ -4,7 +4,7 @@ Domain errors (truncation, degenerate optics, impossible measurement
 outcomes) all derive from :class:`DomainError` so the CLI can map them to a
 single exit code; configuration problems derive from :class:`ConfigError`.
 :mod:`fock` raises every :class:`TruncationError` (:class:`CutoffExceededError`
-for a level count) but ``conditional.y_displaced_fock``'s cutoff/4 index rule.
+for a level that does not exist).
 """
 
 __all__ = ["CondibeamError", "ConfigError", "DomainError", "CutoffExceededError",

@@ -6,17 +6,16 @@ density matrices over them (:class:`DensityOperator`).
 operator is wanted (norms, SVDs, oracle comparisons).  A displacement of a
 state needs no such matrix: :func:`displace` applies D(alpha) to a vector
 whose numerical top is t (the levels above it hold at most 1e-17 of its
-norm) from the Laguerre values of degrees 0..t alone, O(N t) for N levels,
-and :func:`displacement_op` assembles the matrix from the same values at
-t = cutoff.
+norm) from the Laguerre values of degrees 0..t alone, O(N t) for N levels.
 Everything is immutable after construction, so values can be shared freely
 between threads.
 
-Truncation discipline: ladder operators and diagonal operators are exact on
-the retained levels; displacement-like operators are only faithful away from
-the cutoff edge.  Identities are therefore asserted on the "safe block" (the
-lowest ceil(cutoff/2) levels).  :class:`TruncationPolicy` makes and reports
-every truncation decision; callers pass its ``check_*`` methods what they check.
+Truncation discipline: ladder and diagonal operators are exact on the
+retained levels; a truncated displacement matrix is faithful only away from
+the cutoff edge (tests and benchmark assert its identities on the lowest
+ceil(cutoff/2) levels).  :class:`TruncationPolicy` makes every truncation
+decision, and picks the working levels on which displacement products stay
+exact.
 """
 
 import math
@@ -36,7 +35,6 @@ __all__ = [
     "DensityOperator",
     "fock_state",
     "coherent_state",
-    "displacement_op",
     "displace",
     "annihilation_op",
     "creation_op",
@@ -78,7 +76,7 @@ class TruncationPolicy:
 
     @property
     def safe_levels(self):
-        """Number of low Fock levels on which truncated identities are asserted."""
+        """Low levels on which tests and the bench assert displacement identities."""
         return (self.cutoff + 1) // 2
 
     @property
@@ -86,11 +84,10 @@ class TruncationPolicy:
         """First level of the top-10% block used for tail-mass checks."""
         return self.dim - max(1, self.dim // 10)
 
-    def check_levels(self, levels, what):
-        """Raise CutoffExceededError when ``levels`` exceed the safe block."""
-        if levels > self.safe_levels:
-            raise CutoffExceededError(f"{what} = {levels} exceeds the safe block "
-                                      f"({self.safe_levels} levels) at cutoff {self.cutoff}")
+    def check_levels(self, level, what):
+        """Raise CutoffExceededError unless ``level`` exists: 0 <= level <= cutoff."""
+        if not 0 <= level <= self.cutoff:
+            raise CutoffExceededError(f"{what} = {level} outside 0..{self.cutoff}")
 
     def check_displacement(self, alpha, what):
         """Refuse |alpha> with more than tail_tol above the cutoff
@@ -114,6 +111,42 @@ class TruncationPolicy:
             coherent = coherent_tail_mass(radius, self.tail_start - 1)
             self._refuse_above_tol(math.sqrt(tail_state * coherent),
                                    f"{what}: overlap truncation bound")
+
+    def working_levels(self, alpha, top, reach):
+        """A bound L >= cutoff on the W of :meth:`working_factors`: column top
+        of D(alpha) turns at level r^2, r = sqrt(top) + |alpha|, and the
+        numerical top of columns 0..top lies within 14 |alpha| + 8 r^(2/3) + 24
+        above it (14 levels to spare for top <= 3000, |alpha| <= 22; the tests
+        check a grid).  TruncationError past the bound at top = cutoff,
+        |alpha|^2 = cutoff + 1 (beyond any displacement check_displacement
+        admits at tail_tol 1/2): 4 cutoff + O(sqrt(cutoff)) levels."""
+        def bound(a, t):
+            r = math.sqrt(t) + a
+            return r * r + 14.0 * a + 8.0 * r ** (2.0 / 3.0) + 24.0
+
+        a = abs(alpha)
+        levels, cap = bound(a, top) if a else top, bound(math.sqrt(self.dim), self.cutoff)
+        if not levels <= cap:  # a NaN or infinite displacement fails too
+            raise TruncationError(f"displacement |{a:.3g}| of levels 0..{top} needs more "
+                                  f"than {cap:.0f} working levels at cutoff {self.cutoff}")
+        return max(self.cutoff, math.ceil(levels) + reach)
+
+    def working_factors(self, alpha, top, reach):
+        """W and the factors (:func:`_displacement_factors`) of columns 0..top
+        of D(alpha) on levels 0..W, for an operation that displaces levels
+        0..top, then runs a band ``reach`` levels up.  W >= cutoff is the
+        numerical top of the columns' per-level mass, summed from the same
+        table on the levels of :meth:`working_levels`, plus ``reach``."""
+        levels = self.working_levels(alpha, top, reach)
+        if alpha == 0:
+            return levels, (np.eye(levels + 1, top + 1), np.ones(levels + 1), 1.0)
+        lower, phase, scale = _displacement_factors(alpha, levels, top)
+        columns = scale * lower
+        mass = np.einsum("ij,ij->i", columns, columns)
+        head = columns[:top + 1]  # rows 0..top also hold the upper triangle
+        mass[:top + 1] += np.einsum("ij,ij->j", head, head) - head.diagonal() ** 2
+        w = max(self.cutoff, _numerical_top(np.sqrt(mass)) + reach)
+        return w, (lower[:w + 1], phase[:w + 1], scale)
 
     def _refuse_above_tol(self, mass, label):
         """TruncationError unless mass <= tail_tol (a NaN mass fails)."""
@@ -231,9 +264,7 @@ def _conditioned(rho, cutoff):
 
 def fock_state(n, policy):
     """|n> as a basis vector; raises CutoffExceededError for n > cutoff."""
-    if not 0 <= n <= policy.cutoff:
-        raise CutoffExceededError(
-            f"photon number {n} outside 0..{policy.cutoff}")
+    policy.check_levels(n, "fock_state: photon number")
     amps = np.zeros(policy.dim, dtype=complex)
     amps[n] = 1.0
     return FockVector(amps, policy.cutoff)
@@ -318,15 +349,11 @@ def _displacement_factors(alpha, cutoff, top):
     P = diag(e^(ik arg alpha)), and M is real: with j <= k its lower triangle
     is M[k, j] = u_j^(k-j)(x), the normalized Laguerre values of
     :func:`polynomials.laguerre_rows`, and its upper triangle is the
-    transpose times (-1)^(k-j).  Returns (lower, phase, e^(-x/2)), where
-    ``lower`` is columns 0..top of M's lower triangle (zeros above the
-    diagonal), a (cutoff + 1) x (top + 1) view of one table of the Laguerre
-    rows of degrees 0..top: row j holds the parameters 0..cutoff - j of the
-    triangular recurrence and zeros after them, one parameter column more
-    than the dimension, so reading row j from column j on, with the row
-    length one longer than the dimension, walks down the lower triangle and
-    lands in those zeros above it.  No index grid or complex N x N array is
-    formed.
+    transpose times (-1)^(k-j).  Returns (lower, phase, e^(-x/2)), ``lower``
+    being columns 0..top of M's lower triangle, zeros above the diagonal: a
+    strided view of the Laguerre rows of degrees 0..top, each padded with
+    zeros to one more than the dimension, so that stepping one row length
+    walks down the diagonal and lands in the zeros above it.
     """
     dim = cutoff + 1
     x = abs(alpha) ** 2
@@ -346,31 +373,21 @@ def _alternating(dim):
     return np.where(np.arange(dim) % 2, -1.0, 1.0)
 
 
-def displacement_op(alpha, policy):
-    """Displacement operator D(alpha) from its analytic matrix elements.
-
-    With x = |alpha|^2 and j <= k,
-
-        <k|D|j> = e^(-x/2) e^(i(k-j) arg alpha) u_j^(k-j)(x),
-        <j|D|k> = e^(-x/2) (-e^(-i arg alpha))^(k-j) u_j^(k-j)(x),
-
-    where u_j^a(x) = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x) are the normalized
-    Laguerre values of :func:`polynomials.laguerre_rows`, one triangular
-    table for all diagonals (:func:`_displacement_factors`).  Every factor
-    is bounded, so no element overflows at any cutoff, and truncation error
-    stays local to high indices.  To displace a state, :func:`displace`
-    needs no matrix.
-    """
-    policy.check_displacement(alpha, "displacement_op")
-    lower, phase, scale = _displacement_factors(alpha, policy.cutoff, policy.cutoff)
-    sign = _alternating(policy.dim)
-    real = lower.T * sign  # the upper triangle, up to the sign of its row
-    real *= sign[:, None]
-    real += lower
+def _dense_columns(factors):
+    """Columns 0..top of D(alpha) as a dense matrix over the levels of its
+    factors (:func:`_displacement_factors`): with x = |alpha|^2 and j <= k,
+    <k|D|j> = e^(-x/2) e^(i(k-j) arg alpha) u_j^(k-j)(x) and <j|D|k> =
+    e^(-x/2) (-e^(-i arg alpha))^(k-j) u_j^(k-j)(x).  The normalized
+    Laguerre values u are bounded, so no element overflows at any cutoff."""
+    lower, phase, scale = factors
+    cols = lower.shape[1]
+    sign = _alternating(cols)
+    real = np.array(lower)
+    real[:cols] += lower[:cols].T * sign * sign[:, None]  # the upper triangle
     np.fill_diagonal(real, lower.diagonal())  # the sum counted it twice
-    mat = np.multiply.outer(scale * phase, phase.conj())
+    mat = np.multiply.outer(scale * phase, phase[:cols].conj())
     mat *= real
-    return FockOperator(mat, policy.cutoff)
+    return mat
 
 
 # The levels of a vector above its numerical top hold at most this fraction
@@ -388,31 +405,34 @@ def _numerical_top(amps):
 
 
 def displace(alpha, vector):
-    """D(alpha)|vector>, the matrix of :func:`displacement_op` applied
-    without forming it.
+    """D(alpha)|vector> over the vector's levels, without forming the matrix.
 
     The vector is taken on levels 0..t, t its numerical top
-    (:func:`_numerical_top`).  The truncated D(alpha) is a compression of a
-    unitary (spectral norm <= 1), so the part of the output this drops has
-    norm at most 1e-17 ||v||.  e^(-x/2) P M P* v then reads columns 0..t of
-    M only.  It takes two real products with their lower triangle L
-    (:func:`_displacement_factors`) and its top (t+1) x (t+1) block L0:
-    M w = L w + S L0^T S w - diag(L0) w, S = diag((-1)^k), the last two
-    terms on levels 0..t, with the real and imaginary parts of w as the two
-    columns.  O(N t) time for N levels, from the (t+1)(2N - t)/2 Laguerre
-    values of degree <= t; a Fock state |n> costs O(N n).  No truncation
-    check: the caller owns it (``displacement_op`` checks the displaced
-    vacuum).
+    (:func:`_numerical_top`); the truncated D(alpha) is a compression of a
+    unitary, so this drops at most 1e-17 ||v|| of the output.  O(N t) for N
+    levels, from the (t+1)(2N - t)/2 Laguerre values of degree <= t; a Fock
+    state |n> costs O(N n).  No truncation check: the caller owns it.
     """
     top = _numerical_top(vector.amps)
-    lower, phase, scale = _displacement_factors(alpha, vector.cutoff, top)
-    w = phase[:top + 1].conj() * vector.amps[:top + 1]
+    factors = _displacement_factors(alpha, vector.cutoff, top)
+    return FockVector(_displaced(factors, vector.amps[:top + 1]), vector.cutoff)
+
+
+def _displaced(factors, amps):
+    """e^(-x/2) P M P* amps over the levels of the factors of columns 0..t of
+    D(alpha) (:func:`_displacement_factors`), for amps on levels 0..t: two
+    real products with the lower triangle L and its top block L0, M w =
+    L w + S L0^T S w - diag(L0) w, S = diag((-1)^k), the real and imaginary
+    parts of w as the two columns."""
+    lower, phase, scale = factors
+    size = len(amps)
+    w = phase[:size].conj() * amps
     w = np.stack([w.real, w.imag], axis=1)
     out = lower @ w
-    head = lower[:top + 1]
-    sign = _alternating(top + 1)[:, None]
-    out[:top + 1] += sign * (head.T @ (sign * w)) - head.diagonal()[:, None] * w
-    return FockVector(scale * phase * (out[:, 0] + 1j * out[:, 1]), vector.cutoff)
+    head = lower[:size]
+    sign = _alternating(size)[:, None]
+    out[:size] += sign * (head.T @ (sign * w)) - head.diagonal()[:, None] * w
+    return scale * phase * (out[:, 0] + 1j * out[:, 1])
 
 
 # ln 2 = _LN2_HI + _LN2_LO, with _LN2_HI short enough that its product with

@@ -59,10 +59,9 @@ def s_ordered_band(spec, policy):
     For m <= n:  m! [-(s+1)/2]^m  a^(n-m)  P_m^(n-m, n-hat - n)[(s-3)/(s+1)],
     and symmetrically with creation operators for m >= n.  Both branches
     coincide at m = n.  Returns the values of the diagonal at offset
-    n - m, in the order of ``np.diag``.
+    n - m, in the order of ``np.diag``, each an exact element of the operator.
     """
     m, n, s = spec.m, spec.n, spec.s
-    policy.check_levels(m + n, "s_ordered_band: operator powers m+n")
     z = (s - 3.0) / (s + 1.0)
     lo, k = min(m, n), abs(n - m)
     coeff = math.factorial(lo) * (-(s + 1.0) / 2.0) ** lo
@@ -70,7 +69,7 @@ def s_ordered_band(spec, policy):
     # the levels q the band keeps: its column index for m <= n, else its row index
     q = np.arange(k, dim) if m <= n else np.arange(dim - k)
     lf = log_factorial(np.arange(dim))
-    ratio = np.exp(0.5 * (lf[k:] - lf[:dim - k]))  # sqrt((j+k)!/j!)
+    ratio = np.exp(0.5 * (lf[k:] - lf[:max(dim - k, 0)]))  # sqrt((j+k)!/j!)
     return coeff * (ratio * jacobi(lo, k, q - n, z))
 
 
@@ -87,7 +86,6 @@ def s_to_t_convert(m, n, s, t, policy):
     with the t-ordered base itself converted recursively to normal order
     (t = 1), where {(a^dag)^a a^b}_1 is the plain matrix product.
     """
-    policy.check_levels(m + n, "s_to_t_convert: operator powers m+n")
     if t == 1.0:
         base = lambda mm, nn: (_ladder_power(creation_op(policy), mm, policy)
                                @ _ladder_power(annihilation_op(policy), nn, policy))

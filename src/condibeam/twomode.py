@@ -4,14 +4,14 @@ The conditional module builds Y and the conditioned states; this module
 checks them by an independent route.  The unitary commutes with the total
 photon number, so it acts sector by sector on k1 + k2 = M.
 :func:`_sector_blocks` produces the exact blocks of the untruncated beam
-splitter (the convention :func:`fock.displacement_op` follows as well) one
+splitter (the convention :func:`fock.displace` follows as well) one
 sector at a time, from the recurrence of :func:`_sector_rotations`;
 :func:`oracle_y` and :func:`conditional_reduce` contract each block as it
 is produced, and no dense two-mode unitary is ever assembled.  Sectors
 with M <= cutoff are complete and their blocks are unitary; a higher
 sector keeps only the signal indices max(0, M - cutoff)..cutoff, so its
-block is a compression of a unitary (spectral norm <= 1), not a unitary.
-That is why closed-form comparisons are restricted to the safe block.
+block is a compression of a unitary, yet each element it keeps is exact:
+:func:`oracle_y` is Y's exact compression onto the levels 0..cutoff.
 
 The recurrence is closed on the reference-mode levels q <= L: each step
 reads only the element's own reference indices or one below them.  A

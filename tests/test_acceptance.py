@@ -17,6 +17,7 @@ from condibeam.beamsplitter import BeamSplitterParams, OperatorPolynomial, Refer
 from condibeam.errors import ZeroProbabilityError
 from condibeam.ordering import OrderedMonomialSpec, s_ordered_monomial, s_to_t_convert
 from twomode_reference import bs_unitary
+from test_fock import displacement_op
 
 POLICY48 = fock.TruncationPolicy(cutoff=48)
 BLOCK = 24  # lowest-24-level comparison block at cutoff 48
@@ -128,7 +129,7 @@ def test_criterion_4_coherent_source_scheme():
         for n in (2, 4):
             spec = cats.CatSpec(n, math.sqrt(n / 2.0))
             state, p_b = cats.scheme_b_state(spec, pol)
-            displaced = fock.apply(fock.displacement_op(spec.beta, pol),
+            displaced = fock.apply(displacement_op(spec.beta, pol),
                                    cats.chi_state(spec, pol))
             assert abs(fock.inner(displaced, state)) >= 1.0 - 1e-6
             _, p_a = cats.cat_norm_and_prob(spec)

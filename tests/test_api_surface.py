@@ -85,13 +85,11 @@ def raised_names(tree):
 
 
 def test_truncation_is_decided_only_in_fock():
-    # fock.TruncationPolicy owns every cutoff and tail check; the one rule
-    # kept apart is y_displaced_fock's max(m, n) <= cutoff // 4
+    # fock.TruncationPolicy owns every cutoff, tail and working-level check
     strays = [f"{path.stem}.{func} raises {name}"
               for path in sorted(SRC.glob("*.py")) if path.stem != "fock"
               for func, name in raised_names(ast.parse(path.read_text()))
-              if name in TRUNCATION_ERRORS
-              and (path.stem, func) != ("conditional", "y_displaced_fock")]
+              if name in TRUNCATION_ERRORS]
     assert not strays, strays
 
 

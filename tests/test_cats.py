@@ -6,6 +6,7 @@ import pytest
 from condibeam import cats, fock, phasespace
 from condibeam.beamsplitter import BeamSplitterParams
 from condibeam.errors import DomainError, TruncationError
+from test_fock import displacement_op
 
 POLICY = fock.TruncationPolicy(cutoff=48)
 
@@ -133,8 +134,15 @@ class TestChiState:
             assert np.max(np.abs(route_c - chi.amps)) < 1e-10
 
     def test_budget(self):
+        # n = 30, above the former half-cutoff block at cutoff 48, matches the
+        # closed-form conditional route (the oracle's reference D(beta)|30>
+        # does not fit this cutoff); n = 49 is past the cutoff
+        spec = cats.CatSpec(30, 1.0)
+        state, _ = cats.scheme_a_state(spec, POLICY)
+        chi = cats.chi_state(spec, POLICY)
+        assert abs(1.0 - abs(fock.inner(chi, state))) < 1e-12
         with pytest.raises(TruncationError):
-            cats.chi_state(cats.CatSpec(30, 1.0), POLICY)
+            cats.chi_state(cats.CatSpec(49, 1.0), POLICY)
 
     def test_matches_mpmath_where_the_norm_overflows(self):
         # at n = 800, |beta|^2 = 400 the normalization N ~ 1e414 overflows
@@ -211,7 +219,7 @@ class TestSchemeB:
         spec = cats.CatSpec(4, math.sqrt(2.0))
         state, p_b = cats.scheme_b_state(spec, pol)
         chi = cats.chi_state(spec, pol)
-        displaced = fock.apply(fock.displacement_op(spec.beta, pol), chi)
+        displaced = fock.apply(displacement_op(spec.beta, pol), chi)
         assert abs(fock.inner(displaced, state)) >= 1.0 - 1e-6
         _, p_a = cats.cat_norm_and_prob(spec)
         assert p_b == pytest.approx(p_a, abs=1e-8)

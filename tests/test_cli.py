@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -273,6 +274,31 @@ class TestMainExitCodes:
         cfg.write_text("m = 0\nn = 0\nalpha = 9.0\ncutoff = 32\n")
         assert cli.main(["y-matrix", "--config", str(cfg)]) == 3
 
+    def test_displacement_past_the_working_cap_is_a_domain_error(self, tmp_path, capsys):
+        # tail_tol = 1 admits any displacement, but |alpha| = 1000 at cutoff
+        # 48 would need ~2e6 working levels: refused before any is built
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("m = 1\nn = 0\nalpha = 1000\ntail_tol = 1\ncutoff = 48\n")
+        start = time.perf_counter()
+        rc = cli.main(["y-matrix", "--config", str(cfg)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("domain error: ") and "working levels" in err
+        assert err.count("\n") == 1
+        assert elapsed < 0.5
+
+    def test_povm_demo_past_the_former_safe_block(self, tmp_path):
+        # signal_n = 20 at cutoff 32: the ensemble route decomposes the POVM
+        # element into Fock projectors up to |20>, above half the cutoff
+        cfg = tmp_path / "povm.cfg"
+        cfg.write_text("eta = 0.8\ncutoff = 32\nsignal_n = 20\noutcome = 1\n")
+        out = tmp_path / "povm.json"
+        rc = cli.main(["povm-demo", "--config", str(cfg), "--format", "json-like",
+                       "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["results"]["route_state_max_dev"] <= 1e-12
+
     @pytest.mark.parametrize("experiment, config", [
         ("y-matrix", "m = 1\nn = 1\n"), ("povm-demo", "eta = 0.8\n")],
         ids=["y-matrix", "povm-demo"])
@@ -443,6 +469,8 @@ class TestMainExitCodes:
         ("inefficient_detection_demo", "eta", "1.5", "povm-demo", "efficiency must be in"),
         ("conditional_operator_demo", "m", "-1", "y-matrix", "m must be >= 0"),
         ("conditional_operator_demo", "n", "-1", "y-matrix", "n must be >= 0"),
+        ("conditional_operator_demo", "m", "49", "y-matrix", "m must be <= cutoff 48"),
+        ("conditional_operator_demo", "n", "49", "y-matrix", "n must be <= cutoff 48"),
         ("inefficient_detection_demo", "outcome", "99", "povm-demo",
          "outcome must be in 0..32"),
         ("inefficient_detection_demo", "outcome", "-1", "povm-demo",

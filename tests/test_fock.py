@@ -28,6 +28,14 @@ def displacement_reference(alpha, cutoff):
     return math.exp(-x / 2) * sign * lag * phase[:, None] * phase.conj()
 
 
+def displacement_op(alpha, policy):
+    """D(alpha) on the levels 0..cutoff as a FockOperator, from the factors the
+    library's routes share, for the identities the tests assert."""
+    policy.check_displacement(alpha, "displacement_op")
+    factors = fock._displacement_factors(alpha, policy.cutoff, policy.cutoff)
+    return fock.FockOperator(fock._dense_columns(factors), policy.cutoff)
+
+
 class TestTruncationPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -43,12 +51,14 @@ class TestTruncationPolicy:
         pol = fock.TruncationPolicy(cutoff=49)  # dim 50, top 5 levels
         assert pol.tail_start == 45
 
-    def test_check_levels_admits_the_safe_block_and_no_more(self):
+    def test_check_levels_admits_every_level_and_no_more(self):
         pol = fock.TruncationPolicy(cutoff=48)
-        pol.check_levels(pol.safe_levels, "n")
-        with pytest.raises(CutoffExceededError, match="n = 25 exceeds the safe block") as exc:
-            pol.check_levels(pol.safe_levels + 1, "n")
-        assert isinstance(exc.value, TruncationError) and exc.value.tail_mass is None
+        pol.check_levels(0, "n")
+        pol.check_levels(48, "n")
+        for level in (49, -1):
+            with pytest.raises(CutoffExceededError, match=f"n = {level} outside 0..48") as exc:
+                pol.check_levels(level, "n")
+            assert isinstance(exc.value, TruncationError) and exc.value.tail_mass is None
 
     def test_check_displacement(self):
         POLICY.check_displacement(1.0, "probe")
@@ -126,18 +136,18 @@ class TestCoherentState:
 
 class TestDisplacement:
     def test_zero_is_identity(self):
-        assert np.allclose(fock.displacement_op(0, POLICY).mat, np.eye(POLICY.dim))
+        assert np.allclose(displacement_op(0, POLICY).mat, np.eye(POLICY.dim))
 
     def test_displaced_vacuum_is_coherent(self):
         alpha = 0.8 - 0.4j
-        lhs = fock.apply(fock.displacement_op(alpha, POLICY), fock.fock_state(0, POLICY))
+        lhs = fock.apply(displacement_op(alpha, POLICY), fock.fock_state(0, POLICY))
         assert np.allclose(lhs.amps, fock.coherent_state(alpha, POLICY).amps, atol=1e-12)
 
     def test_group_inverse_on_central_block(self):
         pol = fock.TruncationPolicy(cutoff=48)
         alpha = 1.1 + 0.3j
-        prod = (fock.displacement_op(alpha, pol)
-                @ fock.displacement_op(-alpha, pol)).mat
+        prod = (displacement_op(alpha, pol)
+                @ displacement_op(-alpha, pol)).mat
         half = pol.safe_levels
         assert np.max(np.abs(prod[:half, :half] - np.eye(pol.dim)[:half, :half])) < 1e-10
 
@@ -148,7 +158,7 @@ class TestDisplacement:
         # where it holds for |alpha| up to 2 (measured)
         pol = fock.TruncationPolicy(cutoff=96)
         for alpha in (0.5, 1.3 + 0.9j, 2.0, 2.0j):
-            d = fock.displacement_op(alpha, pol)
+            d = displacement_op(alpha, pol)
             gram = (d.dag() @ d).mat
             half = pol.safe_levels
             assert np.max(np.abs(gram[:half, :half]
@@ -158,7 +168,7 @@ class TestDisplacement:
         # D^dag(a) n D(a) = (a^dag + a*)(a + a): conjugation route vs direct
         # construction from shifted ladder operators
         alpha = 0.7 + 0.2j
-        d = fock.displacement_op(alpha, POLICY)
+        d = displacement_op(alpha, POLICY)
         conjugated = (d.dag() @ number_op(POLICY) @ d).mat
         a = fock.annihilation_op(POLICY).mat
         shifted = (a.conj().T + np.conj(alpha) * np.eye(POLICY.dim)) @ (
@@ -168,14 +178,14 @@ class TestDisplacement:
 
     def test_finite_with_unit_columns_at_cutoff_1024(self):
         pol = fock.TruncationPolicy(cutoff=1024)
-        d = fock.displacement_op(0.5, pol).mat
+        d = displacement_op(0.5, pol).mat
         assert np.all(np.isfinite(d))
         columns = np.linalg.norm(d[:, :pol.safe_levels], axis=0)
         assert np.max(np.abs(columns - 1.0)) < 1e-12
 
     def test_tail_violation(self):
         with pytest.raises(TruncationError):
-            fock.displacement_op(6.5, POLICY)
+            displacement_op(6.5, POLICY)
 
     @pytest.mark.parametrize("alpha", [1.786e-162, 1e-155j])
     def test_subnormal_intensity(self, alpha):
@@ -201,12 +211,51 @@ class TestDisplacement:
         rng = np.random.default_rng(cutoff)
         v = fock.FockVector(rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1),
                             cutoff)
-        mat = fock.displacement_op(alpha, fock.TruncationPolicy(cutoff)).mat
+        mat = displacement_op(alpha, fock.TruncationPolicy(cutoff)).mat
         assert np.max(np.abs(mat - displacement_reference(alpha, cutoff))) < 1e-15
         expected = mat @ v.amps
         out = fock.displace(alpha, v)
         assert out.cutoff == cutoff
         assert np.linalg.norm(out.amps - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+class TestWorkingLevels:
+    """``working_levels`` bounds where columns 0..top of D(alpha) end, and
+    ``working_factors`` finds that numerical top in the table it builds."""
+
+    @pytest.mark.parametrize("top", [0, 1, 5, 30, 200, 600])
+    @pytest.mark.parametrize("a", [1e-3, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 22.0])
+    def test_bound_holds_the_numerical_top(self, top, a):
+        alpha = a * np.exp(0.7j)
+        policy = fock.TruncationPolicy(max(8, top, math.ceil(a * a)))
+        levels = policy.working_levels(alpha, top, 0)
+        w, (lower, phase, scale) = policy.working_factors(alpha, top, 0)
+        # the same columns, dense, on 100 levels more than the bound
+        wide = fock._dense_columns(fock._displacement_factors(alpha, levels + 100, top))
+        true_top = fock._numerical_top(np.sqrt(np.sum(np.abs(wide) ** 2, axis=1)))
+        assert true_top <= levels - 14
+        assert w == max(policy.cutoff, true_top)
+        assert lower.shape == (w + 1, top + 1) and phase.shape == (w + 1,)
+
+    def test_cap_lies_beyond_every_displacement_admitted_at_half(self):
+        # |alpha|^2 = cutoff + 1 leaks more than 1/2 above the cutoff, so the
+        # cap is out of reach at tail_tol <= 1/2; tail_tol = 1 admits any alpha
+        policy = fock.TruncationPolicy(48, tail_tol=1.0)
+        assert fock.coherent_tail_mass(math.sqrt(49), 48) > 0.5
+        assert 4 * 48 < policy.working_levels(math.sqrt(49), 48, 0) < 4 * 48 + 28 * math.sqrt(48)
+        for alpha in (1.01 * math.sqrt(49), 1000.0, math.inf):
+            policy.check_displacement(alpha, "probe")
+            with pytest.raises(TruncationError, match="working levels at cutoff 48"):
+                policy.working_levels(alpha, 48, 0)
+        with pytest.raises(TruncationError, match="working levels at cutoff 48"):
+            policy.working_levels(complex("nan"), 0, 0)
+
+    def test_zero_displacement_is_the_identity(self):
+        policy = fock.TruncationPolicy(32)
+        w, factors = policy.working_factors(0.0, 5, 3)
+        assert w == 32
+        assert np.array_equal(fock._dense_columns(factors), np.eye(33, 6))
+        assert policy.working_factors(0.0, 32, 3)[0] == 35
 
 
 def count_laguerre_rows(monkeypatch, module):
@@ -246,7 +295,7 @@ class TestDisplaceOnSupport:
     @pytest.mark.parametrize("cutoff", [64, 512, 1024])
     def test_matches_the_matrix(self, cutoff):
         alpha = 2.5 * np.exp(-0.7j)
-        mat = fock.displacement_op(alpha, fock.TruncationPolicy(cutoff)).mat
+        mat = displacement_op(alpha, fock.TruncationPolicy(cutoff)).mat
         for name, v in self.vectors(cutoff, np.random.default_rng(cutoff)).items():
             expected = mat @ v.amps
             out = fock.displace(alpha, v).amps
@@ -256,7 +305,7 @@ class TestDisplaceOnSupport:
 
     def test_fock_state_is_the_matching_column(self):
         pol = fock.TruncationPolicy(cutoff=512)
-        mat = fock.displacement_op(-1.2 + 3.1j, pol).mat
+        mat = displacement_op(-1.2 + 3.1j, pol).mat
         for n in (0, 1, 100, 512):
             out = fock.displace(-1.2 + 3.1j, fock.fock_state(n, pol)).amps
             assert np.max(np.abs(out - mat[:, n])) < 1e-15
@@ -286,7 +335,7 @@ class TestDisplaceCost:
         out = fock.displace(alpha, v).amps
         assert len(seen) <= top + 1
         monkeypatch.undo()
-        expected = fock.displacement_op(alpha, policy).mat @ v.amps
+        expected = displacement_op(alpha, policy).mat @ v.amps
         assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("tail, degrees", [(1.01e-17, 101), (0.99e-17, 1)])
@@ -299,12 +348,12 @@ class TestDisplaceCost:
         out = fock.displace(0.8j, fock.FockVector(amps, 256)).amps
         assert len(seen) == degrees
         monkeypatch.undo()
-        expected = fock.displacement_op(0.8j, fock.TruncationPolicy(256)).mat @ amps
+        expected = displacement_op(0.8j, fock.TruncationPolicy(256)).mat @ amps
         assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
 
     def test_matrix_reads_the_whole_triangle(self, monkeypatch):
         seen = count_laguerre_rows(monkeypatch, fock)
-        fock.displacement_op(1.5, fock.TruncationPolicy(cutoff=64))
+        displacement_op(1.5, fock.TruncationPolicy(cutoff=64))
         assert seen == list(range(65, 0, -1))
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from condibeam import fock
-from condibeam.errors import CutoffExceededError
 from condibeam.ordering import OrderedMonomialSpec, s_ordered_monomial, s_to_t_convert
 from condibeam.polynomials import jacobi
 
@@ -78,8 +77,11 @@ class TestSOrderedMonomial:
             assert np.count_nonzero(op[on_band]) > 0, (m, n)
 
     def test_power_budget(self):
-        with pytest.raises(CutoffExceededError):
-            s_ordered_monomial(OrderedMonomialSpec(10, 9, 3.0), POLICY)
+        # m + n = 19, above the former half-cutoff block at cutoff 32: the band
+        # and the normal-ordered route agree on the full block
+        closed = s_ordered_monomial(OrderedMonomialSpec(10, 9, 3.0), POLICY).mat
+        converted = s_to_t_convert(10, 9, 3.0, 1.0, POLICY).mat
+        assert np.linalg.norm(closed - converted) <= 1e-12 * np.linalg.norm(converted)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
