@@ -17,10 +17,13 @@ s-ordered monomial is one shifted diagonal and T^n scales the columns, so
 the bracket is a banded matrix of width deg F + deg G + 1.
 
 Y is kept in that factored form, a :class:`ConditionalOperator`: the two
-displacement arguments and the bracket's diagonals (T^n folded in).
-``apply`` displaces, runs the band and displaces again with no dense
-operator, O(W t) for a state whose numerical top is t; ``mat`` builds the
-dense matrix from the same factors, for SVDs, norms and oracle comparisons.
+displacement arguments, the bracket's diagonals (T^n folded in) and the
+photon-number mass of the prepared reference on its levels 0..L, L its
+numerical top.  The splitter conserves photon number, so Y takes a state
+whose numerical top is t to the levels 0..t + L.  ``apply`` runs columns
+0..t of D(right), the band and rows 0..r <= t + L of D(left), as real
+products with no dense operator: O(W (t + L)).  ``mat`` builds the dense
+matrix from the same factors, for SVDs, norms and oracle comparisons.
 Both give Y's exact compression onto the levels 0..cutoff, as the oracle
 does: the inner index runs over working levels 0..W, the numerical top of
 the D(right) columns they read plus the band's lift
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import fock
 from .beamsplitter import OperatorPolynomial, ReferencePrep
-from .errors import CutoffMismatchError, DomainError, ZeroProbabilityError
+from .errors import CutoffMismatchError, DomainError, TruncationError, ZeroProbabilityError
 from .fock import TruncationPolicy
 from .ordering import OrderedMonomialSpec, s_ordered_band
 
@@ -108,13 +111,20 @@ class ConditionalOperator:
     ``left`` and ``right`` are the displacement arguments, ``core`` maps
     each diagonal offset d of the banded core B to its values (B[i, i + d]
     for d >= 0, B[i - d, i] below the diagonal) on every working level the
-    operator may need, with the T^n column factor folded in.
+    operator may need, with the T^n column factor folded in.  ``reference``
+    is the input reference's preparation phi = D(alpha) F(a^dag)|0>, and
+    :attr:`ref_mass` its |phi_j|^2 on the levels 0..L, L its numerical top.
+    The splitter conserves photon number, so the part of Y psi above level
+    n is at most ||meas|| times the norm of the part of psi (x) phi with
+    more than n photons in all, the tail of the two masses' convolution: a
+    state whose numerical top is t goes to the levels 0..t + L.
     """
 
     left: complex
     core: dict
     right: complex
     policy: TruncationPolicy
+    reference: ReferencePrep
 
     @property
     def cutoff(self):
@@ -125,32 +135,85 @@ class ConditionalOperator:
         """Levels the core lifts a state by: its largest creation excess."""
         return max(0, -min(self.core))
 
+    @functools.cached_property
+    def ref_mass(self):
+        """|phi_j|^2 for the reference phi = D(alpha) F(a^dag)|0> on the
+        levels 0..L, L its numerical top on its working levels (deg F when
+        alpha = 0); None where those levels pass the cap of
+        ``TruncationPolicy.working_levels``, as then no bound is known.  No
+        tail check, since phi itself is not kept."""
+        degree = self.reference.poly.degree
+        amps = self.reference.poly.state_amplitudes(degree + 1)
+        alpha = self.reference.displacement
+        if alpha != 0:
+            try:
+                levels = self.policy.working_levels(alpha, degree, 0)
+            except TruncationError:
+                return None
+            amps = fock._displaced(fock._displacement_factors(alpha, levels, degree), amps)
+            amps = amps[:fock._numerical_top(amps) + 1]
+        return fock._freeze(np.abs(amps) ** 2, float)
+
     def apply(self, vector):
         """Y|vector>: displace onto the working levels, run the band, displace.
 
-        Each displacement costs O(W t) for its input's numerical top t
-        (:func:`fock.displace`) and drops at most 1e-17 of its input's norm;
-        with right = 0 the whole input enters the band.
+        The input is taken on levels 0..t, t its numerical top, and D(right)
+        costs O(W t); with right = 0 the whole input enters the band, with
+        no displacement.  D(left) is evaluated as its rows 0..r only,
+        r <= t + L the levels Y can reach, O(W r), and the output is zero
+        above them.  Each displacement drops at most 1e-17 of its input's
+        norm.
         """
         if vector.cutoff != self.cutoff:
             raise CutoffMismatchError(f"cutoff mismatch: {self.cutoff} vs {vector.cutoff}")
-        top = fock._numerical_top(vector.amps) if self.right != 0 else self.cutoff
-        w, factors = self.policy.working_factors(self.right, top, self.reach)
-        amps = _band_times(self.core, fock._displaced(factors, vector.amps[:top + 1]))
-        if self.left != 0:
-            amps = fock.displace(self.left, fock.FockVector(amps, w)).amps
-        return fock.FockVector(amps[:self.cutoff + 1], self.cutoff)
+        amps = vector.amps
+        if self.right != 0:
+            amps = amps[:fock._numerical_top(amps) + 1]
+        return fock.FockVector(self._image(amps), self.cutoff)
+
+    def _image(self, amps):
+        """Y on ``amps`` (a vector or a matrix of columns over levels
+        0..len(amps) - 1) on the levels 0..cutoff: columns of D(right) on
+        the working levels 0..W, the band, and rows 0..r of D(left), the
+        adjoint of D(-left)'s columns (:func:`fock._displaced_adjoint`).  r
+        is the numerical top of the convolution of the columns' summed
+        per-level mass with ``ref_mass``, at most t + L (the cutoff without
+        a bound); above it the output, left at zero, holds at most 1e-17
+        ||psi|| ||phi|| ||meas||.  With left = 0 the band's output is the
+        result."""
+        if self.right != 0:
+            w, factors = self.policy.working_factors(self.right, len(amps) - 1, self.reach)
+            inner = fock._displaced(factors, amps)
+        else:  # D(0) is the identity: the input enters the band as it is
+            w = self.policy.working_levels(0, len(amps) - 1, self.reach)
+            inner = np.zeros((w + 1,) + amps.shape[1:], dtype=complex)
+            inner[:len(amps)] = amps
+        out = _band_times(self.core, inner)
+        if self.left == 0:
+            return out[:self.cutoff + 1]
+        rows = self.cutoff
+        if self.ref_mass is not None:
+            mass = (np.abs(amps.reshape(len(amps), -1)) ** 2).sum(axis=1)
+            rows = min(rows, fock._numerical_top(np.sqrt(np.convolve(mass, self.ref_mass))))
+        image = np.zeros((self.policy.dim,) + amps.shape[1:], dtype=complex)
+        image[:rows + 1] = fock._displaced_adjoint(
+            fock._displacement_factors(-self.left, w, rows), out)
+        return image
 
     @functools.cached_property
     def mat(self):
         """The dense matrix: B times columns 0..cutoff of D(right) on the
-        working levels 0..W, then rows 0..cutoff of D(left), the adjoint of
-        D(-left)'s columns; one (N+1) x (W+1) x (N+1) product."""
+        working levels 0..W, then rows 0..cutoff of D(left) by the same real
+        products as :meth:`apply` (:func:`fock._displaced_adjoint`), O(W N^2).
+        Column j, Y|j>, lives on the levels 0..j + L; the matrix keeps the
+        rows above, which only the reference's 1e-17 tail reaches."""
         n = self.cutoff
         w, factors = self.policy.working_factors(self.right, n, self.reach)
         mat = _band_times(self.core, fock._dense_columns(factors))
         if self.left != 0:
-            mat = fock._dense_columns(fock._displacement_factors(-self.left, w, n)).conj().T @ mat
+            # rebound, so the D(right) table is freed before the product
+            factors = fock._displacement_factors(-self.left, w, n)
+            mat = fock._displaced_adjoint(factors, mat)
         mat = mat[:n + 1]
         mat.setflags(write=False)
         return mat
@@ -201,8 +264,8 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
              for m, fm in enumerate(f_poly.coeffs) if fm != 0
              for n, gn in enumerate(g_poly.coeffs) if gn != 0]
     levels = policy.working_levels(right, policy.cutoff, max(0, *(m - n for m, n, _ in terms)))
-    return ConditionalOperator(left, _ordered_core(terms, bs, TruncationPolicy(levels)),
-                               right, policy)
+    core = _ordered_core(terms, bs, TruncationPolicy(levels))
+    return ConditionalOperator(left, core, right, policy, prep_in)
 
 
 def apply_conditional(y, psi_in):
@@ -232,7 +295,7 @@ def apply_conditional_mixed(rho, ref_ensemble, meas_ensemble, bs, policy):
     returns the normalized output and its trace, the outcome probability
     (ZeroProbabilityError for p < 1e-14).  rho is positive, so it is taken
     on the levels 0..t, t the numerical top of sqrt(diag rho), and the Kraus
-    columns are Y|0>..Y|t>, each applied in factored form.
+    columns Y|0>..Y|t> come from one factored product on that block.
     """
     if rho.cutoff != policy.cutoff:
         raise CutoffMismatchError(f"cutoff mismatch: {policy.cutoff} vs {rho.cutoff}")
@@ -243,14 +306,13 @@ def apply_conditional_mixed(rho, ref_ensemble, meas_ensemble, bs, policy):
         raise ValueError("measurement ensemble weights must be finite and >= 0")
     top = fock._numerical_top(np.sqrt(np.abs(rho.mat.diagonal())))
     block = rho.mat[:top + 1, :top + 1]
-    columns = [fock.FockVector(e, policy.cutoff) for e in np.eye(top + 1, policy.dim)]
+    basis = np.eye(top + 1)
     accum = np.zeros((policy.dim, policy.dim), dtype=complex)
     for w, prep_in in ref_ensemble:
         for pl, prep_meas in meas_ensemble:
             if w * pl == 0:
                 continue
-            y = y_displaced_general(prep_in, prep_meas, bs, policy)
-            kraus = np.stack([y.apply(e).amps for e in columns], axis=1)
+            kraus = y_displaced_general(prep_in, prep_meas, bs, policy)._image(basis)
             accum += w * pl * (kraus @ block @ kraus.conj().T)
     return fock._conditioned(accum, policy.cutoff)
 

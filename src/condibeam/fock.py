@@ -373,6 +373,17 @@ def _alternating(dim):
     return np.where(np.arange(dim) % 2, -1.0, 1.0)
 
 
+def _head_block(lower):
+    """The top square block of M's columns 0..top (:func:`_displacement_factors`)
+    from their lower triangle L0: L0 + S L0^T S - diag(L0), S = diag((-1)^k)."""
+    cols = lower.shape[1]
+    head = lower[:cols]
+    sign = _alternating(cols)
+    block = head + head.T * sign * sign[:, None]  # the upper triangle
+    np.fill_diagonal(block, head.diagonal())  # the sum counted it twice
+    return block
+
+
 def _dense_columns(factors):
     """Columns 0..top of D(alpha) as a dense matrix over the levels of its
     factors (:func:`_displacement_factors`): with x = |alpha|^2 and j <= k,
@@ -381,10 +392,8 @@ def _dense_columns(factors):
     Laguerre values u are bounded, so no element overflows at any cutoff."""
     lower, phase, scale = factors
     cols = lower.shape[1]
-    sign = _alternating(cols)
     real = np.array(lower)
-    real[:cols] += lower[:cols].T * sign * sign[:, None]  # the upper triangle
-    np.fill_diagonal(real, lower.diagonal())  # the sum counted it twice
+    real[:cols] = _head_block(lower)
     mat = np.multiply.outer(scale * phase, phase[:cols].conj())
     mat *= real
     return mat
@@ -420,19 +429,46 @@ def displace(alpha, vector):
 
 def _displaced(factors, amps):
     """e^(-x/2) P M P* amps over the levels of the factors of columns 0..t of
-    D(alpha) (:func:`_displacement_factors`), for amps on levels 0..t: two
-    real products with the lower triangle L and its top block L0, M w =
-    L w + S L0^T S w - diag(L0) w, S = diag((-1)^k), the real and imaginary
-    parts of w as the two columns."""
+    D(alpha) (:func:`_displacement_factors`), for amps on levels 0..t (a
+    vector, or a matrix of columns): two real products, M w = [M0 w; L1 w]
+    for M0 the top square block of the columns (:func:`_head_block`) and L1
+    the lower triangle below it, on the real and imaginary parts of w."""
     lower, phase, scale = factors
     size = len(amps)
-    w = phase[:size].conj() * amps
-    w = np.stack([w.real, w.imag], axis=1)
-    out = lower @ w
-    head = lower[:size]
-    sign = _alternating(size)[:, None]
-    out[:size] += sign * (head.T @ (sign * w)) - head.diagonal()[:, None] * w
-    return scale * phase * (out[:, 0] + 1j * out[:, 1])
+    w = _real_columns(phase[:size].conj(), amps)
+    out = np.empty((len(lower), w.shape[1]))
+    out[:size] = _head_block(lower) @ w
+    out[size:] = lower[size:] @ w
+    return _complex_columns(scale * phase, out, amps.shape)
+
+
+def _displaced_adjoint(factors, amps):
+    """Rows 0..r of D(alpha) times amps, from the factors of columns 0..r of
+    D(-alpha) on the levels of amps (a vector, or a matrix of columns): the
+    adjoint of those columns, e^(-x/2) P0 M^T P* amps with P0 the first r + 1
+    phases.  The mirror of :func:`_displaced`, two real products with no
+    dense operator: M^T w = M0^T w0 + L1^T w1 for w0 and w1 the rows 0..r
+    of w and those below."""
+    lower, phase, scale = factors
+    size = lower.shape[1]
+    w = _real_columns(phase.conj(), amps)
+    out = _head_block(lower).T @ w[:size]
+    out += lower[size:].T @ w[size:]
+    return _complex_columns(scale * phase[:size], out, amps.shape)
+
+
+def _real_columns(phase, amps):
+    """phase * amps (a vector is one column) as a real matrix, each complex
+    column read as two real ones, its real and its imaginary part."""
+    return (phase[:, None] * amps.reshape(len(amps), -1)).astype(complex, copy=False).view(float)
+
+
+def _complex_columns(phase, out, shape):
+    """phase * the complex columns that ``out`` holds as :func:`_real_columns`
+    lays them out, in the trailing ``shape`` of the input."""
+    z = out.view(complex)
+    z *= phase[:, None]
+    return z.reshape((len(out),) + shape[1:])
 
 
 # ln 2 = _LN2_HI + _LN2_LO, with _LN2_HI short enough that its product with

@@ -50,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cats import _chi_amplitudes, multi_cat_log_norm
 from .errors import DomainError, IntegrationRangeError
 from .fock import _numerical_top, hermite_functions
-from .polynomials import assoc_laguerre, laguerre_rows, log_factorial
+from .polynomials import laguerre_rows, log_factorial
 
 __all__ = [
     "Axis",
@@ -209,8 +209,9 @@ def husimi_chi_closed(spec, grid):
     near = np.abs(alpha) <= _far_radius(spec.n)
     alpha = alpha[near]
     arg = spec.beta * (np.conj(alpha) + np.conj(spec.beta))
-    scaled = (assoc_laguerre(spec.n, 0, arg)[spec.n]
-              * np.exp(-0.5 * (np.abs(alpha) ** 2 + log_norm)))
+    for lag in laguerre_rows(spec.n, arg, 0):
+        pass  # only the last row, L_n, is read
+    scaled = lag * np.exp(-0.5 * (np.abs(alpha) ** 2 + log_norm))
     q = np.zeros(near.shape)
     q[near] = np.abs(scaled) ** 2 / np.pi
     return GridFunction(q, grid, "husimi")

@@ -17,8 +17,8 @@ degree advances a prefix of the parameters one shorter than the last, and
 the nmax + 1 rows hold (nmax + 1)(nmax + 2)/2 values, half the square
 table, each bit for bit the value the square table holds.  The displacement
 matrix, the chi amplitudes and the chi Wigner sum read that triangle;
-:func:`assoc_laguerre` stacks the rows over given parameters into the
-square table.
+with given parameters every row covers them all, and the chi Husimi form
+reads the last row at a = 0.
 
 Jacobi values P_m^(b,c)(z) come from the three-term recurrence in the
 degree.  ``c`` may be an array, one value per Fock level, and runs down to
@@ -35,7 +35,7 @@ from numbers import Integral
 
 import numpy as np
 
-__all__ = ["log_factorial", "laguerre_rows", "assoc_laguerre", "jacobi"]
+__all__ = ["log_factorial", "laguerre_rows", "jacobi"]
 
 
 def log_factorial(k):
@@ -120,16 +120,6 @@ def laguerre_rows(nmax, x, a=None):
         lead += 2
         norm += lead
         yield u
-
-
-def assoc_laguerre(nmax, a, x):
-    """Normalized associated Laguerre values for degrees j = 0..nmax.
-
-    The rows of :func:`laguerre_rows` over the parameters ``a``, stacked:
-    u_j^a(x) = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x).  ``a`` and ``x`` broadcast;
-    returns shape (nmax+1,) + broadcast shape of (a, x).
-    """
-    return np.stack(list(laguerre_rows(nmax, x, a)))
 
 
 def jacobi(m, b, c, z):

@@ -14,7 +14,9 @@ import numpy as np
 
 from condibeam.cats import _chi_amplitudes
 from condibeam.phasespace import _support
-from condibeam.polynomials import assoc_laguerre, log_factorial
+from condibeam.polynomials import log_factorial
+
+from test_polynomials import assoc_laguerre
 
 
 def wigner_cat_per_diagonal(spec, grid):

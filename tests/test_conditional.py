@@ -15,7 +15,7 @@ from condibeam.errors import (
     ZeroProbabilityError,
 )
 from test_fock import count_laguerre_rows, displacement_op
-from twomode_reference import conditional_reduce_mixed
+from twomode_reference import bs_unitary, conditional_reduce_mixed
 
 POLICY = fock.TruncationPolicy(cutoff=48)
 POLICY24 = fock.TruncationPolicy(cutoff=24)
@@ -352,6 +352,17 @@ class TestFactoredForm:
         _, p = conditional.apply_conditional(y, fock.coherent_state(1.5, policy))
         assert 0.0 < p <= 1.0
 
+    def test_undisplaced_input_enters_the_band_as_it_is(self, monkeypatch):
+        # right = 0: D(0) is the identity, so scheme_b_state at cutoff 1024
+        # builds no displacement factors (no (W+1) x (N+1) identity)
+        def refuse(*args, **kwargs):
+            raise AssertionError("displacement factors built for D(0)")
+
+        monkeypatch.setattr(fock.TruncationPolicy, "working_factors", refuse)
+        spec = cats.CatSpec(20, math.sqrt(10.0))
+        _, p = cats.scheme_b_state(spec, fock.TruncationPolicy(1024))
+        assert p == pytest.approx(cats.cat_norm_and_prob(spec)[1], rel=1e-8)
+
     def test_displacements_run_on_the_numerical_top(self, monkeypatch):
         # the 3-term displaced preparation on |1.5 e^0.3i> at cutoff 384: each
         # displacement reads the degrees up to its input's numerical top, not
@@ -370,6 +381,88 @@ class TestFactoredForm:
         monkeypatch.undo()
         expected = y.mat @ v.amps
         assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+POLICY64 = fock.TruncationPolicy(cutoff=64)
+
+
+@st.composite
+def displaced_polynomial_cases(draw):
+    """Displaced references D(alpha) F(a^dag)|0>, D(beta) G(a^dag)|0>, F and
+    G of degree <= 3 with coefficient magnitudes in [0.1, 1], |alpha|,
+    |beta| <= 1, a splitter with theta in [0.3, 1.3] and random phases, and a
+    signal on levels 0..top (top <= 10) at cutoff 64."""
+    phase = st.floats(0.0, 2 * math.pi)
+
+    def prep():
+        coeffs = [draw(st.floats(0.1, 1.0)) * np.exp(1j * draw(phase))
+                  for _ in range(draw(st.integers(1, 4)))]
+        disp = draw(st.floats(0.0, 1.0)) * np.exp(1j * draw(phase))
+        return ReferencePrep(OperatorPolynomial(tuple(coeffs)), disp).normalized()
+
+    bs = BeamSplitterParams(draw(st.floats(0.3, 1.3)), draw(phase), draw(phase))
+    top = draw(st.integers(0, 10))
+    amps = np.zeros(POLICY64.dim, dtype=complex)
+    amps[:top + 1] = [draw(st.floats(0.05, 1.0)) * np.exp(1j * draw(phase))
+                      for _ in range(top + 1)]
+    return prep(), prep(), bs, fock.normalize(fock.FockVector(amps, POLICY64.cutoff)), top
+
+
+class TestPhotonNumberBound:
+    """The splitter conserves photon number, so Y takes a state whose
+    numerical top is t to the levels 0..t + L, L the prepared reference's
+    numerical top; ``apply`` evaluates D(left) on those rows only, and on
+    fewer where the two masses' tails allow."""
+
+    @given(displaced_polynomial_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_apply_is_zero_above_the_bound_and_matches_the_two_mode_route(self, case):
+        prep_in, prep_meas, bs, psi, top = case
+        try:
+            y = conditional.y_displaced_general(prep_in, prep_meas, bs, POLICY64)
+        except TruncationError:
+            reject()  # a refused displacement budget is a defined outcome
+        bound = top + len(y.ref_mass) - 1  # t + L
+        assert bound < POLICY64.cutoff  # L <= 36 over 300 trial draws: levels to cut
+        out = y.apply(psi).amps
+        assert not out[bound + 1:].any()
+        # <meas| U |psi>|in>, the splitter's sector blocks on the product state
+        two = twomode.product_state(psi, prep_in.state(POLICY64))
+        expected = bs_unitary(bs, POLICY64).apply(two).amps @ prep_meas.state(POLICY64).amps.conj()
+        assert np.max(np.abs(out - expected)) <= 1e-12
+        # the levels apply leaves at zero hold nothing of the two-mode output
+        cut = np.flatnonzero(out).max(initial=-1)
+        assert np.linalg.norm(expected[cut + 1:]) <= 1e-15
+
+    def test_left_factor_reads_only_the_reachable_rows(self, monkeypatch):
+        # scheme_a_state at n = 100, cutoff 512: |100> in a vacuum reference
+        # (L = 0), so the output lives on 0..100 and D(left) is built from 101
+        # Laguerre rows, not from the band output's numerical top (330)
+        seen = []
+        original = fock._displacement_factors
+
+        def recording(alpha, cutoff, top):
+            seen.append(top)
+            return original(alpha, cutoff, top)
+
+        monkeypatch.setattr(fock, "_displacement_factors", recording)
+        spec = cats.CatSpec(100, math.sqrt(50.0) * np.exp(0.4j))
+        _, p = cats.scheme_a_state(spec, fock.TruncationPolicy(512), 0.3, 1.2)
+        assert p == pytest.approx(cats.cat_norm_and_prob(spec)[1], rel=1e-10)
+        assert len(seen) == 2 and max(seen) <= 100  # D(right), then D(left)
+
+    def test_reference_past_the_working_levels_has_no_bound(self):
+        # D(30)|0> in at |R| = 0.05, detected in D(T* 30)|0>: right = 0 and
+        # |left| = 1.5 pass the budget, but the reference's own working levels
+        # pass the cap, so there is no bound and every row is kept
+        bs = BeamSplitterParams(0.05)
+        alpha = 30.0
+        y = conditional.y_displaced_fock(0, 0, alpha, np.conj(bs.transmittance) * alpha,
+                                         bs, POLICY)
+        assert y.ref_mass is None
+        psi = fock.normalize(fock.FockVector(np.exp(-0.3 * K) + 0j, POLICY.cutoff))
+        expected = y.mat @ psi.amps
+        assert np.linalg.norm(y.apply(psi).amps - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 @st.composite

@@ -6,7 +6,8 @@ import pytest
 
 from condibeam import fock, phasespace
 from condibeam.errors import CutoffExceededError, CutoffMismatchError, TruncationError
-from condibeam.polynomials import assoc_laguerre
+
+from test_polynomials import assoc_laguerre
 
 POLICY = fock.TruncationPolicy(cutoff=32)
 
