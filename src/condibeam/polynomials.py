@@ -29,7 +29,6 @@ negative c = -l is first mapped by Szego's identity (Orthogonal Polynomials,
     P_m^(b,-l)(z) = [C(m+b, l) / C(m, l)] ((1+z)/2)^l P_{m-l}^(b,l)(z).
 """
 
-import functools
 import math
 from numbers import Integral
 
@@ -41,8 +40,8 @@ __all__ = ["log_factorial", "laguerre_rows", "jacobi"]
 def log_factorial(k):
     """ln(k!) for an integer k >= 0, or elementwise for an integer array.
 
-    Arrays are answered from a table of ``math.lgamma`` values cached per
-    table length; a cumulative sum of ln j would lose digits at large k.
+    Arrays are answered from one read-only table of ``math.lgamma`` values;
+    a cumulative sum of ln j would lose digits at large k.
     """
     if np.ndim(k) == 0:
         if k < 0:
@@ -54,10 +53,22 @@ def log_factorial(k):
     return _log_factorial_table(int(k.max()) + 1)[k]
 
 
-@functools.lru_cache(maxsize=16)
+# ln j! for j < len(_LOG_FACTORIALS); read-only, and only ever replaced
+_LOG_FACTORIALS = np.zeros(1)
+_LOG_FACTORIALS.setflags(write=False)
+
+
 def _log_factorial_table(length):
-    table = np.array([math.lgamma(j + 1) for j in range(length)])
-    table.setflags(write=False)
+    """The table of ln j! for at least j < length.  A longer request swaps
+    in a table at least twice as long; a table once returned is never
+    written to."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) < length:
+        more = range(len(table), max(length, 2 * len(table)))
+        table = np.concatenate((table, [math.lgamma(j + 1) for j in more]))
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
     return table
 
 

@@ -3,23 +3,26 @@
 The conditional module builds Y and the conditioned states; this module
 checks them by an independent route.  The unitary commutes with the total
 photon number, so it acts sector by sector on k1 + k2 = M.
-:func:`_sector_blocks` produces the exact blocks of the untruncated beam
-splitter (the convention :func:`fock.displace` follows as well) one
-sector at a time, from the recurrence of :func:`_sector_rotations`;
-:func:`oracle_y` and :func:`conditional_reduce` contract each block as it
-is produced, and no dense two-mode unitary is ever assembled.  Sectors
-with M <= cutoff are complete and their blocks are unitary; a higher
-sector keeps only the signal indices max(0, M - cutoff)..cutoff, so its
-block is a compression of a unitary, yet each element it keeps is exact:
-:func:`oracle_y` is Y's exact compression onto the levels 0..cutoff.
+:func:`_sector_windows` produces the exact real rotations of the
+untruncated beam splitter (the convention :func:`fock.displace` follows as
+well) a chunk of sectors at a time; :func:`oracle_y` and
+:func:`conditional_reduce` put the sector phases around them and contract
+each chunk as it is produced, and no dense two-mode unitary is ever
+assembled.  Sectors with M <= cutoff are complete and their blocks are
+unitary; a higher sector keeps only the signal indices
+max(0, M - cutoff)..cutoff, so its block is a compression of a unitary, yet
+each element it keeps is exact: :func:`oracle_y` is Y's exact compression
+onto the levels 0..cutoff.
 
-The recurrence is closed on the reference-mode levels q <= L: each step
-reads only the element's own reference indices or one below them.  A
-routine that needs only such levels runs it on that band alone, O(N L^2)
-for cutoff N instead of O(N^3).  Each such bound is a numerical top
-(:func:`fock._numerical_top`): the oracle takes L from the reference
-amplitudes, and the reduce route stops at the top sector of its input,
-which bounds every reference index it meets.
+The windows are held in reference-mode coordinates, X_M[q, r] = R_M[M - q,
+M - r], and the recurrence is closed on the reference levels q <= L: each
+step reads only the element's own reference indices or one below them.  A
+routine that needs only such levels runs it on that band alone: a sector
+costs O(L^2), a few in-place calls on a fixed (L + 2)^2 slot, and the
+stream O(N L^2) for cutoff N instead of O(N^3), in O(chunk L^2) memory.
+Each such bound is a numerical top (:func:`fock._numerical_top`): the
+oracle takes L from the reference amplitudes, and the reduce route stops at
+the top sector of its input, which bounds every reference index it meets.
 
 Everything here is deliberately independent of the closed-form construction
 (no ``polynomials``, ``ordering`` or ``conditional`` import, and
@@ -30,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CutoffMismatchError
 from .fock import FockOperator, _conditioned, _freeze, _freeze_field, _numerical_top
@@ -62,11 +66,24 @@ def product_state(v1, v2):
     return TwoModeState(np.outer(v1.amps, v2.amps), v1.cutoff)
 
 
-def _sector_rotations(theta, cutoff, band):
-    """Windows R_M of the mixing rotation, sector by sector, on the
-    reference band.
+# elements of the (band + 2)^2 slots that one chunk of sectors holds
+_CHUNK_ELEMENTS = 1 << 15
+# sectors whose step coefficients one table holds
+_TABLE_SECTORS = 4
 
-    Apart from the phases, sector M of the beam splitter is the real window
+
+def _levels(total, cutoff, band):
+    """Reference levels lo..hi that sector ``total`` holds on the band: the
+    reference index q = total - p of every signal index p in 0..cutoff,
+    capped at the band."""
+    return max(0, total - cutoff), min(total, band)
+
+
+def _sector_windows(theta, cutoff, band, last):
+    """Windows X_M of the mixing rotation in reference-mode coordinates,
+    sector by sector on the reference band, a chunk of sectors at a time.
+
+    Apart from the phases, sector M of the beam splitter is the real rotation
 
         R_M[p, k] = <p, M-p| exp(theta (a1^dag a2 - a2^dag a1)) |k, M-k>,
 
@@ -75,96 +92,156 @@ def _sector_rotations(theta, cutoff, band):
     U a2^dag U^dag = c a2^dag + s a1^dag (c = cos theta, s = sin theta),
     raising either input index by one photon gives a two-term step; their
     weighted sum is the contractive four-term recurrence of Risbo
-    (J. Geodesy 70, 383 (1996)), with q = M + 1 - p and R_0 = [[1]]:
+    (J. Geodesy 70, 383 (1996)).  In the reference-mode indices q = M - p
+    and r = M - k, X_M[q, r] = R_M[M - q, M - r], X_0 = [[1]] and
 
-        (M+1) R_{M+1}[p, k] = sqrt(k) (c sqrt(p) R_M[p-1, k-1] - s sqrt(q) R_M[p, k-1])
-                            + sqrt(M+1-k) (c sqrt(q) R_M[p, k] + s sqrt(p) R_M[p-1, k]).
+        M X_M[q, r] = (c sqrt(M-q) X[q, r] - s sqrt(q) X[q-1, r]) sqrt(M-r)
+                    + (c sqrt(q) X[q-1, r-1] + s sqrt(M-q) X[q, r-1]) sqrt(r)
 
-    Either two-term step alone divides by the square root of one input
-    index and is unstable: at theta = pi/4 its sectors miss unitarity by
-    4e-3 at M = 96 and by 5e4 at M = 128.
+    with X = X_{M-1}.  Either two-term step alone divides by the square root
+    of one input index and is unstable: at theta = pi/4 its sectors miss
+    unitarity by 4e-3 at M = 96 and by 5e4 at M = 128.
 
-    In the reference-mode indices M - p and M - k, the step reads R_M only
-    at the element's own reference indices or one below them.  So the
-    elements whose reference indices are both <= ``band`` follow from
-    elements of the same kind: the band is closed under the recurrence, and
-    each banded element is the same exact element of the untruncated
-    rotation.  Sector M keeps the signal indices lo = max(0, M - band) ..
-    hi = min(cutoff, M), and the stream ends at M = cutoff + band; every
-    window follows from the previous one in O(1) per element, O(N band^2)
-    in all.  ``band = cutoff`` keeps every element of the truncated
-    two-mode space, O(N^3) for the 2N + 1 sectors.
+    The step reads X_{M-1} only at the element's own reference indices or
+    one below them.  So the elements whose reference indices are both
+    <= ``band`` follow from elements of the same kind: the band is closed
+    under the recurrence, and each banded element is the same exact element
+    of the untruncated rotation.  Sector M holds the levels lo..hi of
+    :func:`_levels` (the signal indices 0..cutoff), and the stream runs over
+    the sectors 0..``last`` (<= cutoff + band).
 
-    Yields (total, lo, rot) for total = 0..cutoff + band (0 <= band <=
-    cutoff), where
-    rot[p - lo, k - lo] = R_total[p, k] over lo..hi, one vectorized
-    recurrence step per sector; every yielded array is new.
+    Each window lives in a fixed (band + 2)^2 slot whose row and column 0
+    (level -1) stay zero, and a chunk of sectors shares one buffer.  A step
+    is nine in-place ufunc calls on contiguous runs of slot positions, the
+    whole rows lo..hi (all rows between the two ends of the stream), with
+    coefficients spread over the slot positions from one vectorized table
+    per block of sectors.  So a sector costs O(band^2) and the stream
+    O(N band^2) for cutoff N, in O(chunk band^2) memory; ``band = cutoff``
+    keeps every element of the truncated two-mode space.  The arithmetic is
+    the same, operation for operation, as that of the full-window
+    recurrence in signal coordinates.
+
+    Yields (first, windows) with windows[m, 1 + q, 1 + r] = X_{first+m}[q, r]
+    for q, r in the sector's levels lo..hi; in the rows lo..hi every other
+    column holds zero.  The windows are views into the buffer that the next
+    chunk overwrites.
     """
     c, s = math.cos(theta), math.sin(theta)
-    roots = np.sqrt(np.arange(cutoff + band + 1, dtype=float))
-    rot = np.ones((1, 1))
-    yield 0, 0, rot
-    for total in range(1, cutoff + band + 1):
-        lo, hi = max(0, total - band), min(cutoff, total)
-        # prev[i, j] = R_{total-1}[lo-1+i, lo-1+j]; a window that starts at
-        # index 0 or ends at index total gains a zero border there (index -1,
-        # and index total, where sqrt(q) = 0)
-        prev = rot
-        if lo == 0 or hi == total:
-            prev = np.zeros((hi - lo + 2, hi - lo + 2))
-            start = int(lo == 0)
-            prev[start:start + len(rot), start:start + len(rot)] = rot
-        # sqrt(p) and sqrt(total - p) over lo..hi, also sqrt(k), sqrt(total - k)
-        sp, sq = roots[lo:hi + 1], roots[total - hi:total - lo + 1][::-1]
-        rot = (((c / total) * sp)[:, None] * prev[:-1, :-1]
-               - ((s / total) * sq)[:, None] * prev[1:, :-1]) * sp
-        rot += (((c / total) * sq)[:, None] * prev[1:, 1:]
-                + ((s / total) * sp)[:, None] * prev[:-1, 1:]) * sq
-        yield total, lo, rot
-
-
-def _sector_blocks(bs, cutoff, band):
-    """Exact sector blocks of the beam-splitter unitary on the reference
-    band, one sector at a time.
-
-    Yields (total, lo, left, rot, right) with block = left[:, None] * rot *
-    right: the window R_total of :func:`_sector_rotations` between the
-    phases exp(i phi (k1 - k2)/2) of the photon-number-difference
-    generators, phi = phi_t + phi_r on the left and phi_t - phi_r on the
-    right.  Valid for every parameter value, T = 0 included.
-    """
-    # exp(i phi j/2) for j = k1 - k2 in -band..cutoff, indexed by band + j
-    j = np.arange(-band, cutoff + 1)
-    left, right = (np.exp(1j * phi * j / 2.0)
-                   for phi in (bs.phi_t + bs.phi_r, bs.phi_t - bs.phi_r))
-    for total, lo, rot in _sector_rotations(bs.theta, cutoff, band):
-        hi = lo + len(rot) - 1
-        at = slice(band + 2 * lo - total, band + 2 * hi - total + 1, 2)
-        yield total, lo, left[at], rot, right[at]
+    width = band + 2
+    size = width * width
+    span = size - width - 1
+    chunk = max(1, min(last + 1, _CHUNK_ELEMENTS // size))
+    buf = np.zeros((chunk + 1, size))
+    slots = buf.reshape(chunk + 1, width, width)
+    # X_M[q, r] sits at slot position (q + 1) width + r + 1, so the element of
+    # X_{M+1} at position j + width + 1 reads X_M at j + width + 1, j + 1,
+    # j + width and j: (q, r), (q - 1, r), (q, r - 1) and (q - 1, r - 1)
+    reads = [[buf[k, at:at + span] for at in (width + 1, 1, width, 0)] + [buf[k + 1, width + 1:]]
+             for k in range(chunk)]
+    # the coefficients of the four reads, functions of M and q, then sqrt(M - r)
+    # and sqrt(r): one vector per sector and chunk, spread over the slot
+    # positions a block of sectors at a time
+    levels = np.arange(band + 1.0)
+    down = np.sqrt(levels)
+    block = min(chunk, _TABLE_SECTORS)
+    coefs = np.zeros((6, block, width, width))
+    coefs[5, :, :, 1:] = down
+    temps = [np.empty(span) for _ in range(3)]
+    # the fourteen operands of each slot's step, over the full window
+    tables = [list(coefs.reshape(6, block, size)[:, k, width + 1:]) for k in range(block)]
+    steps = [reads[k] + tables[k % block] + temps for k in range(chunk)]
+    mul, add = np.multiply, np.add
+    buf[1, width + 1] = 1.0  # X_0
+    first = 0
+    while first <= last:
+        count = min(chunk, last + 1 - first)
+        totals = np.arange(first, first + count, dtype=float)[:, None]
+        up = np.sqrt(np.maximum(totals - levels, 0.0))
+        cm, sm = c / np.maximum(totals, 1.0), s / np.maximum(totals, 1.0)
+        by_row = np.stack((cm * up, -(sm * down), sm * up, cm * down))[..., None]
+        for m in range(count):
+            if m % block == 0:
+                # the next block's coefficients, on the rows its sectors hold
+                at = slice(m, min(m + block, count))
+                rows = slice(_levels(first + at.start, cutoff, band)[0],
+                             _levels(first + at.stop - 1, cutoff, band)[1] + 1)
+                coefs[:4, :at.stop - at.start, rows.start + 1:rows.stop + 1] = by_row[:, at, rows]
+                coefs[4, :at.stop - at.start, rows.start + 1:rows.stop + 1, 1:] = up[at, None, :]
+            total = first + m
+            if total == 0:
+                continue
+            lo, hi = _levels(total, cutoff, band)
+            ops = steps[m]
+            if lo or hi < band:
+                ops = [op[lo * width:(hi + 1) * width - 1] for op in ops]
+            x, xq, xr, xqr, out, k1, k2, k3, k4, kr, kr1, t1, t2, t3 = ops
+            mul(k1, x, t1)
+            mul(k2, xq, t2)
+            add(t1, t2, t1)
+            mul(t1, kr, t1)
+            mul(k3, xr, t2)
+            mul(k4, xqr, t3)
+            add(t2, t3, t2)
+            mul(t2, kr1, t2)
+            add(t1, t2, out)
+            if lo:
+                # the column below the window: an element of the untruncated
+                # rotation whose signal index exceeds the cutoff
+                slots[m + 1, lo + 1:, lo] = 0.0
+        yield first, slots[1:count + 1]
+        buf[0] = buf[count]
+        first += count
 
 
 def oracle_y(ref_in, ref_out, bs, policy):
     """Conditional operator from the two-mode simulation.
 
     Y[j, i] = <j| <ref_out| U |i> |ref_in> takes from each sector its block
-    between the reference amplitudes it pairs with: amplitudes and sector
-    phases fold into one vector per side, and each exact block of
-    :func:`_sector_blocks` is contracted as it is produced (none is kept).
-    Only reference levels up to L enter, L the higher numerical top of the
-    two references' amplitudes (no closed form involved).  U is unitary, so
-    the dropped part of Y has norm at most
-    ||tail_out|| ||v_in|| + ||v_out|| ||tail_in||, and the cost is
+    between the reference amplitudes it pairs with.  Sector M of U is
+    exp(i phi (k1 - k2)/2) R_M exp(i phi' (k1 - k2)/2) (phi = phi_t + phi_r,
+    phi' = phi_t - phi_r) and k1 - k2 = M - 2q, so with j = M - q it adds
+
+        exp(i phi_t j) [conj(v_out[q]) exp(-i phi_r q)] X_M[q, r]
+                       [exp(-i phi' r) v_in[r]]
+
+    to Y[M - q, M - r]: the references and phases fold into one fixed
+    matrix over (q, r), and exp(i phi_t j) into one phase per row of Y.
+    For a fixed q the map (M, r) -> (M - q, M - r) is one to one, so each
+    chunk of windows from :func:`_sector_windows` lands in Y with one
+    strided add per reference row q, of that window row of every sector in
+    the chunk times the matrix's row q.  Only reference levels up to L
+    enter, L the higher numerical top of the two references' amplitudes (no
+    closed form involved).  U is unitary, so the dropped part of Y has norm
+    at most ||tail_out|| ||v_in|| + ||v_out|| ||tail_in||, and the cost is
     O(N L^2) for cutoff N instead of O(N^3).
     """
     vin = ref_in.state(policy).amps
     vout_conj = ref_out.state(policy).amps.conj()
-    ymat = np.zeros((policy.dim, policy.dim), dtype=complex)
     band = max(_numerical_top(vin), _numerical_top(vout_conj))
-    for total, lo, left, rot, right in _sector_blocks(bs, policy.cutoff, band):
-        hi = lo + len(rot) - 1
-        k2 = slice(total - hi, total - lo + 1)  # reversed against the window
-        ymat[lo:hi + 1, lo:hi + 1] += (np.outer(vout_conj[k2][::-1] * left,
-                                                right * vin[k2][::-1]) * rot)
+    cutoff, dim = policy.cutoff, policy.dim
+    levels = np.arange(band + 1)
+    weight = np.outer(vout_conj[:band + 1] * np.exp(-1j * bs.phi_r * levels),
+                      vin[:band + 1] * np.exp(-1j * (bs.phi_t - bs.phi_r) * levels))
+    # Y with `band` spare elements before and after it, and diag[j, band - q + r]
+    # = Y[j, j + q - r]: window row q lands on diag[M - q, band - q:2 band - q + 1].
+    # Its zeros off the sector's levels reach at most `band` elements past
+    # Y's own, where they add nothing.
+    flat = np.zeros(dim * dim + 2 * band, dtype=complex)
+    item = flat.strides[0]
+    diag = as_strided(flat[2 * band:], (dim, 2 * band + 1), ((dim + 1) * item, -item))
+    targets = [diag[:, band - q:2 * band - q + 1] for q in range(band + 1)]
+    for first, windows in _sector_windows(bs.theta, cutoff, band, cutoff + band):
+        count = len(windows)
+        terms = np.empty((count, band + 1), dtype=complex)
+        # the rows that some sector of the chunk holds
+        for q in range(_levels(first, cutoff, band)[0], _levels(first + count - 1, cutoff, band)[1] + 1):
+            # the sectors whose row j = M - q lies in 0..cutoff
+            lo, hi = max(first, q), min(first + count, q + cutoff + 1)
+            target, part = targets[q][lo - q:hi - q], terms[:hi - lo]
+            np.multiply(windows[lo - first:hi - first, q + 1, 1:], weight[q], out=part)
+            np.add(target, part, out=target)
+    ymat = flat[band:band + dim * dim].reshape(dim, dim)
+    ymat *= np.exp(1j * bs.phi_t * np.arange(dim))[:, None]
     return FockOperator(ymat, policy.cutoff)
 
 
@@ -198,11 +275,9 @@ def photon_counting_povm(eta, policy):
         np.fill_diagonal(weights, 1.0)
         return PhotonCountingPovm(weights, eta, policy.cutoff)
     lg = np.array([math.lgamma(k + 1) for k in range(dim)])
-    for n in range(dim):
-        ks = np.arange(n, dim)
-        logw = (lg[ks] - lg[n] - lg[ks - n]
-                + n * np.log(eta) + (ks - n) * np.log1p(-eta))
-        weights[n, ks] = np.exp(logw)
+    n, k = np.triu_indices(dim)  # k >= n
+    weights[n, k] = np.exp(lg[k] - lg[n] - lg[k - n]
+                           + n * np.log(eta) + (k - n) * np.log1p(-eta))
     return PhotonCountingPovm(weights, eta, policy.cutoff)
 
 
@@ -217,12 +292,17 @@ def conditional_reduce(state_in, povm_element, bs, policy):
     amps = state_in.amps
     sectors = np.bincount(np.indices(amps.shape).sum(0).ravel(), (np.abs(amps) ** 2).ravel())
     top = _numerical_top(np.sqrt(sectors))
+    band = min(top, policy.cutoff)
     vout = np.zeros_like(amps)
-    # a sector M <= top has reference indices <= top
-    for total, lo, left, rot, right in _sector_blocks(bs, policy.cutoff,
-                                                      min(top, policy.cutoff)):
-        if total > top:
-            break
-        k1 = np.arange(lo, lo + len(rot))
-        vout[k1, total - k1] = left * (rot @ (right * amps[k1, total - k1]))
+    # sector M of U between its phases exp(i phi_t M) exp(-i phi q) and
+    # exp(-i phi' r), as in oracle_y; q, r are reference indices
+    out_phase = np.exp(-1j * (bs.phi_t + bs.phi_r) * np.arange(band + 1))
+    in_phase = np.exp(-1j * (bs.phi_t - bs.phi_r) * np.arange(band + 1))
+    for first, windows in _sector_windows(bs.theta, policy.cutoff, band, top):
+        for total, window in enumerate(windows, first):
+            lo, hi = _levels(total, policy.cutoff, band)
+            q = np.arange(lo, hi + 1)
+            rot = window[lo + 1:hi + 2, lo + 1:hi + 2]
+            vout[total - q, q] = (np.exp(1j * bs.phi_t * total) * out_phase[lo:hi + 1]
+                                  * (rot @ (in_phase[lo:hi + 1] * amps[total - q, q])))
     return _conditioned(vout @ povm_element.mat.T @ vout.conj().T, policy.cutoff)

@@ -218,3 +218,22 @@ def test_log_factorial():
     assert poly.log_factorial(5) == pytest.approx(math.log(120))
     with pytest.raises(ValueError):
         poly.log_factorial(-1)
+
+
+def test_log_factorial_table_is_built_once():
+    # a second round of mixed lengths reads the table the first round left
+    # and builds nothing
+    lengths = [26, 1312, 3, 700, 97, 1312, 41]
+    for n in lengths:
+        poly.log_factorial(np.arange(n))
+    table = poly._LOG_FACTORIALS
+    for n in reversed(lengths):
+        assert np.array_equal(poly.log_factorial(np.arange(n)), table[:n])
+    assert poly._LOG_FACTORIALS is table
+    assert not table.flags.writeable
+    # a longer request swaps in a longer table and leaves this one as it was
+    before = table.copy()
+    poly.log_factorial(np.arange(len(table) + 5))
+    longer = poly._LOG_FACTORIALS
+    assert longer is not table and np.array_equal(table, before)
+    assert all(longer[j] == math.lgamma(j + 1) for j in range(len(longer)))

@@ -8,7 +8,7 @@ from condibeam import conditional, fock, twomode
 from condibeam.beamsplitter import BeamSplitterParams, ReferencePrep
 from condibeam.errors import DegenerateBeamSplitterError, ZeroProbabilityError
 from twomode_reference import (bs_unitary, bs_unitary_factored, sector_range,
-                               sector_rotations_full)
+                               sector_rotations, sector_rotations_full)
 
 POLICY = fock.TruncationPolicy(cutoff=24)
 HALF = POLICY.safe_levels
@@ -171,11 +171,32 @@ class TestSectorRecurrence:
     def test_complete_sectors_unitary_at_cutoff_256(self):
         cutoff = 256
         for theta in RECURRENCE_ANGLES:
-            for total, _, rot in twomode._sector_rotations(theta, cutoff, cutoff):
+            for total, _, rot in sector_rotations(theta, cutoff, cutoff):
                 if total > cutoff:
                     break
                 dev = np.max(np.abs(rot.T @ rot - np.eye(total + 1)))
                 assert dev < 1e-12, (theta, total, dev)
+
+
+class TestEdgeSplitterWindows:
+    """The oracle's side of the low-transmittance edge: banded windows near
+    |T| = 0 and |R| = 0 against the 40-digit referee, element for element,
+    sectors above the cutoff included."""
+
+    @pytest.mark.parametrize("theta", [math.acos(t) for t in (1e-4, 1e-6, 1e-8)]
+                             + [math.asin(r) for r in (1e-4, 1e-8)],
+                             ids=["T=1e-4", "T=1e-6", "T=1e-8", "R=1e-4", "R=1e-8"])
+    def test_banded_windows_match_mpmath(self, theta):
+        mpmath = pytest.importorskip("mpmath")
+        cutoff, band, totals = 64, 8, {3, 8, 40, 64, 65, 68, 72}
+        checked = 0
+        for total, lo, rot in sector_rotations(theta, cutoff, band):
+            if total in totals:
+                ref = referee_sector(mpmath, theta, total, lo, lo + len(rot) - 1)
+                dev = np.max(np.abs(rot - ref))
+                assert dev <= 1e-13, (total, dev)
+                checked += 1
+        assert checked == len(totals)
 
 
 class TestBandedSectors:
@@ -185,7 +206,7 @@ class TestBandedSectors:
         # the reference indices <= band, element for element
         bands = sorted({0, 3, 20, cutoff})
         for theta in RECURRENCE_ANGLES:
-            streams = {band: twomode._sector_rotations(theta, cutoff, band)
+            streams = {band: sector_rotations(theta, cutoff, band)
                        for band in bands}
             for total, ref_lo, ref in sector_rotations_full(theta, cutoff):
                 for band, stream in streams.items():
@@ -235,16 +256,16 @@ def tail_bound(prep_in, prep_out, policy):
 
 
 def count_windows(monkeypatch):
-    """Record (total, window size) of every window the sector stream yields."""
+    """Record (total, window size) of every sector window the stream yields."""
     seen = []
-    original = twomode._sector_rotations
+    original = twomode._sector_windows
 
-    def counting(theta, cutoff, band):
-        for total, lo, rot in original(theta, cutoff, band):
-            seen.append((total, rot.size))
-            yield total, lo, rot
+    def counting(theta, cutoff, band, last):
+        for first, windows in original(theta, cutoff, band, last):
+            seen.extend((total, window[1:, 1:].size) for total, window in enumerate(windows, first))
+            yield first, windows
 
-    monkeypatch.setattr(twomode, "_sector_rotations", counting)
+    monkeypatch.setattr(twomode, "_sector_windows", counting)
     return seen
 
 
@@ -315,12 +336,12 @@ class TestSectorCost:
         assert sum(size for _, size in seen) <= (policy.cutoff + band + 1) * (band + 1) ** 2
 
     def test_conditional_reduce_stops_at_its_top_sector(self, monkeypatch):
-        # |3>|2> occupies sector 5 only: the stream is left at sector 6
+        # |3>|2> occupies sector 5 only: the stream ends there
         state = twomode.product_state(fock.fock_state(3, POLICY), fock.fock_state(2, POLICY))
         seen = count_windows(monkeypatch)
         twomode.conditional_reduce(state, fock.identity_op(POLICY),
                                    BeamSplitterParams(0.8, 0.1, 1.5), POLICY)
-        assert [total for total, _ in seen] == list(range(7))
+        assert [total for total, _ in seen] == list(range(6))
 
 
 class TestOracleY:

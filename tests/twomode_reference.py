@@ -1,10 +1,12 @@
 """Two-mode references that the tests compare the sector routes against.
 
 The library never assembles the beam-splitter unitary: the oracle and the
-reduce routes contract each block of ``twomode._sector_blocks`` as it is
-produced, on the reference band they need.  The tests need the unitary
-itself, so this module assembles the same blocks into
-:class:`TwoModeOperator`, and builds the factored form of the unitary as an
+reduce routes contract the windows of ``twomode._sector_windows``, a chunk
+of sectors at a time in reference-mode coordinates, on the reference band
+they need.  The tests need the unitary itself, so this module reads the
+same windows back in signal coordinates (:func:`sector_rotations`), puts
+each sector's phases around them and assembles the blocks into
+:class:`TwoModeOperator`; it builds the factored form of the unitary as an
 independent route to compare with.  It also keeps the full-window sector
 recurrence, which runs over every retained signal index of every sector,
 as the referee of the banded one, and the mixed-ensemble route that runs
@@ -28,8 +30,8 @@ def sector_range(total, cutoff):
 def sector_rotations_full(theta, cutoff):
     """Windows R_M of the mixing rotation over every retained signal index.
 
-    The recurrence of ``twomode._sector_rotations`` without the reference
-    band: O(N^3) for all 2N + 1 sectors.
+    The recurrence of ``twomode._sector_windows`` in signal indices and
+    without the reference band: O(N^3) for all 2N + 1 sectors.
 
     Yields (total, lo, rot) for total = 0..2*cutoff, where
     rot[p - lo, k - lo] = R_total[p, k] over the sector's retained signal
@@ -84,13 +86,35 @@ class TwoModeOperator:
         return mat
 
 
+def sector_rotations(theta, cutoff, band):
+    """The library's banded windows in signal coordinates.
+
+    Yields (total, lo, rot) for total = 0..cutoff + band, where
+    rot[p - lo, k - lo] = R_total[p, k] over the signal indices lo..hi that
+    the band keeps (hi - lo + 1 <= band + 1), read off the window
+    X_total[q, r] = R_total[total - q, total - r] of
+    ``twomode._sector_windows`` on its reference levels; every yielded array
+    is new.
+    """
+    for first, windows in twomode._sector_windows(theta, cutoff, band, cutoff + band):
+        for total, window in enumerate(windows, first):
+            lo, hi = twomode._levels(total, cutoff, band)
+            yield total, total - hi, window[hi + 1:lo:-1, hi + 1:lo:-1].copy()
+
+
 def bs_unitary(bs, policy):
-    """The beam-splitter unitary, assembled from the library's sector blocks
-    on the full reference band."""
+    """The beam-splitter unitary, assembled from the library's sector windows
+    on the full reference band, each between its phases
+    exp(i phi (k1 - k2)/2), phi = phi_t + phi_r on the left and
+    phi_t - phi_r on the right."""
     cutoff = policy.cutoff
-    blocks = tuple(left[:, None] * rot * right[None, :]
-                   for _, _, left, rot, right in twomode._sector_blocks(bs, cutoff, cutoff))
-    return TwoModeOperator(blocks, policy.cutoff)
+    blocks = []
+    for total, lo, rot in sector_rotations(bs.theta, cutoff, cutoff):
+        diff = 2 * np.arange(lo, lo + len(rot)) - total  # k1 - k2
+        left, right = (np.exp(1j * phi * diff / 2.0)
+                       for phi in (bs.phi_t + bs.phi_r, bs.phi_t - bs.phi_r))
+        blocks.append(left[:, None] * rot * right)
+    return TwoModeOperator(tuple(blocks), cutoff)
 
 
 def nilpotent_exp(c, up):
