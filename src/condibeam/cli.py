@@ -162,14 +162,12 @@ def _run_y_matrix(params):
     prep_in = _build(ReferencePrep.fock, params["m"], params["alpha"])
     prep_out = _build(ReferencePrep.fock, params["n"], params["beta"])
     y = conditional.y_displaced_fock(params["m"], params["n"], params["alpha"],
-                                     params["beta"], bs, policy)
+                                     params["beta"], bs, policy).band
     oracle = twomode.oracle_y(prep_in, prep_out, bs, policy)
-    dev = np.linalg.norm(y.mat - oracle.mat) / np.linalg.norm(oracle.mat)
-    sv = np.linalg.svd(y.mat, compute_uv=False)
     scalars = {
-        "frobenius_norm": float(np.linalg.norm(y.mat)),
-        "largest_singular_value": float(sv[0]),
-        "oracle_rel_frobenius_error": float(dev),
+        "frobenius_norm": float(np.linalg.norm(y.diagonals)),
+        "largest_singular_value": float(y.largest_singular_value()),
+        "oracle_rel_frobenius_error": float(y.rel_deviation(oracle)),
         "ordering_parameter_s": bs.s,
     }
     return scalars, []

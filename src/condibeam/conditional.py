@@ -17,17 +17,22 @@ s-ordered monomial is one shifted diagonal and T^n scales the columns, so
 the bracket is a banded matrix of width deg F + deg G + 1.
 
 Y is kept in that factored form, a :class:`ConditionalOperator`: the two
-displacement arguments, the bracket's diagonals (T^n folded in) and the
-photon-number mass of the prepared reference on its levels 0..L, L its
-numerical top.  The splitter conserves photon number, so Y takes a state
-whose numerical top is t to the levels 0..t + L.  ``apply`` runs columns
-0..t of D(right), the band and rows 0..r <= t + L of D(left), as real
-products with no dense operator: O(W (t + L)).  ``mat`` builds the dense
-matrix from the same factors, for SVDs, norms and oracle comparisons.
-Both give Y's exact compression onto the levels 0..cutoff, as the oracle
-does: the inner index runs over working levels 0..W, the numerical top of
-the D(right) columns they read plus the band's lift
-(``TruncationPolicy.working_factors``), and drops below 1e-17 of them.
+displacement arguments, the bracket's diagonals (T^n folded in), the two
+references and the photon-number mass of the prepared one on its levels
+0..L, L its numerical top.  The splitter conserves photon number, so Y
+takes a state whose numerical top is t to the levels 0..t + L.  ``apply``
+runs columns 0..t of D(right), the band and rows 0..r <= t + L of D(left),
+as real products with no dense operator: O(W (t + L)).  The same
+conservation confines Y itself to the diagonals -L_out <= j - k <= L_in,
+L_in and L_out the numerical tops of the two references: ``band`` holds
+them (a :class:`fock.BandedOperator`), each block of rows of D(left)
+multiplied only by the columns of B D(right) it reaches, O(N W L) in all.
+Its norms and largest singular value need no dense matrix, and ``mat``
+scatters it for the callers that want every element.  Both give Y's exact
+compression onto the levels 0..cutoff, as the oracle does: the inner index
+runs over working levels 0..W, the numerical top of the D(right) columns
+they read plus the band's lift (``TruncationPolicy.working_factors``), and
+drops below 1e-17 of them.
 
 The adjoint of G lands on the signal mode with conjugated coefficients,
 conjugated argument and annihilation operators; this is the unique reading
@@ -43,6 +48,7 @@ the same builder.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,15 +72,18 @@ __all__ = [
 def _ordered_core(terms, bs, policy):
     """Diagonals of sum of coeff * {(a^dag)^m a^n}_s, then T^n on the right.
 
-    Returns offset n - m -> values.  DomainError when a term's coefficient
-    underflows to 0 or its band overflows (Fock references m = n from ~130
-    at |R|^2 = 1/2).
+    ``terms`` holds (m, n, f_m conj(g_n)); the coefficient picks up
+    R^m (-R*/T)^n here, under the float-range check.  Returns offset n - m
+    -> values.  DomainError when a coefficient underflows to 0 or overflows
+    (|T| -> 0 at large n), or a band overflows (Fock references m = n from
+    ~130 at |R|^2 = 1/2).
     """
-    s = bs.s
+    s, t, r = bs.s, bs.transmittance, bs.reflectance
     core = {}
-    for m, n, coeff in terms:
+    for m, n, weight in terms:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
+                coeff = weight * r ** m * (-np.conj(r) / t) ** n
                 values = coeff * s_ordered_band(OrderedMonomialSpec(m, n, s), policy)
             if coeff == 0 or not np.isfinite(values).all():
                 raise OverflowError
@@ -82,7 +91,7 @@ def _ordered_core(terms, bs, policy):
             raise DomainError(f"conditional operator: the s-ordered term (m, n) = "
                               f"({m}, {n}) leaves the float range") from None
         core[n - m] = core[n - m] + values if n - m in core else values
-    t_powers = np.asarray(bs.transmittance, dtype=complex) ** np.arange(policy.dim)
+    t_powers = fock._polar_powers(math.cos(bs.theta), bs.phi_t, np.arange(policy.dim))
     # T^k scales column k: element i of the diagonal at offset d sits in
     # column i + d above the main diagonal and in column i below it
     return {d: fock._freeze(values * t_powers[max(d, 0):max(d, 0) + len(values)])
@@ -104,6 +113,26 @@ def _band_times(core, x):
     return out
 
 
+def _reference_amplitudes(prep, policy):
+    """Amplitudes of phi = D(alpha) F(a^dag)|0> on its working levels for
+    columns 0..deg F (those of F(a^dag)|0> when alpha = 0); None where
+    those levels pass the cap of ``TruncationPolicy.working_levels``, as
+    then no bound is known.  No tail check, since phi itself is not kept."""
+    degree = prep.poly.degree
+    amps = prep.poly.state_amplitudes(degree + 1)
+    if prep.displacement == 0:
+        return amps
+    try:
+        levels = policy.working_levels(prep.displacement, degree, 0)
+    except TruncationError:
+        return None
+    return fock._displaced(fock._displacement_factors(prep.displacement, levels, degree), amps)
+
+
+# rows of D(left) that one product of the band build multiplies at least
+_ROW_BLOCK = 64
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionalOperator:
     """Y = D(left) B D(right) in factored form.
@@ -114,10 +143,13 @@ class ConditionalOperator:
     operator may need, with the T^n column factor folded in.  ``reference``
     is the input reference's preparation phi = D(alpha) F(a^dag)|0>, and
     :attr:`ref_mass` its |phi_j|^2 on the levels 0..L, L its numerical top.
-    The splitter conserves photon number, so the part of Y psi above level
-    n is at most ||meas|| times the norm of the part of psi (x) phi with
-    more than n photons in all, the tail of the two masses' convolution: a
-    state whose numerical top is t goes to the levels 0..t + L.
+    ``measured`` is the detected reference's preparation.  The splitter
+    conserves photon number, so the part of Y psi above level n is at most
+    ||meas|| times the norm of the part of psi (x) phi with more than n
+    photons in all, the tail of the two masses' convolution: a state whose
+    numerical top is t goes to the levels 0..t + L.  For the same reason
+    Y[j, k] vanishes but for the references' tails outside -L_out <= j - k
+    <= L_in, the diagonals :attr:`band` holds.
     """
 
     left: complex
@@ -125,6 +157,7 @@ class ConditionalOperator:
     right: complex
     policy: TruncationPolicy
     reference: ReferencePrep
+    measured: ReferencePrep
 
     @property
     def cutoff(self):
@@ -140,19 +173,63 @@ class ConditionalOperator:
         """|phi_j|^2 for the reference phi = D(alpha) F(a^dag)|0> on the
         levels 0..L, L its numerical top on its working levels (deg F when
         alpha = 0); None where those levels pass the cap of
-        ``TruncationPolicy.working_levels``, as then no bound is known.  No
-        tail check, since phi itself is not kept."""
-        degree = self.reference.poly.degree
-        amps = self.reference.poly.state_amplitudes(degree + 1)
-        alpha = self.reference.displacement
-        if alpha != 0:
-            try:
-                levels = self.policy.working_levels(alpha, degree, 0)
-            except TruncationError:
-                return None
-            amps = fock._displaced(fock._displacement_factors(alpha, levels, degree), amps)
+        ``TruncationPolicy.working_levels``, as then no bound is known."""
+        amps = _reference_amplitudes(self.reference, self.policy)
+        if amps is None:
+            return None
+        if self.reference.displacement != 0:
             amps = amps[:fock._numerical_top(amps) + 1]
         return fock._freeze(np.abs(amps) ** 2, float)
+
+    @functools.cached_property
+    def band(self):
+        """Y on its diagonals -L_out <= j - k <= L_in (a
+        :class:`fock.BandedOperator`), L_in and L_out the numerical tops of
+        the prepared and the measured reference, capped at the cutoff (the
+        cutoff where no bound is known).
+
+        B times columns 0..cutoff of D(right) on the working levels 0..W is
+        formed once, O(W N L).  Rows of D(left) are the adjoint of D(-left)'s
+        columns, real products between phases as in :meth:`apply`
+        (:func:`fock._displaced_adjoint`): each block of them is multiplied,
+        in one real product, by the only columns its rows reach, k within
+        j - L_in..j + L_out, O(W N (block + L)) in all.  Each column's part
+        outside the band is at most ||tail_in|| ||phi_out|| + ||phi_in||
+        ||tail_out||, the references' parts above their tops, which the
+        splitter, a unitary, carries there."""
+        n = self.cutoff
+        tops, tails, norms = [], [], []
+        for prep in (self.reference, self.measured):
+            amps = _reference_amplitudes(prep, self.policy)
+            top = n if amps is None else min(n, fock._numerical_top(amps))
+            tops.append(top)
+            tails.append(0.0 if top == n else float(np.linalg.norm(amps[top + 1:])))
+            norms.append(float(np.linalg.norm(prep.poly.state_amplitudes(prep.poly.degree + 1))))
+        below, above = tops
+        width = below + above + 1
+        w, factors = self.policy.working_factors(self.right, n, self.reach)
+        # B D(right) with `below` zero columns before it and `above` after:
+        # column x holds level x - below
+        cols = np.zeros((w + 1, n + width), dtype=complex)
+        cols[:, below:below + n + 1] = _band_times(self.core, fock._dense_columns(factors))
+        diagonals = np.empty((n + 1, width), dtype=complex)
+        if self.left == 0:
+            diagonals[:] = fock._diagonal_view(cols[:n + 1], width)
+        else:
+            factors = fock._displacement_factors(-self.left, w, n)  # frees D(right)'s table
+            lower, phase, scale = factors
+            real = np.array(lower)
+            real[:n + 1] = fock._head_block(lower)
+            cols *= phase.conj()[:, None]
+            flat = cols.view(float)
+            block = max(_ROW_BLOCK, width)
+            for j0 in range(0, n + 1, block):
+                j1 = min(j0 + block, n + 1)
+                rows = (real[:, j0:j1].T @ flat[:, 2 * j0:2 * (j1 + width - 1)]).view(complex)
+                rows *= scale * phase[j0:j1, None]
+                diagonals[j0:j1] = fock._diagonal_view(rows, width)
+        tail = tails[0] * norms[1] + norms[0] * tails[1]
+        return fock.BandedOperator(diagonals, above, n, tail)
 
     def apply(self, vector):
         """Y|vector>: displace onto the working levels, run the band, displace.
@@ -200,23 +277,10 @@ class ConditionalOperator:
             fock._displacement_factors(-self.left, w, rows), out)
         return image
 
-    @functools.cached_property
+    @property
     def mat(self):
-        """The dense matrix: B times columns 0..cutoff of D(right) on the
-        working levels 0..W, then rows 0..cutoff of D(left) by the same real
-        products as :meth:`apply` (:func:`fock._displaced_adjoint`), O(W N^2).
-        Column j, Y|j>, lives on the levels 0..j + L; the matrix keeps the
-        rows above, which only the reference's 1e-17 tail reaches."""
-        n = self.cutoff
-        w, factors = self.policy.working_factors(self.right, n, self.reach)
-        mat = _band_times(self.core, fock._dense_columns(factors))
-        if self.left != 0:
-            # rebound, so the D(right) table is freed before the product
-            factors = fock._displacement_factors(-self.left, w, n)
-            mat = fock._displaced_adjoint(factors, mat)
-        mat = mat[:n + 1]
-        mat.setflags(write=False)
-        return mat
+        """The dense matrix, scattered from :attr:`band`."""
+        return self.band.mat
 
 
 def y_displaced_fock(m, n, alpha, beta, bs, policy):
@@ -247,7 +311,7 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
     The one builder of Y (module docstring): alpha, beta are the
     displacements of ``prep_in`` and ``prep_meas``, F, G their polynomials.
     Returns a :class:`ConditionalOperator`, its core on the working levels of
-    ``mat``; ``policy`` admits both displacement arguments.
+    its ``band``; ``policy`` admits both displacement arguments.
     """
     bs.require_nondegenerate()
     f_poly, g_poly = prep_in.poly, prep_meas.poly
@@ -260,12 +324,12 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
     policy.check_displacement(left, "y_displaced_general")
     policy.check_displacement(right, "y_displaced_general")
 
-    terms = [(m, n, fm * np.conj(gn) * r ** m * (-np.conj(r) / t) ** n)
+    terms = [(m, n, fm * np.conj(gn))
              for m, fm in enumerate(f_poly.coeffs) if fm != 0
              for n, gn in enumerate(g_poly.coeffs) if gn != 0]
     levels = policy.working_levels(right, policy.cutoff, max(0, *(m - n for m, n, _ in terms)))
     core = _ordered_core(terms, bs, TruncationPolicy(levels))
-    return ConditionalOperator(left, core, right, policy, prep_in)
+    return ConditionalOperator(left, core, right, policy, prep_in, prep_meas)
 
 
 def apply_conditional(y, psi_in):

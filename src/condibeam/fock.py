@@ -2,11 +2,14 @@
 
 States are complex amplitude vectors over photon numbers 0..cutoff, or
 density matrices over them (:class:`DensityOperator`).
-:class:`FockOperator` is a dense complex matrix, built where a whole
-operator is wanted (norms, SVDs, oracle comparisons).  A displacement of a
-state needs no such matrix: :func:`displace` applies D(alpha) to a vector
-whose numerical top is t (the levels above it hold at most 1e-17 of its
-norm) from the Laguerre values of degrees 0..t alone, O(N t) for N levels.
+:class:`FockOperator` is a dense complex matrix.  An operator that moves
+photon number by a bounded amount is a :class:`BandedOperator`, kept on its
+diagonals: its norms and its largest singular value come from O(N L)
+storage and products, and a dense matrix is scattered only on demand.  A
+displacement of a state needs no matrix either: :func:`displace` applies
+D(alpha) to a vector whose numerical top is t (the levels above it hold at
+most 1e-17 of its norm) from the Laguerre values of degrees 0..t alone,
+O(N t) for N levels.
 Everything is immutable after construction, so values can be shared freely
 between threads.
 
@@ -18,6 +21,7 @@ decision, and picks the working levels on which displacement products stay
 exact.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -32,6 +36,7 @@ __all__ = [
     "TruncationPolicy",
     "FockVector",
     "FockOperator",
+    "BandedOperator",
     "DensityOperator",
     "fock_state",
     "coherent_state",
@@ -217,6 +222,153 @@ class FockOperator:
                     f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
             return FockOperator(self.mat @ other.mat, self.cutoff)
         return NotImplemented
+
+
+# Lanczos stops once the top Ritz pair's residual is at most this fraction of
+# its Ritz value.  The residual needs an eigensolve of the tridiagonal matrix,
+# O(k^3) at step k: it is checked at every step below the second constant,
+# then at every eighth and wherever the Krylov space stops growing
+_RITZ_RESIDUAL = 1e-15
+_RITZ_EVERY_STEP = 32
+
+
+@dataclass(frozen=True, eq=False)
+class BandedOperator:
+    """An operator on the levels 0..cutoff kept on its diagonals.
+
+    ``diagonals[j, above + j - k]`` holds <j|Y|k> for the offsets -above <=
+    j - k <= below: one row per output level j, the diagonal k = j + above
+    in column 0, and zeros where k leaves 0..cutoff.  ``tail`` bounds the
+    norm of each column's part outside the band, so the whole of it holds
+    at most sqrt(cutoff + 1) tail in Frobenius norm.  :attr:`mat` scatters
+    the band into the dense matrix, on demand; the norms and the largest
+    singular value need no dense matrix.
+    """
+
+    diagonals: np.ndarray
+    above: int
+    cutoff: int
+    tail: float = 0.0
+
+    def __post_init__(self):
+        arr = _freeze(self.diagonals)
+        if arr.ndim != 2 or len(arr) != self.cutoff + 1 or not 0 <= self.above < arr.shape[1]:
+            raise ValueError(f"diagonals of shape {arr.shape} do not fit cutoff "
+                             f"{self.cutoff} with {self.above} diagonals above")
+        object.__setattr__(self, "diagonals", arr)
+
+    @property
+    def below(self):
+        return self.diagonals.shape[1] - 1 - self.above
+
+    @functools.cached_property
+    def mat(self):
+        """The dense matrix, one strided write per diagonal k - j = d."""
+        dim = self.cutoff + 1
+        mat = np.zeros((dim, dim), dtype=complex)
+        flat = mat.reshape(-1)
+        for c in range(self.diagonals.shape[1]):
+            d = self.above - c
+            rows = slice(max(0, -d), dim - max(0, d))
+            flat[max(d, -d * dim)::dim + 1][:rows.stop - rows.start] = self.diagonals[rows, c]
+        mat.setflags(write=False)
+        return mat
+
+    def rel_deviation(self, other):
+        """A bound on ||Y - X||_F / ||X||_F for X = ``other``: the two bands'
+        difference on the union of their offsets, plus each operator's
+        out-of-band part at its bound, over X's band norm (at most ||X||_F)."""
+        above, below = max(self.above, other.above), max(self.below, other.below)
+        diff = np.zeros((self.cutoff + 1, above + below + 1), dtype=complex)
+        for sign, op in ((1.0, self), (-1.0, other)):
+            start = above - op.above
+            diff[:, start:start + op.diagonals.shape[1]] += sign * op.diagonals
+        spill = math.sqrt(self.cutoff + 1) * (self.tail + other.tail)
+        return (np.linalg.norm(diff) + spill) / np.linalg.norm(other.diagonals)
+
+    def largest_singular_value(self):
+        """sigma_max(Y) by Lanczos on Y^dag Y (Golub & Kahan, SIAM J. Numer.
+        Anal. B 2, 205 (1965)), each step two band products, O(N L).
+
+        Y is scaled by its band's Frobenius norm, so the Ritz values lie in
+        [0, 1] whatever Y's magnitude.  Each new vector is orthogonalized
+        against all earlier ones, twice; the start vector is fixed, so the
+        result is reproducible.  The steps stop once the top Ritz pair's
+        residual is at most 1e-15 of its Ritz value, which then lies within
+        that fraction of an eigenvalue of Y^dag Y (checked at every step up
+        to 32, then at every eighth), and never exceed cutoff + 1, where the
+        Krylov space is the whole space.  A nearly degenerate top singular
+        value takes up to that many steps.  Y's part outside the band moves
+        sigma_max by at most its Frobenius bound.
+        """
+        scale = np.linalg.norm(self.diagonals)
+        if scale == 0.0:
+            return 0.0
+        forward = _band_product(self.diagonals / scale, self.above)
+        adjoint = _band_product(_adjoint_diagonals(self.diagonals / scale, self.above),
+                                self.below)
+        dim = self.cutoff + 1
+        basis = np.empty((min(dim, 32), dim), dtype=complex)
+        tridiagonal = np.zeros((len(basis) + 1,) * 2)
+        # the start: a Weyl sequence, fixed, with no zero and no pattern in
+        # common with Y's structure; numpy.random would add ~17 ms to the
+        # first call in a fresh process
+        w = np.arange(1, dim + 1) * 0.6180339887498949 % 1.0 - 0.5
+        beta = np.linalg.norm(w)
+        for k in range(dim):
+            if k == len(basis):
+                basis = np.concatenate([basis, np.empty((min(dim, 2 * k) - k, dim), complex)])
+                tridiagonal = np.pad(tridiagonal, (0, len(basis) + 1 - len(tridiagonal)))
+            basis[k] = w / beta
+            w = adjoint(forward(basis[k]))
+            tridiagonal[k, k] = np.vdot(basis[k], w).real
+            done = basis[:k + 1]
+            for _ in range(2):
+                w -= (done @ w.conj()).conj() @ done
+            beta = math.sqrt(np.vdot(w, w).real)
+            if k < _RITZ_EVERY_STEP or k % 8 == 7 or k == dim - 1 or beta == 0.0:
+                ritz, vectors = np.linalg.eigh(tridiagonal[:k + 1, :k + 1])
+                if beta * abs(vectors[-1, -1]) <= _RITZ_RESIDUAL * ritz[-1]:
+                    break
+            tridiagonal[k, k + 1] = tridiagonal[k + 1, k] = beta
+        return scale * math.sqrt(max(ritz[-1], 0.0))
+
+
+def _diagonal_view(block, width):
+    """view[i, c] = block[i, i + width - 1 - c]: the band layout of
+    :class:`BandedOperator` read out of a block of rows whose column x holds
+    the level j0 - below + x, j0 the block's first row."""
+    rows, cols = block.strides
+    return np.lib.stride_tricks.as_strided(block[:, width - 1:], (len(block), width),
+                                           (rows + cols, -cols), writeable=False)
+
+
+def _band_product(diagonals, above):
+    """x -> Y x for Y on its diagonals (the :class:`BandedOperator`
+    layout): row j is sum_c diagonals[j, c] x[j + above - c], read through
+    one zero-padded buffer that every call reuses."""
+    dim, width = diagonals.shape
+    padded = np.zeros(dim + width - 1, dtype=complex)
+    inner = padded[width - 1 - above:width - 1 - above + dim]
+    window = _diagonal_view(np.broadcast_to(padded, (dim, len(padded))), width)
+
+    def times(x):
+        inner[:] = x
+        return np.einsum("jc,jc->j", diagonals, window)
+    return times
+
+
+def _adjoint_diagonals(diagonals, above):
+    """The diagonals of Y^dag in the same layout, ``below`` of them above
+    the main one: Y^dag's column width - 1 - c is Y's column c, conjugated
+    and moved c - above rows up."""
+    dim, width = diagonals.shape
+    padded = np.zeros((dim + width - 1, width), dtype=complex)
+    padded[above:above + dim] = diagonals
+    rows, cols = padded.strides
+    shifted = np.lib.stride_tricks.as_strided(padded, (dim, width), (rows, rows + cols),
+                                              writeable=False)
+    return shifted[:, ::-1].conj()
 
 
 @dataclass(frozen=True)
@@ -469,6 +621,17 @@ def _complex_columns(phase, out, shape):
     z = out.view(complex)
     z *= phase[:, None]
     return z.reshape((len(out),) + shape[1:])
+
+
+def _polar_powers(modulus, phase, k):
+    """(modulus e^(i phase))^k for an integer array 0 <= k < 2^26, to a few
+    ulps: the real power np.power(modulus, k) times e^(i phase k), with phase
+    split into a head of 26 significant bits, whose products with k are
+    exact, and a tail below 2^-26 |phase|.  A complex ``**`` rounds the
+    argument phase k itself, an error of |phase k| 1e-16 that grows with k."""
+    mantissa, exponent = math.frexp(phase)
+    head = math.ldexp(round(math.ldexp(mantissa, 26)), exponent - 26)
+    return (np.power(modulus, k) * np.exp(1j * (head * k))) * np.exp(1j * ((phase - head) * k))
 
 
 # ln 2 = _LN2_HI + _LN2_LO, with _LN2_HI short enough that its product with

@@ -33,10 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import CutoffMismatchError
-from .fock import FockOperator, _conditioned, _freeze, _freeze_field, _numerical_top
+from .fock import (BandedOperator, FockOperator, _conditioned, _freeze, _freeze_field,
+                   _numerical_top, _polar_powers)
 
 __all__ = [
     "TwoModeState",
@@ -194,7 +194,7 @@ def _sector_windows(theta, cutoff, band, last):
 
 
 def oracle_y(ref_in, ref_out, bs, policy):
-    """Conditional operator from the two-mode simulation.
+    """Conditional operator from the two-mode simulation, on its band.
 
     Y[j, i] = <j| <ref_out| U |i> |ref_in> takes from each sector its block
     between the reference amplitudes it pairs with.  Sector M of U is
@@ -205,44 +205,47 @@ def oracle_y(ref_in, ref_out, bs, policy):
                        [exp(-i phi' r) v_in[r]]
 
     to Y[M - q, M - r]: the references and phases fold into one fixed
-    matrix over (q, r), and exp(i phi_t j) into one phase per row of Y.
-    For a fixed q the map (M, r) -> (M - q, M - r) is one to one, so each
-    chunk of windows from :func:`_sector_windows` lands in Y with one
-    strided add per reference row q, of that window row of every sector in
-    the chunk times the matrix's row q.  Only reference levels up to L
-    enter, L the higher numerical top of the two references' amplitudes (no
-    closed form involved).  U is unitary, so the dropped part of Y has norm
-    at most ||tail_out|| ||v_in|| + ||v_out|| ||tail_in||, and the cost is
-    O(N L^2) for cutoff N instead of O(N^3).
+    matrix over (q, r), and exp(i phi_t j) into one phase per row of Y; the
+    phases are good to a few ulps (:func:`fock._polar_powers`).  Only the
+    reference levels q <= L_out and r <= L_in enter, the numerical tops of
+    the two references' amplitudes (no closed form involved), so Y lives on
+    the diagonals -L_out <= j - k = r - q <= L_in: the result is a
+    :class:`fock.BandedOperator`, with a dense ``mat`` on demand.  For a
+    fixed q the map (M, r) -> (M - q, M - r) is one to one, and window row
+    q of every sector in a chunk from :func:`_sector_windows` (on the band
+    max(L_in, L_out)) lands on the band in one strided add, times the
+    matrix's row q.  U is unitary, so the dropped part of each column of Y
+    has norm at most ||tail_out|| ||v_in|| + ||v_out|| ||tail_in||, and the
+    cost is O(N L^2) for cutoff N instead of O(N^3).
     """
     vin = ref_in.state(policy).amps
     vout_conj = ref_out.state(policy).amps.conj()
-    band = max(_numerical_top(vin), _numerical_top(vout_conj))
+    top_in, top_out = _numerical_top(vin), _numerical_top(vout_conj)
+    band = max(top_in, top_out)
     cutoff, dim = policy.cutoff, policy.dim
-    levels = np.arange(band + 1)
-    weight = np.outer(vout_conj[:band + 1] * np.exp(-1j * bs.phi_r * levels),
-                      vin[:band + 1] * np.exp(-1j * (bs.phi_t - bs.phi_r) * levels))
-    # Y with `band` spare elements before and after it, and diag[j, band - q + r]
-    # = Y[j, j + q - r]: window row q lands on diag[M - q, band - q:2 band - q + 1].
-    # Its zeros off the sector's levels reach at most `band` elements past
-    # Y's own, where they add nothing.
-    flat = np.zeros(dim * dim + 2 * band, dtype=complex)
-    item = flat.strides[0]
-    diag = as_strided(flat[2 * band:], (dim, 2 * band + 1), ((dim + 1) * item, -item))
-    targets = [diag[:, band - q:2 * band - q + 1] for q in range(band + 1)]
+    levels_out, levels_in = np.arange(top_out + 1), np.arange(top_in + 1)
+    weight = np.outer(vout_conj[levels_out] * _polar_powers(1.0, -bs.phi_r, levels_out),
+                      vin[levels_in] * _polar_powers(1.0, bs.phi_r - bs.phi_t, levels_in))
+    # diagonals[j, top_out + j - k] = Y[j, k]: window row q lands on
+    # diagonals[M - q, top_out - q:top_out - q + top_in + 1].  Its zeros off
+    # the sector's levels fall on the elements with k outside 0..cutoff
+    diagonals = np.zeros((dim, top_in + top_out + 1), dtype=complex)
+    targets = [diagonals[:, top_out - q:top_out - q + top_in + 1] for q in range(top_out + 1)]
     for first, windows in _sector_windows(bs.theta, cutoff, band, cutoff + band):
         count = len(windows)
-        terms = np.empty((count, band + 1), dtype=complex)
-        # the rows that some sector of the chunk holds
-        for q in range(_levels(first, cutoff, band)[0], _levels(first + count - 1, cutoff, band)[1] + 1):
+        terms = np.empty((count, top_in + 1), dtype=complex)
+        # the rows that some sector of the chunk holds, up to the top of v_out
+        for q in range(_levels(first, cutoff, band)[0],
+                       min(_levels(first + count - 1, cutoff, band)[1], top_out) + 1):
             # the sectors whose row j = M - q lies in 0..cutoff
             lo, hi = max(first, q), min(first + count, q + cutoff + 1)
             target, part = targets[q][lo - q:hi - q], terms[:hi - lo]
-            np.multiply(windows[lo - first:hi - first, q + 1, 1:], weight[q], out=part)
+            np.multiply(windows[lo - first:hi - first, q + 1, 1:top_in + 2], weight[q], out=part)
             np.add(target, part, out=target)
-    ymat = flat[band:band + dim * dim].reshape(dim, dim)
-    ymat *= np.exp(1j * bs.phi_t * np.arange(dim))[:, None]
-    return FockOperator(ymat, policy.cutoff)
+    diagonals *= _polar_powers(1.0, bs.phi_t, np.arange(dim))[:, None]
+    norm = np.linalg.norm
+    tail = norm(vout_conj[top_out + 1:]) * norm(vin) + norm(vout_conj) * norm(vin[top_in + 1:])
+    return BandedOperator(diagonals, top_out, cutoff, float(tail))
 
 
 @dataclass(frozen=True)
@@ -296,13 +299,14 @@ def conditional_reduce(state_in, povm_element, bs, policy):
     vout = np.zeros_like(amps)
     # sector M of U between its phases exp(i phi_t M) exp(-i phi q) and
     # exp(-i phi' r), as in oracle_y; q, r are reference indices
-    out_phase = np.exp(-1j * (bs.phi_t + bs.phi_r) * np.arange(band + 1))
-    in_phase = np.exp(-1j * (bs.phi_t - bs.phi_r) * np.arange(band + 1))
+    sector_phase = _polar_powers(1.0, bs.phi_t, np.arange(top + 1))
+    out_phase = _polar_powers(1.0, -(bs.phi_t + bs.phi_r), np.arange(band + 1))
+    in_phase = _polar_powers(1.0, bs.phi_r - bs.phi_t, np.arange(band + 1))
     for first, windows in _sector_windows(bs.theta, policy.cutoff, band, top):
         for total, window in enumerate(windows, first):
             lo, hi = _levels(total, policy.cutoff, band)
             q = np.arange(lo, hi + 1)
             rot = window[lo + 1:hi + 2, lo + 1:hi + 2]
-            vout[total - q, q] = (np.exp(1j * bs.phi_t * total) * out_phase[lo:hi + 1]
+            vout[total - q, q] = (sector_phase[total] * out_phase[lo:hi + 1]
                                   * (rot @ (in_phase[lo:hi + 1] * amps[total - q, q])))
     return _conditioned(vout @ povm_element.mat.T @ vout.conj().T, policy.cutoff)

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condibeam import cli, conditional, phasespace
+from condibeam import cli, conditional, fock, phasespace, twomode
+from condibeam.beamsplitter import BeamSplitterParams, ReferencePrep
 from condibeam.errors import ConfigError, DomainError
 from condibeam.selftest import run_selftest
 
@@ -58,6 +59,32 @@ class TestExperiments:
         assert scalars["oracle_rel_frobenius_error"] < 1e-8
         assert scalars["largest_singular_value"] <= 1.0 + 1e-6
         assert grids == []
+
+    @pytest.mark.parametrize("m, n, theta, cutoff", [
+        (2, 1, math.pi / 4, 48), (2, 1, math.pi / 4, 256), (2, 2, 0.2, 96)])
+    def test_y_matrix_runs_on_the_band(self, monkeypatch, m, n, theta, cutoff):
+        # no dense SVD and no dense Y on the route; its scalars against the
+        # dense route: the SVD and norms of .mat and the dense deviation
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense matrix or decomposition on the y-matrix route")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(fock.BandedOperator, "mat", property(refuse))
+        alpha, beta = 0.3 * np.exp(0.7j), 0.2 * np.exp(-2.1j)
+        config = (f"m = {m}\nn = {n}\nalpha = {cli._fmt_complex(alpha)}\n"
+                  f"beta = {cli._fmt_complex(beta)}\ntheta = {theta!r}\nphi_t = 0.4\n"
+                  f"phi_r = 1.1\ncutoff = {cutoff}\n")
+        scalars, _, _ = cli.run_experiment("y-matrix", config)
+        monkeypatch.undo()
+        bs, policy = BeamSplitterParams(theta, 0.4, 1.1), fock.TruncationPolicy(cutoff)
+        mat = conditional.y_displaced_fock(m, n, alpha, beta, bs, policy).mat
+        oracle = twomode.oracle_y(ReferencePrep.fock(m, alpha), ReferencePrep.fock(n, beta),
+                                  bs, policy).mat
+        assert scalars["frobenius_norm"] == pytest.approx(np.linalg.norm(mat), rel=1e-14)
+        top = np.linalg.svd(mat, compute_uv=False)[0]
+        assert scalars["largest_singular_value"] == pytest.approx(top, rel=1e-13)
+        dense = np.linalg.norm(mat - oracle) / np.linalg.norm(oracle)
+        assert dense <= scalars["oracle_rel_frobenius_error"] <= dense + 1e-15
 
     def test_scheme_a(self):
         scalars, _, _ = cli.run_experiment(
@@ -502,6 +529,27 @@ class TestMainExitCodes:
         assert rc == 2
         assert err.startswith("config error: ") and message in err
         assert err.count("\n") == 1
+
+
+def run_cli(args, timeout=120):
+    """``python -m condibeam.cli`` in a child process, with this package's source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "condibeam.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_low_transmittance_ends_in_one_domain_error_line(tmp_path):
+    # |T| = 1e-8 with n = 40 detected photons: the coefficient (-R*/T)^n
+    # leaves the float range.  It is formed under the float-range check, so
+    # the run prints one line and no RuntimeWarning
+    cfg = tmp_path / "low_t.cfg"
+    cfg.write_text(f"m = 0\nn = 40\ntheta = {math.pi / 2 - 1e-8!r}\ncutoff = 160\n")
+    proc = run_cli(["y-matrix", "--config", str(cfg)])
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("domain error:"), proc.stderr
 
 
 def test_runtime_imports_no_scipy(tmp_path):

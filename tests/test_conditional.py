@@ -305,6 +305,51 @@ class TestOracleInvariants:
         assert full_rel_frobenius(y.mat, block) <= 1e-12
 
 
+class TestBandForm:
+    """Y on its diagonals -L_out..L_in, the form ``y-matrix`` runs on."""
+
+    @given(oracle_configs(), st.integers(16, 128))
+    # a nearly degenerate top, sigma_0 / sigma_1 - 1 = 3.2e-5: Lanczos runs
+    # all cutoff + 1 = 193 steps
+    @example((2, 1, 0.3, -0.2j, BeamSplitterParams(0.05, 0.4, 1.1)), 192)
+    # undisplaced m = 0, n = cutoff: the single nonzero element Y[0, cutoff]
+    @example((0, 32, 0.0, 0.0, BeamSplitterParams(math.pi / 4, 0.4, 1.1)), 32)
+    @settings(max_examples=25, deadline=None)
+    def test_band_matches_the_dense_routes(self, config, cutoff):
+        m, n, alpha, beta, bs = config
+        try:
+            y = conditional.y_displaced_fock(m, n, alpha, beta, bs, fock.TruncationPolicy(cutoff))
+        except TruncationError:
+            reject()  # a refused displacement budget is a defined outcome
+        band = y.band
+        mat = band.mat
+        # the band is .mat's diagonals k - j = above - c, and holds all of it
+        for c in range(band.diagonals.shape[1]):
+            d = band.above - c
+            rows = slice(max(0, -d), cutoff + 1 - max(0, d))
+            assert np.array_equal(np.diagonal(mat, d), band.diagonals[rows, c])
+        assert np.count_nonzero(mat) == np.count_nonzero(band.diagonals)
+        # apply's factored product on every basis vector, to rounding and the
+        # out-of-band bound
+        image = y._image(np.eye(cutoff + 1))
+        spill = math.sqrt(cutoff + 1) * band.tail
+        assert np.linalg.norm(mat - image) <= 1e-13 * np.linalg.norm(image) + spill
+        # the y-matrix route's largest singular value against a dense SVD
+        top = np.linalg.svd(mat, compute_uv=False)[0]
+        sigma = band.largest_singular_value()
+        assert abs(sigma - top) <= 1e-12 * top
+        assert sigma <= 1.0 + 1e-12
+
+    def test_undisplaced_references_fill_one_diagonal(self):
+        # |2> in, |1> detected: Y adds exactly m - n = 1 photon, so of the
+        # L_in + L_out + 1 = 4 diagonals only k - j = -1 holds elements, and
+        # the references have no tail
+        band = conditional.y_displaced_fock(2, 1, 0j, 0j, BS, POLICY).band
+        assert (band.above, band.below, band.tail) == (1, 2, 0.0)
+        nonzero = [band.above - c for c in range(4) if band.diagonals[:, c].any()]
+        assert nonzero == [-1]
+
+
 @st.composite
 def three_term_configs(draw):
     """Displaced preparations D(alpha) F(a^dag)|0>, D(beta) G(a^dag)|0> with

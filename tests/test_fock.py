@@ -477,3 +477,70 @@ class TestDensityOperator:
         mat[1, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             fock.DensityOperator(mat, POLICY.cutoff).validate()
+
+
+class TestPolarPowers:
+    @pytest.mark.parametrize("modulus, phase", [
+        (1.0, 0.4), (1.0, -1.1), (0.9, 2 * math.pi - 1e-3),
+        (0.9987502603949663, 5.9), (0.95, 3.0), (-0.95, 1e-9)])
+    def test_matches_mpmath_to_a_few_ulps(self, modulus, phase):
+        # (modulus e^(i phase))^k for k <= 4096, against 40 digits; a complex
+        # ** rounds the argument phase k and misses by up to ~|phase k| 1e-16
+        mpmath = pytest.importorskip("mpmath")
+        k = np.arange(4097)
+        got = fock._polar_powers(modulus, phase, k)
+        with mpmath.workdps(40):
+            r, phi = mpmath.mpf(modulus), mpmath.mpf(phase)
+            expected = np.array([complex(r ** int(j) * mpmath.expj(phi * int(j))) for j in k])
+        rel = np.abs(got - expected) / np.abs(expected)
+        assert rel.max() <= 4 * np.finfo(float).eps
+
+
+def random_band(rng, cutoff, above, below):
+    """A BandedOperator with random complex diagonals, zero where k leaves 0..cutoff."""
+    dim, width = cutoff + 1, above + below + 1
+    diagonals = rng.normal(size=(dim, width)) + 1j * rng.normal(size=(dim, width))
+    k = np.arange(dim)[:, None] + above - np.arange(width)
+    diagonals[(k < 0) | (k > cutoff)] = 0.0
+    return fock.BandedOperator(diagonals, above, cutoff)
+
+
+class TestBandedOperator:
+    @pytest.mark.parametrize("above, below", [(0, 0), (3, 1), (0, 5), (12, 12)])
+    def test_products_and_adjoint_match_the_dense_matrix(self, above, below):
+        rng = np.random.default_rng(above + 10 * below)
+        op = random_band(rng, 12, above, below)
+        mat = op.mat
+        j, k = np.indices(mat.shape)
+        assert not mat[(j - k > below) | (k - j > above)].any()
+        assert np.count_nonzero(mat) == np.count_nonzero(op.diagonals)
+        x = rng.normal(size=13) + 1j * rng.normal(size=13)
+        assert np.allclose(fock._band_product(op.diagonals, above)(x), mat @ x, atol=1e-13)
+        adjoint = fock.BandedOperator(fock._adjoint_diagonals(op.diagonals, above), below, 12)
+        assert np.array_equal(adjoint.mat, mat.conj().T)
+
+    def test_largest_singular_value_matches_svd(self):
+        rng = np.random.default_rng(3)
+        for above, below in ((2, 4), (0, 0), (9, 1)):
+            op = random_band(rng, 40, above, below)
+            top = np.linalg.svd(op.mat, compute_uv=False)[0]
+            assert op.largest_singular_value() == pytest.approx(top, rel=1e-13)
+        zero = fock.BandedOperator(np.zeros((9, 3)), 1, 8)
+        assert zero.largest_singular_value() == 0.0
+
+    def test_rel_deviation_on_the_union_of_offsets(self):
+        # two bands of different widths: the dense relative Frobenius
+        # deviation, plus both operators' out-of-band bounds
+        rng = np.random.default_rng(4)
+        a, b = random_band(rng, 20, 3, 1), random_band(rng, 20, 1, 4)
+        dense = np.linalg.norm(a.mat - b.mat) / np.linalg.norm(b.mat)
+        assert a.rel_deviation(b) == pytest.approx(dense, rel=1e-13)
+        tailed = fock.BandedOperator(a.diagonals, a.above, a.cutoff, tail=1e-3)
+        spill = math.sqrt(21) * 1e-3 / np.linalg.norm(b.mat)
+        assert tailed.rel_deviation(b) == pytest.approx(dense + spill, rel=1e-13)
+
+    def test_shape_is_checked(self):
+        with pytest.raises(ValueError):
+            fock.BandedOperator(np.zeros((8, 3)), 1, 8)
+        with pytest.raises(ValueError):
+            fock.BandedOperator(np.zeros((9, 3)), 3, 8)

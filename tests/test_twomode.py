@@ -281,6 +281,23 @@ class TestBandedOracle:
         dev = np.linalg.norm(y - dense_contraction(prep_in, prep_out, bs, policy), 2)
         assert dev <= bound + 1e-14, (name, dev, bound)
 
+    @pytest.mark.parametrize("name", ["demo", "large-displacement"])
+    def test_band_holds_all_but_the_tail_bound(self, name):
+        # the diagonals -L_out..L_in of the references' own numerical tops;
+        # each column of the dense contraction holds at most the oracle's
+        # bound outside them
+        prep_in, prep_out, bs, _ = BANDED_PAIRS[name]
+        policy = fock.TruncationPolicy(64)
+        y = twomode.oracle_y(prep_in, prep_out, bs, policy)
+        vin, vout = prep_in.state(policy).amps, prep_out.state(policy).amps
+        assert (y.below, y.above) == (fock._numerical_top(vin), fock._numerical_top(vout))
+        assert 0.0 < y.tail <= 2e-17
+        dense = dense_contraction(prep_in, prep_out, bs, policy)
+        j, k = np.indices(dense.shape)
+        outside = np.where((j - k > y.below) | (k - j > y.above), dense, 0.0)
+        assert np.linalg.norm(outside, axis=0).max() <= y.tail
+        assert np.max(np.abs(y.mat - (dense - outside))) <= 1e-15
+
     def test_vacuum_references_use_band_zero(self, monkeypatch):
         bs = BeamSplitterParams(1.0, 0.3, 0.8)
         seen = count_windows(monkeypatch)
