@@ -161,8 +161,7 @@ def _run_y_matrix(params):
     bs = _bs(params)
     prep_in = _build(ReferencePrep.fock, params["m"], params["alpha"])
     prep_out = _build(ReferencePrep.fock, params["n"], params["beta"])
-    y = conditional.y_displaced_fock(params["m"], params["n"], params["alpha"],
-                                     params["beta"], bs, policy).band
+    y = conditional.y_displaced_general(prep_in, prep_out, bs, policy).band
     oracle = twomode.oracle_y(prep_in, prep_out, bs, policy)
     scalars = {
         "frobenius_norm": float(np.linalg.norm(y.diagonals)),

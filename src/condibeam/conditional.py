@@ -216,16 +216,14 @@ class ConditionalOperator:
         if self.left == 0:
             diagonals[:] = fock._diagonal_view(cols[:n + 1], width)
         else:
-            factors = fock._displacement_factors(-self.left, w, n)  # frees D(right)'s table
-            lower, phase, scale = factors
-            real = np.array(lower)
-            real[:n + 1] = fock._head_block(lower)
+            del factors  # D(right)'s table goes before D(left)'s is built
+            m, phase, scale = fock._displacement_factors(-self.left, w, n)
             cols *= phase.conj()[:, None]
             flat = cols.view(float)
             block = max(_ROW_BLOCK, width)
             for j0 in range(0, n + 1, block):
                 j1 = min(j0 + block, n + 1)
-                rows = (real[:, j0:j1].T @ flat[:, 2 * j0:2 * (j1 + width - 1)]).view(complex)
+                rows = (m[:, j0:j1].T @ flat[:, 2 * j0:2 * (j1 + width - 1)]).view(complex)
                 rows *= scale * phase[j0:j1, None]
                 diagonals[j0:j1] = fock._diagonal_view(rows, width)
         tail = tails[0] * norms[1] + norms[0] * tails[1]
@@ -336,9 +334,10 @@ def apply_conditional(y, psi_in):
     """Apply a conditional operator; returns (normalized output, probability).
 
     ``y`` is a :class:`ConditionalOperator`, applied in factored form, or a
-    dense ``FockOperator`` (the two-mode oracle's).  p = ||Y psi||^2;
-    raises ZeroProbabilityError when the outcome is numerically impossible
-    (norm below 1e-7, i.e. p < 1e-14).
+    :class:`fock.BandedOperator` (the two-mode oracle's, from
+    ``twomode.oracle_y``), which :func:`fock.apply` runs through its
+    scattered ``.mat``.  p = ||Y psi||^2; raises ZeroProbabilityError when
+    the outcome is numerically impossible (norm below 1e-7, i.e. p < 1e-14).
     """
     out = y.apply(psi_in) if isinstance(y, ConditionalOperator) else fock.apply(y, psi_in)
     p = fock.norm(out) ** 2

@@ -9,7 +9,10 @@ storage and products, and a dense matrix is scattered only on demand.  A
 displacement of a state needs no matrix either: :func:`displace` applies
 D(alpha) to a vector whose numerical top is t (the levels above it hold at
 most 1e-17 of its norm) from the Laguerre values of degrees 0..t alone,
-O(N t) for N levels.
+O(N t) for N levels.  Columns 0..t of D(alpha) have one stored form,
+e^(-|alpha|^2/2) P M P* with P the phases e^(ik arg alpha) and M a dense
+real N x (t + 1) block, both triangles written from those values: a
+displacement is one real product with M, the adjoint rows one with M^T.
 Everything is immutable after construction, so values can be shared freely
 between threads.
 
@@ -145,13 +148,11 @@ class TruncationPolicy:
         levels = self.working_levels(alpha, top, reach)
         if alpha == 0:
             return levels, (np.eye(levels + 1, top + 1), np.ones(levels + 1), 1.0)
-        lower, phase, scale = _displacement_factors(alpha, levels, top)
-        columns = scale * lower
+        m, phase, scale = _displacement_factors(alpha, levels, top)
+        columns = scale * m
         mass = np.einsum("ij,ij->i", columns, columns)
-        head = columns[:top + 1]  # rows 0..top also hold the upper triangle
-        mass[:top + 1] += np.einsum("ij,ij->j", head, head) - head.diagonal() ** 2
         w = max(self.cutoff, _numerical_top(np.sqrt(mass)) + reach)
-        return w, (lower[:w + 1], phase[:w + 1], scale)
+        return w, (m[:w + 1], phase[:w + 1], scale)
 
     def _refuse_above_tol(self, mass, label):
         """TruncationError unless mass <= tail_tol (a NaN mass fails)."""
@@ -501,39 +502,19 @@ def _displacement_factors(alpha, cutoff, top):
     P = diag(e^(ik arg alpha)), and M is real: with j <= k its lower triangle
     is M[k, j] = u_j^(k-j)(x), the normalized Laguerre values of
     :func:`polynomials.laguerre_rows`, and its upper triangle is the
-    transpose times (-1)^(k-j).  Returns (lower, phase, e^(-x/2)), ``lower``
-    being columns 0..top of M's lower triangle, zeros above the diagonal: a
-    strided view of the Laguerre rows of degrees 0..top, each padded with
-    zeros to one more than the dimension, so that stepping one row length
-    walks down the diagonal and lands in the zeros above it.
+    transpose times (-1)^(k-j).  Returns (M, phase, e^(-x/2)), M the dense
+    (cutoff + 1) x (top + 1) block of its columns 0..top in Fortran order:
+    the Laguerre row of degree j is written down column j from the diagonal,
+    and, times (-1)^(k-j), along row j to the right of it.
     """
     dim = cutoff + 1
     x = abs(alpha) ** 2
-    lag = np.empty((top + 1, dim + 1))
+    m = np.empty((dim, top + 1), order="F")
+    sign = np.resize((1.0, -1.0), top + 1)  # (-1)^(k-j) at k - j
     for j, row in zip(range(top + 1), laguerre_rows(cutoff, x)):
-        lag[j, :dim - j] = row
-        lag[j, dim - j:] = 0.0  # read above the diagonal
-    # lag[j, k - j] sits at offset j (dim + 1) + k - j = k + j dim
-    lower = np.lib.stride_tricks.as_strided(lag, (dim, top + 1),
-                                            (lag.itemsize, dim * lag.itemsize),
-                                            writeable=False)
-    return lower, np.exp(1j * np.arange(dim) * np.angle(alpha)), math.exp(-x / 2)
-
-
-def _alternating(dim):
-    """(-1)^k for k = 0..dim-1."""
-    return np.where(np.arange(dim) % 2, -1.0, 1.0)
-
-
-def _head_block(lower):
-    """The top square block of M's columns 0..top (:func:`_displacement_factors`)
-    from their lower triangle L0: L0 + S L0^T S - diag(L0), S = diag((-1)^k)."""
-    cols = lower.shape[1]
-    head = lower[:cols]
-    sign = _alternating(cols)
-    block = head + head.T * sign * sign[:, None]  # the upper triangle
-    np.fill_diagonal(block, head.diagonal())  # the sum counted it twice
-    return block
+        m[j:, j] = row
+        np.multiply(row[1:top + 1 - j], sign[1:top + 1 - j], out=m[j, j + 1:])
+    return m, np.exp(1j * np.arange(dim) * np.angle(alpha)), math.exp(-x / 2)
 
 
 def _dense_columns(factors):
@@ -542,12 +523,9 @@ def _dense_columns(factors):
     <k|D|j> = e^(-x/2) e^(i(k-j) arg alpha) u_j^(k-j)(x) and <j|D|k> =
     e^(-x/2) (-e^(-i arg alpha))^(k-j) u_j^(k-j)(x).  The normalized
     Laguerre values u are bounded, so no element overflows at any cutoff."""
-    lower, phase, scale = factors
-    cols = lower.shape[1]
-    real = np.array(lower)
-    real[:cols] = _head_block(lower)
-    mat = np.multiply.outer(scale * phase, phase[:cols].conj())
-    mat *= real
+    m, phase, scale = factors
+    mat = np.multiply.outer(scale * phase, phase[:m.shape[1]].conj())
+    mat *= m
     return mat
 
 
@@ -582,31 +560,22 @@ def displace(alpha, vector):
 def _displaced(factors, amps):
     """e^(-x/2) P M P* amps over the levels of the factors of columns 0..t of
     D(alpha) (:func:`_displacement_factors`), for amps on levels 0..t (a
-    vector, or a matrix of columns): two real products, M w = [M0 w; L1 w]
-    for M0 the top square block of the columns (:func:`_head_block`) and L1
-    the lower triangle below it, on the real and imaginary parts of w."""
-    lower, phase, scale = factors
-    size = len(amps)
-    w = _real_columns(phase[:size].conj(), amps)
-    out = np.empty((len(lower), w.shape[1]))
-    out[:size] = _head_block(lower) @ w
-    out[size:] = lower[size:] @ w
-    return _complex_columns(scale * phase, out, amps.shape)
+    vector, or a matrix of columns): one real product M w, on the real and
+    imaginary parts of w = P* amps."""
+    m, phase, scale = factors
+    w = _real_columns(phase[:len(amps)].conj(), amps)
+    return _complex_columns(scale * phase, m @ w, amps.shape)
 
 
 def _displaced_adjoint(factors, amps):
     """Rows 0..r of D(alpha) times amps, from the factors of columns 0..r of
     D(-alpha) on the levels of amps (a vector, or a matrix of columns): the
     adjoint of those columns, e^(-x/2) P0 M^T P* amps with P0 the first r + 1
-    phases.  The mirror of :func:`_displaced`, two real products with no
-    dense operator: M^T w = M0^T w0 + L1^T w1 for w0 and w1 the rows 0..r
-    of w and those below."""
-    lower, phase, scale = factors
-    size = lower.shape[1]
+    phases.  The mirror of :func:`_displaced`, one real product M^T w with
+    no dense operator."""
+    m, phase, scale = factors
     w = _real_columns(phase.conj(), amps)
-    out = _head_block(lower).T @ w[:size]
-    out += lower[size:].T @ w[size:]
-    return _complex_columns(scale * phase[:size], out, amps.shape)
+    return _complex_columns(scale * phase[:m.shape[1]], m.T @ w, amps.shape)
 
 
 def _real_columns(phase, amps):
@@ -654,7 +623,8 @@ def hermite_functions(x, nmax):
     two of the envelope carried per point in ``scale`` and folded in by
     ``np.ldexp`` as each level is stored; psi_0 starts at ~2^-1000, and
     the pair (psi_k, psi_{k-1}) is scaled down by 2^500 whenever |psi_k|
-    passes 2^500.  Elsewhere scale is 0 and psi_k is phi_k, bit for bit.
+    passes 2^500 (:func:`_rescaled`).  Elsewhere scale is 0 and psi_k is
+    phi_k, bit for bit.
 
     Past the radius 40 + 2 sqrt(nmax) every phi_k is 0 in floating point:
     it exceeds every zero of H_k, so |H_k(x)| <= (2|x|)^k there, and by
@@ -683,12 +653,20 @@ def hermite_functions(x, nmax):
         psi, prev = (x * np.sqrt(2.0 / (k + 1)) * psi
                      - np.sqrt(k / (k + 1.0)) * prev), psi
         if carry:
-            big = np.abs(psi) > 2.0 ** 500
-            if big.any():
-                shift = np.where(big, -500, 0)
-                psi, prev = np.ldexp(psi, shift), np.ldexp(prev, shift)
-                scale = scale + 500 * big
+            psi, prev, scale = _rescaled(psi, prev, scale)
     return out
+
+
+def _rescaled(value, prev, exponent):
+    """One rescale step of a three-term recurrence run on mantissas: where
+    |value| passes 2^500, the pair (value, prev) is scaled down by 2^500,
+    exactly, and 500 is added to the power of two carried in ``exponent``."""
+    big = np.abs(value) > 2.0 ** 500
+    if big.any():
+        shift = np.where(big, -500, 0)
+        value, prev = np.ldexp(value, shift), np.ldexp(prev, shift)
+        exponent = exponent + 500 * big
+    return value, prev, exponent
 
 
 def annihilation_op(policy):

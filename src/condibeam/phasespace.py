@@ -49,7 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cats import _chi_amplitudes, multi_cat_log_norm
 from .errors import DomainError, IntegrationRangeError
-from .fock import _numerical_top, hermite_functions
+from .fock import _numerical_top, _rescaled, hermite_functions
 from .polynomials import laguerre_rows, log_factorial
 
 __all__ = [
@@ -414,10 +414,11 @@ def quadrature_chi_closed(spec, grid):
     H_{k+1} = 2x H_k - 2k H_{k-1}, not from the oscillator functions of the
     overlap route.  They leave the float range from k ~ 300 at |x| ~ 6, so
     each x point carries H_k as a mantissa times 2^e: the pair (H_k, H_{k-1})
-    is scaled down by 2^500 whenever |H_k| passes 2^500.  The exponent e,
-    the envelope e^(-x^2/2) and 1/sqrt(2^k k!) are summed in log space
-    before the contraction, where each level weighs at most ~1.  Raises
-    DomainError when the sum leaves the float range all the same.
+    is scaled down by 2^500 whenever |H_k| passes 2^500
+    (:func:`fock._rescaled`).  The exponent e, the envelope e^(-x^2/2) and
+    1/sqrt(2^k k!) are summed in log space before the contraction, where
+    each level weighs at most ~1.  Raises DomainError when the sum leaves
+    the float range all the same.
     """
     amps, _ = _chi_amplitudes(spec.n, spec.beta)
     k = np.arange(spec.n + 1)
@@ -431,12 +432,7 @@ def quadrature_chi_closed(spec, grid):
             mantissa[j], exponent[j] = h, e
             if j == spec.n:
                 break
-            h, prev = 2.0 * x * h - 2.0 * j * prev, h
-            big = np.abs(h) > 2.0 ** 500
-            if big.any():
-                shift = np.where(big, -500, 0)
-                h, prev = np.ldexp(h, shift), np.ldexp(prev, shift)
-                e = e + 500.0 * big
+            h, prev, e = _rescaled(2.0 * x * h - 2.0 * j * prev, h, e)
         log_weight = (exponent * math.log(2.0) - 0.5 * x * x
                       - 0.5 * (k * math.log(2.0) + log_factorial(k))[:, None])
         total = np.tensordot(mantissa * np.exp(log_weight), coeffs, axes=(0, 0))

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from condibeam import fock, phasespace
+from condibeam import cats, fock, phasespace
 from condibeam.errors import CutoffExceededError, CutoffMismatchError, TruncationError
 
 from test_polynomials import assoc_laguerre
@@ -257,6 +257,105 @@ class TestWorkingLevels:
         assert w == 32
         assert np.array_equal(fock._dense_columns(factors), np.eye(33, 6))
         assert policy.working_factors(0.0, 32, 3)[0] == 35
+
+
+def random_columns(rng, levels, *columns):
+    """Complex Gaussian amplitudes on ``levels`` levels: a vector, or a
+    matrix of ``columns``."""
+    shape = (levels,) + columns
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestDisplacementProducts:
+    """``_displaced`` and ``_displaced_adjoint`` against the element-wise
+    ``displacement_reference``, on the factors the library builds."""
+
+    CUTOFF = 16
+
+    @pytest.mark.parametrize("top", [0, 5, CUTOFF])
+    @pytest.mark.parametrize("alpha", [0.6 * np.exp(0.9j), 2.5 - 1.5j])
+    @pytest.mark.parametrize("columns", [(), (3,)])
+    def test_products_match_the_elements(self, top, alpha, columns):
+        # on the working levels W > cutoff that working_factors picks: the
+        # columns 0..top of D(alpha), and rows 0..top of D(alpha) as the
+        # adjoint of D(-alpha)'s columns
+        policy = fock.TruncationPolicy(self.CUTOFF, tail_tol=1.0)
+        rng = np.random.default_rng(top)
+        w, factors = policy.working_factors(alpha, top, 0)
+        assert w > self.CUTOFF
+        ref = displacement_reference(alpha, w)
+        amps = random_columns(rng, top + 1, *columns)
+        expected = np.tensordot(ref[:, :top + 1], amps, axes=1)
+        got = fock._displaced(factors, amps)
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+        amps = random_columns(rng, w + 1, *columns)
+        expected = np.tensordot(ref[:top + 1], amps, axes=1)
+        got = fock._displaced_adjoint(fock._displacement_factors(-alpha, w, top), amps)
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("columns", [(), (2,)])
+    def test_zero_displacement_factors_are_the_identity(self, columns):
+        policy = fock.TruncationPolicy(32)
+        w, factors = policy.working_factors(0.0, 5, 3)
+        amps = random_columns(np.random.default_rng(5), 6, *columns)
+        out = fock._displaced(factors, amps)
+        assert np.array_equal(out[:6], amps) and not out[6:].any()
+        wide = random_columns(np.random.default_rng(6), w + 1, *columns)
+        assert np.array_equal(fock._displaced_adjoint(factors, wide), wide[:6])
+
+    @pytest.mark.parametrize("cutoff, top", [(40, 0), (40, 5), (40, 40), (300, 120)])
+    def test_head_block_is_signed_symmetric(self, cutoff, top):
+        # M[j, k] = (-1)^(k - j) M[k, j], exactly, on the top square block
+        m, _, _ = fock._displacement_factors(2.2 * np.exp(0.4j), cutoff, top)
+        head = m[:top + 1]
+        k = np.arange(top + 1)
+        sign = np.where(np.add.outer(k, k) % 2, -1.0, 1.0)
+        assert m.shape == (cutoff + 1, top + 1)
+        assert np.array_equal(head, sign * head.T)
+
+
+class TestRescale:
+    """The one 2^500 rescale step of the scaled three-term recurrences,
+    ``fock._rescaled``, gives both callers bit for bit what the step each
+    of them wrote out before gave, at far-field points where it fires."""
+
+    @staticmethod
+    def written_out(step):
+        """The rescale step as the two recurrences wrote it, with an integer
+        (hermite_functions) or a float (quadrature_chi_closed) step of the
+        exponent, counting the calls where it fires."""
+        fired = []
+
+        def rescaled(value, prev, exponent):
+            big = np.abs(value) > 2.0 ** 500
+            if big.any():
+                fired.append(int(big.sum()))
+                shift = np.where(big, -500, 0)
+                value, prev = np.ldexp(value, shift), np.ldexp(prev, shift)
+                exponent = exponent + step * big
+            return value, prev, exponent
+        return rescaled, fired
+
+    def test_hermite_functions_far_field(self, monkeypatch):
+        # the envelope is carried from |x| ~ 37.6; the rescale fires 11 times
+        x = np.array([38.0, -39.5, 41.0, 45.0, -50.0, 60.0, 80.0, 0.3])
+        got = fock.hermite_functions(x, 3000)
+        rescaled, fired = self.written_out(500)
+        monkeypatch.setattr(fock, "_rescaled", rescaled)
+        assert np.array_equal(got, fock.hermite_functions(x, 3000))
+        assert len(fired) >= 10
+
+    def test_chi_quadrature_far_field(self, monkeypatch):
+        spec = cats.CatSpec(300, math.sqrt(150.0))
+        grid = phasespace.PhaseGrid(phasespace.Axis("x", -9.0, 9.0, 61),
+                                    phasespace.Axis("phi", 0.0, math.pi, 5))
+        got = phasespace.quadrature_chi_closed(spec, grid).values
+        rescaled, fired = self.written_out(500.0)
+        monkeypatch.setattr(phasespace, "_rescaled", rescaled)
+        assert np.array_equal(got, phasespace.quadrature_chi_closed(spec, grid).values)
+        assert len(fired) >= 20  # |H_k| passes 2^500 by k = 300 at every x
 
 
 def count_laguerre_rows(monkeypatch, module):
