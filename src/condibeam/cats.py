@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conditional, fock, twomode
+from . import conditional, fock
 from .beamsplitter import BeamSplitterParams, ReferencePrep
 from .errors import DomainError
 from .polynomials import laguerre_rows, log_factorial
@@ -186,6 +186,7 @@ def _conditional_y(route, m, alpha, n, beta, bs, policy):
     if route == "closed":
         return conditional.y_displaced_fock(m, n, alpha, beta, bs, policy)
     if route == "oracle":
+        from . import twomode  # the verification route: loaded only when taken
         return twomode.oracle_y(ReferencePrep.fock(m, alpha), ReferencePrep.fock(n, beta),
                                 bs, policy)
     raise ValueError(f"unknown route {route!r}")

@@ -18,6 +18,11 @@ results.
 
 Exit codes: 0 success, 2 config error, 3 domain error (zero probability,
 truncation, a NaN result, ...), 4 selftest failure.
+
+Each run is a fresh process, so each subcommand imports only the package
+modules it runs: this module loads ``errors`` alone at import, and every
+runner imports its own modules, so dispatch, ``--help`` and config errors
+load none of the physics.
 """
 
 import argparse
@@ -28,10 +33,8 @@ import time
 
 import numpy as np
 
-from . import __version__, cats, conditional, fock, phasespace, twomode
-from .beamsplitter import BeamSplitterParams, ReferencePrep
+from . import __version__
 from .errors import ConfigError, DomainError
-from .selftest import run_selftest
 
 __all__ = ["main", "run_experiment", "parse_config"]
 
@@ -121,15 +124,18 @@ def _build(factory, *args, **kwargs):
 
 
 def _policy(params):
+    from . import fock
     return _build(fock.TruncationPolicy, cutoff=params["cutoff"],
                   tail_tol=params["tail_tol"])
 
 
 def _bs(params):
+    from .beamsplitter import BeamSplitterParams
     return _build(BeamSplitterParams, params["theta"], params["phi_t"], params["phi_r"])
 
 
 def _cat_spec(params, k=1):
+    from . import cats
     return _build(cats.CatSpec, params["n"], params["beta"], k)
 
 
@@ -153,6 +159,8 @@ _BS_KEYS = {
 
 
 def _run_y_matrix(params):
+    from . import conditional, twomode
+    from .beamsplitter import ReferencePrep
     policy = _policy(params)
     for key in ("m", "n"):
         if not 0 <= params[key] <= policy.cutoff:
@@ -188,6 +196,8 @@ def _route(params):
 
 
 def _run_scheme_a(params):
+    from . import cats, fock
+    from .beamsplitter import BeamSplitterParams
     route = _route(params)
     policy = _policy(params)
     spec = _cat_spec(params)
@@ -218,6 +228,7 @@ _SCHEME_A_SCHEMA = {
 
 
 def _run_scheme_b(params):
+    from . import cats, fock
     route = _route(params)
     policy = _policy(params)
     spec = _cat_spec(params)
@@ -244,6 +255,7 @@ _SCHEME_B_SCHEMA = {
 
 
 def _run_multi_cat(params):
+    from . import cats
     policy = _policy(params)
     spec = _cat_spec(params, params["k"])
     state = cats.multi_cat_state(spec, policy)
@@ -267,6 +279,7 @@ _MULTI_CAT_SCHEMA = {
 
 
 def _grid_from(params, names):
+    from . import phasespace
     if params["grid_points"] < 2:
         raise ConfigError(f"grid_points must be >= 2, got {params['grid_points']}")
     return _build(phasespace.PhaseGrid.square, params["grid_lo"], params["grid_hi"],
@@ -281,6 +294,7 @@ _GRID_KEYS = {
 
 
 def _run_q_grid(params):
+    from . import cats, phasespace
     policy = _policy(params)
     grid = _grid_from(params, ("re_alpha", "im_alpha"))
     if params["state"] == "chi":
@@ -314,6 +328,7 @@ _Q_GRID_SCHEMA = {
 
 
 def _run_wigner_grid(params):
+    from . import cats, phasespace
     policy = _policy(params)
     grid = _grid_from(params, ("x", "p"))
     spec = _cat_spec(params)
@@ -368,6 +383,7 @@ _WIGNER_GRID_SCHEMA = {
 
 
 def _run_quadrature_grid(params):
+    from . import cats, phasespace
     policy = _policy(params)
     spec = _cat_spec(params)
     state = cats.chi_state(spec, policy)
@@ -393,6 +409,7 @@ _QUADRATURE_GRID_SCHEMA = {
 
 
 def _run_prob_scan(params):
+    from . import cats
     if params["n_min"] < 0:
         raise ConfigError(f"n_min must be >= 0, got {params['n_min']}")
     if params["n_max"] < params["n_min"]:
@@ -420,6 +437,8 @@ _PROB_SCAN_SCHEMA = {
 
 
 def _run_povm_demo(params):
+    from . import conditional, fock, twomode
+    from .beamsplitter import ReferencePrep
     policy = _policy(params)
     bs = _bs(params)
     povm = _build(twomode.photon_counting_povm, params["eta"], policy)
@@ -549,6 +568,14 @@ def render_envelope_json(experiment, config_text, scalars, grids, duration_s):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _write_out(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="condibeam",
@@ -562,6 +589,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.experiment == "selftest":
+        from .selftest import run_selftest
         return 0 if run_selftest() else 4
 
     try:
@@ -570,15 +598,14 @@ def main(argv=None):
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config_text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         scalars, grids, duration = run_experiment(args.experiment, config_text)
         if args.format == "json-like":
             doc = render_envelope_json(args.experiment, config_text, scalars,
                                        grids, duration)
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(doc)
+                _write_out(args.out, doc)
             else:
                 sys.stdout.write(doc)
         else:
@@ -586,8 +613,7 @@ def main(argv=None):
                 raise ConfigError(
                     "--out is required for grid experiments with --format csv")
             for _, gf in grids:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(render_grid_csv(gf))
+                _write_out(args.out, render_grid_csv(gf))
             sys.stdout.write(render_envelope_text(args.experiment, config_text,
                                                   scalars, duration))
         return 0

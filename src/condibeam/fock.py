@@ -388,7 +388,15 @@ class DensityOperator:
 
     def validate(self):
         """Finite entries, Hermiticity within 1e-12, unit trace within 1e-10,
-        eigenvalues >= -1e-10; ValueError otherwise."""
+        eigenvalues >= -1e-10; ValueError otherwise.
+
+        The eigenvalues are first bounded on the levels 0..t the state
+        occupies (t the numerical top of the diagonal): by Weyl's
+        inequality the entries outside that block, the rest, move each
+        eigenvalue by at most their Frobenius norm, so
+        min(lambda_min(block), 0) - ||rest||_F >= -1e-10 accepts.  Only a
+        matrix that bound cannot accept pays for the full spectrum.
+        """
         if not np.isfinite(self.mat).all():
             raise ValueError("density matrix has non-finite entries")
         herm = np.max(np.abs(self.mat - self.mat.conj().T))
@@ -397,6 +405,12 @@ class DensityOperator:
         tr = self.mat.trace()
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
+        mat = self.mat
+        occupied = _numerical_top(np.sqrt(np.abs(mat.diagonal()))) + 1
+        rest = math.hypot(np.linalg.norm(mat[occupied:]),
+                          np.linalg.norm(mat[:occupied, occupied:]))
+        if min(np.linalg.eigvalsh(mat[:occupied, :occupied]).min(), 0.0) - rest >= -1e-10:
+            return self
         lam_min = float(np.linalg.eigvalsh(self.mat).min())
         if lam_min < -1e-10:
             raise ValueError(f"density matrix has eigenvalue {lam_min:.3e} < 0")

@@ -9,7 +9,13 @@ public names in ``__all__``, so none escapes the check.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
+
+import condibeam
+from condibeam import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "condibeam"
@@ -140,3 +146,46 @@ def test_oracle_and_closed_form_routes_are_independent():
                for stem in ("twomode", "conditional")}
     assert not imports["twomode"] & {"conditional", "ordering", "polynomials"}, imports
     assert "twomode" not in imports["conditional"], imports
+
+
+# every name the package exported when its __init__ imported each module
+# eagerly, by defining module
+PACKAGE_EXPORTS = {
+    "beamsplitter": ["BeamSplitterParams", "OperatorPolynomial", "ReferencePrep"],
+    "cats": ["CatSpec", "cat_norm_and_prob", "chi_state", "multi_cat_log_norm",
+             "multi_cat_state", "scheme_a_state", "scheme_b_state"],
+    "conditional": ["ConditionalOperator", "apply_conditional", "apply_conditional_mixed",
+                    "swap_roles", "y_displaced_fock", "y_displaced_general", "y_general"],
+    "errors": ["CondibeamError", "ConfigError", "DomainError", "CutoffExceededError",
+               "CutoffMismatchError", "TruncationError", "DegenerateBeamSplitterError",
+               "ZeroProbabilityError", "IntegrationRangeError"],
+    "fock": ["DensityOperator", "FockOperator", "FockVector", "TruncationPolicy",
+             "annihilation_op", "apply", "coherent_state", "creation_op", "displace",
+             "fock_state", "identity_op", "inner", "norm", "normalize"],
+    "ordering": ["OrderedMonomialSpec", "s_ordered_band", "s_ordered_monomial",
+                 "s_to_t_convert"],
+    "phasespace": ["Axis", "GridFunction", "IntegrationSpec", "PhaseGrid", "husimi",
+                   "husimi_chi_closed", "husimi_multi_cat_closed", "quadrature_chi_closed",
+                   "quadrature_dist", "wigner_cat_closed", "wigner_numeric"],
+    "twomode": ["PhotonCountingPovm", "TwoModeState", "conditional_reduce", "oracle_y",
+                "photon_counting_povm", "product_state"],
+}
+
+
+def test_lazy_namespace_exports_what_the_eager_one_did():
+    names = [name for names in PACKAGE_EXPORTS.values() for name in names]
+    assert sorted(condibeam.__all__) == sorted(names)
+    assert len(set(condibeam.__all__)) == len(condibeam.__all__)
+    assert set(errors.__all__) <= set(condibeam.__all__)
+    assert list(condibeam._MODULE_OF) == condibeam.__all__  # one table behind both
+    for module, module_names in PACKAGE_EXPORTS.items():
+        defining = importlib.import_module(f"condibeam.{module}")
+        for name in module_names:
+            assert getattr(condibeam, name) is getattr(defining, name), name
+    assert set(names) <= set(dir(condibeam))
+    namespace = {}
+    exec("from condibeam import *", namespace)
+    assert set(names) <= set(namespace)
+    assert all(namespace[name] is getattr(condibeam, name) for name in names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        condibeam.no_such_name

@@ -295,6 +295,19 @@ class TestMainExitCodes:
         cfg.write_text("nonsense = 1\n")
         assert cli.main(["scheme-a", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json-like"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, fmt, where):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n = 1\nbeta = 1\ncutoff = 32\ngrid_points = 11\n")
+        out = tmp_path / "missing" / "grid.csv" if where == "missing-directory" else tmp_path
+        rc = cli.main(["q-grid", "--config", str(cfg), "--format", fmt, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("config error: cannot write output")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_domain_error_exit_code(self, tmp_path):
         cfg = tmp_path / "dom.cfg"
         # displacement far beyond the truncation budget
@@ -325,6 +338,24 @@ class TestMainExitCodes:
                        "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["results"]["route_state_max_dev"] <= 1e-12
+
+    def test_povm_demo_checks_eigenvalues_on_the_occupied_block(self, monkeypatch):
+        # both routes validate a 97 x 97 density matrix whose numerical top
+        # is 3: its eigenvalues are bounded on that block, with no
+        # full-size eigvalsh
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(mat):
+            sizes.append(mat.shape[0])
+            return eigvalsh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        scalars, _, _ = cli.run_experiment(
+            "povm-demo", "eta = 0.8\ncutoff = 96\nsignal_n = 4\noutcome = 1\n"
+                         "phi_t = 0.3\nphi_r = 1.2\n")
+        assert len(sizes) == 2 and max(sizes) < 97, sizes
+        assert scalars["route_state_max_dev"] <= 1e-12
 
     @pytest.mark.parametrize("experiment, config", [
         ("y-matrix", "m = 1\nn = 1\n"), ("povm-demo", "eta = 0.8\n")],
@@ -531,12 +562,16 @@ class TestMainExitCodes:
         assert err.count("\n") == 1
 
 
+def child_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_cli(args, timeout=120):
     """``python -m condibeam.cli`` in a child process, with this package's source."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "condibeam.cli", *args], env=env,
+    return subprocess.run([sys.executable, "-m", "condibeam.cli", *args], env=child_env(),
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -552,27 +587,97 @@ def test_low_transmittance_ends_in_one_domain_error_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("domain error:"), proc.stderr
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"m = 1\nn = 1\n# caf\xe9\n")
+    proc = run_cli(["y-matrix", "--config", str(cfg)])
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: cannot read config:"), \
+        proc.stderr
+
+
+def loaded_modules(code):
+    """The package submodules (short names) and scipy modules loaded once
+    ``code`` has run in a fresh interpreter with this package's source."""
+    code = textwrap.dedent(code) + textwrap.dedent("""
+        import sys
+        print(" ".join(sorted(m.partition(".")[2] for m in sys.modules
+                              if m.startswith("condibeam."))))
+        print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    package, scipy = proc.stdout.splitlines()[-2:]
+    return set(package.split()), set(scipy.split())
+
+
 def test_runtime_imports_no_scipy(tmp_path):
     # scipy is a test extra only: the CLI, its selftest and a grid experiment
     # must run on numpy and the standard library alone
     cfg = tmp_path / "wigner.cfg"
     cfg.write_text("n = 2\nbeta = 1\ncutoff = 32\ngrid_points = 41\n")
-    code = textwrap.dedent(f"""
-        import sys
+    _, scipy = loaded_modules(f"""
         import condibeam.cli
         assert condibeam.cli.main(["selftest"]) == 0
         assert condibeam.cli.main(["wigner-grid", "--config", {str(cfg)!r},
                                    "--format", "json-like",
                                    "--out", {str(tmp_path / "w.json")!r}]) == 0
-        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-        assert not loaded, loaded
     """)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert not scipy, scipy
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_modules("import condibeam") == (set(), set())
+
+
+def test_cli_import_loads_only_cli_and_errors():
+    assert loaded_modules("import condibeam.cli") == ({"cli", "errors"}, set())
+
+
+# each experiment on a small config and its default route, with the package
+# modules it must not load: the oracle and selftest only where it runs them
+IMPORT_CASES = {
+    "y-matrix": ("m = 2\nn = 1\nalpha = 0.3\ncutoff = 24\n", {"cats", "phasespace", "selftest"}),
+    "povm-demo": ("eta = 0.8\ncutoff = 24\n", {"cats", "phasespace", "selftest"}),
+    "wigner-grid": ("n = 2\nbeta = 1\ncutoff = 24\ngrid_points = 11\n",
+                    {"twomode", "selftest"}),
+    "q-grid": ("n = 2\nbeta = 1\ncutoff = 24\ngrid_points = 11\n", {"twomode", "selftest"}),
+    "quadrature-grid": ("n = 2\nbeta = 1\ncutoff = 24\ngrid_points = 11\nphi_points = 5\n",
+                        {"twomode", "selftest"}),
+    "scheme-a": ("n = 2\nbeta = 1\ncutoff = 24\n", {"twomode", "selftest"}),
+    "scheme-b": ("n = 2\nbeta = 1\ncutoff = 24\n", {"twomode", "selftest"}),
+    "multi-cat": ("n = 2\nk = 2\nbeta = 1\ncutoff = 24\n", {"twomode", "selftest"}),
+    "prob-scan": ("n_max = 4\n", {"twomode", "selftest"}),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(IMPORT_CASES))
+def test_experiment_loads_only_what_it_runs(tmp_path, experiment):
+    config, absent = IMPORT_CASES[experiment]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config)
+    package, scipy = loaded_modules(f"""
+        import condibeam.cli
+        assert condibeam.cli.main([{experiment!r}, "--config", {str(cfg)!r},
+                                   "--format", "json-like",
+                                   "--out", {str(tmp_path / "o.json")!r}]) == 0
+    """)
+    assert not package & absent, package & absent
+    assert not scipy, scipy
+
+
+def test_oracle_route_loads_the_oracle(tmp_path):
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text("n = 2\nbeta = 1\ncutoff = 24\nroute = oracle\n")
+    package, _ = loaded_modules(f"""
+        import condibeam.cli
+        assert condibeam.cli.main(["scheme-a", "--config", {str(cfg)!r},
+                                   "--format", "json-like",
+                                   "--out", {str(tmp_path / "o.json")!r}]) == 0
+    """)
+    assert "twomode" in package
 
 
 class TestSelftest:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -567,6 +568,27 @@ class TestDensityOperator:
         v = fock.coherent_state(0.6 - 0.3j, POLICY)
         rho = fock.DensityOperator.from_pure(v).validate()
         assert np.vdot(v.amps, rho.mat @ v.amps).real == pytest.approx(1.0)
+
+    def test_rejects_negativity_from_coupling_above_the_top(self):
+        # all the population on |0> (numerical top 0), coupled to the empty
+        # level |3>: the 2x2 block [[1, c], [c, 0]] has eigenvalue ~ -c^2,
+        # which only the coupling outside the top block carries
+        c = 1e-3
+        mat = np.zeros((POLICY.dim, POLICY.dim), dtype=complex)
+        mat[0, 0] = 1.0
+        mat[0, 3] = mat[3, 0] = c
+        lam_min = float(np.linalg.eigvalsh(mat).min())
+        assert lam_min < -1e-10
+        message = f"density matrix has eigenvalue {lam_min:.3e} < 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fock.DensityOperator(mat, POLICY.cutoff).validate()
+
+    def test_accepts_tiny_coupling_above_the_top(self):
+        # the same coupling at 1e-12 bounds every eigenvalue above -1e-10
+        mat = np.zeros((POLICY.dim, POLICY.dim), dtype=complex)
+        mat[0, 0] = 1.0
+        mat[0, 3] = mat[3, 0] = 1e-12
+        fock.DensityOperator(mat, POLICY.cutoff).validate()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
