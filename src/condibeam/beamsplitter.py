@@ -12,12 +12,13 @@ coefficients, :class:`ReferencePrep` adds the coherent displacement.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .errors import DegenerateBeamSplitterError
+from .errors import DegenerateBeamSplitterError, DomainError
 from .polynomials import log_factorial
 
 __all__ = ["BeamSplitterParams", "OperatorPolynomial", "ReferencePrep"]
@@ -107,9 +108,12 @@ class OperatorPolynomial:
 
     @classmethod
     def fock_monomial(cls, n):
-        """F with F(a^dag)|0> = |n>, i.e. c_n = 1/sqrt(n!)."""
+        """F with F(a^dag)|0> = |n>, i.e. c_n = 1/sqrt(n!); DomainError from
+        n = 301 on, where c_n is no longer a normal float."""
         c = [0.0] * (n + 1)
         c[n] = math.exp(-0.5 * math.lgamma(n + 1))
+        if c[n] < sys.float_info.min:
+            raise DomainError(f"Fock reference |{n}>: 1/sqrt(n!) leaves the float range")
         return cls(tuple(c))
 
     @classmethod

@@ -11,13 +11,11 @@ with N = sum_k (|beta|^(2k)/k!) L_{n-k}^k(|beta|^2)^2 and success
 probability p = 2^(-n) e^(-|beta|^2) N.  For |beta|^2 = n/2 the state shows
 two phase-space peaks near +/- i beta whose separation grows like the
 square root of the detected photon number.  The Laguerre factors come from
-the normalized recurrence of :func:`polynomials.laguerre_rows`; N and p
-stay within 1e-13 of a 60-digit evaluation up to n = 300, and p stays
-within 1e-12 at n = 800, where N overflows.  The state itself is
-normalized from scaled terms, so it needs no finite N.  It is built from
-this sum alone; the two-mode oracle route of :func:`scheme_a_state` is its
-independent check, run by ``condibeam selftest`` and the tests rather than
-on every call.
+:func:`polynomials.laguerre_rows`; N and p stay within 1e-13 of a 60-digit
+evaluation up to n = 300, and p within 1e-12 at n = 800, where N overflows
+(the state is normalized from scaled terms).  The oracle route of
+:func:`scheme_a_state` is its independent check, run by ``condibeam
+selftest`` and the tests rather than on every call.
 
 A second scheme mixes the coherent state |beta/T| with a Fock state |n> and
 detects |n>; its output is the displaced chi state D(beta) chi (balanced
@@ -36,7 +34,7 @@ import numpy as np
 from . import conditional, fock
 from .beamsplitter import BeamSplitterParams, ReferencePrep
 from .errors import DomainError
-from .polynomials import laguerre_rows, log_factorial
+from .polynomials import _laguerre_shift, laguerre_rows, log_factorial
 
 __all__ = [
     "CatSpec",
@@ -96,17 +94,17 @@ def _overflow_message(n, b2):
 
 
 def _chi_factors(n, beta):
-    """ln C(n, k) and u_{n-k}^k(|b|^2) e^(ik arg(-b)) for k = 0..n.
-
-    The chi amplitude L_{n-k}^k(|b|^2) (-b)^k / sqrt(k!) is
-    e^(ln C(n, k) / 2) times the second factor, with u_j^a the normalized
-    Laguerre values of :func:`polynomials.laguerre_rows`.  These are the
-    anti-diagonal j + a = n of its triangle, the last entry of each row.
+    """ln C(n, k) + 2E ln 2 and u_{n-k}^k(|b|^2) 2^-E e^(ik arg(-b)), k = 0..n,
+    whose product times e^(1/2) of the first is the chi amplitude
+    L_{n-k}^k(|b|^2) (-b)^k / sqrt(k!).  u 2^-E (E = 0 up to |b|^2 = 1386)
+    is the last entry of each row of :func:`polynomials.laguerre_rows`.
     """
     k = np.arange(n + 1)
-    log_binom = log_factorial(n) - log_factorial(k) - log_factorial(n - k)
+    b2 = abs(beta) ** 2
+    log_binom = (log_factorial(n) - log_factorial(k) - log_factorial(n - k)
+                 + 2.0 * math.log(2.0) * int(_laguerre_shift(b2)))
     with np.errstate(over="ignore", invalid="ignore"):
-        last = np.array([row[-1] for row in laguerre_rows(n, abs(beta) ** 2)])  # j = n - k
+        last = np.array([row[-1] for row in laguerre_rows(n, b2)])  # j = n - k
         u = last[::-1] * np.exp(1j * k * np.angle(-beta))
     return log_binom, u
 

@@ -17,22 +17,15 @@ s-ordered monomial is one shifted diagonal and T^n scales the columns, so
 the bracket is a banded matrix of width deg F + deg G + 1.
 
 Y is kept in that factored form, a :class:`ConditionalOperator`: the two
-displacement arguments, the bracket's diagonals (T^n folded in), the two
-references and the photon-number mass of the prepared one on its levels
-0..L, L its numerical top.  The splitter conserves photon number, so Y
-takes a state whose numerical top is t to the levels 0..t + L.  ``apply``
-runs columns 0..t of D(right), the band and rows 0..r <= t + L of D(left),
-as real products with no dense operator: O(W (t + L)).  The same
-conservation confines Y itself to the diagonals -L_out <= j - k <= L_in,
-L_in and L_out the numerical tops of the two references: ``band`` holds
-them (a :class:`fock.BandedOperator`), each block of rows of D(left)
-multiplied only by the columns of B D(right) it reaches, O(N W L) in all.
-Its norms and largest singular value need no dense matrix, and ``mat``
-scatters it for the callers that want every element.  Both give Y's exact
-compression onto the levels 0..cutoff, as the oracle does: the inner index
-runs over working levels 0..W, the numerical top of the D(right) columns
-they read plus the band's lift (``TruncationPolicy.working_factors``), and
-drops below 1e-17 of them.
+displacement arguments, the bracket's diagonals (T^n folded in) and the two
+references.  The splitter conserves photon number, so Y takes a state whose
+numerical top is t to the levels 0..t + L, L the prepared reference's top,
+and Y itself lies on the diagonals -L_out <= j - k <= L_in.  ``apply`` and
+``band`` run D(right), the band and D(left) as real products on those
+levels, with no dense operator, and give Y's exact compression onto the
+levels 0..cutoff, as the oracle does (``TruncationPolicy.working_factors``).
+Each term of the bracket is one scaled product (:mod:`polynomials`), so a
+term whose factors leave the float range on their own still gives Y.
 
 The adjoint of G lands on the signal mode with conjugated coefficients,
 conjugated argument and annihilation operators; this is the unique reading
@@ -57,7 +50,8 @@ from . import fock
 from .beamsplitter import OperatorPolynomial, ReferencePrep
 from .errors import CutoffMismatchError, DomainError, TruncationError, ZeroProbabilityError
 from .fock import TruncationPolicy
-from .ordering import OrderedMonomialSpec, s_ordered_band
+from .ordering import OrderedMonomialSpec, _s_ordered_scaled
+from .polynomials import _folded, _scaled
 
 __all__ = [
     "ConditionalOperator",
@@ -70,31 +64,35 @@ __all__ = [
 ]
 
 def _ordered_core(terms, bs, policy):
-    """Diagonals of sum of coeff * {(a^dag)^m a^n}_s, then T^n on the right.
+    """Diagonals of sum of coeff * {(a^dag)^m a^n}_s, then T^n on the right,
+    as offset n - m -> values; ``terms`` holds (m, n, f_m, g_n), both nonzero.
 
-    ``terms`` holds (m, n, f_m conj(g_n)); the coefficient picks up
-    R^m (-R*/T)^n here, under the float-range check.  Returns offset n - m
-    -> values.  DomainError when a coefficient underflows to 0 or overflows
-    (|T| -> 0 at large n), or a band overflows (Fock references m = n from
-    ~130 at |R|^2 = 1/2).
+    Each term f_m conj(g_n) R^m (-R*/T)^n {..}_s T^q is one scaled product:
+    the logs of |f_m g_n| |R|^(m+n), of the band (:func:`ordering._s_ordered_scaled`)
+    and of |T|^(q-n), q the element's column, are summed and folded once.
+    DomainError where Y's elements themselves leave the float range.
     """
     s, t, r = bs.s, bs.transmittance, bs.reflectance
+    log_t, log_r, t_unit, r_unit = math.log(abs(t)), math.log(abs(r)), t / abs(t), r / abs(r)
+    levels = np.arange(policy.dim)
     core = {}
-    for m, n, weight in terms:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                coeff = weight * r ** m * (-np.conj(r) / t) ** n
-                values = coeff * s_ordered_band(OrderedMonomialSpec(m, n, s), policy)
-            if coeff == 0 or not np.isfinite(values).all():
-                raise OverflowError
-        except OverflowError:  # also m! [-(s+1)/2]^m overflowing as a Python float
+    for m, n, f, g in terms:
+        log_band, band = _s_ordered_scaled(OrderedMonomialSpec(m, n, s), policy.dim)
+        d = n - m
+        col = levels[max(d, 0):][:len(band)]  # the column q of each element
+        log_coeff = math.log(abs(f)) + math.log(abs(g)) + (m + n) * log_r
+        mantissa, exponent = _scaled(log_coeff + log_band + (col - n) * log_t)
+        # R^m (-R*/T)^n T^q = |R|^(m+n) |T|^(q-n) (-1)^n r^(m-n) t^(-n) t^q with
+        # r, t of modulus 1; t^q is the column's, applied to the summed diagonals
+        phase = f / abs(f) * g.conjugate() / abs(g) * (-1) ** n * r_unit ** (m - n) * t_unit ** -n
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = phase * _folded(mantissa * band, exponent)
+        if not np.isfinite(values).all():
             raise DomainError(f"conditional operator: the s-ordered term (m, n) = "
-                              f"({m}, {n}) leaves the float range") from None
-        core[n - m] = core[n - m] + values if n - m in core else values
-    t_powers = fock._polar_powers(math.cos(bs.theta), bs.phi_t, np.arange(policy.dim))
-    # T^k scales column k: element i of the diagonal at offset d sits in
-    # column i + d above the main diagonal and in column i below it
-    return {d: fock._freeze(values * t_powers[max(d, 0):max(d, 0) + len(values)])
+                              f"({m}, {n}) leaves the float range")
+        core[d] = core[d] + values if d in core else values
+    t_phases = fock._polar_powers(math.copysign(1.0, math.cos(bs.theta)), bs.phi_t, levels)
+    return {d: fock._freeze(values * t_phases[max(d, 0):max(d, 0) + len(values)])
             for d, values in core.items()}
 
 
@@ -139,17 +137,12 @@ class ConditionalOperator:
 
     ``left`` and ``right`` are the displacement arguments, ``core`` maps
     each diagonal offset d of the banded core B to its values (B[i, i + d]
-    for d >= 0, B[i - d, i] below the diagonal) on every working level the
-    operator may need, with the T^n column factor folded in.  ``reference``
-    is the input reference's preparation phi = D(alpha) F(a^dag)|0>, and
-    :attr:`ref_mass` its |phi_j|^2 on the levels 0..L, L its numerical top.
-    ``measured`` is the detected reference's preparation.  The splitter
-    conserves photon number, so the part of Y psi above level n is at most
-    ||meas|| times the norm of the part of psi (x) phi with more than n
-    photons in all, the tail of the two masses' convolution: a state whose
-    numerical top is t goes to the levels 0..t + L.  For the same reason
-    Y[j, k] vanishes but for the references' tails outside -L_out <= j - k
-    <= L_in, the diagonals :attr:`band` holds.
+    for d >= 0, B[i - d, i] below) on every working level the operator may
+    need, T^n folded in.  ``reference`` and ``measured`` are the prepared
+    and the detected reference.  Photon number is conserved, so the part of
+    Y psi above level n is at most ||meas|| times the tail of the
+    convolution of psi's mass with :attr:`ref_mass`, and Y[j, k] vanishes
+    but for the references' tails off the diagonals :attr:`band` holds.
     """
 
     left: complex
@@ -189,14 +182,11 @@ class ConditionalOperator:
         cutoff where no bound is known).
 
         B times columns 0..cutoff of D(right) on the working levels 0..W is
-        formed once, O(W N L).  Rows of D(left) are the adjoint of D(-left)'s
-        columns, real products between phases as in :meth:`apply`
-        (:func:`fock._displaced_adjoint`): each block of them is multiplied,
-        in one real product, by the only columns its rows reach, k within
-        j - L_in..j + L_out, O(W N (block + L)) in all.  Each column's part
+        formed once, O(W N L); each block of rows of D(left) (the adjoint of
+        D(-left)'s columns) is multiplied, in one real product, by the only
+        columns it reaches, O(W N (block + L)) in all.  Each column's part
         outside the band is at most ||tail_in|| ||phi_out|| + ||phi_in||
-        ||tail_out||, the references' parts above their tops, which the
-        splitter, a unitary, carries there."""
+        ||tail_out||, which the splitter, a unitary, carries there."""
         n = self.cutoff
         tops, tails, norms = [], [], []
         for prep in (self.reference, self.measured):
@@ -232,12 +222,10 @@ class ConditionalOperator:
     def apply(self, vector):
         """Y|vector>: displace onto the working levels, run the band, displace.
 
-        The input is taken on levels 0..t, t its numerical top, and D(right)
-        costs O(W t); with right = 0 the whole input enters the band, with
-        no displacement.  D(left) is evaluated as its rows 0..r only,
-        r <= t + L the levels Y can reach, O(W r), and the output is zero
-        above them.  Each displacement drops at most 1e-17 of its input's
-        norm.
+        The input is taken on levels 0..t, t its numerical top (all of it
+        with right = 0), D(right) costs O(W t), and D(left) is evaluated as
+        its rows 0..r <= t + L only, O(W r), the output zero above them.
+        Each displacement drops at most 1e-17 of its input's norm.
         """
         if vector.cutoff != self.cutoff:
             raise CutoffMismatchError(f"cutoff mismatch: {self.cutoff} vs {vector.cutoff}")
@@ -248,14 +236,11 @@ class ConditionalOperator:
 
     def _image(self, amps):
         """Y on ``amps`` (a vector or a matrix of columns over levels
-        0..len(amps) - 1) on the levels 0..cutoff: columns of D(right) on
-        the working levels 0..W, the band, and rows 0..r of D(left), the
-        adjoint of D(-left)'s columns (:func:`fock._displaced_adjoint`).  r
-        is the numerical top of the convolution of the columns' summed
-        per-level mass with ``ref_mass``, at most t + L (the cutoff without
-        a bound); above it the output, left at zero, holds at most 1e-17
-        ||psi|| ||phi|| ||meas||.  With left = 0 the band's output is the
-        result."""
+        0..len(amps) - 1) on the levels 0..cutoff, as :meth:`apply` runs it.
+        The rows 0..r of D(left) are the adjoint of D(-left)'s columns, r
+        the numerical top of the convolution of the columns' per-level mass
+        with ``ref_mass`` (the cutoff without a bound); the output above it,
+        left at zero, holds at most 1e-17 ||psi|| ||phi|| ||meas||."""
         if self.right != 0:
             w, factors = self.policy.working_factors(self.right, len(amps) - 1, self.reach)
             inner = fock._displaced(factors, amps)
@@ -322,10 +307,10 @@ def y_displaced_general(prep_in, prep_meas, bs, policy):
     policy.check_displacement(left, "y_displaced_general")
     policy.check_displacement(right, "y_displaced_general")
 
-    terms = [(m, n, fm * np.conj(gn))
+    terms = [(m, n, fm, gn)
              for m, fm in enumerate(f_poly.coeffs) if fm != 0
              for n, gn in enumerate(g_poly.coeffs) if gn != 0]
-    levels = policy.working_levels(right, policy.cutoff, max(0, *(m - n for m, n, _ in terms)))
+    levels = policy.working_levels(right, policy.cutoff, max(0, *(m - n for m, n, _, _ in terms)))
     core = _ordered_core(terms, bs, TruncationPolicy(levels))
     return ConditionalOperator(left, core, right, policy, prep_in, prep_meas)
 

@@ -2,24 +2,20 @@
 
 States are complex amplitude vectors over photon numbers 0..cutoff, or
 density matrices over them (:class:`DensityOperator`).
-:class:`FockOperator` is a dense complex matrix.  An operator that moves
+:class:`FockOperator` is a dense complex matrix; an operator that moves
 photon number by a bounded amount is a :class:`BandedOperator`, kept on its
-diagonals: its norms and its largest singular value come from O(N L)
-storage and products, and a dense matrix is scattered only on demand.  A
-displacement of a state needs no matrix either: :func:`displace` applies
-D(alpha) to a vector whose numerical top is t (the levels above it hold at
-most 1e-17 of its norm) from the Laguerre values of degrees 0..t alone,
-O(N t) for N levels.  Columns 0..t of D(alpha) have one stored form,
-e^(-|alpha|^2/2) P M P* with P the phases e^(ik arg alpha) and M a dense
-real N x (t + 1) block, both triangles written from those values: a
-displacement is one real product with M, the adjoint rows one with M^T.
-Everything is immutable after construction, so values can be shared freely
-between threads.
+diagonals, whose norms and largest singular value need O(N L) storage.
+:func:`displace` applies D(alpha) to a vector whose numerical top is t (the
+levels above it hold at most 1e-17 of its norm) from the Laguerre values of
+degrees 0..t alone, O(N t) for N levels: columns 0..t of D(alpha) are
+stored as e^(-|alpha|^2/2) P M P*, P the phases e^(ik arg alpha) and M a
+dense real N x (t + 1) block, so a displacement is one real product with M
+and the adjoint rows one with M^T.  Everything is immutable after
+construction, so values can be shared freely between threads.
 
 Truncation discipline: ladder and diagonal operators are exact on the
 retained levels; a truncated displacement matrix is faithful only away from
-the cutoff edge (tests and benchmark assert its identities on the lowest
-ceil(cutoff/2) levels).  :class:`TruncationPolicy` makes every truncation
+the cutoff edge.  :class:`TruncationPolicy` makes every truncation
 decision, and picks the working levels on which displacement products stay
 exact.
 """
@@ -33,7 +29,8 @@ import numpy as np
 
 from .errors import (CutoffExceededError, CutoffMismatchError, TruncationError,
                      ZeroProbabilityError)
-from .polynomials import laguerre_rows, log_factorial
+from .polynomials import (_folded, _laguerre_shift, _renormalized, _scaled, laguerre_rows,
+                          log_factorial)
 
 __all__ = [
     "TruncationPolicy",
@@ -292,15 +289,14 @@ class BandedOperator:
         Anal. B 2, 205 (1965)), each step two band products, O(N L).
 
         Y is scaled by its band's Frobenius norm, so the Ritz values lie in
-        [0, 1] whatever Y's magnitude.  Each new vector is orthogonalized
-        against all earlier ones, twice; the start vector is fixed, so the
-        result is reproducible.  The steps stop once the top Ritz pair's
-        residual is at most 1e-15 of its Ritz value, which then lies within
-        that fraction of an eigenvalue of Y^dag Y (checked at every step up
-        to 32, then at every eighth), and never exceed cutoff + 1, where the
-        Krylov space is the whole space.  A nearly degenerate top singular
-        value takes up to that many steps.  Y's part outside the band moves
-        sigma_max by at most its Frobenius bound.
+        [0, 1].  Each new vector is orthogonalized against all earlier ones,
+        twice, from a fixed start vector, so the result is reproducible.
+        The steps stop once the top Ritz pair's residual is at most 1e-15 of
+        its Ritz value, which then lies within that fraction of an
+        eigenvalue of Y^dag Y (checked at every step up to 32, then at every
+        eighth), at the latest at cutoff + 1, the whole space, which a nearly
+        degenerate top singular value may take.  Y's part outside the band
+        moves sigma_max by at most its Frobenius bound.
         """
         scale = np.linalg.norm(self.diagonals)
         if scale == 0.0:
@@ -510,16 +506,15 @@ def coherent_state(alpha, policy):
 
 
 def _displacement_factors(alpha, cutoff, top):
-    """Columns 0..top of D(alpha) = e^(-x/2) P M P* over the levels 0..cutoff,
-    x = |alpha|^2.
+    """Columns 0..top of D(alpha) = s P M P* over the levels 0..cutoff,
+    x = |alpha|^2, as (M, P, s).
 
-    P = diag(e^(ik arg alpha)), and M is real: with j <= k its lower triangle
-    is M[k, j] = u_j^(k-j)(x), the normalized Laguerre values of
-    :func:`polynomials.laguerre_rows`, and its upper triangle is the
-    transpose times (-1)^(k-j).  Returns (M, phase, e^(-x/2)), M the dense
-    (cutoff + 1) x (top + 1) block of its columns 0..top in Fortran order:
-    the Laguerre row of degree j is written down column j from the diagonal,
-    and, times (-1)^(k-j), along row j to the right of it.
+    P = diag(e^(ik arg alpha)); M is real, its lower triangle M[k, j] =
+    u_j^(k-j)(x) 2^-E from :func:`polynomials.laguerre_rows` and its upper
+    one the transpose times (-1)^(k-j); s = e^(-x/2) 2^E (E = 0 up to x =
+    1386).  M is the dense (cutoff + 1) x (top + 1) block in Fortran order:
+    row j of the Laguerre values goes down column j from the diagonal and,
+    times (-1)^(k-j), along row j to its right.
     """
     dim = cutoff + 1
     x = abs(alpha) ** 2
@@ -528,7 +523,11 @@ def _displacement_factors(alpha, cutoff, top):
     for j, row in zip(range(top + 1), laguerre_rows(cutoff, x)):
         m[j:, j] = row
         np.multiply(row[1:top + 1 - j], sign[1:top + 1 - j], out=m[j, j + 1:])
-    return m, np.exp(1j * np.arange(dim) * np.angle(alpha)), math.exp(-x / 2)
+    scale, shift = math.exp(-x / 2), int(_laguerre_shift(x))
+    if shift:
+        mantissa, exponent = _scaled(-x / 2)
+        scale = float(_folded(mantissa, exponent + shift))
+    return m, np.exp(1j * np.arange(dim) * np.angle(alpha)), scale
 
 
 def _dense_columns(factors):
@@ -607,7 +606,7 @@ def _complex_columns(phase, out, shape):
 
 
 def _polar_powers(modulus, phase, k):
-    """(modulus e^(i phase))^k for an integer array 0 <= k < 2^26, to a few
+    """(modulus e^(i phase))^k for integers |k| < 2^26, to a few
     ulps: the real power np.power(modulus, k) times e^(i phase k), with phase
     split into a head of 26 significant bits, whose products with k are
     exact, and a tail below 2^-26 |phase|.  A complex ``**`` rounds the
@@ -617,70 +616,35 @@ def _polar_powers(modulus, phase, k):
     return (np.power(modulus, k) * np.exp(1j * (head * k))) * np.exp(1j * ((phase - head) * k))
 
 
-# ln 2 = _LN2_HI + _LN2_LO, with _LN2_HI short enough that its product with
-# an integer below 2^20 is exact
-_LN2_HI = 6.93147180369123816490e-01
-_LN2_LO = 1.90821492927058770002e-10
-
-
 def hermite_functions(x, nmax):
-    """Harmonic-oscillator eigenfunctions phi_k(x) for k = 0..nmax.
+    """Oscillator eigenfunctions phi_k(x), k = 0..nmax, shape (nmax+1,) + shape(x).
 
-    phi_k(x) = pi^(-1/4) exp(-x^2/2) H_k(x) / sqrt(2^k k!), evaluated by the
-    normalized recurrence phi_{k+1} = x sqrt(2/(k+1)) phi_k
-    - sqrt(k/(k+1)) phi_{k-1}, which neither overflows nor loses the
-    exponential envelope.  Returns shape (nmax+1,) + shape(x).
-
-    The envelope e^(-x^2/2) leaves the normal range above |x| ~ 37.6,
-    although the higher levels it multiplies are of order 1 there.  At such
-    points the recurrence runs on psi_k = phi_k 2^-scale, with the power of
-    two of the envelope carried per point in ``scale`` and folded in by
-    ``np.ldexp`` as each level is stored; psi_0 starts at ~2^-1000, and
-    the pair (psi_k, psi_{k-1}) is scaled down by 2^500 whenever |psi_k|
-    passes 2^500 (:func:`_rescaled`).  Elsewhere scale is 0 and psi_k is
-    phi_k, bit for bit.
-
-    Past the radius 40 + 2 sqrt(nmax) every phi_k is 0 in floating point:
-    it exceeds every zero of H_k, so |H_k(x)| <= (2|x|)^k there, and by
-    Stirling ln |phi_k| < -800 - 0.46 nmax.  x is clipped to the radius, so
-    those points give signed zeros; the power-of-two split of the envelope
-    would fail from |x| ~ 3e9.
+    phi_k(x) = pi^(-1/4) exp(-x^2/2) H_k(x) / sqrt(2^k k!), by the normalized
+    recurrence phi_{k+1} = x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1}.
+    The envelope e^(-x^2/2) underflows above |x| ~ 37.6, where the higher
+    levels are of order 1: there the recurrence runs on scaled values
+    (:mod:`polynomials`), folded as each level is stored; elsewhere their
+    exponent is 0 and the levels are the plain recurrence's, bit for bit.
+    Past the radius 40 + 2 sqrt(nmax) every phi_k is 0 in floating point
+    (|H_k(x)| <= (2|x|)^k past every zero, so ln |phi_k| < -800 - 0.46 nmax
+    by Stirling); x is clipped to it, giving signed zeros.
     """
     radius = 40.0 + 2.0 * math.sqrt(nmax)
     x = np.clip(np.asarray(x, dtype=float), -radius, radius)
     out = np.empty((nmax + 1,) + x.shape)
-    half_sq = 0.5 * x * x
-    far = (half_sq > 700.0) & np.isfinite(half_sq)
-    carry = bool(far.any())
-    # e^(-x^2/2) = e^r 2^m with |r| <= ln(2)/2; m = 0 where the envelope is normal
-    m = np.where(far, np.rint(-half_sq / math.log(2.0)), 0.0)
-    psi = np.pi ** -0.25 * np.exp((-half_sq - m * _LN2_HI) - m * _LN2_LO)
-    scale = 0
-    if carry:
-        psi = np.ldexp(psi, np.where(far, -1000, 0))
-        scale = np.where(far, m + 1000, 0).astype(int)
+    psi, scale = _scaled(-0.5 * x * x)
+    psi = np.pi ** -0.25 * psi
+    carry = bool(np.any(scale))
     prev = np.zeros_like(psi)
     for k in range(nmax + 1):
-        out[k] = np.ldexp(psi, scale) if carry else psi
+        out[k] = _folded(psi, scale) if carry else psi
         if k == nmax:
             break
         psi, prev = (x * np.sqrt(2.0 / (k + 1)) * psi
                      - np.sqrt(k / (k + 1.0)) * prev), psi
         if carry:
-            psi, prev, scale = _rescaled(psi, prev, scale)
+            psi, prev, scale = _renormalized(psi, prev, scale)
     return out
-
-
-def _rescaled(value, prev, exponent):
-    """One rescale step of a three-term recurrence run on mantissas: where
-    |value| passes 2^500, the pair (value, prev) is scaled down by 2^500,
-    exactly, and 500 is added to the power of two carried in ``exponent``."""
-    big = np.abs(value) > 2.0 ** 500
-    if big.any():
-        shift = np.where(big, -500, 0)
-        value, prev = np.ldexp(value, shift), np.ldexp(prev, shift)
-        exponent = exponent + 500 * big
-    return value, prev, exponent
 
 
 def annihilation_op(policy):

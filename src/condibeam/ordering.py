@@ -2,19 +2,15 @@
 
 Two independent realizations are provided and cross-validated:
 
-* :func:`s_ordered_band` -- the closed Jacobi-polynomial form.  The
-  second Jacobi parameter is the photon-number operator shifted by the
-  annihilation power; since n is diagonal, the polynomial becomes a diagonal
-  operator whose entries are scalar Jacobi values P_m^(b, q-n)(z) at each
-  Fock level q.  Those parameters run down to -m on low levels, which
-  :func:`polynomials.jacobi` maps to nonnegative ones for its recurrence.
-  A ladder power times that diagonal is one shifted diagonal, returned as
-  its values; :func:`s_ordered_monomial` places them in a matrix.
-* :func:`s_to_t_convert` -- the ordering-conversion sum, recursing down to
-  normal order where the monomial is a plain matrix product.
-
-The second is the reference route of ``condibeam selftest`` and the tests,
-built from dense ladder powers.
+* :func:`s_ordered_band` -- the closed Jacobi-polynomial form.  Its second
+  Jacobi parameter is the photon-number operator shifted by the
+  annihilation power, so the polynomial is a diagonal of scalar Jacobi
+  values P_m^(b, q-n)(z), q the Fock level, and a ladder power times it one
+  shifted diagonal; :func:`_s_ordered_scaled` gives its logs and signs,
+  :func:`s_ordered_monomial` places it in a matrix.
+* :func:`s_to_t_convert` -- the ordering-conversion sum down to normal
+  order, built from dense ladder powers: the reference route of
+  ``condibeam selftest`` and the tests.
 """
 
 import math
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockOperator, annihilation_op, creation_op, identity_op
-from .polynomials import jacobi, log_factorial
+from .polynomials import _folded, _scaled, jacobi, log_factorial
 
 __all__ = [
     "OrderedMonomialSpec",
@@ -53,24 +49,31 @@ def _ladder_power(op, k, policy):
     return out
 
 
-def s_ordered_band(spec, policy):
-    """{(a^dag)^m a^n}_s as its one diagonal, from the closed Jacobi form.
-
-    For m <= n:  m! [-(s+1)/2]^m  a^(n-m)  P_m^(n-m, n-hat - n)[(s-3)/(s+1)],
-    and symmetrically with creation operators for m >= n.  Both branches
-    coincide at m = n.  Returns the values of the diagonal at offset
-    n - m, in the order of ``np.diag``, each an exact element of the operator.
-    """
+def _s_ordered_scaled(spec, dim):
+    """{(a^dag)^m a^n}_s's diagonal on the levels 0..dim - 1, in the order of
+    ``np.diag`` at offset n - m, as (log magnitudes, signed values): for
+    m <= n, m! [-(s+1)/2]^m a^(n-m) P_m^(n-m, n-hat - n)[(s-3)/(s+1)] (and
+    symmetrically), with lo = min(m, n), k = |n - m| the logs ln lo! +
+    lo ln|(s+1)/2| + ln sqrt((j+k)!/j!) and the values
+    sign(-(s+1)/2)^lo P_lo^(k, q-n)(z) at level q."""
     m, n, s = spec.m, spec.n, spec.s
     z = (s - 3.0) / (s + 1.0)
     lo, k = min(m, n), abs(n - m)
-    coeff = math.factorial(lo) * (-(s + 1.0) / 2.0) ** lo
-    dim = policy.dim
     # the levels q the band keeps: its column index for m <= n, else its row index
     q = np.arange(k, dim) if m <= n else np.arange(dim - k)
     lf = log_factorial(np.arange(dim))
-    ratio = np.exp(0.5 * (lf[k:] - lf[:max(dim - k, 0)]))  # sqrt((j+k)!/j!)
-    return coeff * (ratio * jacobi(lo, k, q - n, z))
+    log_mag = (log_factorial(lo) + lo * math.log(abs(s + 1.0) / 2.0)
+               + 0.5 * (lf[k:] - lf[:max(dim - k, 0)]))  # sqrt((j+k)!/j!)
+    return log_mag, math.copysign(1.0, -(s + 1.0)) ** lo * jacobi(lo, k, q - n, z)
+
+
+def s_ordered_band(spec, policy):
+    """{(a^dag)^m a^n}_s as its one diagonal, in the order of ``np.diag`` at
+    offset n - m: the exact elements :func:`_s_ordered_scaled` gives (inf
+    where one leaves the float range)."""
+    log_mag, values = _s_ordered_scaled(spec, policy.dim)
+    mantissa, exponent = _scaled(log_mag)
+    return _folded(mantissa * values, exponent)
 
 
 def s_ordered_monomial(spec, policy):

@@ -13,32 +13,19 @@ Closed forms for the cat states (Q, W and p(x, phi)) are implemented next
 to the generic overlap/transform routes; the pairs are cross-validated in
 the tests.
 
-Each generic route evaluates a whole grid in one pass over one table.  The
-Husimi overlap takes one table of log-space coherent magnitudes and sums
-the levels by Horner in e^(-i arg alpha), one complex exponential per grid
-point instead of one per (point, level) pair.  The Wigner transform
-evaluates the wavefunction once, on a lattice that holds every point
-x +- y of the grid and of the y-integral.  Its integrand is Hermitian in y,
-f(x, -y) = f(x, y)*, so the rows are contracted on the y >= 0 half only,
-their real and imaginary parts with real weighted cos(2py) and sin(2py)
-tables in two real matrix products.  The quadrature route builds one table
-of oscillator functions over the x axis and applies every phase to it as
-one (level, phi) matrix.
-
-The chi-state Wigner closed form runs one triangular Laguerre recurrence
-for all diagonals, on the grid's distinct |z|^2 values only, and sums the
-diagonals by Horner in e^(i arg z).
+Each route evaluates a whole grid in one pass over one table (coherent
+magnitudes, the wavefunction on one lattice, oscillator functions or one
+triangular Laguerre recurrence) and sums the levels by Horner in a phase
+or by real matrix products; the functions say how.
 
 The generic routes stop at the state's numerical top t
-(:func:`fock._numerical_top`), not at the cutoff: the Husimi overlap runs
-on the nonzero levels up to t, skipping gaps such as a multi-cat's, and
-the wavefunction and quadrature routes on every level up to t (the
-Hermite recurrence needs them all).  So a chi state with n photons, or a
-conditional output whose amplitudes stay tiny up to the cutoff, costs the
-same at any cutoff.  The Husimi truncation check
-(:meth:`fock.TruncationPolicy.check_overlap`) still reads the full vector.
-Past :func:`_far_radius` (t) the Husimi routes return exact zeros, as
-:func:`fock.hermite_functions` does past its radius.
+(:func:`fock._numerical_top`), not at the cutoff, so a chi state with n
+photons, or a conditional output whose amplitudes stay tiny up to the
+cutoff, costs the same at any cutoff; the Husimi overlap also skips the
+zero levels below t, such as a multi-cat's gaps.  The Husimi truncation
+check (:meth:`fock.TruncationPolicy.check_overlap`) still reads the full
+vector.  Past :func:`_far_radius` (t) the Husimi routes return exact
+zeros, as :func:`fock.hermite_functions` does past its radius.
 """
 
 import math
@@ -49,8 +36,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cats import _chi_amplitudes, multi_cat_log_norm
 from .errors import DomainError, IntegrationRangeError
-from .fock import _numerical_top, _rescaled, hermite_functions
-from .polynomials import laguerre_rows, log_factorial
+from .fock import _numerical_top, hermite_functions
+from .polynomials import (_folded, _laguerre_shift, _renormalized, _scaled, laguerre_rows,
+                          log_factorial)
 
 __all__ = [
     "Axis",
@@ -150,19 +138,14 @@ def _far_radius(top):
 def _coherent_overlap(state, alpha_flat):
     """<alpha|psi> for an array of coherent amplitudes.
 
-    Uses the exact analytic coherent amplitudes (no renormalization) on the
-    levels k_0 < ... < k_m of :func:`_support` only.  Their magnitudes
-    |alpha|^k e^(-|alpha|^2/2) / sqrt(k!) are assembled in log space, so
-    every one is bounded by 1 and the sum is stable for any |alpha|; their
-    phases come from Horner's rule in v = e^(-i arg alpha),
-
-        sum_i c_i m_i v^(k_i) = v^(k_0) (c_0 m_0 + v^(k_1 - k_0) (c_1 m_1 + ...)),
-
-    with one power v^g = e^(-ig arg alpha) per distinct gap g (and for
-    k_0), so a grid takes as many complex exponentials as the support has
-    distinct gaps, not one per level.  At alpha = 0 the overlap is <0|psi>.
-    |alpha| is clipped to :func:`_far_radius`, where every magnitude is 0.
-    The truncation check on the full vector is the caller's.
+    The exact coherent amplitudes on the levels k_0 < ... < k_m of
+    :func:`_support`: magnitudes |alpha|^k e^(-|alpha|^2/2) / sqrt(k!) from
+    log space, each at most 1, and phases by Horner's rule in
+    v = e^(-i arg alpha), sum_i c_i m_i v^(k_i) = v^(k_0) (c_0 m_0 +
+    v^(k_1 - k_0) (c_1 m_1 + ...)), one complex exponential per distinct gap.
+    At alpha = 0 the overlap is <0|psi>; |alpha| is clipped to
+    :func:`_far_radius`, where every magnitude is 0.  The truncation check
+    on the full vector is the caller's.
     """
     k = _support(state)
     r = np.minimum(np.abs(alpha_flat), _far_radius(k[-1]))
@@ -276,13 +259,12 @@ def wigner_numeric(state, grid, integration=None):
     """W(x, p) by trapezoidal quadrature of the defining y-integral.
 
     With dx the x spacing, the y-step is dy = s delta <= step for a lattice
-    step delta with |dx| = r delta (r, s whole), and the window is
-    +-h dy with h = ceil(half_range / dy).  Every point x_i +- y_j is then
-    a point of one lattice, on which the wavefunction is evaluated once:
-    row i of psi(x + y) is a strided window of that table and psi(x - y) the
-    same window reversed.  Where the lattice would hold more points than
-    the rows and the window together (a y-step or an x spacing far wider
-    than the other), the points x_i + y_j themselves are evaluated instead.
+    step delta with |dx| = r delta (r, s whole), and the window is +-h dy,
+    h = ceil(half_range / dy).  Every point x_i +- y_j is then a point of
+    one lattice, where the wavefunction is evaluated once: psi(x_i + y) is a
+    strided window of that table and psi(x_i - y) the same one reversed.
+    Where the lattice would outnumber the rows and the window together, the
+    points x_i + y_j themselves are evaluated instead.
 
     The integrand f(x, y) = psi(x + y)* psi(x - y) satisfies
     f(x, -y) = f(x, y)*, so it is formed and contracted on the y >= 0 half
@@ -360,11 +342,11 @@ def wigner_cat_closed(spec, grid):
     for k > m); it is validated against the numeric transform.
 
     The radial sums S_d(rho) = sum_j (-1)^j c_j c_(j+d)* u_j^d(rho) depend on
-    |z|^2 = rho alone.  They are accumulated row by row of one triangular
-    Laguerre recurrence (degree j, diagonals d <= n - j) over the grid's
-    distinct rho, and W = Re sum_d w_d S_d e^(id arg z), w_0 = 1 and
-    w_d = 2, is then summed by Horner in e^(i arg z).  Raises DomainError
-    when the sums leave the float range (|z|^2 ~ 1e32 and beyond).
+    |z|^2 = rho alone: they come from one triangular Laguerre recurrence
+    over the grid's distinct rho, and W = Re sum_d w_d S_d e^(id arg z),
+    w_0 = 1 and w_d = 2, is summed by Horner in e^(i arg z).  The rows'
+    2^-E(rho) is folded in with e^(-rho/2) as scaled values.  Raises
+    DomainError when the sums leave the float range (|z|^2 ~ 1e32 and on).
     """
     _require_2d(grid)
     n = spec.n
@@ -382,7 +364,8 @@ def wigner_cat_closed(spec, grid):
         total = radial[n, where]
         for d in range(n - 1, -1, -1):
             total = total * unit + radial[d, where]
-        values = total.real * np.exp(-0.5 * z2) / np.pi
+        envelope, exponent = _scaled(-0.5 * z2)
+        values = _folded(total.real * envelope, exponent + _laguerre_shift(z2)) / np.pi
     if not np.isfinite(values).all():
         raise DomainError(f"wigner_cat_closed: the closed sum leaves the float range "
                           f"at |z|^2 = {rho[-1]:.3g}")
@@ -413,29 +396,23 @@ def quadrature_chi_closed(spec, grid):
     The Hermite polynomials come from their own recurrence
     H_{k+1} = 2x H_k - 2k H_{k-1}, not from the oscillator functions of the
     overlap route.  They leave the float range from k ~ 300 at |x| ~ 6, so
-    each x point carries H_k as a mantissa times 2^e: the pair (H_k, H_{k-1})
-    is scaled down by 2^500 whenever |H_k| passes 2^500
-    (:func:`fock._rescaled`).  The exponent e, the envelope e^(-x^2/2) and
-    1/sqrt(2^k k!) are summed in log space before the contraction, where
-    each level weighs at most ~1.  Raises DomainError when the sum leaves
-    the float range all the same.
+    the recurrence and the weights e^(-x^2/2) / sqrt(2^k k!) run on scaled
+    values (:mod:`polynomials`), folded once, as their product.  Raises
+    DomainError when the sum leaves the float range all the same.
     """
     amps, _ = _chi_amplitudes(spec.n, spec.beta)
     k = np.arange(spec.n + 1)
     coeffs = np.conj(amps)[:, None] * np.exp(1j * np.outer(k, grid.axis2.values))
     x = grid.axis1.values
     mantissa = np.empty((spec.n + 1, x.size))
-    exponent = np.empty((spec.n + 1, x.size))
+    exponent = np.empty((spec.n + 1, x.size), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        h, prev, e = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
-        for j in range(spec.n + 1):
+        h, prev, e = np.ones_like(x), np.zeros_like(x), np.zeros(x.shape, dtype=np.int64)
+        for j in range(spec.n + 1):  # the last step's level n + 1 is not read
             mantissa[j], exponent[j] = h, e
-            if j == spec.n:
-                break
-            h, prev, e = _rescaled(2.0 * x * h - 2.0 * j * prev, h, e)
-        log_weight = (exponent * math.log(2.0) - 0.5 * x * x
-                      - 0.5 * (k * math.log(2.0) + log_factorial(k))[:, None])
-        total = np.tensordot(mantissa * np.exp(log_weight), coeffs, axes=(0, 0))
+            h, prev, e = _renormalized(2.0 * x * h - 2.0 * j * prev, h, e)
+        weight, shift = _scaled(-0.5 * x * x - 0.5 * (k * np.log(2.0) + log_factorial(k))[:, None])
+        total = np.tensordot(_folded(mantissa * weight, exponent + shift), coeffs, axes=(0, 0))
         vals = np.abs(total) ** 2 / math.sqrt(math.pi)
     if not np.all(np.isfinite(vals)):
         raise DomainError(

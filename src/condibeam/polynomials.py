@@ -1,24 +1,20 @@
-"""Special polynomials used throughout the package.
+"""Special polynomials, and the one scaled-number layer of the package.
 
 Associated Laguerre and Jacobi polynomials and log-factorials.  (Hermite
-functions live in :mod:`fock`.)
+functions live in :mod:`fock`.)  A recurrence whose values leave the float
+range runs on scaled values, a mantissa array and an integer power-of-two
+exponent array: :func:`_scaled` starts them from a log value,
+:func:`_renormalized` takes 2^500 out of a recurrence pair and
+:func:`_folded` returns floats, an exponent below the range giving an
+exact 0.  Where a value is a normal float the exponent is 0 and the
+mantissa is that float, so the layer only moves powers of two.
 
-Associated Laguerre values are evaluated in one place, :func:`laguerre_rows`,
-by the three-term recurrence in the degree applied to the normalized values
-sqrt(j!/(j+a)!) x^(a/2) L_j^a(x).  Times e^(-x/2) these are the matrix
-elements of a displacement operator, so they are bounded by e^(x/2) and
-nothing of the size of (j+a)!/j! is formed.  The alternating finite sum
-sum_i C(j+a, j-i) (-x)^i / i! is not used: its terms cancel and it loses
-digits from degree ~25 on at x ~ j/2.
-
-The recurrence yields one row per degree, so a caller stops at the degree
-it needs.  By default a row covers the triangle j + a <= nmax only: each
-degree advances a prefix of the parameters one shorter than the last, and
-the nmax + 1 rows hold (nmax + 1)(nmax + 2)/2 values, half the square
-table, each bit for bit the value the square table holds.  The displacement
-matrix, the chi amplitudes and the chi Wigner sum read that triangle;
-with given parameters every row covers them all, and the chi Husimi form
-reads the last row at a = 0.
+Associated Laguerre values come from one place, :func:`laguerre_rows`: the
+three-term recurrence in the degree on the normalized values
+sqrt(j!/(j+a)!) x^(a/2) L_j^a(x), displacement-operator elements times
+e^(x/2).  (The alternating finite sum loses digits from degree ~25 on at
+x ~ j/2.)  The displacement matrix and the chi amplitudes and Wigner sum
+read its triangle j + a <= nmax, the chi Husimi form one row at a = 0.
 
 Jacobi values P_m^(b,c)(z) come from the three-term recurrence in the
 degree.  ``c`` may be an array, one value per Fock level, and runs down to
@@ -72,40 +68,86 @@ def _log_factorial_table(length):
     return table
 
 
+# ln 2 = _LN2_HI + _LN2_LO, _LN2_HI short enough that k _LN2_HI is exact for |k| < 2^20
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_TINY = np.finfo(float).tiny
+# the power of two one renormalization takes out of a scaled pair
+_STEP = 500
+
+
+def _scaled(log_value):
+    """e^log_value as (mantissa, exponent): exponent 0 (a plain 0 if throughout) and
+    mantissa np.exp, bit for bit, wherever that is a normal float (or 0 at a log
+    of -inf); elsewhere k = rint(log_value / ln 2) and e^(log_value - k ln 2)."""
+    log_value = np.asarray(log_value, dtype=float)
+    if log_value.size and -708.0 < log_value.min() and log_value.max() < 709.0:
+        return np.exp(log_value), 0
+    with np.errstate(over="ignore"):
+        mantissa = np.asarray(np.exp(log_value))
+    exponent = np.zeros(log_value.shape, dtype=np.int64)
+    carry = ~((mantissa >= _TINY) & (mantissa < np.inf)) & np.isfinite(log_value)
+    k = np.rint(np.clip(log_value[carry], -2.0 ** 60, 2.0 ** 60) / math.log(2.0))
+    mantissa[carry] = np.exp((log_value[carry] - k * _LN2_HI) - k * _LN2_LO)
+    exponent[carry] = k
+    return mantissa, exponent
+
+
+def _renormalized(value, prev, exponent):
+    """Where |value| passes 2^500, the recurrence pair (value, prev) scaled
+    down by 2^500, exactly, and 500 added to their exponent."""
+    big = np.abs(value) > 2.0 ** _STEP
+    if big.any():
+        shift = np.where(big, -_STEP, 0)
+        value, prev = np.ldexp(value, shift), np.ldexp(prev, shift)
+        exponent = exponent + _STEP * big
+    return value, prev, exponent
+
+
+def _folded(mantissa, exponent):
+    """mantissa 2^exponent as floats; 0 below the float range."""
+    return mantissa if isinstance(exponent, int) and not exponent else np.ldexp(mantissa, exponent)
+
+
+def _laguerre_shift(x):
+    """E(x), the power of two dividing the rows of :func:`laguerre_rows` (a plain 0 if
+    no x needs it): 0 up to x = 1386 (their bound e^(x/2) < 2^1000), for complex x
+    and past x ~ 1.45e6 (E ln 2 splits exactly below), else rint(x / (2 ln 2))."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c" or not x.size or (x.max() if x.ndim else x.item()) <= 1386.29:
+        return 0
+    half = 0.5 * x / math.log(2.0)
+    return np.where((half > 1000.0) & (half < 2.0 ** 20), np.rint(half), 0.0).astype(np.int64)
+
+
 def laguerre_rows(nmax, x, a=None):
     """Yield the normalized associated Laguerre values degree by degree.
 
-    Row j holds u_j^a(x) = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x), by the
-    normalized recurrence
+    Row j holds u_j^a(x) 2^-E, E = :func:`_laguerre_shift` (x), by
 
         u_{j+1} = [(2j+1+a-x) u_j - sqrt(j(j+a)) u_{j-1}] / sqrt((j+1)(j+1+a))
 
-    from u_0 = x^(a/2) / sqrt(a!), assembled in log space.  e^(-x/2) |u_j|
-    is the magnitude of the displacement-operator element <j+a|D(alpha)|j>
-    at |alpha|^2 = x, so |u_j| <= e^(x/2).
+    from u_0 = x^(a/2) / sqrt(a!), formed in log space.  e^(-x/2) |u_j| is
+    |<j+a|D(alpha)|j>| at |alpha|^2 = x, so |u_j| <= e^(x/2); past x = 1386
+    a caller takes e^(-x/2) 2^E for e^(-x/2).  The root sqrt((j+1)(j+1+a))
+    is kept for the next step and 2j+1+a, (j+1)(j+1+a) run as integers, so
+    each step rounds the operands of the formula written out.
 
-    The denominator sqrt((j+1)(j+1+a)) of step j is the root the next step
-    multiplies u_{j-1} by, so it is kept for that step.  The integers 2j+1+a
-    and (j+1)(j+1+a) are carried as running integer arrays (+2, then plus
-    the new 2j+1+a, per step), so each step rounds the same operands as the
-    formula written out and every row is bit for bit the same.
+    The start underflows for large a while later degrees need not: by
+    |L_j^a(x)| <= C(j+a, j) e^(x/2) (x, a >= 0; Abramowitz & Stegun
+    22.14.13), |u_j^a(x)| <= sqrt(C(j+a, j)) u_0^a(x) e^(x/2).  Only a
+    parameter whose start is not a normal float and whose bound, at its
+    highest degree, reaches 2^-500 e^(x/2) runs on scaled values; the rest,
+    below every tolerance of the package, run as plain floats, bit for bit.
 
-    Parameters
-    ----------
-    nmax : int
-        Highest degree, >= 0.
-    x : float or ndarray
-        Argument(s) x >= 0.  Complex arguments are allowed at a = 0, where
-        u_j = L_j(x).
-    a : int or integer ndarray, optional
-        Parameter(s) a >= 0, broadcast against ``x``; every row then has
-        the broadcast shape of (a, x).  Without ``a`` the rows are the
-        triangle j + a <= nmax: row j has shape (nmax - j + 1,) + shape(x)
-        over a = 0..nmax - j, and the first nmax - j entries of row j - 1
-        and row j - 2 are all that degree j reads.
-
-    Yields nmax + 1 new arrays, j = 0..nmax; a consumer that stops early
-    leaves the higher degrees uncomputed.
+    ``nmax`` >= 0 is the highest degree; ``x`` >= 0 the argument(s), complex
+    allowed at a = 0 (u_j = L_j(x)); ``a`` >= 0 integer parameter(s),
+    broadcast against ``x``.  Without ``a`` the rows are the triangle
+    j + a <= nmax: row j has shape (nmax - j + 1,) + shape(x) over
+    a = 0..nmax - j, and degree j reads only the first nmax - j entries of
+    the two rows before it.  Returns an iterator of nmax + 1 new arrays,
+    j = 0..nmax; a consumer that stops early leaves the higher degrees
+    uncomputed.
     """
     if nmax < 0:
         raise ValueError(f"laguerre_rows needs degree nmax >= 0, got {nmax}")
@@ -114,10 +156,42 @@ def laguerre_rows(nmax, x, a=None):
     if triangle:
         a = np.arange(nmax + 1).reshape((-1,) + (1,) * x.ndim)
     a = np.asarray(a)
+    shift = _laguerre_shift(x)
     with np.errstate(divide="ignore"):  # x = 0 with a > 0 gives u_0 = 0
         log_x = np.log(np.where(a == 0, 1.0, x))
-    u, prev = np.exp(0.5 * (a * log_x - log_factorial(a))), 0.0
-    yield u
+    log_u = 0.5 * (a * log_x - log_factorial(a))
+    if isinstance(shift, np.ndarray):
+        log_u = (log_u - shift * _LN2_HI) - shift * _LN2_LO
+    u = np.exp(log_u)
+    rows = _recurrence(nmax, x, a, u, triangle)
+    # sqrt(C(J+a, J)) <= 2^((J+a)/2), so below J + a = 1044 no start under 2^-1022 comes back
+    if isinstance(shift, int) and nmax + (0 if triangle else a.max()) < 1044:
+        return rows
+    degrees = np.maximum(nmax - a, 0) if triangle else nmax  # each parameter's highest
+    low = ((np.abs(u) < _TINY) & np.isfinite(log_u)  # not at x = 0, where u_0 = 0 is exact
+           & (log_u + shift * math.log(2.0)  # the 2^-E cancels against e^(x/2)
+              + 0.5 * (log_factorial(degrees + a) - log_factorial(degrees) - log_factorial(a))
+              >= -_STEP * math.log(2.0)))
+    if not low.any():
+        return rows
+    # the carried parameters, flat in C order: along a in the triangle
+    x_low, a_low = (np.broadcast_to(v, low.shape)[low] for v in (x, a))
+    mantissa, exponent = _scaled(log_u[low])
+    carried = _recurrence(nmax, x_low, a_low, mantissa, False, exponent)
+    return (_written(row, low[:len(row)], values) for row, values in zip(rows, carried))
+
+
+def _written(row, where, values):
+    """``row`` with its entries ``where`` set to the first ``values``."""
+    row[where] = values[:np.count_nonzero(where)]
+    return row
+
+
+def _recurrence(nmax, x, a, u, triangle, exponent=None):
+    """The rows of :func:`laguerre_rows` from its row 0, ``u``; with an
+    ``exponent``, on scaled values, renormalized and folded degree by degree."""
+    prev = 0.0
+    yield u if exponent is None else _folded(u, exponent)
     lead, norm, root = 1 + a, 1 + a, 0.0  # 2j+1+a, (j+1)(j+1+a), sqrt(j(j+a))
     for j in range(nmax):
         if triangle:  # degree j + 1 keeps the parameters a <= nmax - j - 1
@@ -130,7 +204,9 @@ def laguerre_rows(nmax, x, a=None):
         root = denom
         lead += 2
         norm += lead
-        yield u
+        if exponent is not None:
+            u, prev, exponent = _renormalized(u, prev, exponent)
+        yield u if exponent is None else _folded(u, exponent)
 
 
 def jacobi(m, b, c, z):

@@ -14,15 +14,11 @@ max(0, M - cutoff)..cutoff, so its block is a compression of a unitary, yet
 each element it keeps is exact: :func:`oracle_y` is Y's exact compression
 onto the levels 0..cutoff.
 
-The windows are held in reference-mode coordinates, X_M[q, r] = R_M[M - q,
-M - r], and the recurrence is closed on the reference levels q <= L: each
-step reads only the element's own reference indices or one below them.  A
-routine that needs only such levels runs it on that band alone: a sector
-costs O(L^2), a few in-place calls on a fixed (L + 2)^2 slot, and the
-stream O(N L^2) for cutoff N instead of O(N^3), in O(chunk L^2) memory.
-Each such bound is a numerical top (:func:`fock._numerical_top`): the
-oracle takes L from the reference amplitudes, and the reduce route stops at
-the top sector of its input, which bounds every reference index it meets.
+The recurrence is closed on the reference levels q <= L, so a routine that
+needs only those runs it on that band alone, O(N L^2) for cutoff N instead
+of O(N^3) (:func:`_sector_windows`).  Each such bound is a numerical top
+(:func:`fock._numerical_top`): the oracle takes L from the reference
+amplitudes, and the reduce route stops at the top sector of its input.
 
 Everything here is deliberately independent of the closed-form construction
 (no ``polynomials``, ``ordering`` or ``conditional`` import, and
@@ -205,18 +201,15 @@ def oracle_y(ref_in, ref_out, bs, policy):
                        [exp(-i phi' r) v_in[r]]
 
     to Y[M - q, M - r]: the references and phases fold into one fixed
-    matrix over (q, r), and exp(i phi_t j) into one phase per row of Y; the
-    phases are good to a few ulps (:func:`fock._polar_powers`).  Only the
-    reference levels q <= L_out and r <= L_in enter, the numerical tops of
-    the two references' amplitudes (no closed form involved), so Y lives on
-    the diagonals -L_out <= j - k = r - q <= L_in: the result is a
-    :class:`fock.BandedOperator`, with a dense ``mat`` on demand.  For a
-    fixed q the map (M, r) -> (M - q, M - r) is one to one, and window row
-    q of every sector in a chunk from :func:`_sector_windows` (on the band
-    max(L_in, L_out)) lands on the band in one strided add, times the
-    matrix's row q.  U is unitary, so the dropped part of each column of Y
-    has norm at most ||tail_out|| ||v_in|| + ||v_out|| ||tail_in||, and the
-    cost is O(N L^2) for cutoff N instead of O(N^3).
+    matrix over (q, r), and exp(i phi_t j) into one phase per row of Y
+    (:func:`fock._polar_powers`).  Only the reference levels q <= L_out and
+    r <= L_in enter, the numerical tops of the two references' amplitudes,
+    so Y lives on the diagonals -L_out <= j - k = r - q <= L_in, a
+    :class:`fock.BandedOperator`.  For a fixed q, window row q of every
+    sector in a chunk from :func:`_sector_windows` (on the band
+    max(L_in, L_out)) lands on that band in one strided add.  U is unitary,
+    so the dropped part of each column of Y has norm at most
+    ||tail_out|| ||v_in|| + ||v_out|| ||tail_in||; the cost is O(N L^2).
     """
     vin = ref_in.state(policy).amps
     vout_conj = ref_out.state(policy).amps.conj()

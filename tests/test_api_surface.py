@@ -122,6 +122,26 @@ def test_state_extent_is_decided_only_by_the_numerical_top():
     assert not strays, strays
 
 
+def test_one_scaled_number_layer():
+    # every long recurrence keeps its range through the helpers next to
+    # laguerre_rows: np.ldexp, np.frexp and the 2^500 renormalization step
+    # appear in polynomials alone
+    def strays(tree):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("ldexp", "frexp")
+                    and getattr(node.value, "id", None) in ("np", "numpy")):
+                yield node
+            elif isinstance(node, ast.alias) and node.name in ("ldexp", "frexp"):
+                yield node
+            elif isinstance(node, ast.Constant) and node.value in (500, 2.0 ** 500):
+                yield node
+
+    found = [f"{path.stem}.py:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in strays(ast.parse(path.read_text())) if path.stem != "polynomials"]
+    assert not found, found
+    assert list(strays(ast.parse((SRC / "polynomials.py").read_text())))
+
+
 def imported_modules(tree):
     """Package modules a module imports: ``from . import x``, ``from .x import
     y`` and ``import condibeam.x`` all name x."""

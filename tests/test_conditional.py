@@ -685,7 +685,10 @@ class TestMixedEnsembles:
 
 
 class TestHighFockReferences:
-    @pytest.mark.parametrize("n, cutoff", [(30, 128), (40, 168), (60, 256), (100, 400)])
+    # from n ~ 150 m! [-(s+1)/2]^m overflows and from n ~ 180 1/sqrt(m! n!)
+    # underflows; each term is one scaled product, folded once
+    @pytest.mark.parametrize("n, cutoff", [(30, 128), (40, 168), (60, 256), (100, 400),
+                                           (150, 600), (200, 800)])
     def test_fock_matches_oracle_on_full_block(self, n, cutoff):
         policy = fock.TruncationPolicy(cutoff=cutoff)
         bs = BeamSplitterParams(math.pi / 4)
@@ -693,15 +696,20 @@ class TestHighFockReferences:
         oracle = twomode.oracle_y(ReferencePrep.fock(n), ReferencePrep.fock(n), bs, policy)
         assert full_rel_frobenius(y.mat, oracle.mat) <= 1e-12
 
-    @pytest.mark.parametrize("n", [150, 180])
-    def test_float_range_is_a_domain_error(self, n):
-        # m! [-(s+1)/2]^m times the band overflows at n = 150; at n = 180 the
-        # term coefficient 1/sqrt(m! n!) underflows to 0
-        policy = fock.TruncationPolicy(cutoff=4 * n)
-        bs = BeamSplitterParams(math.pi / 4)
-        with pytest.raises(DomainError,
-                           match=rf"\(m, n\) = \({n}, {n}\) leaves the float range"):
-            conditional.y_displaced_fock(n, n, 0j, 0j, bs, policy)
+    def test_unrepresentable_operator_is_a_domain_error(self):
+        # coefficients of 1e300 make Y's elements 1e600
+        huge = ReferencePrep(OperatorPolynomial((1e300,)))
+        with pytest.raises(DomainError, match=r"\(m, n\) = \(0, 0\) leaves the float range"):
+            conditional.y_displaced_general(huge, huge, BeamSplitterParams(0.7), POLICY)
+
+    def test_unrepresentable_reference_is_a_domain_error(self):
+        # 1/sqrt(n!) is subnormal from n = 301 and 0 from n = 373: |400> has
+        # no polynomial coefficient to scale
+        assert OperatorPolynomial.fock_monomial(300).coeffs[300].real > 0
+        with pytest.raises(DomainError, match=r"\|301>: 1/sqrt\(n!\) leaves the float range"):
+            conditional.y_displaced_fock(301, 301, 0j, 0j, BS, fock.TruncationPolicy(1204))
+        with pytest.raises(DomainError, match=r"\|400>"):
+            ReferencePrep.fock(400)
 
 
 class TestSwapSymmetry:

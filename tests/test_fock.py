@@ -1,11 +1,14 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from condibeam import cats, fock, phasespace
+from condibeam import fock, phasespace
+from condibeam import polynomials as poly
 from condibeam.errors import CutoffExceededError, CutoffMismatchError, TruncationError
 
 from test_polynomials import assoc_laguerre
@@ -221,6 +224,57 @@ class TestDisplacement:
         assert np.linalg.norm(out.amps - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
+def admitted_limit(cutoff):
+    """The largest |alpha| that ``check_displacement`` admits at ``cutoff``
+    (default tail_tol), by bisection on the coherent tail mass."""
+    tol, lo, hi = fock.TruncationPolicy(cutoff).tail_tol, 0.0, math.sqrt(cutoff + 1.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fock.coherent_tail_mass(mid, cutoff) <= tol else (lo, mid)
+    return lo
+
+
+@st.composite
+def large_displacements(draw):
+    """(alpha, n, levels): |alpha| up to the limit at a cutoff <= 2048 (or a
+    subnormal one), |n> with n <= cutoff, on the working levels of D(alpha)|n>."""
+    cutoff = draw(st.integers(8, 2048))
+    limit = admitted_limit(cutoff)
+    modulus = draw(st.one_of(st.floats(0.0, limit), st.just(limit), st.just(5e-324)))
+    alpha = modulus * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    n = draw(st.integers(0, cutoff))
+    return alpha, n, fock.TruncationPolicy(cutoff).working_levels(alpha, n, 0)
+
+
+class TestLargeDisplacements:
+    """D(alpha)|n> keeps unit norm, with no warning, for every |alpha| the
+    truncation check admits: the Laguerre rows carry the starts that
+    underflow and the e^(x/2) growth past x ~ 1418."""
+
+    @given(large_displacements())
+    @example((16.0, 2048, 4416))   # the far columns underflowed: norm 0.9697
+    @example((40.0, 0, 2048))      # e^(x/2) overflowed at x = 1600
+    @example((5e-324 * np.exp(0.3j), 7, 32))
+    @settings(max_examples=8, deadline=None)
+    def test_unit_norm(self, case):
+        alpha, n, levels = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fock.displace(alpha, fock.fock_state(n, fock.TruncationPolicy(levels)))
+        assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-12
+
+    def test_far_coherent_column_against_mpmath(self):
+        # D(40)|0> at cutoff 2048 against 50-digit amplitudes e^(-800) 40^k / sqrt(k!)
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fock.displace(40.0, fock.fock_state(0, fock.TruncationPolicy(2048))).amps
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.exp(-800) * mpmath.mpf(40) ** k
+                                  / mpmath.sqrt(mpmath.factorial(k))) for k in range(2049)])
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestWorkingLevels:
     """``working_levels`` bounds where columns 0..top of D(alpha) end, and
     ``working_factors`` finds that numerical top in the table it builds."""
@@ -317,46 +371,49 @@ class TestDisplacementProducts:
         assert np.array_equal(head, sign * head.T)
 
 
-class TestRescale:
-    """The one 2^500 rescale step of the scaled three-term recurrences,
-    ``fock._rescaled``, gives both callers bit for bit what the step each
-    of them wrote out before gave, at far-field points where it fires."""
+class TestScaledValues:
+    """The one scaled-number layer (``polynomials._scaled``, ``_renormalized``,
+    ``_folded``): a start from a log value, a renormalization and a fold
+    round-trip exactly, and a value below the float range folds to 0."""
 
-    @staticmethod
-    def written_out(step):
-        """The rescale step as the two recurrences wrote it, with an integer
-        (hermite_functions) or a float (quadrature_chi_closed) step of the
-        exponent, counting the calls where it fires."""
-        fired = []
+    def test_start_is_the_float_where_it_is_normal(self):
+        # all normal: np.exp itself and a plain 0; mixed: the same on the normal part
+        log = np.array([0.0, -3.7, 700.0, -707.9, 12.5])
+        mantissa, exponent = poly._scaled(log)
+        assert np.array_equal(mantissa, np.exp(log)) and exponent == 0
+        assert np.array_equal(poly._folded(mantissa, exponent), np.exp(log))
+        mixed = np.append(log, [-708.3, 709.5, -800.0])
+        mantissa, exponent = poly._scaled(mixed)
+        assert np.array_equal(mantissa[:7], np.exp(mixed[:7])) and not exponent[:7].any()
+        assert np.array_equal(poly._folded(mantissa, exponent)[:7], np.exp(mixed[:7]))
+        assert exponent[7] == -1154
 
-        def rescaled(value, prev, exponent):
-            big = np.abs(value) > 2.0 ** 500
-            if big.any():
-                fired.append(int(big.sum()))
-                shift = np.where(big, -500, 0)
-                value, prev = np.ldexp(value, shift), np.ldexp(prev, shift)
-                exponent = exponent + step * big
-            return value, prev, exponent
-        return rescaled, fired
+    def test_start_carries_what_leaves_the_range(self):
+        log = np.array([-800.0, -5000.0, 900.0, -np.inf])
+        mantissa, exponent = poly._scaled(log)
+        assert np.array_equal(exponent, [-1154, -7213, 1298, 0])
+        assert np.all(np.abs(mantissa[:3] - 1.0) <= 0.5) and mantissa[3] == 0.0
+        # the mantissa is e^(log - k ln 2), to a few ulps
+        got = np.log(mantissa[:3]) + exponent[:3] * math.log(2.0)
+        assert np.allclose(got, log[:3], rtol=1e-15, atol=0)
 
-    def test_hermite_functions_far_field(self, monkeypatch):
-        # the envelope is carried from |x| ~ 37.6; the rescale fires 11 times
-        x = np.array([38.0, -39.5, 41.0, 45.0, -50.0, 60.0, 80.0, 0.3])
-        got = fock.hermite_functions(x, 3000)
-        rescaled, fired = self.written_out(500)
-        monkeypatch.setattr(fock, "_rescaled", rescaled)
-        assert np.array_equal(got, fock.hermite_functions(x, 3000))
-        assert len(fired) >= 10
+    def test_renormalize_and_fold_round_trip_exactly(self):
+        value = np.array([1.5, 3.0, 1.25, -1.0, 0.7, 1.1]) * 2.0 ** np.array(
+            [0, 400, 501, 900, -30, 1000])
+        prev = np.array([0.3, -2.0 ** 399, 2.0 ** -400, 1e300, -0.0, 7.0])
+        exponent = np.array([0, -40, 7, -2000, 0, -1000])
+        folded = [poly._folded(v, e) for v, e in ((value, exponent), (prev, exponent))]
+        out, out_prev, out_exp = poly._renormalized(value, prev, exponent)
+        assert np.array_equal(out_exp - exponent, [0, 0, 500, 500, 0, 500])
+        assert np.array_equal(out * 2.0 ** (out_exp - exponent), value)
+        assert np.array_equal(out_prev * 2.0 ** (out_exp - exponent), prev)
+        assert np.array_equal(poly._folded(out, out_exp), folded[0])
+        assert np.array_equal(poly._folded(out_prev, out_exp), folded[1])
 
-    def test_chi_quadrature_far_field(self, monkeypatch):
-        spec = cats.CatSpec(300, math.sqrt(150.0))
-        grid = phasespace.PhaseGrid(phasespace.Axis("x", -9.0, 9.0, 61),
-                                    phasespace.Axis("phi", 0.0, math.pi, 5))
-        got = phasespace.quadrature_chi_closed(spec, grid).values
-        rescaled, fired = self.written_out(500.0)
-        monkeypatch.setattr(phasespace, "_rescaled", rescaled)
-        assert np.array_equal(got, phasespace.quadrature_chi_closed(spec, grid).values)
-        assert len(fired) >= 20  # |H_k| passes 2^500 by k = 300 at every x
+    def test_below_the_range_folds_to_zero(self):
+        mantissa = np.array([1.0, -1.5, 2.0 ** 500, 1.0])
+        got = poly._folded(mantissa, np.array([-1075, -2000, -1700, -10 ** 6]))
+        assert np.array_equal(got, np.zeros(4)) and not np.signbit(got[0])
 
 
 def count_laguerre_rows(monkeypatch, module):

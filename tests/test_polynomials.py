@@ -103,6 +103,76 @@ class TestLaguerreRows:
             next(poly.laguerre_rows(-1, 1.0))
 
 
+def laguerre_reference(j, a, x):
+    """u_j^a(x) = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x) at 60 digits, an mpmath float."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        return (mpmath.sqrt(mpmath.factorial(j) / mpmath.factorial(j + a))
+                * x ** (mpmath.mpf(a) / 2) * mpmath.laguerre(j, a, x))
+
+
+def carried_parameters(monkeypatch):
+    """Record how many parameters each ``laguerre_rows`` call carries on
+    scaled values, which it starts with one ``_scaled`` call."""
+    seen = []
+    original = poly._scaled
+
+    def recording(log_value):
+        seen.append(np.size(log_value))
+        return original(log_value)
+
+    monkeypatch.setattr(poly, "_scaled", recording)
+    return seen
+
+
+class TestLaguerreCarry:
+    """Starts that underflow, and the e^(x/2) growth past x = 1386."""
+
+    @pytest.mark.parametrize("j, a, x", [(768, 256, 0.37), (10, 300, 5.0), (100, 50, 1.0),
+                                         (2048, 1700, 256.0), (0, 40, 3.0), (500, 0, 20.0)])
+    def test_start_bound_against_mpmath(self, j, a, x):
+        # |u_j^a(x)| <= sqrt(C(j+a, j)) u_0^a(x) e^(x/2), the bound that picks
+        # the carried parameters; within a factor 4 at the first point
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            x = mpmath.mpf(x)
+            bound = (mpmath.sqrt(mpmath.binomial(j + a, j)) * x ** (mpmath.mpf(a) / 2)
+                     / mpmath.sqrt(mpmath.factorial(a)) * mpmath.exp(x / 2))
+            assert abs(laguerre_reference(j, a, x)) <= bound
+
+    @pytest.mark.parametrize("nmax, x", [(238, 0.09), (238, 1.0), (400, 0.3), (1100, 4.0),
+                                         (512, 0.37), (1024, 0.37), (1024, 40.0)])
+    def test_nothing_is_carried_where_nothing_comes_back(self, monkeypatch, nmax, x):
+        # the bound keeps every underflowing start below 2^-500 e^(x/2) here,
+        # so the rows are the plain recurrence's at no extra cost
+        seen = carried_parameters(monkeypatch)
+        for _ in poly.laguerre_rows(nmax, x):
+            pass
+        assert seen == []
+
+    def test_far_columns_of_a_displacement_come_back(self, monkeypatch):
+        # <j+a|D(16)|j> at j = 2048: the starts underflow from a ~ 1690, while
+        # the elements near the turning point a ~ 1700 are of order 1e-2
+        seen = carried_parameters(monkeypatch)
+        rows = [row for _, row in zip(range(2049), poly.laguerre_rows(4416, 256.0))]
+        assert seen and seen[0] > 500
+        assert rows[0][1700] == 0.0  # the start itself is below the float range
+        for a in (1650, 1700, 1760, 2000):
+            ref = laguerre_reference(2048, a, 256.0)
+            assert abs(rows[2048][a] - float(ref)) <= 1e-11 * abs(float(ref)), a
+
+    def test_rows_past_the_shift(self):
+        # at x = 1600 e^(x/2) overflows; the rows are u_j^a(x) 2^-E
+        mpmath = pytest.importorskip("mpmath")
+        shift = int(poly._laguerre_shift(1600.0))
+        assert shift == round(800 / math.log(2.0)) and poly._laguerre_shift(1331.2) == 0
+        rows = [row for _, row in zip(range(41), poly.laguerre_rows(2048, 1600.0))]
+        for j, a in ((0, 1600), (40, 1560), (40, 0), (0, 3000 - 2048)):
+            ref = float(laguerre_reference(j, a, 1600.0) / mpmath.mpf(2) ** shift)
+            assert abs(rows[j][a] - ref) <= 1e-12 * abs(ref), (j, a)
+
+
 class TestLaguerre:
     """``assoc_laguerre`` gives u_j = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x), j <= nmax."""
 
