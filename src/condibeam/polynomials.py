@@ -7,14 +7,17 @@ exponent array: :func:`_scaled` starts them from a log value,
 :func:`_renormalized` takes 2^500 out of a recurrence pair and
 :func:`_folded` returns floats, an exponent below the range giving an
 exact 0.  Where a value is a normal float the exponent is 0 and the
-mantissa is that float, so the layer only moves powers of two.
+mantissa is that float, so the layer only moves powers of two.  A complex
+mantissa moves by its real and imaginary parts.
 
 Associated Laguerre values come from one place, :func:`laguerre_rows`: the
 three-term recurrence in the degree on the normalized values
 sqrt(j!/(j+a)!) x^(a/2) L_j^a(x), displacement-operator elements times
 e^(x/2).  (The alternating finite sum loses digits from degree ~25 on at
 x ~ j/2.)  The displacement matrix and the chi amplitudes and Wigner sum
-read its triangle j + a <= nmax, the chi Husimi form one row at a = 0.
+read its triangle j + a <= nmax.  The chi Husimi form reads one row at
+a = 0 and complex x, through :func:`_laguerre_times`, which carries it on
+scaled values where it leaves the float range.
 
 Jacobi values P_m^(b,c)(z) come from the three-term recurrence in the
 degree.  ``c`` may be an array, one value per Fock level, and runs down to
@@ -99,14 +102,24 @@ def _renormalized(value, prev, exponent):
     big = np.abs(value) > 2.0 ** _STEP
     if big.any():
         shift = np.where(big, -_STEP, 0)
-        value, prev = np.ldexp(value, shift), np.ldexp(prev, shift)
+        value, prev = _ldexp(value, shift), _ldexp(prev, shift)
         exponent = exponent + _STEP * big
     return value, prev, exponent
 
 
 def _folded(mantissa, exponent):
     """mantissa 2^exponent as floats; 0 below the float range."""
-    return mantissa if isinstance(exponent, int) and not exponent else np.ldexp(mantissa, exponent)
+    return mantissa if isinstance(exponent, int) and not exponent else _ldexp(mantissa, exponent)
+
+
+def _ldexp(value, exponent):
+    """np.ldexp, which takes no complex value: a complex one is scaled by its
+    real and imaginary parts."""
+    if not np.iscomplexobj(value):
+        return np.ldexp(value, exponent)
+    out = np.array(np.ldexp(value.real, exponent), dtype=complex)
+    out.imag = np.ldexp(value.imag, exponent)
+    return out
 
 
 def _laguerre_shift(x):
@@ -209,6 +222,28 @@ def _recurrence(nmax, x, a, u, triangle, exponent=None):
         yield u if exponent is None else _folded(u, exponent)
 
 
+def _laguerre_times(nmax, z, log_scale):
+    """L_nmax(z) e^log_scale for complex z and real log_scale, elementwise,
+    where L_nmax(z) or e^log_scale alone leaves the float range.
+
+    By |L_j(z)| <= L_j(-|z|) <= e^(2 sqrt(j |z|)) no row passes 2^500 while
+    2 sqrt(nmax max|z|) < 500 ln 2; there, and with e^log_scale a normal
+    float, this is the last row of :func:`laguerre_rows` times
+    np.exp(log_scale).  Elsewhere the recurrence, linear in its start, starts
+    from e^log_scale as a scaled number, so row j is e^log_scale L_j(z) on
+    scaled values.
+    """
+    mantissa, exponent = _scaled(log_scale)
+    if (isinstance(exponent, int)
+            and 2.0 * math.sqrt(nmax * np.abs(z).max(initial=0.0)) < _STEP * math.log(2.0)):
+        for row in laguerre_rows(nmax, z, 0):
+            pass  # only the last row, L_nmax, is read
+        return row * mantissa  # np.exp(log_scale), bit for bit
+    for row in _recurrence(nmax, z, 0, mantissa, False, exponent):
+        pass
+    return row
+
+
 def jacobi(m, b, c, z):
     """P_m^(b,c)(z) for integers m, b >= 0 and c >= -m, and real z.
 
@@ -220,6 +255,8 @@ def jacobi(m, b, c, z):
             and m >= 0 and b >= 0 and np.all(c >= -m) and not np.iscomplexobj(z)):
         raise ValueError(f"jacobi needs integers m >= 0, b >= 0, c >= -m and a real z, got m = "
                          f"{m!r}, b = {b!r}, c = {np.array2string(c, threshold=6)}, z = {z!r}")
+    if not m:
+        return np.ones(c.shape) if c.ndim else 1.0
     flat = c.ravel()
     a = np.abs(flat).astype(float)  # c = -l is read from P_{m-l}^(b,l)
     p = np.ones((m + 1, flat.size))

@@ -13,7 +13,7 @@ import numpy as np
 from . import cats, conditional, fock, twomode
 from .beamsplitter import BeamSplitterParams, ReferencePrep
 from .ordering import OrderedMonomialSpec, s_ordered_monomial, s_to_t_convert
-from .phasespace import PhaseGrid, husimi
+from .phasespace import PhaseGrid, husimi, wigner_cat_closed, wigner_numeric
 
 __all__ = ["run_selftest", "selftest_checks"]
 
@@ -116,6 +116,17 @@ def _check_husimi_normalization():
     return dev <= 1e-3, f"|int Q - 1| = {dev:.3e} (limit 1e-3)"
 
 
+def _check_wigner_numeric_vs_closed():
+    # the two-peak Wigner configuration: the numeric transform at its
+    # default y-step against the closed double sum
+    spec = cats.CatSpec(10, math.sqrt(5.0))
+    chi = cats.chi_state(spec, fock.TruncationPolicy(cutoff=64))
+    grid = PhaseGrid.square(-5.0, 5.0, 81)
+    dev = float(np.max(np.abs(wigner_numeric(chi, grid).values
+                              - wigner_cat_closed(spec, grid).values)))
+    return dev <= 1e-12, f"max |W_numeric - W_closed| = {dev:.3e} (limit 1e-12)"
+
+
 def selftest_checks():
     return [
         ("closed-form-vs-oracle", _check_closed_form_vs_oracle),
@@ -125,6 +136,7 @@ def selftest_checks():
         ("chi-state-vs-oracle", _check_chi_state_vs_oracle),
         ("povm-completeness", _check_povm_completeness),
         ("husimi-normalization", _check_husimi_normalization),
+        ("wigner-numeric-vs-closed", _check_wigner_numeric_vs_closed),
     ]
 
 

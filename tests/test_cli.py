@@ -482,6 +482,23 @@ class TestMainExitCodes:
         q = np.loadtxt(out, delimiter=",", comments="#")
         assert q.shape == (81, 81) and np.count_nonzero(q) == 1 and q[40, 40] > 0
 
+    def test_chi_husimi_closed_form_past_the_float_range(self, tmp_path, capsys):
+        # at n = 800 L_n(beta(a* + b*)) reaches e^1855 on the grid and
+        # e^(-(|a|^2 + ln N)/2) underflows; the closed form carries their
+        # product on scaled values, so it agrees with the overlap route
+        cfg = tmp_path / "q800.cfg"
+        cfg.write_text("state = chi\nn = 800\nbeta = 20\ncutoff = 1024\n"
+                       "grid_lo = -100\ngrid_hi = 100\ngrid_points = 41\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["q-grid", "--config", str(cfg), "--out", str(tmp_path / "q.csv")])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert not caught, [str(w.message) for w in caught]
+        scalars = dict(line.split(" = ") for line in captured.out.splitlines()
+                       if not line.startswith("#"))
+        assert float(scalars["closed_form_max_abs_dev"]) < 1e-8
+
     @pytest.mark.parametrize("scalars, grid_value", [
         ({"p_0": math.nan}, 0.0), ({"amp_0": complex(0.5, math.nan)}, 0.0), ({"p_0": 1.0}, math.nan),
     ], ids=["float", "complex", "grid"])
@@ -705,6 +722,7 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "selftest passed" in out
         assert "ok   chi-state-vs-oracle: " in out
+        assert "ok   wigner-numeric-vs-closed: " in out
 
     def test_corrupted_coefficient_is_caught(self, monkeypatch, capsys):
         # flip the sign of every s-ordered monomial of the closed form: the

@@ -203,9 +203,9 @@ class TestWignerLattice:
     P_AXIS = ps.Axis("p", -5, 5, 41)
 
     @pytest.mark.parametrize("x_axis", [
-        ps.Axis("x", -6, 6, 81),          # spacing 0.15 > step: r = 8, s = 1
-        ps.Axis("x", -0.84, 0.84, 81),    # spacing 0.021, just above the step
-        ps.Axis("x", -0.2, 0.2, 81),      # spacing 0.005 < step: r = 1, s = 4
+        ps.Axis("x", -6, 6, 81),          # spacing 0.15 > step 0.141: r = 2, s = 1
+        ps.Axis("x", -0.84, 0.84, 81),    # spacing 0.021 < step: r = 1, s = 6
+        ps.Axis("x", -0.2, 0.2, 81),      # spacing 0.005 < step: r = 1, s = 28
         ps.Axis("x", 5, -5, 41),          # descending
         ps.Axis("x", 1.3, 1.3, 4),        # lo == hi: every row is the same
         ps.Axis("x", -2e-3, 2e-3, 41),    # y-step far wider than the spacing
@@ -237,6 +237,58 @@ class TestWignerLattice:
             ps.quadrature_dist(chi, ps.PhaseGrid(ps.Axis("x", -6, 6, 3 * points),
                                                  ps.Axis("phi", 0, 3, points)))
             assert len(calls) == 1
+
+
+class TestWignerDerivedStep:
+    """The default y-step: the largest lattice step with pi/dy at least
+    max|p| + 2 half_range, its bound never below 0.02."""
+
+    @staticmethod
+    def grid(n, shape):
+        r = round(math.sqrt(2 * n + 1)) + 4
+        return {
+            "symmetric": ps.PhaseGrid.square(-r, r, 61),
+            "one-sided": ps.PhaseGrid(ps.Axis("x", 0.3, r, 47), ps.Axis("p", 0.1, r, 41)),
+            "descending": ps.PhaseGrid(ps.Axis("x", r, -r, 41), ps.Axis("p", r, -r, 53)),
+        }[shape]
+
+    @staticmethod
+    def routes(n, shape):
+        spec = cats.CatSpec(n, math.sqrt(n / 2))
+        chi = cats.chi_state(spec, fock.TruncationPolicy(cutoff=max(64, 3 * n)))
+        grid = TestWignerDerivedStep.grid(n, shape)
+        fixed = ps.IntegrationSpec(ps.default_integration(chi).half_range, 0.02)
+        return (ps.wigner_numeric(chi, grid).values, ps.wigner_numeric(chi, grid, fixed).values,
+                ps.wigner_cat_closed(spec, grid).values)
+
+    @pytest.mark.parametrize("shape", ["symmetric", "one-sided", "descending"])
+    @pytest.mark.parametrize("n", [2, 5, 10, 20, 40, 80])
+    def test_matches_closed_form_and_the_fixed_step(self, n, shape):
+        derived, fixed, closed = self.routes(n, shape)
+        peak = np.max(np.abs(closed))
+        assert np.max(np.abs(derived - closed)) < 1e-13 * peak
+        assert np.max(np.abs(derived - fixed)) < 1e-13 * peak
+
+    @pytest.mark.parametrize("shape", ["symmetric", "one-sided", "descending"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_low_photon_numbers_share_the_window_error(self, n, shape):
+        # half_range = 4 + 2 sqrt(<n>) cuts ~1.5e-8 of the vacuum's integrand
+        # off at either step
+        derived, fixed, closed = self.routes(n, shape)
+        assert np.max(np.abs(derived - closed)) < 1e-8
+        assert np.max(np.abs(derived - fixed)) < 1e-8
+
+    def test_shipped_grid_samples_at_the_alias_bound(self, monkeypatch):
+        # two_peak_wigner.cfg: dx = 0.125 and half_range = 8.61, so
+        # pi / (5 + 2 half_range) = 0.141 >= dx gives dy = dx, h = 69 and a
+        # lattice of 80 + 2 h + 1 points, where the fixed 0.02 took 1527
+        sizes = []
+        hermite = ps.hermite_functions
+        monkeypatch.setattr(ps, "hermite_functions",
+                            lambda x, nmax: sizes.append(np.size(x)) or hermite(x, nmax))
+        chi = cats.chi_state(cats.CatSpec(10, 2.23606797749979), fock.TruncationPolicy(cutoff=64))
+        ps.wigner_numeric(chi, ps.PhaseGrid.square(-5.0, 5.0, 81))
+        assert sizes == [219]
 
 
 class TestWignerCatClosed:

@@ -172,6 +172,33 @@ class TestLaguerreCarry:
             ref = float(laguerre_reference(j, a, 1600.0) / mpmath.mpf(2) ** shift)
             assert abs(rows[j][a] - ref) <= 1e-12 * abs(ref), (j, a)
 
+    def test_complex_product_past_the_float_range(self, monkeypatch):
+        # L_800(z) reaches e^1855 at |z| = 2300 and its scale e^s is below the
+        # float range: the product is carried on scaled values
+        mpmath = pytest.importorskip("mpmath")
+        seen = carried_parameters(monkeypatch)
+        z = np.array([2300.0, -2300.0, 2300j, 1600 * np.exp(2.5j), 40.0 - 300j])
+        with mpmath.workdps(40):
+            ref = [mpmath.laguerre(800, 0, mpmath.mpc(v.real, v.imag)) for v in z]
+            s = 0.5 - np.array([float(mpmath.log(abs(r))) for r in ref])
+            exact = np.array([complex(r * mpmath.exp(si)) for r, si in zip(ref, s)])
+        got = poly._laguerre_times(800, z, s)
+        assert seen == [z.size]
+        assert np.all(np.abs(got - exact) <= 1e-10 * np.abs(exact))
+
+    def test_complex_product_in_range_is_the_plain_row(self, monkeypatch):
+        # the chi Husimi arguments of n = 20, |beta|^2 = 10 on a +-5 grid:
+        # 2 sqrt(n max|z|) ~ 51 < 500 ln 2, so the last row times np.exp(s),
+        # with no scaled recurrence (which would call _renormalized)
+        monkeypatch.delattr(poly, "_renormalized")
+        alpha = np.linspace(-5, 5, 9)[:, None] + 1j * np.linspace(-5, 5, 9)
+        beta = math.sqrt(10.0) * np.exp(0.7j)
+        z = beta * (np.conj(alpha) + np.conj(beta))
+        s = -0.5 * (np.abs(alpha) ** 2 + 30.0)
+        for row in poly.laguerre_rows(20, z, 0):
+            pass
+        assert np.array_equal(poly._laguerre_times(20, z, s), row * np.exp(s))
+
 
 class TestLaguerre:
     """``assoc_laguerre`` gives u_j = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x), j <= nmax."""
@@ -226,6 +253,17 @@ class TestJacobi:
 
     def test_degree_zero(self):
         assert poly.jacobi(0, 2, 5, 0.3) == 1.0
+
+    @pytest.mark.parametrize("b, c, z", [
+        (0, 0, 0.3), (2, 5, -1.0), (7, np.arange(9), 0.95), (3, np.array([[0, 4], [1, 2]]), -0.4)])
+    def test_degree_zero_matches_the_general_path(self, b, c, z):
+        # the general path reads P_0 = 1 from its recurrence table and the
+        # Szego prefactor e^0 ((1+z)/2)^0 = 1: exact ones, a float for a scalar c
+        value = poly.jacobi(0, b, c, z)
+        assert np.array_equal(value, np.ones(np.shape(c))) and np.shape(value) == np.shape(c)
+        assert type(value) is float if np.ndim(c) == 0 else value.dtype == np.float64
+        with pytest.raises(ValueError, match="jacobi needs"):
+            poly.jacobi(0, b, -1, z)
 
     def test_endpoint_identity(self):
         # P_m^(b,c)(1) = C(m+b, m)
