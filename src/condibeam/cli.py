@@ -171,8 +171,10 @@ def _run_y_matrix(params):
     prep_out = _build(ReferencePrep.fock, params["n"], params["beta"])
     y = conditional.y_displaced_general(prep_in, prep_out, bs, policy).band
     oracle = twomode.oracle_y(prep_in, prep_out, bs, policy)
+    if not (y.norm and oracle.norm):
+        raise DomainError("y-matrix: every element of Y underflows to 0")
     scalars = {
-        "frobenius_norm": float(np.linalg.norm(y.diagonals)),
+        "frobenius_norm": y.norm,
         "largest_singular_value": float(y.largest_singular_value()),
         "oracle_rel_frobenius_error": float(y.rel_deviation(oracle)),
         "ordering_parameter_s": bs.s,

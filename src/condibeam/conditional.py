@@ -23,7 +23,10 @@ numerical top is t to the levels 0..t + L, L the prepared reference's top,
 and Y itself lies on the diagonals -L_out <= j - k <= L_in.  ``apply`` and
 ``band`` run D(right), the band and D(left) as real products on those
 levels, with no dense operator, and give Y's exact compression onto the
-levels 0..cutoff, as the oracle does (``TruncationPolicy.working_factors``).
+levels 0..cutoff, as the oracle does: ``apply`` on the working levels of
+``TruncationPolicy.working_factors``, O(W t) for an input of top t, and
+``band`` on D(alpha)'s own band of K levels either side of the diagonal,
+O(N K) storage, with no table over all W levels.
 Each term of the bracket is one scaled product (:mod:`polynomials`), so a
 term whose factors leave the float range on their own still gives Y.
 
@@ -74,10 +77,11 @@ def _ordered_core(terms, bs, policy):
     """
     s, t, r = bs.s, bs.transmittance, bs.reflectance
     log_t, log_r, t_unit, r_unit = math.log(abs(t)), math.log(abs(r)), t / abs(t), r / abs(r)
+    u = (abs(t) / abs(r)) ** 2  # (s - 1)/2, to a few ulps as |T| -> 0
     levels = np.arange(policy.dim)
     core = {}
     for m, n, f, g in terms:
-        log_band, band = _s_ordered_scaled(OrderedMonomialSpec(m, n, s), policy.dim)
+        log_band, band = _s_ordered_scaled(OrderedMonomialSpec(m, n, s), policy.dim, u)
         d = n - m
         col = levels[max(d, 0):][:len(band)]  # the column q of each element
         log_coeff = math.log(abs(f)) + math.log(abs(g)) + (m + n) * log_r
@@ -96,18 +100,20 @@ def _ordered_core(terms, bs, policy):
             for d, values in core.items()}
 
 
-def _band_times(core, x):
-    """B x for the banded core B (offset -> values, on at least the levels of
-    x) and a vector or matrix x; each diagonal scales and shifts the rows of x."""
+def _band_times(core, x, start=0):
+    """B x for the banded core B (offset -> values) and a vector or matrix x
+    on the levels start..start + len(x) - 1; each diagonal scales and shifts
+    the rows of x.  Where B's values end, x must vanish."""
     dim = len(x)
     out = np.zeros(x.shape, dtype=complex)
     for d, values in core.items():
-        size = max(dim - abs(d), 0)
-        values = values[:size].reshape((-1,) + (1,) * (x.ndim - 1))
+        values = values[start:start + max(dim - abs(d), 0)]
+        size = len(values)
+        values = values.reshape((-1,) + (1,) * (x.ndim - 1))
         if d >= 0:
-            out[:size] += values * x[d:]
+            out[:size] += values * x[d:d + size]
         else:
-            out[-d:] += values * x[:size]
+            out[-d:size - d] += values * x[:size]
     return out
 
 
@@ -127,7 +133,7 @@ def _reference_amplitudes(prep, policy):
     return fock._displaced(fock._displacement_factors(prep.displacement, levels, degree), amps)
 
 
-# rows of D(left) that one product of the band build multiplies at least
+# rows of Y that one product of the band build forms
 _ROW_BLOCK = 64
 
 
@@ -181,11 +187,15 @@ class ConditionalOperator:
         the prepared and the measured reference, capped at the cutoff (the
         cutoff where no bound is known).
 
-        B times columns 0..cutoff of D(right) on the working levels 0..W is
-        formed once, O(W N L); each block of rows of D(left) (the adjoint of
-        D(-left)'s columns) is multiplied, in one real product, by the only
-        columns it reaches, O(W N (block + L)) in all.  Each column's part
-        outside the band is at most ||tail_in|| ||phi_out|| + ||phi_in||
+        D(right) and D(-left) are kept as their bands, K_r and K_l levels
+        on either side of the diagonal (:func:`fock._displacement_bands`, one
+        Laguerre recurrence for both; each column drops at most 1e-17 of its
+        norm outside).  Each block of b = 64 rows j0..j1 of Y takes B D(right)
+        on the levels j0 - K_l..j1 + K_l, from the columns of D(right) it
+        reaches, times the block's rows of D(left) (the adjoint of D(-left)'s
+        columns) in one real product: O(N (b + K)(b + L)) work and O(N K)
+        storage for N = cutoff, no (W + 1) x (N + 1) table.  Each column's
+        part outside the band is at most ||tail_in|| ||phi_out|| + ||phi_in||
         ||tail_out||, which the splitter, a unitary, carries there."""
         n = self.cutoff
         tops, tails, norms = [], [], []
@@ -197,25 +207,27 @@ class ConditionalOperator:
             norms.append(float(np.linalg.norm(prep.poly.state_amplitudes(prep.poly.degree + 1))))
         below, above = tops
         width = below + above + 1
-        w, factors = self.policy.working_factors(self.right, n, self.reach)
-        # B D(right) with `below` zero columns before it and `above` after:
-        # column x holds level x - below
-        cols = np.zeros((w + 1, n + width), dtype=complex)
-        cols[:, below:below + n + 1] = _band_times(self.core, fock._dense_columns(factors))
+        lower = max(0, max(self.core))  # the levels B moves a state down by
+        (u_r, s_r), (u_l, s_l) = fock._displacement_bands((self.right, -self.left), self.policy)
+        k_r, k_l = u_r.shape[1] - 1, u_l.shape[1] - 1
+        levels = np.arange(n + max(k_r, k_l) + self.reach + lower + 1)
+        p_r, p_l = (np.exp(1j * levels * (np.angle(a) if a else 0.0))
+                    for a in (self.right, -self.left))
         diagonals = np.empty((n + 1, width), dtype=complex)
-        if self.left == 0:
-            diagonals[:] = fock._diagonal_view(cols[:n + 1], width)
-        else:
-            del factors  # D(right)'s table goes before D(left)'s is built
-            m, phase, scale = fock._displacement_factors(-self.left, w, n)
-            cols *= phase.conj()[:, None]
-            flat = cols.view(float)
-            block = max(_ROW_BLOCK, width)
-            for j0 in range(0, n + 1, block):
-                j1 = min(j0 + block, n + 1)
-                rows = (m[:, j0:j1].T @ flat[:, 2 * j0:2 * (j1 + width - 1)]).view(complex)
-                rows *= scale * phase[j0:j1, None]
-                diagonals[j0:j1] = fock._diagonal_view(rows, width)
+        for j0 in range(0, n + 1, _ROW_BLOCK):
+            j1 = min(j0 + _ROW_BLOCK, n + 1)
+            c0, c1 = max(j0 - below, 0), min(j1 + above, n + 1)  # the columns of Y
+            # the levels the product runs over, and the levels of D(right) feeding them
+            g0, g1 = max(j0 - k_l, c0 - k_r - lower, 0), min(j1 + k_l, c1 + k_r + self.reach)
+            h0, h1 = max(g0 - self.reach, 0), g1 + lower
+            cols = np.multiply.outer(s_r * p_r[h0:h1], p_r[c0:c1].conj())
+            cols *= fock._band_columns(u_r, (c0, c1), (h0, h1))
+            cols = _band_times(self.core, cols, h0)[g0 - h0:g1 - h0] * p_l[g0:g1, None].conj()
+            m = fock._band_columns(u_l, (j0, j1), (g0, g1))
+            rows = np.zeros((j1 - j0, j1 - j0 + width - 1), dtype=complex)
+            rows[:, c0 - j0 + below:c1 - j0 + below] = (m.T @ cols.view(float)).view(complex)
+            rows *= s_l * p_l[j0:j1, None]
+            diagonals[j0:j1] = fock._diagonal_view(rows, width)
         tail = tails[0] * norms[1] + norms[0] * tails[1]
         return fock.BandedOperator(diagonals, above, n, tail)
 

@@ -10,8 +10,12 @@ levels above it hold at most 1e-17 of its norm) from the Laguerre values of
 degrees 0..t alone, O(N t) for N levels: columns 0..t of D(alpha) are
 stored as e^(-|alpha|^2/2) P M P*, P the phases e^(ik arg alpha) and M a
 dense real N x (t + 1) block, so a displacement is one real product with M
-and the adjoint rows one with M^T.  Everything is immutable after
-construction, so values can be shared freely between threads.
+and the adjoint rows one with M^T.  D(alpha) is also numerically banded:
+:func:`_displacement_bands` keeps M as its K offsets either side of the
+diagonal for degrees 0..cutoff, O(N K), each column dropping at most 1e-17
+of its norm, and :func:`_band_columns` reads dense blocks of it.
+Everything is immutable after construction, so values can be shared freely
+between threads.
 
 Truncation discipline: ladder and diagonal operators are exact on the
 retained levels; a truncated displacement matrix is faithful only away from
@@ -29,8 +33,8 @@ import numpy as np
 
 from .errors import (CutoffExceededError, CutoffMismatchError, TruncationError,
                      ZeroProbabilityError)
-from .polynomials import (_folded, _laguerre_shift, _renormalized, _scaled, laguerre_rows,
-                          log_factorial)
+from .polynomials import (_folded, _laguerre_shift, _ldexp, _renormalized, _scaled,
+                          laguerre_rows, log_factorial)
 
 __all__ = [
     "TruncationPolicy",
@@ -260,6 +264,11 @@ class BandedOperator:
         return self.diagonals.shape[1] - 1 - self.above
 
     @functools.cached_property
+    def norm(self):
+        """The band's Frobenius norm (:func:`_frobenius`)."""
+        return _frobenius(self.diagonals)
+
+    @functools.cached_property
     def mat(self):
         """The dense matrix, one strided write per diagonal k - j = d."""
         dim = self.cutoff + 1
@@ -282,15 +291,16 @@ class BandedOperator:
             start = above - op.above
             diff[:, start:start + op.diagonals.shape[1]] += sign * op.diagonals
         spill = math.sqrt(self.cutoff + 1) * (self.tail + other.tail)
-        return (np.linalg.norm(diff) + spill) / np.linalg.norm(other.diagonals)
+        return (_frobenius(diff) + spill) / other.norm
 
     def largest_singular_value(self):
         """sigma_max(Y) by Lanczos on Y^dag Y (Golub & Kahan, SIAM J. Numer.
         Anal. B 2, 205 (1965)), each step two band products, O(N L).
 
-        Y is scaled by its band's Frobenius norm, so the Ritz values lie in
-        [0, 1].  Each new vector is orthogonalized against all earlier ones,
-        twice, from a fixed start vector, so the result is reproducible.
+        Y is scaled by its band's Frobenius norm, after a power of two
+        (:func:`_unit_scaled`), so the Ritz values lie in [0, 1].  Each new
+        vector is orthogonalized against all earlier ones, twice, from a
+        fixed start vector, so the result is reproducible.
         The steps stop once the top Ritz pair's residual is at most 1e-15 of
         its Ritz value, which then lies within that fraction of an
         eigenvalue of Y^dag Y (checked at every step up to 32, then at every
@@ -298,12 +308,13 @@ class BandedOperator:
         degenerate top singular value may take.  Y's part outside the band
         moves sigma_max by at most its Frobenius bound.
         """
-        scale = np.linalg.norm(self.diagonals)
-        if scale == 0.0:
+        if self.norm == 0.0:
             return 0.0
-        forward = _band_product(self.diagonals / scale, self.above)
-        adjoint = _band_product(_adjoint_diagonals(self.diagonals / scale, self.above),
-                                self.below)
+        diagonals, exponent = _unit_scaled(self.diagonals)
+        scale = np.linalg.norm(diagonals)
+        diagonals = diagonals / scale
+        forward = _band_product(diagonals, self.above)
+        adjoint = _band_product(_adjoint_diagonals(diagonals, self.above), self.below)
         dim = self.cutoff + 1
         basis = np.empty((min(dim, 32), dim), dtype=complex)
         tridiagonal = np.zeros((len(basis) + 1,) * 2)
@@ -328,7 +339,22 @@ class BandedOperator:
                 if beta * abs(vectors[-1, -1]) <= _RITZ_RESIDUAL * ritz[-1]:
                     break
             tridiagonal[k, k + 1] = tridiagonal[k + 1, k] = beta
-        return scale * math.sqrt(max(ritz[-1], 0.0))
+        return math.ldexp(scale * math.sqrt(max(ritz[-1], 0.0)), exponent)
+
+
+def _unit_scaled(arr):
+    """(arr 2^-e, e), e the binary exponent of arr's largest magnitude (0 for a
+    zero array): an exact scaling whose largest magnitude lies in [1/2, 1), so
+    squares that underflow in arr do not in the result."""
+    e = math.frexp(float(np.abs(arr).max(initial=0.0)))[1]
+    return _ldexp(arr, -e), e
+
+
+def _frobenius(arr):
+    """||arr||_F on the :func:`_unit_scaled` arr, so elements whose squares
+    underflow still count; 0.0 for a zero array."""
+    scaled, e = _unit_scaled(arr)
+    return math.ldexp(float(np.linalg.norm(scaled)), e)
 
 
 def _diagonal_view(block, width):
@@ -523,11 +549,64 @@ def _displacement_factors(alpha, cutoff, top):
     for j, row in zip(range(top + 1), laguerre_rows(cutoff, x)):
         m[j:, j] = row
         np.multiply(row[1:top + 1 - j], sign[1:top + 1 - j], out=m[j, j + 1:])
+    return m, np.exp(1j * np.arange(dim) * np.angle(alpha)), _displacement_scale(x)
+
+
+def _displacement_scale(x):
+    """e^(-x/2) 2^E, E = :func:`polynomials._laguerre_shift` (x), a normal float."""
     scale, shift = math.exp(-x / 2), int(_laguerre_shift(x))
     if shift:
         mantissa, exponent = _scaled(-x / 2)
         scale = float(_folded(mantissa, exponent + shift))
-    return m, np.exp(1j * np.arange(dim) * np.angle(alpha)), scale
+    return scale
+
+
+def _displacement_bands(alphas, policy):
+    """D(alpha) for each of ``alphas`` as its band (u, s): u[K + j, a] =
+    u_j^a(|alpha|^2) 2^-E for degrees j = 0..cutoff and offsets a = 0..K,
+    after K rows of zeros, and the scale s of :func:`_displacement_factors`.
+    One :func:`polynomials.laguerre_rows` call runs all arguments over the
+    offsets up to the bound of :meth:`TruncationPolicy.working_levels` less
+    the cutoff, which holds both sides of every column (the bound less t
+    grows with t, and |<j|D|k>| = |<k|D|j>|).  K is then the first offset
+    past which every column, one element per offset either side, holds at
+    most sqrt(2 sum_(a>K) p_a^2) <= 1e-17 of its norm, p_a the largest
+    element at offset a.  O(N K) work and storage for N = cutoff."""
+    n = policy.cutoff
+    x = np.array([[abs(alpha) ** 2] for alpha in alphas])
+    width = max(policy.working_levels(alpha, n, 0) for alpha in alphas) - n
+    table = np.empty((n + 1, len(x), width + 1))
+    for j, row in enumerate(laguerre_rows(n, x, np.arange(width + 1))):
+        table[j] = row
+    bands = []
+    for i, (value,) in enumerate(x):
+        u, scale = table[:, i], _displacement_scale(value)
+        peak = scale * np.abs(u).max(axis=0)
+        beyond = np.append(np.cumsum(peak[:0:-1] ** 2)[::-1], 0.0)  # sum_(b>a) p_b^2
+        k = int(np.argmax(2.0 * beyond <= _NUMERICAL_TAIL ** 2))
+        bands.append((np.concatenate((np.zeros((k, k + 1)), u[:, :k + 1])), scale))
+    return bands
+
+
+def _band_columns(band, cols, rows):
+    """M[r0:r1, c0:c1] of D(alpha) = s P M P* (:func:`_displacement_factors`),
+    ``cols`` = (c0, c1) with c1 <= cutoff + 1 and ``rows`` = (r0, r1), from
+    its ``band`` (:func:`_displacement_bands`): column k holds u_k^a at level
+    k + a and (-1)^a u_(k-a)^a at level k - a for a <= K, zeros beyond, each
+    half one strided copy."""
+    (c0, c1), (r0, r1) = cols, rows
+    k = band.shape[1] - 1
+    lo = min(r0, c0 - k)
+    out = np.zeros((max(r1, c1 + k) - lo, c1 - c0), order="F")
+    rs, cs = out.strides
+    # layout[i, t] = out[level c0 + i - k + t, column c0 + i]
+    layout = np.lib.stride_tricks.as_strided(out[c0 - k - lo:], (c1 - c0, 2 * k + 1),
+                                             (rs + cs, rs))
+    ts, ta = band.strides  # upper[i, a] = u of degree c0 + i - a, offset a
+    upper = np.lib.stride_tricks.as_strided(band[c0 + k:], (c1 - c0, k + 1), (ts, ta - ts))
+    layout[:, k::-1] = upper * np.resize((1.0, -1.0), k + 1)
+    layout[:, k:] = band[c0 + k:c1 + k]
+    return out[r0 - lo:r1 - lo]
 
 
 def _dense_columns(factors):

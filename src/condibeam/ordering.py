@@ -49,22 +49,25 @@ def _ladder_power(op, k, policy):
     return out
 
 
-def _s_ordered_scaled(spec, dim):
+def _s_ordered_scaled(spec, dim, u=None):
     """{(a^dag)^m a^n}_s's diagonal on the levels 0..dim - 1, in the order of
     ``np.diag`` at offset n - m, as (log magnitudes, signed values): for
     m <= n, m! [-(s+1)/2]^m a^(n-m) P_m^(n-m, n-hat - n)[(s-3)/(s+1)] (and
     symmetrically), with lo = min(m, n), k = |n - m| the logs ln lo! +
     lo ln|(s+1)/2| + ln sqrt((j+k)!/j!) and the values
-    sign(-(s+1)/2)^lo P_lo^(k, q-n)(z) at level q."""
+    sign(-(s+1)/2)^lo P_lo^(k, q-n)(z) at level q.  ``u`` = (s - 1)/2, given
+    where it is known to more digits than s - 1 keeps (a splitter's
+    |T|^2/|R|^2 as |T| -> 0), gives Jacobi's (1 + z)/2 = u/(1 + u)."""
     m, n, s = spec.m, spec.n, spec.s
     z = (s - 3.0) / (s + 1.0)
+    w = None if u is None else u / (1.0 + u)
     lo, k = min(m, n), abs(n - m)
     # the levels q the band keeps: its column index for m <= n, else its row index
     q = np.arange(k, dim) if m <= n else np.arange(dim - k)
     lf = log_factorial(np.arange(dim))
     log_mag = (log_factorial(lo) + lo * math.log(abs(s + 1.0) / 2.0)
                + 0.5 * (lf[k:] - lf[:max(dim - k, 0)]))  # sqrt((j+k)!/j!)
-    return log_mag, math.copysign(1.0, -(s + 1.0)) ** lo * jacobi(lo, k, q - n, z)
+    return log_mag, math.copysign(1.0, -(s + 1.0)) ** lo * jacobi(lo, k, q - n, z, w)
 
 
 def s_ordered_band(spec, policy):

@@ -244,11 +244,12 @@ def _laguerre_times(nmax, z, log_scale):
     return row
 
 
-def jacobi(m, b, c, z):
+def jacobi(m, b, c, z, w=None):
     """P_m^(b,c)(z) for integers m, b >= 0 and c >= -m, and real z.
 
     ``c`` may be an integer array, evaluated elementwise; a scalar ``c``
-    gives a float.
+    gives a float.  ``w`` is (1 + z)/2, the base of Szego's prefactor, where
+    the caller has it to more digits than 1 + z keeps near z = -1.
     """
     c = np.asarray(c)
     if not (isinstance(m, Integral) and isinstance(b, Integral) and c.dtype.kind in "iu"
@@ -269,7 +270,8 @@ def jacobi(m, b, c, z):
                 / (2 * j * (j + b + a) * (t - 2)))
     l = np.arange(m + 1)  # Szego's prefactor for l = 0..m; 1 at l = 0
     lf = log_factorial(np.arange(m + b + 1))
-    prefactor = np.exp(lf[m + b] - lf[m + b - l] - lf[m] + lf[m - l]) * (0.5 * (1.0 + z)) ** l
+    w = 0.5 * (1.0 + z) if w is None else w
+    prefactor = np.exp(lf[m + b] - lf[m + b - l] - lf[m] + lf[m - l]) * w ** l
     lc = np.maximum(-flat, 0)  # l for c = -l, 0 for c >= 0
     out = p[m - lc, np.arange(flat.size)] * prefactor[lc]
     return out.reshape(c.shape) if c.ndim else float(out[0])

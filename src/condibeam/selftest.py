@@ -24,8 +24,17 @@ def _rel_frobenius(a, b):
     return np.linalg.norm(a - b) / (np.linalg.norm(b) or 1.0)
 
 
-def _check_closed_form_vs_oracle():
+def _worst_closed_vs_oracle(configs):
     worst = 0.0
+    for m, n, alpha, beta, bs in configs:
+        closed = conditional.y_displaced_fock(m, n, alpha, beta, bs, _POLICY)
+        oracle = twomode.oracle_y(ReferencePrep.fock(m, alpha),
+                                  ReferencePrep.fock(n, beta), bs, _POLICY)
+        worst = max(worst, _rel_frobenius(closed.mat, oracle.mat))
+    return worst
+
+
+def _check_closed_form_vs_oracle():
     configs = [
         (0, 0, 0.2 + 0.1j, -0.3j, BeamSplitterParams(math.pi / 4, 0.3, 1.1)),
         (0, 1, 0j, 0j, BeamSplitterParams(math.pi / 4)),
@@ -36,12 +45,17 @@ def _check_closed_form_vs_oracle():
         (2, 2, 0j, 0j, BeamSplitterParams(0.05, 0.7, 1.9)),  # |R|^2 ~ 0.0025
         (3, 3, 0.5, -0.5, BeamSplitterParams(0.5)),  # D(right) carries levels past the cutoff
     ]
-    for m, n, alpha, beta, bs in configs:
-        closed = conditional.y_displaced_fock(m, n, alpha, beta, bs, _POLICY)
-        oracle = twomode.oracle_y(ReferencePrep.fock(m, alpha),
-                                  ReferencePrep.fock(n, beta), bs, _POLICY)
-        worst = max(worst, _rel_frobenius(closed.mat, oracle.mat))
+    worst = _worst_closed_vs_oracle(configs)
     return worst <= 1e-8, f"max rel Frobenius deviation {worst:.3e} (limit 1e-8)"
+
+
+def _check_low_transmittance_vs_oracle():
+    # |T|^2 = sin(0.05)^2 ~ 0.0025: the s-ordered band's Jacobi prefactor
+    # takes |T|^2 from the splitter, where s - 1 would lose its digits
+    bs = BeamSplitterParams(math.pi / 2 - 0.05, 0.7, 1.9)
+    worst = _worst_closed_vs_oracle([(2, 2, 0j, 0j, bs), (3, 1, 0j, 0j, bs),
+                                     (1, 3, 0.2, -0.1j, bs)])
+    return worst <= 1e-12, f"max rel Frobenius deviation {worst:.3e} (limit 1e-12)"
 
 
 def _check_probability_consistency():
@@ -130,6 +144,7 @@ def _check_wigner_numeric_vs_closed():
 def selftest_checks():
     return [
         ("closed-form-vs-oracle", _check_closed_form_vs_oracle),
+        ("closed-form-vs-oracle-low-transmittance", _check_low_transmittance_vs_oracle),
         ("probability-consistency", _check_probability_consistency),
         ("ordering-equivalence", _check_ordering_equivalence),
         ("cat-state-pipeline", _check_cat_pipeline),

@@ -614,6 +614,29 @@ def test_low_transmittance_runs_with_no_warning(tmp_path):
     assert float(scalars["oracle_rel_frobenius_error"]) <= 1e-12
 
 
+def test_y_matrix_whose_squares_underflow(tmp_path):
+    # |R| = 1e-6 with n = 40 detected photons: Y's largest element is 9.3e-222,
+    # so the squares of its elements underflow, but its norms do not
+    cfg = tmp_path / "low_r.cfg"
+    cfg.write_text("m = 0\nn = 40\ntheta = 1e-6\ncutoff = 160\n")
+    proc = run_cli(["y-matrix", "--config", str(cfg)])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    scalars = dict(line.split(" = ") for line in proc.stdout.splitlines()
+                   if not line.startswith("#"))
+    assert float(scalars["largest_singular_value"]) == pytest.approx(9.294e-222, rel=1e-3)
+    assert float(scalars["oracle_rel_frobenius_error"]) <= 1e-12
+
+
+def test_y_matrix_that_underflows_is_a_domain_error(tmp_path):
+    # |R| = 1e-9: R^40 = 1e-360 takes every element of Y below the float range
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("m = 0\nn = 40\ntheta = 1e-9\ncutoff = 160\n")
+    proc = run_cli(["y-matrix", "--config", str(cfg)])
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert lines == ["domain error: y-matrix: every element of Y underflows to 0"], proc.stderr
+
+
 def test_non_utf8_config_is_a_config_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"m = 1\nn = 1\n# caf\xe9\n")
@@ -723,14 +746,15 @@ class TestSelftest:
         assert "selftest passed" in out
         assert "ok   chi-state-vs-oracle: " in out
         assert "ok   wigner-numeric-vs-closed: " in out
+        assert "ok   closed-form-vs-oracle-low-transmittance: " in out
 
     def test_corrupted_coefficient_is_caught(self, monkeypatch, capsys):
         # flip the sign of every s-ordered monomial of the closed form: the
         # oracle comparison must fail and the exit code must be nonzero
         original = conditional._s_ordered_scaled
 
-        def flipped(spec, dim):
-            log_mag, values = original(spec, dim)
+        def flipped(spec, dim, *args):
+            log_mag, values = original(spec, dim, *args)
             return log_mag, -1.0 * values
 
         monkeypatch.setattr(conditional, "_s_ordered_scaled", flipped)

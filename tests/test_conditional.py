@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -224,20 +225,27 @@ POLICY32 = fock.TruncationPolicy(cutoff=32)
 
 
 @st.composite
-def oracle_configs(draw, thetas=st.floats(0.3, 1.3)):
+def oracle_configs(draw, ends=False):
     """A random beam splitter and displaced Fock references D(alpha)|m>, D(beta)|n>
-    with theta in [0.3, 1.3], m, n <= 3 and |alpha|, |beta| <= 0.5."""
+    with theta in [0, pi/2], m, n <= 3 and |alpha|, |beta| <= 0.5.  Without
+    ``ends`` a splitter the closed form refuses (|T| or |R| below 1e-15, at
+    either end) is rejected."""
     phase = st.floats(0.0, 2 * math.pi)
-    bs = BeamSplitterParams(draw(thetas), draw(phase), draw(phase))
+    bs = BeamSplitterParams(draw(st.floats(0.0, math.pi / 2)), draw(phase), draw(phase))
+    if not ends:
+        try:
+            bs.require_nondegenerate()
+        except DegenerateBeamSplitterError:
+            reject()
     m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     alpha = draw(st.floats(0.0, 0.5)) * np.exp(1j * draw(phase))
     beta = draw(st.floats(0.0, 0.5)) * np.exp(1j * draw(phase))
     return m, n, alpha, beta, bs
 
 
-# oracle_configs with theta over all of [0, pi/2], both ends included: the
-# oracle alone holds at R = 0 and T = 0, where the closed form is refused
-splitter_edge_configs = oracle_configs(st.floats(0.0, math.pi / 2))
+# oracle_configs with both ends of [0, pi/2] included: the oracle alone holds
+# at R = 0 and T = 0, where the closed form is refused
+splitter_edge_configs = oracle_configs(ends=True)
 
 
 class TestOracleInvariants:
@@ -340,6 +348,47 @@ class TestBandForm:
         assert abs(sigma - top) <= 1e-12 * top
         assert sigma <= 1.0 + 1e-12
 
+    def test_band_at_cutoff_2048_is_built_from_banded_tables(self, monkeypatch):
+        # the demo references at cutoff 2048: D(right) and D(-left) from one
+        # Laguerre recurrence of cutoff + 1 rows, each the K + 1 offsets of both
+        # arguments, K from the working-level bound; the references' own
+        # amplitudes read their degrees 0..m only.  No dense D(alpha) table
+        # and no (W + 1) x (N + 1) array
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense displacement table built for the band")
+
+        cutoff = 2048
+        policy = fock.TruncationPolicy(cutoff)
+        bs = BeamSplitterParams(math.pi / 4, 0.4, 1.1)
+        y = conditional.y_displaced_fock(2, 1, 0.3, -0.2j, bs, policy)
+        width = max(policy.working_levels(a, cutoff, 0) for a in (y.left, y.right)) - cutoff
+        monkeypatch.setattr(fock, "_dense_columns", refuse)
+        monkeypatch.setattr(fock.TruncationPolicy, "working_factors", refuse)
+        calls = []
+        original = fock.laguerre_rows
+
+        def recording(nmax, x, *args):
+            calls.append((args, []))
+            for row in original(nmax, x, *args):
+                calls[-1][1].append(row.shape)
+                yield row
+
+        monkeypatch.setattr(fock, "laguerre_rows", recording)
+        tracemalloc.start()
+        try:
+            band = y.band
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        banded = [shapes for args, shapes in calls if args]
+        assert len(banded) == 1 and banded[0] == [(2, width + 1)] * (cutoff + 1)
+        assert sorted(len(shapes) for args, shapes in calls if not args) == [2, 3]
+        assert peak < 4 * (cutoff + 1) ** 2  # half of one real (N + 1) x (N + 1) array
+        monkeypatch.undo()
+        # against the dense route on the first levels, which the cutoff does not reach
+        image = y._image(np.eye(65))[:65]
+        assert np.linalg.norm(band.mat[:65, :65] - image[:65]) <= 1e-13 * np.linalg.norm(image)
+
     def test_undisplaced_references_fill_one_diagonal(self):
         # |2> in, |1> detected: Y adds exactly m - n = 1 photon, so of the
         # L_in + L_out + 1 = 4 diagonals only k - j = -1 holds elements, and
@@ -354,7 +403,7 @@ class TestBandForm:
 def three_term_configs(draw):
     """Displaced preparations D(alpha) F(a^dag)|0>, D(beta) G(a^dag)|0> with
     three-term F and G (coefficient magnitudes in [0.1, 1]), on a beam
-    splitter drawn as in oracle_configs."""
+    splitter with theta in [0.3, 1.3]."""
     phase = st.floats(0.0, 2 * math.pi)
     bs = BeamSplitterParams(draw(st.floats(0.3, 1.3)), draw(phase), draw(phase))
     preps = []
@@ -824,3 +873,29 @@ class TestLowReflectance:
             warnings.simplefilter("always")
             build(BeamSplitterParams(0.2))  # |R|^2 = 0.039
         assert record == []
+
+
+def low_transmittance_cases():
+    """Fock references at theta = pi/2 - eps, |T| = sin(eps), down to eps =
+    1e-12: m = 2, n = 3 at cutoff 48, m = 5, n = 20 and m = n = 20 at cutoff
+    96, m = 0, n = 40 and m = n = 40 at cutoff 160."""
+    rows = [(2, 3, 48), (5, 20, 96), (20, 20, 96), (0, 40, 160), (40, 40, 160)]
+    return [pytest.param(eps, m, n, cutoff, id=f"eps={eps:g}-fock-{m}-{n}")
+            for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-12) for m, n, cutoff in rows]
+
+
+class TestLowTransmittance:
+    """The s-ordered closed form stays exact as |T| -> 0 (s -> 1, Jacobi's z ->
+    -1): Szego's prefactor takes (1 + z)/2 = |T|^2 from the splitter, which
+    1 + z, formed from s, loses (2.0e-7 off at m = n = 20, eps = 1e-8)."""
+
+    @pytest.mark.parametrize("eps, m, n, cutoff", low_transmittance_cases())
+    def test_closed_form_matches_oracle(self, eps, m, n, cutoff):
+        policy = fock.TruncationPolicy(cutoff)
+        bs = BeamSplitterParams(math.pi / 2 - eps, 0.3, 1.1)
+        prep_in, prep_meas = ReferencePrep.fock(m), ReferencePrep.fock(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = conditional.y_displaced_general(prep_in, prep_meas, bs, policy).mat
+            oracle = twomode.oracle_y(prep_in, prep_meas, bs, policy).mat
+        assert full_rel_frobenius(y, oracle) <= 1e-12

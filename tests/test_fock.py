@@ -314,6 +314,68 @@ class TestWorkingLevels:
         assert policy.working_factors(0.0, 32, 3)[0] == 35
 
 
+class TestDisplacementBand:
+    """D(alpha) kept as its band (``_displacement_bands``, ``_band_columns``),
+    the form ``ConditionalOperator.band`` multiplies."""
+
+    @staticmethod
+    def outside(k, band_edge, x, mpmath):
+        """The norm of column k of D(alpha), |alpha|^2 = x, at |j - k| > band_edge,
+        at 50 digits: each side summed outward until an element is below 1e-30."""
+        def element(j, a):  # |<j + a|D|j>| = |<j|D|j + a>|
+            ratio = mpmath.factorial(j) / mpmath.factorial(j + a)
+            return abs(mpmath.exp(-x / 2) * mpmath.sqrt(ratio) * x ** (mpmath.mpf(a) / 2)
+                       * mpmath.laguerre(j, a, x))
+        total = mpmath.mpf(0)
+        for degree in (lambda a: k, lambda a: k - a):  # the levels k + a, then k - a
+            a = band_edge + 1
+            while degree(a) >= 0:
+                value = element(degree(a), a)
+                total += value ** 2
+                if value < mpmath.mpf(10) ** -30:
+                    break
+                a += 1
+        return float(mpmath.sqrt(total))
+
+    @pytest.mark.parametrize("a, cutoff", [(a, c) for a in (0.1, 1.0, 3.0, 16.0)
+                                           for c in (256, 2048)])
+    def test_band_edge_against_mpmath(self, a, cutoff):
+        # K from the bound of working_levels, and the K' <= K the table is cut
+        # to: each sampled column's part outside +-K' is at most 1e-17 (its norm
+        # is 1), on either side
+        mpmath = pytest.importorskip("mpmath")
+        policy = fock.TruncationPolicy(cutoff)
+        bound = policy.working_levels(a, cutoff, 0) - cutoff
+        (band, _), = fock._displacement_bands((a * np.exp(0.4j),), policy)
+        edge = band.shape[1] - 1
+        assert edge <= bound
+        with mpmath.workdps(50):
+            x = mpmath.mpf(a) ** 2
+            worst = max(self.outside(int(k), edge, x, mpmath)
+                        for k in np.linspace(0, cutoff, 9))
+        assert worst <= 1e-17
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.45 * np.exp(2.1j), 2.5 - 1.5j])
+    def test_columns_are_the_dense_factors_on_the_band(self, alpha):
+        # blocks of any rows and columns, against the full triangle: the same
+        # recurrence on the band |j - k| <= K, from starts x^(a/2) / sqrt(a!)
+        # that may round apart by an ulp, and zeros off it
+        policy = fock.TruncationPolicy(64, tail_tol=1.0)
+        levels = policy.working_levels(alpha, 64, 0)
+        dense, _, scale = fock._displacement_factors(alpha, levels, 64)
+        (band, band_scale), = fock._displacement_bands((alpha,), policy)
+        edge = band.shape[1] - 1
+        assert band_scale == scale
+        j, k = np.indices(dense.shape)
+        expected = np.where(np.abs(j - k) <= edge, dense, 0.0)
+        for cols, rows in (((0, 65), (0, levels + 1)), ((10, 30), (5, 12)),
+                           ((40, 65), (30, 60)), ((0, 1), (0, 3))):
+            got = fock._band_columns(band, cols, rows)
+            block = (slice(*rows), slice(*cols))
+            assert np.max(np.abs(got - expected[block]), initial=0.0) <= 1e-14
+            assert not got[np.abs(j - k)[block] > edge].any()
+
+
 def random_columns(rng, levels, *columns):
     """Complex Gaussian amplitudes on ``levels`` levels: a vector, or a
     matrix of ``columns``."""

@@ -270,6 +270,20 @@ class TestJacobi:
         for m, b, c in [(3, 2, 1), (4, 1, 7), (2, 0, -2), (5, 3, -4)]:
             assert poly.jacobi(m, b, c, 1.0) == pytest.approx(math.comb(m + b, m))
 
+    def test_prefactor_base_from_the_caller(self):
+        # z = (u - 1)/(u + 1) at u = 1e-10: 1 + z in floats keeps ~6 digits of
+        # (1 + z)/2 = u/(1 + u), the base of Szego's prefactor for c < 0, which
+        # the caller passes as w; c >= 0 has no prefactor
+        mpmath = pytest.importorskip("mpmath")
+        u = 1e-10
+        z, w = (u - 1) / (u + 1), u / (1 + u)
+        c = np.array([-3, -1, 0, 2])
+        with mpmath.workdps(50):
+            exact = (mpmath.mpf(u) - 1) / (mpmath.mpf(u) + 1)
+            ref = np.array([float(mpmath.jacobi(4, 2, int(ci), exact)) for ci in c])
+        assert np.max(np.abs(poly.jacobi(4, 2, c, z, w) / ref - 1)) <= 1e-13
+        assert abs(poly.jacobi(4, 2, -3, z) / ref[0] - 1) > 1e-9
+
     def test_negative_integer_parameter(self):
         for c in (-1, -2, -3):
             assert poly.jacobi(3, 1, c, 0.4) == pytest.approx(brute_jacobi(3, 1, c, 0.4))
