@@ -27,12 +27,13 @@ N_k = sum_j C(n,j)^2 |beta|^(2k(n-j)) (kj)!.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import conditional, fock
-from .beamsplitter import BeamSplitterParams, ReferencePrep
+from . import fock
 from .errors import DomainError
 from .polynomials import _laguerre_shift, laguerre_rows, log_factorial
 
@@ -53,6 +54,10 @@ class CatSpec:
 
     Two well-separated peaks appear for |beta|^2 = n/2 (advisory, not
     enforced).  k > 1 only matters for the multi-cat constructors.
+
+    The chi sum (:attr:`chi_sum`) is computed once per spec, on first use,
+    and read by :func:`chi_state`, :func:`cat_norm_and_prob` and the chi
+    forms of :mod:`phasespace`.
     """
 
     n: int
@@ -67,6 +72,12 @@ class CatSpec:
         if not math.isfinite(abs(self.beta) * abs(self.beta)):
             raise ValueError(f"|beta|^2 must be finite, got beta = {self.beta!r}")
 
+    @cached_property
+    def chi_sum(self):
+        """The chi amplitudes, ln N and the factors they come from
+        (:func:`_chi_amplitudes`)."""
+        return _chi_amplitudes(self.n, self.beta)
+
 
 def cat_norm_and_prob(spec):
     """Normalization N and generation probability p of the chi state.
@@ -80,7 +91,7 @@ def cat_norm_and_prob(spec):
     (huge |beta|).
     """
     n, b2 = spec.n, abs(spec.beta) ** 2
-    log_binom, u = _chi_factors(n, spec.beta)
+    log_binom, u = spec.chi_sum.log_binom, spec.chi_sum.u
     with np.errstate(over="ignore", invalid="ignore"):
         n_sum = float(np.sum(np.abs(np.exp(0.5 * log_binom) * u) ** 2))
         p = float(np.sum(np.abs(np.exp(0.5 * (log_binom - n * math.log(2.0) - b2)) * u) ** 2))
@@ -109,8 +120,14 @@ def _chi_factors(n, beta):
     return log_binom, u
 
 
+# the chi sum of n and beta: the normalized amplitudes k = 0..n, ln N, and
+# the factors log_binom and u of _chi_factors
+_ChiSum = namedtuple("_ChiSum", "amps log_norm log_binom u")
+
+
 def _chi_amplitudes(n, beta):
-    """The normalized chi amplitudes k = 0..n and ln N.
+    """The chi sum (a :data:`_ChiSum`): the normalized chi amplitudes
+    k = 0..n, ln N and their factors from :func:`_chi_factors`.
 
     The amplitudes are scaled by their largest binomial factor inside the
     exponential and by their largest magnitude after it, then normalized,
@@ -127,7 +144,7 @@ def _chi_amplitudes(n, beta):
     if not np.isfinite(terms).all():  # an inf or NaN Laguerre value
         raise DomainError(_overflow_message(n, abs(beta) ** 2))
     norm = np.linalg.norm(terms)
-    return terms / norm, 2.0 * (shift + math.log(top) + math.log(norm))
+    return _ChiSum(terms / norm, 2.0 * (shift + math.log(top) + math.log(norm)), log_binom, u)
 
 
 def chi_state(spec, policy):
@@ -140,10 +157,10 @@ def chi_state(spec, policy):
     ``chi-state-vs-oracle`` selftest check and the tests compare the two on
     amplitudes.
     """
-    n, beta = spec.n, spec.beta
+    n = spec.n
     policy.check_levels(n, "chi_state: n")
     amps = np.zeros(policy.dim, dtype=complex)
-    amps[:n + 1] = _chi_amplitudes(n, beta)[0]
+    amps[:n + 1] = spec.chi_sum.amps
     return fock.FockVector(amps, policy.cutoff)
 
 
@@ -155,6 +172,8 @@ def scheme_a_state(spec, policy, phi_t=0.0, phi_r=0.0, route="closed"):
     selects the closed-form conditional operator or the two-mode oracle.
     Returns (normalized output state, success probability).
     """
+    from . import conditional
+    from .beamsplitter import BeamSplitterParams
     bs = BeamSplitterParams(math.pi / 4, phi_t, phi_r)
     beta_meas = spec.beta * np.exp(-1j * (phi_t + phi_r + math.pi))
     signal = fock.fock_state(spec.n, policy)
@@ -169,6 +188,8 @@ def scheme_b_state(spec, policy, bs=None, route="closed"):
     output equals D(beta) chi up to a global phase, with the same success
     probability as the Fock-source scheme.  Returns (state, probability).
     """
+    from . import conditional
+    from .beamsplitter import BeamSplitterParams
     if bs is None:
         bs = BeamSplitterParams(math.pi / 4)
     if not bs.is_balanced:
@@ -182,9 +203,11 @@ def _conditional_y(route, m, alpha, n, beta, bs, policy):
     """Y for the references D(alpha)|m> in and D(beta)|n> detected, from the
     closed form (``route = "closed"``) or the two-mode oracle ("oracle")."""
     if route == "closed":
+        from . import conditional
         return conditional.y_displaced_fock(m, n, alpha, beta, bs, policy)
     if route == "oracle":
         from . import twomode  # the verification route: loaded only when taken
+        from .beamsplitter import ReferencePrep
         return twomode.oracle_y(ReferencePrep.fock(m, alpha), ReferencePrep.fock(n, beta),
                                 bs, policy)
     raise ValueError(f"unknown route {route!r}")

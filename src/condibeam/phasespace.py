@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cats import _chi_amplitudes, multi_cat_log_norm
+from .cats import multi_cat_log_norm
 from .errors import DomainError, IntegrationRangeError
 from .fock import _numerical_top, hermite_functions
 from .polynomials import (_folded, _laguerre_shift, _laguerre_times, _renormalized, _scaled,
@@ -165,7 +165,7 @@ def _coherent_overlap(state, alpha_flat):
     arg = np.angle(alpha_flat)
     amps = state.amps[k]
     gaps = np.diff(k)
-    powers = {g: np.exp(-1j * g * arg) for g in np.unique(gaps).tolist()}
+    powers = {g: np.exp(-1j * g * arg) for g in set(gaps.tolist())}
     total = amps[-1] * mag[-1]
     for i in range(k.size - 2, -1, -1):
         total = total * powers[gaps[i]] + amps[i] * mag[i]
@@ -197,7 +197,7 @@ def husimi_chi_closed(spec, grid):
     not evaluated.
     """
     _require_2d(grid)
-    _, log_norm = _chi_amplitudes(spec.n, spec.beta)
+    log_norm = spec.chi_sum.log_norm
     alpha = grid.alpha()
     near = np.abs(alpha) <= _far_radius(spec.n)
     alpha = alpha[near]
@@ -380,7 +380,7 @@ def wigner_cat_closed(spec, grid):
     """
     _require_2d(grid)
     n = spec.n
-    amps, _ = _chi_amplitudes(n, spec.beta)
+    amps = spec.chi_sum.amps
     z = math.sqrt(2.0) * grid.alpha()
     with np.errstate(over="ignore", invalid="ignore"):
         z2 = np.abs(z) ** 2
@@ -430,7 +430,7 @@ def quadrature_chi_closed(spec, grid):
     values (:mod:`polynomials`), folded once, as their product.  Raises
     DomainError when the sum leaves the float range all the same.
     """
-    amps, _ = _chi_amplitudes(spec.n, spec.beta)
+    amps = spec.chi_sum.amps
     k = np.arange(spec.n + 1)
     coeffs = np.conj(amps)[:, None] * np.exp(1j * np.outer(k, grid.axis2.values))
     x = grid.axis1.values

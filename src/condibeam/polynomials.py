@@ -14,10 +14,13 @@ Associated Laguerre values come from one place, :func:`laguerre_rows`: the
 three-term recurrence in the degree on the normalized values
 sqrt(j!/(j+a)!) x^(a/2) L_j^a(x), displacement-operator elements times
 e^(x/2).  (The alternating finite sum loses digits from degree ~25 on at
-x ~ j/2.)  The displacement matrix and the chi amplitudes and Wigner sum
-read its triangle j + a <= nmax.  The chi Husimi form reads one row at
-a = 0 and complex x, through :func:`_laguerre_times`, which carries it on
-scaled values where it leaves the float range.
+x ~ j/2.)  Its operands 2j+1+a and sqrt(j(j+a)) are tabled per block of
+degrees, for all the parameters at once (and the argument, where it is no
+larger), so a degree step forms no operand.  The displacement matrix and
+the chi amplitudes and Wigner sum read its triangle j + a <= nmax.  The
+chi Husimi form reads one row at a = 0 and complex x, through
+:func:`_laguerre_times`, which carries it on scaled values where it leaves
+the float range.
 
 Jacobi values P_m^(b,c)(z) come from the three-term recurrence in the
 degree.  ``c`` may be an array, one value per Fock level, and runs down to
@@ -142,9 +145,10 @@ def laguerre_rows(nmax, x, a=None):
 
     from u_0 = x^(a/2) / sqrt(a!), formed in log space.  e^(-x/2) |u_j| is
     |<j+a|D(alpha)|j>| at |alpha|^2 = x, so |u_j| <= e^(x/2); past x = 1386
-    a caller takes e^(-x/2) 2^E for e^(-x/2).  The root sqrt((j+1)(j+1+a))
-    is kept for the next step and 2j+1+a, (j+1)(j+1+a) run as integers, so
-    each step rounds the operands of the formula written out.
+    a caller takes e^(-x/2) 2^E for e^(-x/2).  The operands 2j+1+a and
+    sqrt((j+1)(j+1+a)) are tabled for a block of degrees at a time from
+    exact integers (:func:`_recurrence`), so each step rounds the operands
+    of the formula written out, and a step is four or five array operations.
 
     The start underflows for large a while later degrees need not: by
     |L_j^a(x)| <= C(j+a, j) e^(x/2) (x, a >= 0; Abramowitz & Stegun
@@ -200,26 +204,57 @@ def _written(row, where, values):
     return row
 
 
+# entries per operand table of the Laguerre recurrence (a block of at least
+# one degree): 64 kB, below the 128 kB from which glibc's malloc maps each
+# array afresh, page faults and all
+_TABLE = 1 << 13
+
+
 def _recurrence(nmax, x, a, u, triangle, exponent=None):
     """The rows of :func:`laguerre_rows` from its row 0, ``u``; with an
-    ``exponent``, on scaled values, renormalized and folded degree by degree."""
-    prev = 0.0
+    ``exponent``, on scaled values, renormalized and folded degree by degree.
+
+    The operands are tabled for a block of degrees at a time, about
+    :data:`_TABLE` entries, when its first degree is asked for: 2j+1+a
+    (less x, where x has no more entries than a) and the roots sqrt(j(j+a)).
+    Both come from exact integers held as floats, so each rounds as in the
+    formula written out, and a degree step is four array operations (five
+    with x apart) in that formula's order:
+    ((2j+1+a - x) u_j - sqrt(j(j+a)) u_(j-1)) / sqrt((j+1)(j+1+a)).
+    """
     yield u if exponent is None else _folded(u, exponent)
-    lead, norm, root = 1 + a, 1 + a, 0.0  # 2j+1+a, (j+1)(j+1+a), sqrt(j(j+a))
-    for j in range(nmax):
-        if triangle:  # degree j + 1 keeps the parameters a <= nmax - j - 1
-            keep = nmax - j
-            u, lead, norm = u[:keep], lead[:keep], norm[:keep]
-            if j:
-                prev, root = prev[:keep], root[:keep]
-        denom = np.sqrt(norm)
-        u, prev = ((lead - x) * u - root * prev) / denom, u
-        root = denom
-        lead += 2
-        norm += lead
-        if exponent is not None:
-            u, prev, exponent = _renormalized(u, prev, exponent)
-        yield u if exponent is None else _folded(u, exponent)
+    x, a = np.asarray(x), np.asarray(a, dtype=float)
+    fold = x.size <= a.size  # x goes into the table of 2j+1+a
+    axes = (1,) * max(a.ndim, x.ndim)
+    prev = None
+    j0 = 0
+    while j0 < nmax:
+        params = a[:nmax - j0] if triangle else a  # the parameters degree j0 + 1 keeps
+        width = np.broadcast(params, x).size if fold else params.size
+        # blocks of 4, 8, 16, ... degrees up to the table size: a consumer that
+        # stops early leaves at most about half of the tabled degrees unread
+        steps = min(nmax - j0, 4 + j0, max(1, _TABLE // max(width, 1)))
+        j = np.arange(j0, j0 + steps + 1.0).reshape((-1,) + axes)
+        leads = params + (2.0 * j[:-1] + 1.0)  # 2j+1+a
+        if fold:
+            leads = leads - x
+        roots = j + params
+        roots *= j
+        np.sqrt(roots, out=roots)  # sqrt(j(j+a)); row i + 1 divides step i
+        for i in range(steps):
+            lead, root, denom = leads[i], roots[i], roots[i + 1]
+            if triangle:  # degree j + 1 keeps the parameters a <= nmax - j - 1
+                keep = nmax - j0 - i
+                lead, root, denom, u = lead[:keep], root[:keep], denom[:keep], u[:keep]
+            new = (lead if fold else lead - x) * u
+            if prev is not None:  # degree 1 has no u_(-1) term
+                new -= root * (prev[:keep] if triangle else prev)
+            new /= denom
+            prev, u = u, new
+            if exponent is not None:
+                u, prev, exponent = _renormalized(u, prev, exponent)
+            yield u if exponent is None else _folded(u, exponent)
+        j0 += steps
 
 
 def _laguerre_times(nmax, z, log_scale):

@@ -28,7 +28,7 @@ def wigner_cat_per_diagonal(spec, grid):
     Returns the values as an array over the grid.
     """
     n = spec.n
-    amps, _ = _chi_amplitudes(n, spec.beta)
+    amps = _chi_amplitudes(n, spec.beta).amps
     z = math.sqrt(2.0) * grid.alpha()
     z2 = np.abs(z) ** 2
     arg = np.angle(z)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from condibeam import cats, fock, phasespace
+from condibeam import cats, cli, fock, phasespace
 from condibeam.beamsplitter import BeamSplitterParams
 from condibeam.errors import DomainError, TruncationError
 from test_fock import displacement_op
@@ -167,6 +167,33 @@ class TestChiState:
         overlap = phasespace.husimi(chi, grid, policy).values
         assert closed.max() > 0.1
         assert np.max(np.abs(closed - overlap)) < 1e-12
+
+
+CHI_EXPERIMENTS = {
+    "scheme-a": "n = 4\nbeta = 1.4\ncutoff = 32\n",
+    "scheme-b": "n = 4\nbeta = 1.4\ncutoff = 32\n",
+    "q-grid": "state = chi\nn = 4\nbeta = 1.4\ncutoff = 32\ngrid_points = 11\n",
+    "wigner-grid": "method = both\nn = 4\nbeta = 1.4\ncutoff = 32\ngrid_points = 11\n",
+    "quadrature-grid": "n = 4\nbeta = 1.4\ncutoff = 32\ngrid_points = 11\nphi_points = 5\n",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(CHI_EXPERIMENTS))
+def test_one_chi_sum_per_run(monkeypatch, experiment):
+    # the chi state and the closed form or probability next to it read one
+    # chi sum; a second run of the same config computes its own
+    calls = []
+    original = cats._chi_factors
+
+    def counting(n, beta):
+        calls.append((n, beta))
+        return original(n, beta)
+
+    monkeypatch.setattr(cats, "_chi_factors", counting)
+    cli.run_experiment(experiment, CHI_EXPERIMENTS[experiment])
+    assert len(calls) == 1
+    cli.run_experiment(experiment, CHI_EXPERIMENTS[experiment])
+    assert len(calls) == 2
 
 
 class TestChiVsOracle:

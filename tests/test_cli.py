@@ -648,13 +648,16 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
 
 
 def loaded_modules(code):
-    """The package submodules (short names) and scipy modules loaded once
-    ``code`` has run in a fresh interpreter with this package's source."""
+    """The package submodules (short names), and the scipy modules and
+    ``numpy.ma`` (which ``np.unique`` without ``return_inverse`` imports),
+    loaded once ``code`` has run in a fresh interpreter with this package's
+    source."""
     code = textwrap.dedent(code) + textwrap.dedent("""
         import sys
         print(" ".join(sorted(m.partition(".")[2] for m in sys.modules
                               if m.startswith("condibeam."))))
-        print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+        print(" ".join(sorted(m for m in sys.modules
+                              if m.startswith("scipy") or m == "numpy.ma")))
     """)
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, timeout=120)
@@ -687,19 +690,20 @@ def test_cli_import_loads_only_cli_and_errors():
 
 
 # each experiment on a small config and its default route, with the package
-# modules it must not load: the oracle and selftest only where it runs them
+# modules it must not load: the oracle and selftest only where it runs them,
+# and Y's modules only where it builds Y
+NO_Y = {"twomode", "selftest", "conditional", "ordering", "beamsplitter"}
 IMPORT_CASES = {
     "y-matrix": ("m = 2\nn = 1\nalpha = 0.3\ncutoff = 24\n", {"cats", "phasespace", "selftest"}),
     "povm-demo": ("eta = 0.8\ncutoff = 24\n", {"cats", "phasespace", "selftest"}),
-    "wigner-grid": ("n = 2\nbeta = 1\ncutoff = 24\ngrid_points = 11\n",
-                    {"twomode", "selftest"}),
-    "q-grid": ("n = 2\nbeta = 1\ncutoff = 24\ngrid_points = 11\n", {"twomode", "selftest"}),
+    "wigner-grid": ("n = 2\nbeta = 1\ncutoff = 24\ngrid_points = 11\n", NO_Y),
+    "q-grid": ("n = 2\nbeta = 1\ncutoff = 24\ngrid_points = 11\n", NO_Y),
     "quadrature-grid": ("n = 2\nbeta = 1\ncutoff = 24\ngrid_points = 11\nphi_points = 5\n",
-                        {"twomode", "selftest"}),
+                        NO_Y),
     "scheme-a": ("n = 2\nbeta = 1\ncutoff = 24\n", {"twomode", "selftest"}),
     "scheme-b": ("n = 2\nbeta = 1\ncutoff = 24\n", {"twomode", "selftest"}),
-    "multi-cat": ("n = 2\nk = 2\nbeta = 1\ncutoff = 24\n", {"twomode", "selftest"}),
-    "prob-scan": ("n_max = 4\n", {"twomode", "selftest"}),
+    "multi-cat": ("n = 2\nk = 2\nbeta = 1\ncutoff = 24\n", NO_Y),
+    "prob-scan": ("n_max = 4\n", NO_Y),
 }
 
 
@@ -716,6 +720,22 @@ def test_experiment_loads_only_what_it_runs(tmp_path, experiment):
     """)
     assert not package & absent, package & absent
     assert not scipy, scipy
+
+
+@pytest.mark.parametrize("state", ["chi", "multi-cat"])
+def test_q_grid_leaves_numpy_ma_unloaded(tmp_path, state):
+    # the Husimi overlap takes its distinct gaps without np.unique, whose
+    # first call imports numpy.ma
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(f"state = {state}\nn = 3\nk = 3\nbeta = 1.2\ncutoff = 32\n"
+                   "grid_points = 11\n")
+    _, loaded = loaded_modules(f"""
+        import condibeam.cli
+        assert condibeam.cli.main(["q-grid", "--config", {str(cfg)!r},
+                                   "--format", "json-like",
+                                   "--out", {str(tmp_path / "o.json")!r}]) == 0
+    """)
+    assert "numpy.ma" not in loaded, loaded
 
 
 def test_oracle_route_loads_the_oracle(tmp_path):

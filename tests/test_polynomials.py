@@ -103,6 +103,72 @@ class TestLaguerreRows:
             next(poly.laguerre_rows(-1, 1.0))
 
 
+def per_degree_recurrence(nmax, x, a, u, triangle, exponent=None):
+    """The rows of ``laguerre_rows`` from its row 0, one degree at a time,
+    each step forming its own operands: 2j+1+a and (j+1)(j+1+a) as running
+    integers, and the root of the second, kept for the next step."""
+    prev = 0.0
+    yield u if exponent is None else poly._folded(u, exponent)
+    lead, norm, root = 1 + a, 1 + a, 0.0  # 2j+1+a, (j+1)(j+1+a), sqrt(j(j+a))
+    for j in range(nmax):
+        if triangle:  # degree j + 1 keeps the parameters a <= nmax - j - 1
+            keep = nmax - j
+            u, lead, norm = u[:keep], lead[:keep], norm[:keep]
+            if j:
+                prev, root = prev[:keep], root[:keep]
+        denom = np.sqrt(norm)
+        u, prev = ((lead - x) * u - root * prev) / denom, u
+        root = denom
+        lead += 2
+        norm += lead
+        if exponent is not None:
+            u, prev, exponent = poly._renormalized(u, prev, exponent)
+        yield u if exponent is None else poly._folded(u, exponent)
+
+
+def _grid_radii(points, half):
+    """The distinct |z|^2 = 2 (x^2 + p^2) of a square grid, as the Wigner sum
+    runs its triangle over them."""
+    axis = np.linspace(-half, half, points) ** 2
+    return np.unique(2.0 * np.add.outer(axis, axis))
+
+
+SCALED_Z = np.array([2300.0, -2300.0, 2300j, 1600 * np.exp(2.5j), 40.0 - 300j])
+# name -> a call whose rows (or values) the operand tables must leave unchanged
+TABLED_CASES = {
+    "scalar x": lambda: list(poly.laguerre_rows(300, 37.5)),
+    "scalar x = 0": lambda: list(poly.laguerre_rows(80, 0.0)),
+    "wigner triangle": lambda: list(poly.laguerre_rows(20, _grid_radii(81, 9.0))),
+    "bands at cutoff 192": lambda: list(poly.laguerre_rows(192, np.array([[0.09], [0.04]]),
+                                                           np.arange(96))),
+    "bands at cutoff 2048": lambda: list(poly.laguerre_rows(2048, np.array([[0.45], [2.0]]),
+                                                            np.arange(176))),
+    "complex x at a = 0": lambda: list(poly.laguerre_rows(
+        20, 3.2 * np.exp(0.7j) * (np.linspace(-5, 5, 41) + 1j * np.linspace(-5, 5, 41)[:, None]
+                                  + 3.2 * np.exp(-0.7j)), 0)),
+    "complex product, scaled": lambda: [poly._laguerre_times(  # e^s ~ 1 / |L_800(z)|
+        800, SCALED_Z, np.array([-1145.3, -1855.4, -1712.7, -1609.3, -651.3]))],
+    "past the shift, x = 1600": lambda: list(poly.laguerre_rows(2048, 1600.0)),
+    "D(16) on 4417 levels": lambda: [row for _, row in zip(range(2049),
+                                                          poly.laguerre_rows(4416, 256.0))],
+    "stopped after top + 1 rows": lambda: [row for _, row in zip(range(101),
+                                                                poly.laguerre_rows(622, 25.0))],
+}
+
+
+@pytest.mark.parametrize("case", list(TABLED_CASES))
+def test_operand_tables_leave_every_row_bit_identical(monkeypatch, case):
+    # the tabled operands round as the running integers and roots of the
+    # per-degree recurrence do, so every row is the same to the bit
+    got = TABLED_CASES[case]()
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "_recurrence", per_degree_recurrence)
+        ref = TABLED_CASES[case]()
+    assert len(got) == len(ref)
+    for j, (row, want) in enumerate(zip(got, ref)):
+        assert row.dtype == want.dtype and np.array_equal(row, want), (case, j)
+
+
 def laguerre_reference(j, a, x):
     """u_j^a(x) = sqrt(j!/(j+a)!) x^(a/2) L_j^a(x) at 60 digits, an mpmath float."""
     mpmath = pytest.importorskip("mpmath")
