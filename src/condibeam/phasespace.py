@@ -15,8 +15,16 @@ the tests.
 
 Each route evaluates a whole grid in one pass over one table (coherent
 magnitudes, the wavefunction on one lattice, oscillator functions or one
-triangular Laguerre recurrence) and sums the levels by Horner in a phase
-or by real matrix products; the functions say how.
+triangular Laguerre recurrence) and sums the levels by Horner in a phase,
+in place, or by real matrix products; the functions say how.
+
+The chi-state Wigner sum runs its Laguerre recurrence once per mirror class
+of radii: on an axis symmetric about 0, the points i and N-1-i share one
+magnitude.  :class:`Axis` values stay ``np.linspace``'s, which are not exact
+mirror images (their last digits differ), because the Husimi and quadrature
+grids and every printed grid coordinate read them: exact mirror values
+would move a one-ulp tie between the two peaks of a symmetric Husimi grid
+and with it the reported peak position.
 
 The generic routes stop at the state's numerical top t
 (:func:`fock._numerical_top`), not at the cutoff, so a chi state with n
@@ -157,8 +165,10 @@ def _coherent_overlap(state, alpha_flat):
     k = _support(state)
     r = np.minimum(np.abs(alpha_flat), _far_radius(k[-1]))
     safe_r = np.where(r > 0, r, 1.0)
-    mag = np.exp(k[:, None] * np.log(safe_r) - 0.5 * log_factorial(k)[:, None]
-                 - 0.5 * r ** 2)  # (level, point)
+    mag = np.multiply.outer(k, np.log(safe_r))  # (level, point), formed in place
+    mag -= 0.5 * log_factorial(k)[:, None]
+    mag -= 0.5 * r ** 2
+    np.exp(mag, out=mag)
     zero = r == 0
     if np.any(zero):
         mag[:, zero] = (k == 0)[:, None]  # <0|psi>, zero when level 0 is not in the support
@@ -168,7 +178,8 @@ def _coherent_overlap(state, alpha_flat):
     powers = {g: np.exp(-1j * g * arg) for g in set(gaps.tolist())}
     total = amps[-1] * mag[-1]
     for i in range(k.size - 2, -1, -1):
-        total = total * powers[gaps[i]] + amps[i] * mag[i]
+        total *= powers[gaps[i]]
+        total += amps[i] * mag[i]
     return total * np.exp(-1j * k[0] * arg) if k[0] else total
 
 
@@ -292,7 +303,9 @@ def wigner_numeric(state, grid, integration=None):
     one lattice, where the wavefunction is evaluated once: psi(x_i + y) is a
     strided window of that table and psi(x_i - y) the same one reversed.
     Where the lattice would outnumber the rows and the window together, the
-    points x_i + y_j themselves are evaluated instead.
+    points x_i + y_j themselves are evaluated instead; so too where dx is so
+    small that step / dx leaves the float range and no whole s exists, at
+    dy = step.
 
     The integrand f(x, y) = psi(x + y)* psi(x - y) satisfies
     f(x, -y) = f(x, y)*, so it is formed and contracted on the y >= 0 half
@@ -313,17 +326,19 @@ def wigner_numeric(state, grid, integration=None):
         default = default_integration(state)
         alias_step = math.pi / (p_max + 2.0 * default.half_range)
         integration = IntegrationSpec(default.half_range, max(alias_step, default.step))
-    half, step = integration.half_range, integration.step
+    half, step = integration.half_range, float(integration.step)  # step / dx may overflow
     dx = abs(grid.axis1.step)
     rows = x.size if dx > 0 else 1  # lo == hi: every row is the same
     if dx >= step:
         r, s = math.ceil(dx / step), 1
-    elif dx > 0:
-        r, s = 1, math.floor(step / dx)
-    else:
+    elif dx == 0:
         r, s = 1, 1
+    elif step / dx < math.inf:
+        r, s = 1, math.floor(step / dx)
+    else:  # step / dx past the float range: no whole s, dy = step and no lattice
+        r, s = 1, math.inf
     delta = dx / r if dx > 0 else step
-    dy = s * delta
+    dy = s * delta if s < math.inf else step
     if p_max + half > math.pi / dy:
         raise IntegrationRangeError(
             f"wigner_numeric: |p| up to {p_max:.3g} plus half_range {half:.3g} "
@@ -357,6 +372,16 @@ def wigner_numeric(state, grid, integration=None):
     return GridFunction(np.broadcast_to(values, (x.size, p.size)), grid, "wigner")
 
 
+def _mirror_values(axis):
+    """The axis values v, mirror-exact.  On a symmetric axis (lo == -hi,
+    reversed included) the points i and N-1-i are mirror images up to
+    linspace's rounding; both take the mean of their magnitudes, each with
+    its own sign, which leaves exact mirror images as they are and moves
+    the others by half their gap, within linspace's own rounding."""
+    v = axis.values
+    return np.copysign(0.5 * (np.abs(v) + np.abs(v[::-1])), v) if axis.lo == -axis.hi else v
+
+
 def wigner_cat_closed(spec, grid):
     """Closed double sum for the chi-state Wigner function.
 
@@ -374,14 +399,26 @@ def wigner_cat_closed(spec, grid):
     The radial sums S_d(rho) = sum_j (-1)^j c_j c_(j+d)* u_j^d(rho) depend on
     |z|^2 = rho alone: they come from one triangular Laguerre recurrence
     over the grid's distinct rho, and W = Re sum_d w_d S_d e^(id arg z),
-    w_0 = 1 and w_d = 2, is summed by Horner in e^(i arg z).  The rows'
-    2^-E(rho) is folded in with e^(-rho/2) as scaled values.  Raises
+    w_0 = 1 and w_d = 2, is summed by Horner in e^(i arg z), in place.  The
+    rows' 2^-E(rho) is folded in with e^(-rho/2) as scaled values.  Raises
     DomainError when the sums leave the float range (|z|^2 ~ 1e32 and on).
+
+    rho runs once per mirror class: the sum is evaluated on mirror-exact
+    axis values (:func:`_mirror_values`), where the points i and N-1-i of a
+    symmetric axis differ in sign only, so a square grid of N points a side
+    has at most ceil(N/2)(ceil(N/2)+1)/2 radii, not the ~N^2/4 distinct ones
+    that linspace's rounding leaves.  On axes whose values are exact mirror
+    images (the shipped +-5 at step 1/8) or that are not symmetric, these
+    are the grid's own values, bit for bit; elsewhere a point moves within
+    linspace's rounding, which moved W by up to 7e-15 of max|W| at n = 20
+    on +-7 (81 points).  The axis values themselves stay linspace's (see the
+    module docstring).
     """
     _require_2d(grid)
     n = spec.n
     amps = spec.chi_sum.amps
-    z = math.sqrt(2.0) * grid.alpha()
+    x, p = _mirror_values(grid.axis1), _mirror_values(grid.axis2)
+    z = math.sqrt(2.0) * (x[:, None] + 1j * p[None, :])
     with np.errstate(over="ignore", invalid="ignore"):
         z2 = np.abs(z) ** 2
         rho, where = np.unique(z2, return_inverse=True)
@@ -393,7 +430,8 @@ def wigner_cat_closed(spec, grid):
         unit = np.exp(1j * np.angle(z))
         total = radial[n, where]
         for d in range(n - 1, -1, -1):
-            total = total * unit + radial[d, where]
+            total *= unit
+            total += radial[d, where]
         envelope, exponent = _scaled(-0.5 * z2)
         values = _folded(total.real * envelope, exponent + _laguerre_shift(z2)) / np.pi
     if not np.isfinite(values).all():

@@ -279,6 +279,26 @@ class TestRendering:
         assert cli._parse_complex(cli._fmt_complex(0.3 + 0.7j)) == 0.3 + 0.7j
 
 
+# Grid windows at the edges of the float range and of the grid shape, and the
+# experiments that sample them.
+DEGENERATE_WINDOWS = {
+    "zero-width": (1.5, 1.5, 5),
+    "zero-width-at-0": (0.0, 0.0, 5),
+    "subnormal-width": (-1e-320, 1e-320, 5),
+    "subnormal-one-sided": (0.0, 1e-310, 3),
+    "reversed": (4.0, -4.0, 9),
+    "2-points": (-3.0, 3.0, 2),
+}
+GRID_EXPERIMENTS = {
+    "q-grid-chi": ("q-grid", "state = chi\nn = 2\nbeta = 1.0\ncutoff = 32\n"),
+    "q-grid-multi-cat": ("q-grid", "state = multi-cat\nn = 2\nk = 3\nbeta = 1.0\ncutoff = 32\n"),
+    "quadrature-grid": ("quadrature-grid", "n = 2\nbeta = 1.0\ncutoff = 32\n"),
+    **{f"wigner-grid-{method}": ("wigner-grid",
+                                 f"n = 2\nbeta = 1.0\ncutoff = 32\nmethod = {method}\n")
+       for method in ("closed", "numeric", "both")},
+}
+
+
 class TestMainExitCodes:
     def test_success_and_grid_output(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -481,6 +501,41 @@ class TestMainExitCodes:
         assert float(scalars["closed_form_max_abs_dev"]) < 1e-15
         q = np.loadtxt(out, delimiter=",", comments="#")
         assert q.shape == (81, 81) and np.count_nonzero(q) == 1 and q[40, 40] > 0
+
+    @pytest.mark.parametrize("window", DEGENERATE_WINDOWS.values(), ids=DEGENERATE_WINDOWS.keys())
+    @pytest.mark.parametrize("experiment", GRID_EXPERIMENTS.values(), ids=GRID_EXPERIMENTS.keys())
+    def test_degenerate_grid_windows_end_in_an_exit_code(self, tmp_path, capsys, experiment,
+                                                         window):
+        # the exit path only: the integral of a 2-point Wigner grid is still
+        # not checked against the grid's resolution (ROADMAP 8)
+        name, config = experiment
+        lo, hi, points = window
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(f"{config}grid_lo = {lo!r}\ngrid_hi = {hi!r}\ngrid_points = {points}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([name, "--config", str(cfg), "--out", str(tmp_path / "grid.csv")])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3)
+        assert err == "" if rc == 0 else err.count("\n") == 1
+
+    @pytest.mark.parametrize("window", [(-1e-320, 1e-320, 5), (0.0, 1e-310, 3)],
+                             ids=["subnormal", "subnormal-one-sided"])
+    def test_sub_ulp_wigner_window_runs_the_numeric_transform(self, tmp_path, capsys, window):
+        # the x spacing is so small that the y-step bound over it leaves the
+        # float range: no shared lattice, each point x_i + y_j is evaluated
+        lo, hi, points = window
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"n = 2\nbeta = 1.0\ncutoff = 32\nmethod = both\ngrid_lo = {lo!r}\n"
+                       f"grid_hi = {hi!r}\ngrid_points = {points}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["wigner-grid", "--config", str(cfg), "--out", str(tmp_path / "w.csv")])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        scalars = dict(line.split(" = ") for line in captured.out.splitlines()
+                       if not line.startswith("#"))
+        assert float(scalars["closed_vs_numeric_max_abs_dev"]) < 1e-12
 
     def test_chi_husimi_closed_form_past_the_float_range(self, tmp_path, capsys):
         # at n = 800 L_n(beta(a* + b*)) reaches e^1855 on the grid and

@@ -1,13 +1,17 @@
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from condibeam import cats, fock, phasespace as ps
 from condibeam.errors import DomainError, IntegrationRangeError, TruncationError
 from condibeam.polynomials import log_factorial
-from phasespace_reference import coherent_overlap_exp, wigner_cat_per_diagonal
+from phasespace_reference import (coherent_overlap_exp, coherent_overlap_horner,
+                                  wigner_cat_per_diagonal, wigner_cat_per_radius)
 
 POLICY = fock.TruncationPolicy(cutoff=32)
 
@@ -520,9 +524,7 @@ class TestHornerAgainstReferees:
     def state(self, request):
         pol = fock.TruncationPolicy(cutoff=128)
         if request.param == "from-level-3-with-gaps":
-            amps = np.zeros(pol.dim, dtype=complex)
-            amps[[3, 4, 9, 17, 40]] = [0.5, -0.3j, 0.6 + 0.2j, -0.4, 0.25j]
-            return fock.normalize(fock.FockVector(amps, pol.cutoff))
+            return from_level_3_with_gaps(pol)
         return {
             "chi": lambda: cats.chi_state(cats.CatSpec(12, math.sqrt(6.0) * np.exp(0.9j)), pol),
             "fock-7": lambda: fock.fock_state(7, pol),
@@ -545,18 +547,154 @@ class TestHornerAgainstReferees:
         assert ps._coherent_overlap(state, alpha)[0] == state.amps[0]
 
 
+def recorded_radii(monkeypatch):
+    """The sizes of the arguments :func:`phasespace.laguerre_rows` receives."""
+    sizes = []
+    original = ps.laguerre_rows
+
+    def counting(nmax, x, *args):
+        sizes.append(np.size(x))
+        return original(nmax, x, *args)
+
+    monkeypatch.setattr(ps, "laguerre_rows", counting)
+    return sizes
+
+
+def mirror_grid(grid):
+    """A stand-in for ``grid`` whose alpha() holds the mirror-exact axis values
+    that :func:`phasespace.wigner_cat_closed` evaluates on."""
+    x, p = ps._mirror_values(grid.axis1), ps._mirror_values(grid.axis2)
+    return types.SimpleNamespace(alpha=lambda: x[:, None] + 1j * p[None, :])
+
+
+def mirror_class_bound(points):
+    """ceil(N/2)(ceil(N/2) + 1)/2: the pairs (|x|, |p|) of a square grid of N
+    points a side whose axes are both symmetric, up to x <-> p."""
+    half = (points + 1) // 2
+    return half * (half + 1) // 2
+
+
 class TestHornerCost:
     def test_wigner_recurrence_runs_on_distinct_radii(self, monkeypatch):
-        # the 81 x 81 grid of the shipped Wigner config is symmetric in x, p
-        # and x <-> p: at most 41 * 42 / 2 = 861 distinct |z|^2 among 6561
-        # points (fewer where two pairs (|x|, |p|) give the same radius)
-        widths = []
-        original = ps.laguerre_rows
+        # the 81 x 81 grids of the shipped Wigner config (+-5) and of the
+        # bench (+-6, +-7) are symmetric in x, p and x <-> p: at most
+        # 41 * 42 / 2 = 861 mirror classes among 6561 points (fewer where two
+        # pairs (|x|, |p|) give the same radius), where linspace's rounding
+        # leaves 773, 1259 and 1585 distinct |z|^2
+        sizes = recorded_radii(monkeypatch)
+        for half in (5, 6, 7):
+            ps.wigner_cat_closed(cats.CatSpec(10, math.sqrt(5.0)),
+                                 ps.PhaseGrid.square(-half, half, 81))
+        assert len(sizes) == 3 and max(sizes) <= mirror_class_bound(81) == 861
 
-        def counting(nmax, x, *args):
-            widths.append(np.shape(x))
-            return original(nmax, x, *args)
 
-        monkeypatch.setattr(ps, "laguerre_rows", counting)
-        ps.wigner_cat_closed(cats.CatSpec(10, math.sqrt(5.0)), ps.PhaseGrid.square(-5, 5, 81))
-        assert len(widths) == 1 and widths[0][0] <= 861
+# Grids whose axes are exact mirror images (step 1/8) or not symmetric at all:
+# there the mirror classes are the distinct radii themselves.
+UNFOLDED_GRIDS = {
+    "+-5/81": ps.PhaseGrid.square(-5, 5, 81),
+    "+-4/65": ps.PhaseGrid.square(-4, 4, 65),
+    "no symmetric axis": ps.PhaseGrid(ps.Axis("x", -3, 5, 81), ps.Axis("p", -2, 6, 81)),
+}
+# Symmetric axes whose linspace points are not exact mirror images.
+FOLDED_GRIDS = {
+    "+-6/81": ps.PhaseGrid.square(-6, 6, 81),
+    "+-7/81": ps.PhaseGrid.square(-7, 7, 81),
+    "reversed": ps.PhaseGrid.square(7, -7, 81),
+    "even N": ps.PhaseGrid.square(-7, 7, 80),
+    "one axis": ps.PhaseGrid(ps.Axis("x", -6.3, 6.3, 57), ps.Axis("p", -2.0, 5.0, 43)),
+}
+MIRROR_SPECS = [cats.CatSpec(10, math.sqrt(5.0) * np.exp(0.7j)),
+                cats.CatSpec(20, math.sqrt(10.0) * np.exp(-0.6j))]
+
+
+class TestWignerMirrorClasses:
+    """The chi-state Wigner sum runs once per mirror class of radii."""
+
+    @pytest.mark.parametrize("grid", UNFOLDED_GRIDS.values(), ids=UNFOLDED_GRIDS.keys())
+    @pytest.mark.parametrize("spec", MIRROR_SPECS, ids=lambda spec: f"n={spec.n}")
+    def test_equals_the_per_radius_sum_where_nothing_folds(self, spec, grid):
+        assert np.array_equal(ps.wigner_cat_closed(spec, grid).values,
+                              wigner_cat_per_radius(spec, grid))
+
+    @pytest.mark.parametrize("grid", FOLDED_GRIDS.values(), ids=FOLDED_GRIDS.keys())
+    @pytest.mark.parametrize("spec", MIRROR_SPECS, ids=lambda spec: f"n={spec.n}")
+    def test_folded_grids_match_the_per_diagonal_sum(self, monkeypatch, spec, grid):
+        sizes = recorded_radii(monkeypatch)
+        got = ps.wigner_cat_closed(spec, grid).values
+        ref = wigner_cat_per_diagonal(spec, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        distinct = np.unique(np.abs(math.sqrt(2.0) * grid.alpha()) ** 2).size
+        assert sizes[0] < distinct
+        if grid.axis1 == grid.axis2:
+            assert sizes[0] <= mirror_class_bound(grid.axis1.points)
+
+    @given(log_half=st.floats(math.log(1e-320), math.log(40.0)), reverse=st.booleans(),
+           points=st.integers(2, 101), n=st.integers(0, 30), modulus=st.floats(0.0, 3.0),
+           phase=st.floats(0.0, 2 * math.pi))
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric_windows(self, log_half, reverse, points, n, modulus, phase):
+        # half-widths log-uniform from the subnormal 1e-320 to 40, either way round
+        half = math.exp(log_half)
+        lo, hi = (half, -half) if reverse else (-half, half)
+        grid = ps.PhaseGrid.square(lo, hi, points)
+        spec = cats.CatSpec(n, modulus * np.exp(1j * phase))
+        with pytest.MonkeyPatch.context() as patch:
+            sizes = recorded_radii(patch)
+            got = ps.wigner_cat_closed(spec, grid).values
+        # the grids drawn may miss the peak (two points at +-40) or sit on
+        # one point of cancelling terms (W(0) = sum_j (-1)^j |c_j|^2 / pi), so
+        # the scale is W's bound 1/pi, not the grid's largest value
+        ref = wigner_cat_per_diagonal(spec, mirror_grid(grid))
+        assert np.max(np.abs(got - ref)) <= 1e-14 / np.pi
+        assert sizes[0] <= mirror_class_bound(points)
+        chi = cats.chi_state(spec, fock.TruncationPolicy(cutoff=64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                w = ps.wigner_numeric(chi, grid).values
+            except (IntegrationRangeError, DomainError):
+                return
+        assert np.isfinite(w).all()
+
+
+def from_level_3_with_gaps(pol):
+    """A state on the levels 3, 4, 9, 17 and 40: its support starts above 0."""
+    amps = np.zeros(pol.dim, dtype=complex)
+    amps[[3, 4, 9, 17, 40]] = [0.5, -0.3j, 0.6 + 0.2j, -0.4, 0.25j]
+    return fock.normalize(fock.FockVector(amps, pol.cutoff))
+
+
+OVERLAP_POL = fock.TruncationPolicy(cutoff=128)
+# (state, grid) pairs: alpha = 0 sits at the centre of every odd square grid
+OVERLAP_CASES = {
+    "chi-10": (lambda: cats.chi_state(cats.CatSpec(10, math.sqrt(5.0) * np.exp(0.4j)),
+                                      OVERLAP_POL), ps.PhaseGrid.square(-4, 4, 81)),
+    "chi-20": (lambda: cats.chi_state(cats.CatSpec(20, math.sqrt(10.0) * np.exp(-1.1j)),
+                                      OVERLAP_POL), ps.PhaseGrid.square(-5, 5, 81)),
+    # five_component_cat_husimi.cfg
+    "five-fold cat": (lambda: cats.multi_cat_state(cats.CatSpec(10, 4.2, k=5), OVERLAP_POL),
+                      ps.PhaseGrid.square(-8, 8, 81)),
+    "from level 3": (lambda: from_level_3_with_gaps(OVERLAP_POL), ps.PhaseGrid.square(-6, 6, 61)),
+    # |alpha| up to 85, past _far_radius(10) = 46.3
+    "far field": (lambda: cats.chi_state(cats.CatSpec(10, math.sqrt(5.0)), OVERLAP_POL),
+                  ps.PhaseGrid.square(-60, 60, 41)),
+}
+
+
+class TestInPlaceOverlap:
+    """The Husimi overlap's in-place magnitude table and Horner sum equal the
+    arithmetic they replaced bit for bit."""
+
+    @pytest.mark.parametrize("case", OVERLAP_CASES.values(), ids=OVERLAP_CASES.keys())
+    def test_equals_the_horner_reference(self, case):
+        state_factory, grid = case
+        state = state_factory()
+        alpha = grid.alpha().ravel()
+        assert np.any(alpha == 0)
+        got = ps._coherent_overlap(state, alpha)
+        assert np.array_equal(got, coherent_overlap_horner(state, alpha))
+
+    def test_cases_reach_the_support_and_radius_branches(self):
+        assert ps._support(OVERLAP_CASES["from level 3"][0]())[0] == 3
+        state_factory, grid = OVERLAP_CASES["far field"]
+        assert np.abs(grid.alpha()).max() > ps._far_radius(ps._support(state_factory())[-1])
