@@ -12,8 +12,9 @@ distributions.
 The namespace is lazy (PEP 562): ``import condibeam`` loads no submodule,
 and a public name imports its defining module on first access.  Each CLI
 run is a fresh process, so a run pays only for the modules its experiment
-uses.  ``from condibeam import X`` and ``from condibeam import *`` work as
-for eager re-exports.
+uses; numpy loads only once a run computes, so ``--help`` and a config with
+an unknown key never load it.  ``from condibeam import X`` and
+``from condibeam import *`` work as for eager re-exports.
 """
 
 import importlib

@@ -84,6 +84,8 @@ class Axis:
             raise ValueError(f"axis needs >= 1 point, got {self.points}")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ValueError("axis range must be finite")
+        if not math.isfinite(float(self.hi) - float(self.lo)):
+            raise ValueError(f"axis width hi - lo overflows on [{self.lo!r}, {self.hi!r}]")
 
     @property
     def values(self):

@@ -288,6 +288,7 @@ DEGENERATE_WINDOWS = {
     "subnormal-one-sided": (0.0, 1e-310, 3),
     "reversed": (4.0, -4.0, 9),
     "2-points": (-3.0, 3.0, 2),
+    "overflowing-width": (-1e308, 1e308, 5),
 }
 GRID_EXPERIMENTS = {
     "q-grid-chi": ("q-grid", "state = chi\nn = 2\nbeta = 1.0\ncutoff = 32\n"),
@@ -692,6 +693,30 @@ def test_y_matrix_that_underflows_is_a_domain_error(tmp_path):
     assert lines == ["domain error: y-matrix: every element of Y underflows to 0"], proc.stderr
 
 
+@pytest.mark.parametrize("experiment, config", [
+    ("scheme-a", "n = 2\nbeta = 1.0\n"),
+    ("q-grid", "n = 2\nbeta = 1.0\n"),
+    ("y-matrix", "m = 1\nn = 1\n"),
+], ids=["scheme-a", "q-grid", "y-matrix"])
+def test_unallocatable_cutoff_is_a_domain_error(tmp_path, experiment, config):
+    # the first array of a cutoff 10^12 run takes 7-15 TiB, so its allocation
+    # fails and no memory is touched; the child's address space is capped at
+    # 64 GiB so that it fails however the system overcommits
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{config}cutoff = {10**12}\n")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 36, 1 << 36))\n"
+            "from condibeam.cli import main\n"
+            f"sys.exit(main([{experiment!r}, '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'o.csv')!r}]))\n")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (f"domain error: {experiment}: cannot allocate the arrays "
+                           f"for cutoff {10**12}\n")
+    assert proc.stdout == ""
+
+
 def test_non_utf8_config_is_a_config_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"m = 1\nn = 1\n# caf\xe9\n")
@@ -703,16 +728,16 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
 
 
 def loaded_modules(code):
-    """The package submodules (short names), and the scipy modules and
-    ``numpy.ma`` (which ``np.unique`` without ``return_inverse`` imports),
-    loaded once ``code`` has run in a fresh interpreter with this package's
-    source."""
+    """The package submodules (short names), and the scipy modules, ``numpy``
+    and ``numpy.ma`` (which ``np.unique`` without ``return_inverse``
+    imports), loaded once ``code`` has run in a fresh interpreter with this
+    package's source."""
     code = textwrap.dedent(code) + textwrap.dedent("""
         import sys
         print(" ".join(sorted(m.partition(".")[2] for m in sys.modules
                               if m.startswith("condibeam."))))
         print(" ".join(sorted(m for m in sys.modules
-                              if m.startswith("scipy") or m == "numpy.ma")))
+                              if m.startswith("scipy") or m in ("numpy", "numpy.ma"))))
     """)
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, timeout=120)
@@ -726,14 +751,14 @@ def test_runtime_imports_no_scipy(tmp_path):
     # must run on numpy and the standard library alone
     cfg = tmp_path / "wigner.cfg"
     cfg.write_text("n = 2\nbeta = 1\ncutoff = 32\ngrid_points = 41\n")
-    _, scipy = loaded_modules(f"""
+    _, loaded = loaded_modules(f"""
         import condibeam.cli
         assert condibeam.cli.main(["selftest"]) == 0
         assert condibeam.cli.main(["wigner-grid", "--config", {str(cfg)!r},
                                    "--format", "json-like",
                                    "--out", {str(tmp_path / "w.json")!r}]) == 0
     """)
-    assert not scipy, scipy
+    assert not {m for m in loaded if m.startswith("scipy")}, loaded
 
 
 def test_package_import_loads_no_submodule():
@@ -741,7 +766,41 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_loads_only_cli_and_errors():
+    # numpy too stays unloaded: it loads when a run computes
     assert loaded_modules("import condibeam.cli") == ({"cli", "errors"}, set())
+
+
+# runs that end before any computation, with the exit code each ends in
+NO_COMPUTE_CASES = {
+    "help": ('["--help"]', None, 0),
+    "unknown-experiment": ('["no-such-experiment", "--config", CFG]', "n = 2\n", 2),
+    "missing-config": ('["scheme-a"]', None, 2),
+    "unknown-key": ('["scheme-a", "--config", CFG]', "n = 2\nbeta = 1\nbogus = 1\n", 2),
+    "experiment-mismatch": ('["scheme-a", "--config", CFG]',
+                            "experiment = scheme-b\nn = 2\nbeta = 1\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_COMPUTE_CASES))
+def test_dispatch_and_config_errors_load_no_numpy(tmp_path, case):
+    argv, config, code = NO_COMPUTE_CASES[case]
+    cfg = tmp_path / "exp.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    package, loaded = loaded_modules(f"""
+        import contextlib, io
+        import condibeam.cli
+        CFG = {str(cfg)!r}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            try:
+                rc = condibeam.cli.main({argv})
+            except SystemExit as exc:  # argparse's --help and usage errors
+                rc = exc.code
+        assert rc == {code!r}, rc
+    """)
+    assert package == {"cli", "errors"}, package
+    assert not loaded, loaded
 
 
 # each experiment on a small config and its default route, with the package
@@ -767,14 +826,15 @@ def test_experiment_loads_only_what_it_runs(tmp_path, experiment):
     config, absent = IMPORT_CASES[experiment]
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(config)
-    package, scipy = loaded_modules(f"""
+    package, loaded = loaded_modules(f"""
         import condibeam.cli
         assert condibeam.cli.main([{experiment!r}, "--config", {str(cfg)!r},
                                    "--format", "json-like",
                                    "--out", {str(tmp_path / "o.json")!r}]) == 0
     """)
     assert not package & absent, package & absent
-    assert not scipy, scipy
+    assert "numpy" in loaded
+    assert not {m for m in loaded if m.startswith("scipy")}, loaded
 
 
 @pytest.mark.parametrize("state", ["chi", "multi-cat"])

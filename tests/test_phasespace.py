@@ -76,6 +76,17 @@ class TestGridTypes:
         with pytest.raises(ValueError):
             ps.Axis("x", 0.0, math.inf, 5)
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (1e308, -1e308),
+                                        (np.float64(-1e308), np.float64(1e308))],
+                             ids=["float", "reversed", "float64"])
+    def test_axis_width_past_the_float_range(self, lo, hi):
+        # each end is finite but hi - lo is not: refused before linspace
+        # computes an infinite step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="width"):
+                ps.Axis("x", lo, hi, 5)
+
     def test_quasiprobability_needs_2d(self):
         grid = ps.PhaseGrid(ps.Axis("x", -1, 1, 5), ps.Axis("p", 0, 0, 1))
         with pytest.raises(ValueError):
