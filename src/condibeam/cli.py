@@ -501,6 +501,10 @@ _EXPERIMENTS = {
 }
 
 
+# the keys that size a run's arrays, named when an allocation fails
+_SIZE_KEYS = ("cutoff", "grid_points", "phi_points")
+
+
 # --- envelopes and serialization ------------------------------------------
 
 def run_experiment(experiment, config_text):
@@ -516,9 +520,10 @@ def run_experiment(experiment, config_text):
     start = time.perf_counter()
     try:
         scalars, grids = runner(params)
-    except MemoryError:  # e.g. a cutoff whose state vector exceeds memory
-        what = f"cutoff {params['cutoff']}" if "cutoff" in params else "this config"
-        raise DomainError(f"{experiment}: cannot allocate the arrays for {what}") from None
+    except MemoryError:  # e.g. a cutoff or grid whose arrays exceed memory
+        sizes = ", ".join(f"{key} {params[key]}" for key in _SIZE_KEYS if key in params)
+        raise DomainError(f"{experiment}: cannot allocate the arrays"
+                          + (f" for {sizes}" if sizes else "")) from None
     nan = ([key for key, value in scalars.items() if np.isnan(value)]
            + [name for name, gf in grids if np.isnan(gf.values).any()])
     if nan:

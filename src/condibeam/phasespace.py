@@ -82,10 +82,10 @@ class Axis:
     def __post_init__(self):
         if self.points < 1:
             raise ValueError(f"axis needs >= 1 point, got {self.points}")
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError("axis range must be finite")
+        # an infinite or NaN end makes the width non-finite too
         if not math.isfinite(float(self.hi) - float(self.lo)):
-            raise ValueError(f"axis width hi - lo overflows on [{self.lo!r}, {self.hi!r}]")
+            raise ValueError(f"axis ends and width hi - lo must be finite, "
+                             f"got [{self.lo!r}, {self.hi!r}]")
 
     @property
     def values(self):
