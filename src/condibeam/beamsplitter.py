@@ -38,16 +38,6 @@ class BeamSplitterParams:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
-    @classmethod
-    def from_amplitudes(cls, t, r):
-        """Build from complex T, R; validates |T|^2 + |R|^2 = 1."""
-        if abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) > 1e-14:
-            raise ValueError(
-                f"|T|^2 + |R|^2 = {abs(t)**2 + abs(r)**2!r} is not 1")
-        return cls(theta=math.atan2(abs(r), abs(t)),
-                   phi_t=cmath.phase(t) if t != 0 else 0.0,
-                   phi_r=cmath.phase(r) if r != 0 else 0.0)
-
     @property
     def transmittance(self):
         return cmath.exp(1j * self.phi_t) * math.cos(self.theta)

@@ -21,11 +21,13 @@ truncation, a NaN result, ...), 4 selftest failure.
 
 Each run is a fresh process, so each subcommand imports only the package
 modules it runs: this module loads ``errors`` and the standard library alone
-at import, and every runner imports its own modules.  So dispatch, ``--help``
-and a config that fails to parse, or names an unknown key or another
-experiment, load neither the physics nor numpy.  numpy loads in
-``run_experiment`` once the config's keys have validated, before the run's
-clock starts: ``duration_s`` times the computation, not numpy's import.
+at import, and every runner imports its own modules.  So dispatch, ``--help``,
+a grid experiment asked for csv without ``--out``, and a config that fails to
+parse, names an unknown key or another experiment, or gives an enumerated key
+(``route``, ``state``, ``method``, ``beta_rule``) a value outside its schema,
+load neither the physics nor numpy.  numpy loads in ``run_experiment`` once
+the config has validated against its schema, before the run's clock starts:
+``duration_s`` times the computation, not numpy's import.
 """
 
 import argparse
@@ -72,7 +74,11 @@ def _parse_complex(text):
         raise ConfigError(f"cannot parse complex value {text!r} (use re+imi)") from None
 
 
-def _parse_value(kind, text):
+def _parse_value(key, kind, text):
+    if isinstance(kind, tuple):  # an enumerated key: its allowed values
+        if text in kind:
+            return text
+        raise ConfigError(f"{key} must be {', '.join(kind[:-1])} or {kind[-1]}, got {text!r}")
     try:
         if kind == "int":
             return int(text)
@@ -80,8 +86,6 @@ def _parse_value(kind, text):
             return float(text)
         if kind == "complex":
             return _parse_complex(text)
-        if kind == "str":
-            return text
     except ConfigError:
         raise
     except ValueError:
@@ -104,7 +108,7 @@ def _extract(entries, experiment, schema):
     out = {}
     for key, (kind, default) in allowed.items():
         if key in entries:
-            out[key] = _parse_value(kind, entries[key])
+            out[key] = _parse_value(key, kind, entries[key])
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         else:
@@ -192,22 +196,16 @@ _Y_MATRIX_SCHEMA = {
 }
 
 
-def _route(params):
-    if params["route"] not in ("closed", "oracle"):
-        raise ConfigError(f"route must be closed or oracle, got {params['route']!r}")
-    return params["route"]
-
-
 def _run_scheme_a(params):
     from . import cats, fock
     from .beamsplitter import BeamSplitterParams
-    route = _route(params)
     policy = _policy(params)
     spec = _cat_spec(params)
     # scheme_a_state builds this splitter itself, outside _build
     _build(BeamSplitterParams, math.pi / 4, params["phi_t"], params["phi_r"])
     chi = cats.chi_state(spec, policy)
-    state, p = cats.scheme_a_state(spec, policy, params["phi_t"], params["phi_r"], route=route)
+    state, p = cats.scheme_a_state(spec, policy, params["phi_t"], params["phi_r"],
+                                   route=params["route"])
     n_sum, p_formula = cats.cat_norm_and_prob(spec)
     scalars = {
         "probability": p,
@@ -226,18 +224,17 @@ _SCHEME_A_SCHEMA = {
     "beta": ("complex", _REQUIRED),
     "phi_t": ("float", 0.0),
     "phi_r": ("float", 0.0),
-    "route": ("str", "closed"),
+    "route": (("closed", "oracle"), "closed"),
 }
 
 
 def _run_scheme_b(params):
     from . import cats, fock
-    route = _route(params)
     policy = _policy(params)
     spec = _cat_spec(params)
     # the coherent input |beta/T> has passed its truncation check, and
     # |beta| <= |beta/T|, so D(beta) needs none of its own
-    state, p = cats.scheme_b_state(spec, policy, route=route)
+    state, p = cats.scheme_b_state(spec, policy, route=params["route"])
     chi = cats.chi_state(spec, policy)
     displaced = fock.displace(spec.beta, chi)
     _, p_formula = cats.cat_norm_and_prob(spec)
@@ -253,7 +250,7 @@ _SCHEME_B_SCHEMA = {
     **_COMMON,
     "n": ("int", _REQUIRED),
     "beta": ("complex", _REQUIRED),
-    "route": ("str", "closed"),
+    "route": (("closed", "oracle"), "closed"),
 }
 
 
@@ -306,12 +303,10 @@ def _run_q_grid(params):
         spec = _cat_spec(params)
         state = cats.chi_state(spec, policy)
         closed = phasespace.husimi_chi_closed(spec, grid)
-    elif params["state"] == "multi-cat":
+    else:
         spec = _cat_spec(params, params["k"])
         state = cats.multi_cat_state(spec, policy)
         closed = phasespace.husimi_multi_cat_closed(spec, grid)
-    else:
-        raise ConfigError(f"state must be chi or multi-cat, got {params['state']!r}")
     q = phasespace.husimi(state, grid, policy)
     peak = np.unravel_index(np.argmax(q.values), q.values.shape)
     scalars = {
@@ -325,7 +320,7 @@ def _run_q_grid(params):
 
 _Q_GRID_SCHEMA = {
     **_COMMON, **_GRID_KEYS,
-    "state": ("str", "chi"),
+    "state": (("chi", "multi-cat"), "chi"),
     "n": ("int", _REQUIRED),
     "k": ("int", 1),
     "beta": ("complex", _REQUIRED),
@@ -351,9 +346,6 @@ def _run_wigner_grid(params):
                 np.max(np.abs(grids[0][1].values - numeric.values)))
         else:
             grids = [("wigner", numeric)]
-    if params["method"] not in ("closed", "numeric", "both"):
-        raise ConfigError(f"method must be closed, numeric or both, "
-                          f"got {params['method']!r}")
     w = grids[0][1]
     step1, step2 = grid.axis1.step, grid.axis2.step
     scalars["integral"] = float(_simpson(_simpson(w.values, step2), step1))
@@ -384,7 +376,7 @@ _WIGNER_GRID_SCHEMA = {
     **_COMMON, **_GRID_KEYS,
     "n": ("int", _REQUIRED),
     "beta": ("complex", _REQUIRED),
-    "method": ("str", "both"),
+    "method": (("closed", "numeric", "both"), "both"),
 }
 
 
@@ -423,13 +415,7 @@ def _run_prob_scan(params):
         raise ConfigError("n_max must be >= n_min")
     scalars = {}
     for n in range(params["n_min"], params["n_max"] + 1):
-        if params["beta_rule"] == "half-n":
-            beta = math.sqrt(n / 2.0)
-        elif params["beta_rule"] == "fixed":
-            beta = params["beta"]
-        else:
-            raise ConfigError(f"beta_rule must be half-n or fixed, "
-                              f"got {params['beta_rule']!r}")
+        beta = math.sqrt(n / 2.0) if params["beta_rule"] == "half-n" else params["beta"]
         _, p = cats.cat_norm_and_prob(_build(cats.CatSpec, n, beta))
         scalars[f"p_{n}"] = p
     return scalars, []
@@ -438,7 +424,7 @@ def _run_prob_scan(params):
 _PROB_SCAN_SCHEMA = {
     "n_min": ("int", 0),
     "n_max": ("int", 12),
-    "beta_rule": ("str", "half-n"),
+    "beta_rule": (("half-n", "fixed"), "half-n"),
     "beta": ("complex", 0j),
 }
 
@@ -449,10 +435,10 @@ def _run_povm_demo(params):
     from .beamsplitter import ReferencePrep
     policy = _policy(params)
     bs = _bs(params)
-    povm = _build(twomode.photon_counting_povm, params["eta"], policy)
     for key in ("signal_n", "outcome"):
         if not 0 <= params[key] <= policy.cutoff:
             raise ConfigError(f"{key} must be in 0..{policy.cutoff}, got {params[key]}")
+    povm = _build(twomode.photon_counting_povm, params["eta"], policy)
     completeness = float(np.max(np.abs(povm.weights.sum(axis=0) - 1.0)))
     signal = fock.fock_state(params["signal_n"], policy)
     two = twomode.product_state(signal, fock.fock_state(0, policy))
@@ -615,6 +601,10 @@ def main(argv=None):
     try:
         if not args.config:
             raise ConfigError("--config is required")
+        # an experiment returns grids exactly when its schema has grid_points
+        schema, _ = _EXPERIMENTS[args.experiment]
+        if "grid_points" in schema and args.format == "csv" and not args.out:
+            raise ConfigError("--out is required for grid experiments with --format csv")
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config_text = fh.read()
@@ -629,9 +619,6 @@ def main(argv=None):
             else:
                 sys.stdout.write(doc)
         else:
-            if grids and not args.out:
-                raise ConfigError(
-                    "--out is required for grid experiments with --format csv")
             for _, gf in grids:
                 _write_out(args.out, render_grid_csv(gf))
             sys.stdout.write(render_envelope_text(args.experiment, config_text,

@@ -609,18 +609,6 @@ def _band_columns(band, cols, rows):
     return out[r0 - lo:r1 - lo]
 
 
-def _dense_columns(factors):
-    """Columns 0..top of D(alpha) as a dense matrix over the levels of its
-    factors (:func:`_displacement_factors`): with x = |alpha|^2 and j <= k,
-    <k|D|j> = e^(-x/2) e^(i(k-j) arg alpha) u_j^(k-j)(x) and <j|D|k> =
-    e^(-x/2) (-e^(-i arg alpha))^(k-j) u_j^(k-j)(x).  The normalized
-    Laguerre values u are bounded, so no element overflows at any cutoff."""
-    m, phase, scale = factors
-    mat = np.multiply.outer(scale * phase, phase[:m.shape[1]].conj())
-    mat *= m
-    return mat
-
-
 # The levels of a vector above its numerical top hold at most this fraction
 # of its norm.
 _NUMERICAL_TAIL = 1e-17

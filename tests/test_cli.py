@@ -329,6 +329,17 @@ class TestMainExitCodes:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_povm_indices_are_checked_before_the_povm_is_built(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("POVM built before its indices were checked")
+
+        monkeypatch.setattr(twomode, "photon_counting_povm", refuse)
+        cfg = tmp_path / "povm.cfg"
+        cfg.write_text("eta = 0.8\ncutoff = 24\noutcome = 99\n")
+        assert cli.main(["povm-demo", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: outcome must be in 0..24, got 99\n"
+
     def test_domain_error_exit_code(self, tmp_path):
         cfg = tmp_path / "dom.cfg"
         # displacement far beyond the truncation budget
@@ -625,6 +636,11 @@ class TestMainExitCodes:
         ("two_peak_cat", "phi_r", "inf", "scheme-a", "phi_r must be finite"),
         ("two_peak_cat", "route", "bogus", "scheme-a", "route must be closed or oracle"),
         ("two_peak_cat", "route", "bogus", "scheme-b", "route must be closed or oracle"),
+        ("two_peak_husimi", "state", "bogus", "q-grid", "state must be chi or multi-cat"),
+        ("two_peak_wigner", "method", "bogus", "wigner-grid",
+         "method must be closed, numeric or both"),
+        ("success_probability_scan", "beta_rule", "bogus", "prob-scan",
+         "beta_rule must be half-n or fixed"),
     ])
     def test_bad_value_in_shipped_config(self, tmp_path, capsys, config, key, value,
                                          experiment, message):
@@ -773,29 +789,48 @@ def test_cli_import_loads_only_cli_and_errors():
     assert loaded_modules("import condibeam.cli") == ({"cli", "errors"}, set())
 
 
-# runs that end before any computation, with the exit code each ends in
+# runs that end before any computation, with the exit code each ends in and
+# its stderr (None: argparse's usage text)
 NO_COMPUTE_CASES = {
-    "help": ('["--help"]', None, 0),
-    "unknown-experiment": ('["no-such-experiment", "--config", CFG]', "n = 2\n", 2),
-    "missing-config": ('["scheme-a"]', None, 2),
-    "unknown-key": ('["scheme-a", "--config", CFG]', "n = 2\nbeta = 1\nbogus = 1\n", 2),
+    "help": ('["--help"]', None, 0, ""),
+    "unknown-experiment": ('["no-such-experiment", "--config", CFG]', "n = 2\n", 2, None),
+    "missing-config": ('["scheme-a"]', None, 2, "config error: --config is required\n"),
+    "unknown-key": ('["scheme-a", "--config", CFG]', "n = 2\nbeta = 1\nbogus = 1\n", 2,
+                    "config error: unknown config key(s) bogus; allowed: beta, cutoff, n, "
+                    "phi_r, phi_t, route, tail_tol\n"),
     "experiment-mismatch": ('["scheme-a", "--config", CFG]',
-                            "experiment = scheme-b\nn = 2\nbeta = 1\n", 2),
+                            "experiment = scheme-b\nn = 2\nbeta = 1\n", 2,
+                            "config error: config says experiment = 'scheme-b', "
+                            "command line says 'scheme-a'\n"),
+    "bad-route": ('["scheme-a", "--config", CFG]', "n = 2\nbeta = 1\nroute = bogus\n", 2,
+                  "config error: route must be closed or oracle, got 'bogus'\n"),
+    "bad-state": ('["q-grid", "--config", CFG, "--format", "json-like"]',
+                  "n = 2\nbeta = 1\nstate = bogus\n", 2,
+                  "config error: state must be chi or multi-cat, got 'bogus'\n"),
+    "bad-method": ('["wigner-grid", "--config", CFG, "--format", "json-like"]',
+                   "n = 2\nbeta = 1\nmethod = bogus\n", 2,
+                   "config error: method must be closed, numeric or both, got 'bogus'\n"),
+    "bad-beta-rule": ('["prob-scan", "--config", CFG]', "beta_rule = bogus\n", 2,
+                      "config error: beta_rule must be half-n or fixed, got 'bogus'\n"),
+    "csv-without-out": ('["wigner-grid", "--config", CFG]', "n = 2\nbeta = 1\n", 2,
+                        "config error: --out is required for grid experiments "
+                        "with --format csv\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NO_COMPUTE_CASES))
 def test_dispatch_and_config_errors_load_no_numpy(tmp_path, case):
-    argv, config, code = NO_COMPUTE_CASES[case]
+    argv, config, code, stderr = NO_COMPUTE_CASES[case]
     cfg = tmp_path / "exp.cfg"
     if config is not None:
         cfg.write_text(config)
+    err = tmp_path / "stderr.txt"
     package, loaded = loaded_modules(f"""
         import contextlib, io
         import condibeam.cli
         CFG = {str(cfg)!r}
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        with contextlib.redirect_stdout(io.StringIO()), open({str(err)!r}, "w") as err, \\
+                contextlib.redirect_stderr(err):
             try:
                 rc = condibeam.cli.main({argv})
             except SystemExit as exc:  # argparse's --help and usage errors
@@ -804,6 +839,8 @@ def test_dispatch_and_config_errors_load_no_numpy(tmp_path, case):
     """)
     assert package == {"cli", "errors"}, package
     assert not loaded, loaded
+    if stderr is not None:
+        assert err.read_text() == stderr
 
 
 # each experiment on a small config and its default route, with the package
@@ -837,6 +874,15 @@ def test_experiment_loads_only_what_it_runs(tmp_path, experiment):
     """)
     assert not package & absent, package & absent
     assert loaded == {"numpy"}, loaded
+
+
+@pytest.mark.parametrize("experiment", sorted(IMPORT_CASES))
+def test_grids_exactly_where_the_schema_has_grid_points(experiment):
+    # main refuses csv without --out before the run by this rule
+    assert set(IMPORT_CASES) == set(cli._EXPERIMENTS)
+    schema, _ = cli._EXPERIMENTS[experiment]
+    _, grids, _ = cli.run_experiment(experiment, IMPORT_CASES[experiment][0])
+    assert bool(grids) == ("grid_points" in schema)
 
 
 @pytest.mark.parametrize("state", ["chi", "multi-cat"])

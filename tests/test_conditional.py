@@ -362,7 +362,6 @@ class TestBandForm:
         bs = BeamSplitterParams(math.pi / 4, 0.4, 1.1)
         y = conditional.y_displaced_fock(2, 1, 0.3, -0.2j, bs, policy)
         width = max(policy.working_levels(a, cutoff, 0) for a in (y.left, y.right)) - cutoff
-        monkeypatch.setattr(fock, "_dense_columns", refuse)
         monkeypatch.setattr(fock.TruncationPolicy, "working_factors", refuse)
         calls = []
         original = fock.laguerre_rows
@@ -447,13 +446,12 @@ class TestFactoredForm:
         assert abs(p / np.vdot(dense, dense).real - 1.0) <= 1e-13
 
     def test_vector_route_builds_no_dense_operator(self, monkeypatch):
-        # neither a dense product nor a dense displacement on the vector
-        # route: scheme_a_state at n = 100 and a 3-term Y on a coherent state
+        # no dense operator product on the vector route: scheme_a_state at
+        # n = 100 and a 3-term Y on a coherent state
         def refuse(*args, **kwargs):
             raise AssertionError("dense operator built on the vector route")
 
         monkeypatch.setattr(fock.FockOperator, "__matmul__", refuse)
-        monkeypatch.setattr(fock, "_dense_columns", refuse)
         policy = fock.TruncationPolicy(512)
         spec = cats.CatSpec(100, math.sqrt(50.0) * np.exp(0.4j))
         _, p = cats.scheme_a_state(spec, policy, 0.3, 1.2)
@@ -744,6 +742,20 @@ class TestHighFockReferences:
         y = conditional.y_displaced_fock(n, n, 0j, 0j, bs, policy)
         oracle = twomode.oracle_y(ReferencePrep.fock(n), ReferencePrep.fock(n), bs, policy)
         assert full_rel_frobenius(y.mat, oracle.mat) <= 1e-12
+
+    @pytest.mark.parametrize("m", [128, 200])
+    def test_displaced_balanced_references_stay_in_range(self, m):
+        # a float-range DomainError from m = 128 at cutoff 4m while m! [-(s+1)/2]^m
+        # and the Jacobi band were formed in linear space: Y is a contraction,
+        # and its low block meets the oracle
+        policy = fock.TruncationPolicy(cutoff=4 * m)
+        bs = BeamSplitterParams(math.pi / 4)
+        y = conditional.y_displaced_fock(m, m, 0.3, -0.2j, bs, policy)
+        assert y.band.largest_singular_value() <= 1.0 + 1e-12
+        oracle = twomode.oracle_y(ReferencePrep.fock(m, 0.3), ReferencePrep.fock(m, -0.2j),
+                                  bs, policy)
+        low = slice(0, m + 1)
+        assert full_rel_frobenius(y.mat[low, low], oracle.mat[low, low]) <= 1e-12
 
     def test_unrepresentable_operator_is_a_domain_error(self):
         # coefficients of 1e300 make Y's elements 1e600

@@ -33,12 +33,23 @@ def displacement_reference(alpha, cutoff):
     return math.exp(-x / 2) * sign * lag * phase[:, None] * phase.conj()
 
 
+def dense_columns(factors):
+    """Columns 0..top of D(alpha) as a dense matrix over the levels of its
+    factors (``fock._displacement_factors``): with x = |alpha|^2 and j <= k,
+    <k|D|j> = e^(-x/2) e^(i(k-j) arg alpha) u_j^(k-j)(x) and <j|D|k> =
+    e^(-x/2) (-e^(-i arg alpha))^(k-j) u_j^(k-j)(x)."""
+    m, phase, scale = factors
+    mat = np.multiply.outer(scale * phase, phase[:m.shape[1]].conj())
+    mat *= m
+    return mat
+
+
 def displacement_op(alpha, policy):
     """D(alpha) on the levels 0..cutoff as a FockOperator, from the factors the
     library's routes share, for the identities the tests assert."""
     policy.check_displacement(alpha, "displacement_op")
     factors = fock._displacement_factors(alpha, policy.cutoff, policy.cutoff)
-    return fock.FockOperator(fock._dense_columns(factors), policy.cutoff)
+    return fock.FockOperator(dense_columns(factors), policy.cutoff)
 
 
 class TestTruncationPolicy:
@@ -287,7 +298,7 @@ class TestWorkingLevels:
         levels = policy.working_levels(alpha, top, 0)
         w, (lower, phase, scale) = policy.working_factors(alpha, top, 0)
         # the same columns, dense, on 100 levels more than the bound
-        wide = fock._dense_columns(fock._displacement_factors(alpha, levels + 100, top))
+        wide = dense_columns(fock._displacement_factors(alpha, levels + 100, top))
         true_top = fock._numerical_top(np.sqrt(np.sum(np.abs(wide) ** 2, axis=1)))
         assert true_top <= levels - 14
         assert w == max(policy.cutoff, true_top)
@@ -310,7 +321,7 @@ class TestWorkingLevels:
         policy = fock.TruncationPolicy(32)
         w, factors = policy.working_factors(0.0, 5, 3)
         assert w == 32
-        assert np.array_equal(fock._dense_columns(factors), np.eye(33, 6))
+        assert np.array_equal(dense_columns(factors), np.eye(33, 6))
         assert policy.working_factors(0.0, 32, 3)[0] == 35
 
 

@@ -31,13 +31,6 @@ class TestBeamSplitterParams:
         assert bs.s == pytest.approx(3.0)  # |R|^2 = 1/2
         assert bs.s > 1.0
 
-    def test_from_amplitudes_roundtrip(self):
-        bs = BeamSplitterParams.from_amplitudes(
-            math.cos(1.0) * np.exp(0.4j), math.sin(1.0) * np.exp(-  0.7j))
-        assert bs.theta == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            BeamSplitterParams.from_amplitudes(0.9, 0.9)
-
     def test_swapped_amplitudes(self):
         bs = BeamSplitterParams(0.7, 0.2, 1.9)
         sw = bs.swapped()
