@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -744,6 +745,112 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: cannot read config:"), \
         proc.stderr
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_runs_leave_nothing_for_the_cyclic_collector(tmp_path, config):
+    # a CLI process runs without the cyclic collector (cli.entry), which is
+    # safe while reference counting frees what a run makes: the only cycles
+    # a run leaves are argparse's parser, 74 objects, and none holds an
+    # array.  A reference cycle that holds arrays would leak in the CLI and
+    # fails here instead.  The first run in a process also leaves ~350
+    # objects its imports discard (no arrays); the warm-up run takes those
+    # out of the count.  main itself leaves the caller's collector as it was.
+    text = (CONFIGS / config).read_text()
+    argv = [cli.parse_config(text)["experiment"], "--config", str(CONFIGS / config),
+            "--format", "json-like", "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collection finds, to inspect
+    try:
+        rc = cli.main(argv)
+        unreachable = gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert rc == 0
+    assert unreachable <= 100, unreachable
+    # arrays are not tracked by the collector; whatever holds one is
+    held = [type(o).__name__ for o in garbage
+            if any(isinstance(r, np.ndarray) for r in gc.get_referents(o))]
+    assert not held, held
+
+
+@pytest.mark.parametrize("args, code, stderr", [
+    (["y-matrix"], 2, "config error: --config is required\n"),
+    (["--help"], 0, ""),
+], ids=["returns", "argparse-exits"])
+def test_entry_runs_main_without_the_collector(monkeypatch, capsys, args, code, stderr):
+    seen = []
+    real_main = cli.main
+
+    def recording_main():
+        seen.append((gc.isenabled(), gc.get_freeze_count()))
+        return real_main()
+
+    monkeypatch.setattr(sys, "argv", ["condibeam", *args])
+    monkeypatch.setattr(cli, "main", recording_main)
+    try:
+        try:
+            rc = cli.entry()
+        except SystemExit as exc:  # argparse's --help
+            rc = exc.code
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert rc == code
+    assert seen == [(False, 0)]
+    assert not enabled and frozen > 0
+    assert capsys.readouterr().err == stderr
+
+
+def console_script():
+    """The ``condibeam`` console script's ``module:function`` in pyproject.toml,
+    read as text (tomllib is not in Python 3.10)."""
+    text = (CONFIGS.parent / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    targets = [line.partition("=")[2].strip().strip('"') for line in scripts.splitlines()
+               if line.partition("=")[0].strip() == "condibeam"]
+    assert len(targets) == 1, scripts
+    return targets[0]
+
+
+def test_console_script_is_the_process_entry():
+    assert console_script() == "condibeam.cli:entry"
+
+
+@pytest.mark.parametrize("route", ["module", "console-script"])
+@pytest.mark.parametrize("case", ["help", "selftest", "unknown-key", "domain-error"])
+def test_exit_codes_through_both_routes(tmp_path, route, case):
+    # python -m condibeam.cli and the installed script (which imports the
+    # pyproject target and exits with what it returns) end the same way
+    cfg = tmp_path / "exp.cfg"
+    args, code, stderr = {
+        "help": (["--help"], 0, ""),
+        "selftest": (["selftest"], 0, ""),
+        "unknown-key": (["y-matrix", "--config", str(cfg)], 2,
+                        "config error: unknown config key(s) bogus; allowed: alpha, beta, "
+                        "cutoff, m, n, phi_r, phi_t, tail_tol, theta\n"),
+        "domain-error": (["y-matrix", "--config", str(cfg)], 3,
+                         "domain error: y-matrix: every element of Y underflows to 0\n"),
+    }[case]
+    cfg.write_text("m = 0\nn = 40\ntheta = 1e-9\ncutoff = 160\n"
+                   + ("bogus = 1\n" if case == "unknown-key" else ""))
+    if route == "module":
+        proc = run_cli(args)
+    else:
+        module, _, function = console_script().partition(":")
+        script = f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
+        proc = subprocess.run([sys.executable, "-c", script, *args], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == stderr
+    assert bool(proc.stdout) == (code == 0)
 
 
 def loaded_modules(code):
