@@ -13,7 +13,6 @@ coefficients, :class:`ReferencePrep` adds the coherent displacement.
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from .polynomials import log_factorial
 __all__ = ["BeamSplitterParams", "OperatorPolynomial", "ReferencePrep"]
 
 
-@dataclass(frozen=True)
-class BeamSplitterParams:
+class BeamSplitterParams(fock._Record):
     """Mixing angle (radians) and transmittance/reflectance phases."""
 
     theta: float
@@ -75,8 +73,7 @@ class BeamSplitterParams:
                 f"(theta = {self.theta!r})")
 
 
-@dataclass(frozen=True)
-class OperatorPolynomial:
+class OperatorPolynomial(fock._Record):
     """Coefficients c_0..c_d of F(a^dag) = sum_k c_k (a^dag)^k.
 
     Trailing zero coefficients are trimmed so the degree is well defined.
@@ -135,8 +132,7 @@ class OperatorPolynomial:
         return OperatorPolynomial(tuple(c / n for c in self.coeffs))
 
 
-@dataclass(frozen=True)
-class ReferencePrep:
+class ReferencePrep(fock._Record):
     """A reference-mode preparation D(displacement) F(a^dag) |0>."""
 
     poly: OperatorPolynomial

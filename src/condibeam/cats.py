@@ -28,7 +28,6 @@ N_k = sum_j C(n,j)^2 |beta|^(2k(n-j)) (kj)!.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CatSpec:
+class CatSpec(fock._Record):
     """Detected photon number n, displacement beta, multiplicity k.
 
     Two well-separated peaks appear for |beta|^2 = n/2 (advisory, not

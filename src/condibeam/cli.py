@@ -27,7 +27,13 @@ parse, names an unknown key or another experiment, or gives an enumerated key
 (``route``, ``state``, ``method``, ``beta_rule``) a value outside its schema,
 load neither the physics nor numpy.  numpy loads in ``run_experiment`` once
 the config has validated against its schema, before the run's clock starts:
-``duration_s`` times the computation, not numpy's import.
+``duration_s`` times the computation, not numpy's import.  The package's
+value types are records (``fock._Record``) whose methods are written once, so
+loading a physics module compiles no generated methods per class, as a frozen
+dataclass did at every start, and nothing loads ``dataclasses``.  The
+json-like envelope encodes each grid row with json's C encoder and lays it
+out as ``indent=2`` does, which alone would send every float through the
+pure-Python encoder.
 
 A CLI process (the ``condibeam`` script and ``python -m condibeam.cli``) runs
 through ``entry``, without the cyclic garbage collector, which a run gives
@@ -559,11 +565,30 @@ def render_grid_csv(gf):
         f"# axis2 {a2.name} {a2.lo!r} {a2.hi!r} {a2.points}",
         f"# kind {gf.kind}",
     ]
-    rows = [",".join(repr(float(v)) for v in row) for row in gf.values]
+    rows = [",".join(map(repr, row)) for row in gf.values.tolist()]
     return "\n".join(header + rows) + "\n"
 
 
+def _values_json(values):
+    """A grid's values as ``json.dumps(..., indent=2)`` lays them out under a
+    grid's "values" key, each row encoded by json's C encoder (an indented
+    dump runs the pure-Python one).  A grid function has at least one row and
+    column, and its rows hold numbers alone, so each ", " in a row is a
+    separator."""
+    rows = (json.dumps(row).replace(", ", ",\n          ") for row in values.tolist())
+    return ("[\n        "
+            + ",\n        ".join(f"[\n          {row[1:-1]}\n        ]" for row in rows)
+            + "\n      ]")
+
+
 def render_envelope_json(experiment, config_text, scalars, grids, duration_s):
+    """The json-like envelope: ``json.dumps(doc, indent=2)`` byte for byte,
+    with each grid's values dumped as null, then replaced by
+    :func:`_values_json`.  A string's quotes are escaped, so '"values": null'
+    occurs only where a "values" key holds null; the grids come last, each
+    with its values as its last key, so the last len(grids) occurrences are
+    theirs, whatever the config text or the scalars hold."""
+    grids = dict(grids)  # as the document keys them: a repeated name keeps its last grid
     doc = {
         "tool": "condibeam",
         "version": __version__,
@@ -579,12 +604,14 @@ def render_envelope_json(experiment, config_text, scalars, grids, duration_s):
                 "axis2": [gf.grid.axis2.name, gf.grid.axis2.lo,
                           gf.grid.axis2.hi, gf.grid.axis2.points],
                 "kind": gf.kind,
-                "values": gf.values.tolist(),
+                "values": None,
             }
-            for name, gf in grids
+            for name, gf in grids.items()
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    head, *tails = json.dumps(doc, indent=2).rsplit('"values": null', len(grids))
+    return head + "".join(f'"values": {_values_json(gf.values)}{tail}'
+                          for gf, tail in zip(grids.values(), tails)) + "\n"
 
 
 def _write_out(path, text):

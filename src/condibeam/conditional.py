@@ -45,14 +45,13 @@ the same builder.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
 from .beamsplitter import OperatorPolynomial, ReferencePrep
 from .errors import CutoffMismatchError, DomainError, TruncationError, ZeroProbabilityError
-from .fock import TruncationPolicy
+from .fock import TruncationPolicy, _Record
 from .ordering import OrderedMonomialSpec, _s_ordered_scaled
 from .polynomials import _folded, _scaled
 
@@ -137,8 +136,7 @@ def _reference_amplitudes(prep, policy):
 _ROW_BLOCK = 64
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalOperator:
+class ConditionalOperator(_Record, eq=False):
     """Y = D(left) B D(right) in factored form.
 
     ``left`` and ``right`` are the displacement arguments, ``core`` maps

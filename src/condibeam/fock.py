@@ -15,7 +15,9 @@ and the adjoint rows one with M^T.  D(alpha) is also numerically banded:
 diagonal for degrees 0..cutoff, O(N K), each column dropping at most 1e-17
 of its norm, and :func:`_band_columns` reads dense blocks of it.
 Everything is immutable after construction, so values can be shared freely
-between threads.
+between threads.  The package's value types are records (:class:`_Record`):
+fields declared as class annotations, with the constructor, repr, equality
+and immutability of a frozen dataclass, and no code generated per class.
 
 Truncation discipline: ladder and diagonal operators are exact on the
 retained levels; a truncated displacement matrix is faithful only away from
@@ -27,7 +29,6 @@ exact.
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +58,100 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class _Record:
+    """Base of the package's immutable value types.
+
+    A subclass declares its fields as class annotations, in constructor
+    order; a class attribute of the same name is that field's default, and
+    the fields with defaults come last.  A record takes its fields
+    positionally or by keyword (TypeError for a missing, unknown or repeated
+    one), then runs ``__post_init__``, which may validate them or replace
+    one through ``object.__setattr__``.  A field left at its default is not
+    stored on the instance: reading it falls back to the class attribute.
+    Assigning or deleting an attribute raises AttributeError, the repr lists
+    the fields, and records of one class compare and hash as the tuple of
+    their fields; ``class X(_Record, eq=False)`` keeps identity equality and
+    hashing.  ``functools.cached_property`` works, since it writes the
+    instance ``__dict__`` directly.
+
+    This does what ``@dataclass(frozen=True)`` did, with the methods written
+    once here: a dataclass compiles six generated methods per class at every
+    process start.  The fields are read from
+    ``cls.__annotations__``, which holds the class's own annotations on every
+    supported Python (3.10 on), for a class that declares any.
+    """
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._names = frozenset(cls._fields)
+        cls._required = frozenset(name for name in cls._fields if name not in cls.__dict__)
+        if not cls._required.issuperset(cls._fields[:len(cls._required)]):
+            raise TypeError(f"{cls.__name__}: the fields with defaults must come last")
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        fields, values = self._fields, self.__dict__
+        if len(args) > len(fields):
+            raise self._call_error(args, kwargs)
+        i = 0
+        for value in args:  # an index loop: creating a zip costs more here
+            values[fields[i]] = value
+            i += 1
+        if kwargs:
+            repeated = args and not values.keys().isdisjoint(kwargs)
+            if repeated or not self._names.issuperset(kwargs):
+                raise self._call_error(args, kwargs)
+            values.update(kwargs)
+            if len(values) < len(fields) and not self._required.issubset(values):
+                raise self._call_error(args, kwargs)
+        elif i < len(self._required):  # the fields with defaults come last
+            raise self._call_error(args, kwargs)
+        self.__post_init__()
+
+    @classmethod
+    def _call_error(cls, args, kwargs):
+        """The TypeError of a call whose arguments do not match the fields."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            return TypeError(f"{name}() takes at most {len(fields)} arguments, "
+                             f"got {len(args)}")
+        for key in kwargs:
+            if key not in fields:
+                return TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in fields[:len(args)]:
+                return TypeError(f"{name}() got multiple values for argument {key!r}")
+        missing = next(key for key in fields[len(args):]
+                       if key in cls._required and key not in kwargs)
+        return TypeError(f"{name}() missing required argument {missing!r}")
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TruncationPolicy(_Record):
     """Cutoff and tail-mass budget for a truncated Fock space.
 
     Parameters
@@ -170,7 +263,7 @@ def _freeze(arr, dtype=complex):
 
 
 def _freeze_field(obj, name, ndim):
-    """Replace the array field ``name`` of the frozen dataclass ``obj`` by its
+    """Replace the array field ``name`` of the record ``obj`` by its
     :func:`_freeze` copy, after checking that each of its ``ndim`` axes holds
     the levels 0..obj.cutoff."""
     arr = _freeze(getattr(obj, name))
@@ -180,8 +273,7 @@ def _freeze_field(obj, name, ndim):
     object.__setattr__(obj, name, arr)
 
 
-@dataclass(frozen=True)
-class FockVector:
+class FockVector(_Record):
     """Amplitudes of a single-mode state over photon numbers 0..cutoff."""
 
     amps: np.ndarray
@@ -200,8 +292,7 @@ class FockVector:
         return float(np.arange(self.dim) @ prob / total) if total else 0.0
 
 
-@dataclass(frozen=True)
-class FockOperator:
+class FockOperator(_Record):
     """Dense complex matrix over the truncated Fock basis."""
 
     mat: np.ndarray
@@ -234,8 +325,7 @@ _RITZ_RESIDUAL = 1e-15
 _RITZ_EVERY_STEP = 32
 
 
-@dataclass(frozen=True, eq=False)
-class BandedOperator:
+class BandedOperator(_Record, eq=False):
     """An operator on the levels 0..cutoff kept on its diagonals.
 
     ``diagonals[j, above + j - k]`` holds <j|Y|k> for the offsets -above <=
@@ -394,8 +484,7 @@ def _adjoint_diagonals(diagonals, above):
     return shifted[:, ::-1].conj()
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(_Record):
     """Single-mode density matrix with physicality checks."""
 
     mat: np.ndarray

@@ -14,11 +14,10 @@ Two independent realizations are provided and cross-validated:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockOperator, annihilation_op, creation_op, identity_op
+from .fock import FockOperator, _Record, annihilation_op, creation_op, identity_op
 from .polynomials import _folded, _scaled, jacobi, log_factorial
 
 __all__ = [
@@ -29,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrderedMonomialSpec:
+class OrderedMonomialSpec(_Record):
     """Creation power m, annihilation power n, ordering parameter s."""
 
     m: int

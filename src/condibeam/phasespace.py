@@ -44,14 +44,13 @@ the integration half-range away from p = 0; its bound never drops below
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cats import multi_cat_log_norm
 from .errors import DomainError, IntegrationRangeError
-from .fock import _numerical_top, hermite_functions
+from .fock import _Record, _numerical_top, hermite_functions
 from .polynomials import (_folded, _laguerre_shift, _laguerre_times, _renormalized, _scaled,
                           laguerre_rows, log_factorial)
 
@@ -70,8 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(_Record):
     """A uniformly sampled closed interval."""
 
     name: str
@@ -96,8 +94,7 @@ class Axis:
         return (self.hi - self.lo) / (self.points - 1) if self.points > 1 else 0.0
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
+class PhaseGrid(_Record):
     """Two axes spanning a phase-space rectangle.
 
     Quasiprobability evaluations require >= 2 points per axis; quadrature
@@ -122,8 +119,7 @@ def _require_2d(grid):
         raise ValueError("phase-space evaluation needs >= 2 points per axis")
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(_Record):
     """Real values over a grid; kind is one of husimi/wigner/quadrature."""
 
     values: np.ndarray
@@ -239,8 +235,7 @@ def husimi_multi_cat_closed(spec, grid):
     return GridFunction(q, grid, "husimi")
 
 
-@dataclass(frozen=True)
-class IntegrationSpec:
+class IntegrationSpec(_Record):
     """Trapezoid rule for the Wigner y-integral over +-half_range.
 
     ``step`` is an upper bound.  The step used is at most ``step`` and

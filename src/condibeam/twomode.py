@@ -26,12 +26,11 @@ Everything here is deliberately independent of the closed-form construction
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CutoffMismatchError
-from .fock import (BandedOperator, FockOperator, _conditioned, _freeze, _freeze_field,
+from .fock import (BandedOperator, FockOperator, _Record, _conditioned, _freeze, _freeze_field,
                    _numerical_top, _polar_powers)
 
 __all__ = [
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TwoModeState:
+class TwoModeState(_Record):
     """Amplitudes over the product basis |k1, k2>, axis 0 = signal mode."""
 
     amps: np.ndarray
@@ -241,8 +239,7 @@ def oracle_y(ref_in, ref_out, bs, policy):
     return BandedOperator(diagonals, top_out, cutoff, float(tail))
 
 
-@dataclass(frozen=True)
-class PhotonCountingPovm:
+class PhotonCountingPovm(_Record):
     """Photon counting with quantum efficiency eta.
 
     Element n is diagonal with entries C(k, n) eta^n (1 - eta)^(k - n),

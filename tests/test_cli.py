@@ -235,6 +235,49 @@ class TestExperiments:
         assert scalars["route_state_max_dev"] < 1e-12
 
 
+GRID_CONFIGS = sorted(
+    path.name for path in CONFIGS.glob("*.cfg")
+    if "grid_points" in cli._EXPERIMENTS[cli.parse_config(path.read_text())["experiment"]][0])
+
+
+def indented_dump(experiment, config_text, scalars, grids, duration_s):
+    """The json-like envelope as ``json.dumps(doc, indent=2)`` writes it, every
+    float through the pure-Python encoder: the bytes render_envelope_json
+    must reproduce."""
+    doc = {
+        "tool": "condibeam",
+        "version": cli.__version__,
+        "experiment": experiment,
+        "duration_s": round(duration_s, 3),
+        "config": config_text,
+        "results": {k: cli._scalar_text(v) if isinstance(v, complex) else v
+                    for k, v in scalars.items()},
+        "grids": {
+            name: {
+                "axis1": [gf.grid.axis1.name, gf.grid.axis1.lo,
+                          gf.grid.axis1.hi, gf.grid.axis1.points],
+                "axis2": [gf.grid.axis2.name, gf.grid.axis2.lo,
+                          gf.grid.axis2.hi, gf.grid.axis2.points],
+                "kind": gf.kind,
+                "values": gf.values.tolist(),
+            }
+            for name, gf in grids
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def assert_same_text(text, expected):
+    """text == expected, reported at the first differing line (pytest's own
+    diff of two grid-sized strings takes minutes)."""
+    if text != expected:
+        lines, want = text.splitlines(), expected.splitlines()
+        i = next((i for i, pair in enumerate(zip(lines, want)) if pair[0] != pair[1]),
+                 min(len(lines), len(want)))
+        pytest.fail(f"line {i + 1}: {lines[i:i + 1]} != {want[i:i + 1]} "
+                    f"({len(lines)} lines against {len(want)})")
+
+
 class TestRendering:
     CONFIG = "n = 1\nbeta = 0.7071067811865476\ncutoff = 32\n"
 
@@ -273,6 +316,50 @@ class TestRendering:
         assert doc["experiment"] == "q-grid"
         assert doc["config"] == "n = 1\n"
         assert len(doc["grids"]["husimi"]["values"]) == 11
+
+    @pytest.mark.parametrize("config", GRID_CONFIGS)
+    def test_json_matches_the_indented_dump_on_shipped_grids(self, config):
+        text = (CONFIGS / config).read_text()
+        experiment = cli.parse_config(text)["experiment"]
+        scalars, grids, dur = cli.run_experiment(experiment, text)
+        assert grids
+        assert_same_text(cli.render_envelope_json(experiment, text, scalars, grids, dur),
+                         indented_dump(experiment, text, scalars, grids, dur))
+
+    @pytest.mark.parametrize("config_text", [
+        "n = 2\n",
+        'name = "a \\"quoted\\" \\\\ path"\n',
+        "beta = 1.0  # Schrödinger's cat, α ≈ 1\n",
+        '      "values": null\n      "values": [\n        [\n          1.0,\n',
+    ])
+    def test_json_matches_the_indented_dump_at_float_edges(self, config_text):
+        axis = phasespace.Axis("x", -1.0, 1.0, 3)
+        edges = phasespace.GridFunction(
+            np.array([[-0.0, 5e-324, 1e308], [np.inf, -np.inf, -1e-308], [0.1, 1.0, 2.5]]),
+            phasespace.PhaseGrid(axis, axis), "wigner")
+        column = phasespace.GridFunction(
+            np.array([[0.5], [-0.0], [np.inf]]),
+            phasespace.PhaseGrid(axis, phasespace.Axis("phi", 0.0, 0.0, 1)), "quadrature")
+        for scalars, grids in [
+                ({"min_value": -0.0, "integral": 1e308}, [("wigner", edges)]),
+                ({"values": None}, [("wigner", edges), ("quadrature", column)]),
+                ({}, [("wigner", edges), ("wigner", column)]),  # the last of a name wins
+                ({"x": 1}, [])]:
+            assert_same_text(
+                cli.render_envelope_json("wigner-grid", config_text, scalars, grids, 0.5),
+                indented_dump("wigner-grid", config_text, scalars, grids, 0.5))
+
+    @pytest.mark.parametrize("config", GRID_CONFIGS)
+    def test_csv_matches_the_float_repr_rendering(self, config):
+        text = (CONFIGS / config).read_text()
+        _, grids, _ = cli.run_experiment(cli.parse_config(text)["experiment"], text)
+        for _, gf in grids:
+            a1, a2 = gf.grid.axis1, gf.grid.axis2
+            rows = [",".join(repr(float(v)) for v in row) for row in gf.values]
+            assert_same_text(cli.render_grid_csv(gf), "\n".join([
+                f"# axis1 {a1.name} {a1.lo!r} {a1.hi!r} {a1.points}",
+                f"# axis2 {a2.name} {a2.lo!r} {a2.hi!r} {a2.points}",
+                f"# kind {gf.kind}", *rows]) + "\n")
 
     def test_complex_scalar_format(self):
         assert cli._fmt_complex(1.5 - 0.25j) == "1.5-0.25i"
@@ -854,16 +941,16 @@ def test_exit_codes_through_both_routes(tmp_path, route, case):
 
 
 def loaded_modules(code):
-    """The package submodules (short names), and the scipy modules, ``numpy``
-    and ``numpy.ma`` (which ``np.unique`` without ``return_inverse``
-    imports), loaded once ``code`` has run in a fresh interpreter with this
-    package's source."""
+    """The package submodules (short names), and the scipy modules, ``numpy``,
+    ``numpy.ma`` (which ``np.unique`` without ``return_inverse`` imports) and
+    ``dataclasses`` (which numpy, json and argparse do not import), loaded
+    once ``code`` has run in a fresh interpreter with this package's source."""
     code = textwrap.dedent(code) + textwrap.dedent("""
         import sys
         print(" ".join(sorted(m.partition(".")[2] for m in sys.modules
                               if m.startswith("condibeam."))))
-        print(" ".join(sorted(m for m in sys.modules
-                              if m.startswith("scipy") or m in ("numpy", "numpy.ma"))))
+        print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy")
+                              or m in ("numpy", "numpy.ma", "dataclasses"))))
     """)
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, timeout=120)
@@ -980,6 +1067,8 @@ def test_experiment_loads_only_what_it_runs(tmp_path, experiment):
                                    "--out", {str(tmp_path / "o.json")!r}]) == 0
     """)
     assert not package & absent, package & absent
+    # the package's records are built without dataclasses
+    assert "dataclasses" not in loaded
     assert loaded == {"numpy"}, loaded
 
 
