@@ -13,8 +13,11 @@ parameter is the worst failure mode here.  Complex values are written as
 Results go to stdout as a structured text document that embeds the config
 byte for byte; grid payloads are written as CSV with a three-line header
 (axes, ranges, resolution).  ``--format json-like`` emits one JSON document
-with everything inline instead.  Identical configs reproduce identical
-results.
+with everything inline instead.  An identical config gives identical results
+on one numpy/OpenBLAS build, whatever the machine's core count (a CLI process
+runs BLAS on one thread, below).  Results are not promised across CPUs that
+select different OpenBLAS kernels: the build is DYNAMIC_ARCH, so it picks
+them at run time, and they may round differently in the last digits.
 
 Exit codes: 0 success, 2 config error, 3 domain error (zero probability,
 truncation, a NaN result, ...), 4 selftest failure.
@@ -46,12 +49,27 @@ collections walk the whole heap; ``entry`` freezes the heap before the process
 exits, so exit skips them.  Output files are closed by ``with`` blocks, and the
 interpreter flushes stdout and stderr and runs atexit handlers whether or not
 the collector runs.  ``main(argv)`` leaves the caller's collector as it was.
+
+``entry`` also sets ``OPENBLAS_NUM_THREADS=1`` unless the environment already
+names a thread count, which then wins.  OpenBLAS reads it once, when numpy
+loads in ``run_experiment``, so the process starts no BLAS worker threads.  A
+run's products are banded blocks and small LAPACK calls, too small for a
+thread pool to speed up; on a 2-core machine the pool's workers stalled such
+calls, and they spin against whatever else runs on the cores, the spawning
+script's own BLAS workers included.  Threaded BLAS also sums in an order that
+depends on the thread count: ``y-matrix`` at cutoff 2048 printed
+``largest_singular_value = 0.7071067811865467`` threaded and
+``0.707106781186547`` on one thread.  The setting lives in ``entry``, the
+process, and not in the library: ``import condibeam``, ``run_experiment`` and
+``main(argv)`` leave the caller's environment and BLAS threads as they were.
+Only OpenBLAS's variable is set, the BLAS numpy's wheels ship.
 """
 
 import argparse
 import gc
 import json
 import math
+import os
 import sys
 import time
 
@@ -673,12 +691,14 @@ def main(argv=None):
 
 
 def entry():
-    """The CLI process: ``main`` on ``sys.argv`` with the cyclic collector off.
+    """The CLI process: ``main`` on ``sys.argv`` with numpy's OpenBLAS on one
+    thread (unless ``OPENBLAS_NUM_THREADS`` is set) and the cyclic collector off.
 
     Returns main's exit code.  Nothing is collected afterwards: the heap is
     frozen before the process exits (also when main raises, e.g. argparse's
     ``SystemExit``).
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads
     gc.disable()
     try:
         return main()

@@ -879,6 +879,11 @@ def test_entry_runs_main_without_the_collector(monkeypatch, capsys, args, code, 
         seen.append((gc.isenabled(), gc.get_freeze_count()))
         return real_main()
 
+    # entry sets OPENBLAS_NUM_THREADS in os.environ: it runs on a copy, so the
+    # setting does not reach later tests' children (delenv of an unset name
+    # would restore nothing)
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    monkeypatch.setattr(os, "environ", environ)
     monkeypatch.setattr(sys, "argv", ["condibeam", *args])
     monkeypatch.setattr(cli, "main", recording_main)
     try:
@@ -894,6 +899,91 @@ def test_entry_runs_main_without_the_collector(monkeypatch, capsys, args, code, 
     assert seen == [(False, 0)]
     assert not enabled and frozen > 0
     assert capsys.readouterr().err == stderr
+    assert environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def blas_env(threads):
+    """child_env() with OPENBLAS_NUM_THREADS set to ``threads``, or removed if None."""
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+@pytest.mark.parametrize("threads, expected", [(None, "1"), ("2", "2")],
+                         ids=["unset", "user-set"])
+def test_entry_sets_one_blas_thread_before_numpy_loads(threads, expected):
+    # OpenBLAS reads its thread count once, when numpy loads, so entry must set
+    # it first; a count the user chose is kept
+    code = textwrap.dedent("""
+        import os, sys
+        from condibeam import cli
+        seen = []
+        cli.main = lambda: seen.append(
+            (os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)) or 0
+        assert cli.entry() == 0
+        print(seen)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=blas_env(threads),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"[({expected!r}, False)]\n"
+
+
+def test_main_leaves_the_environment_as_it_was(tmp_path):
+    # only the process entry sets the BLAS thread count; a library caller of
+    # main(argv) keeps its environment, and numpy its threads
+    cfg = CONFIGS / "conditional_operator_demo.cfg"
+    code = textwrap.dedent(f"""
+        import os
+        from condibeam import cli
+        before = dict(os.environ)
+        assert cli.main(["y-matrix", "--config", {str(cfg)!r}, "--format", "json-like",
+                         "--out", {str(tmp_path / "y.json")!r}]) == 0
+        assert dict(os.environ) == before
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=blas_env(None),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+def test_cli_process_runs_one_thread(tmp_path):
+    # a computing run through entry starts no OpenBLAS worker threads
+    cfg = CONFIGS / "conditional_operator_demo.cfg"
+    code = textwrap.dedent(f"""
+        import os, sys
+        from condibeam import cli
+        sys.argv = ["condibeam", "y-matrix", "--config", {str(cfg)!r},
+                    "--format", "json-like", "--out", {str(tmp_path / "y.json")!r}]
+        assert cli.entry() == 0
+        assert "numpy" in sys.modules
+        print(len(os.listdir("/proc/self/task")))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=blas_env(None),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
+
+
+def test_output_is_independent_of_the_core_count(tmp_path):
+    # at cutoff 2048 threaded OpenBLAS sums Y's products in an order set by the
+    # thread count, which moved largest_singular_value in its last digits; a
+    # CLI process runs one thread unless told otherwise, so leaving the
+    # variable out gives the output of OPENBLAS_NUM_THREADS=1
+    cfg = tmp_path / "y2048.cfg"
+    cfg.write_text(f"m = 2\nn = 1\nalpha = 0.3\nbeta = 0.2\ntheta = {math.pi / 4!r}\n"
+                   "cutoff = 2048\n")
+    outputs = []
+    for threads in (None, "1"):
+        proc = subprocess.run([sys.executable, "-m", "condibeam.cli", "y-matrix",
+                               "--config", str(cfg)], env=blas_env(threads),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([line for line in proc.stdout.splitlines()
+                        if "duration_s" not in line])
+    assert outputs[0] == outputs[1]
 
 
 def console_script():

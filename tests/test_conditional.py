@@ -227,10 +227,14 @@ POLICY32 = fock.TruncationPolicy(cutoff=32)
 @st.composite
 def oracle_configs(draw, ends=False):
     """A random beam splitter and displaced Fock references D(alpha)|m>, D(beta)|n>
-    with theta in [0, pi/2], m, n <= 3 and |alpha|, |beta| <= 0.5.  Without
-    ``ends`` a splitter the closed form refuses (|T| or |R| below 1e-15, at
-    either end) is rejected."""
+    with theta in [0, pi/2], m, n <= 3 and |alpha|, |beta| <= 0.5, the tiny
+    magnitudes drawn too: zero, the smallest subnormal, two whose squares are
+    subnormal (1e-155; 1.786e-162, whose square is the smallest) and one whose
+    square underflows to 0 (1e-300).  Without ``ends`` a splitter the closed
+    form refuses (|T| or |R| below 1e-15, at either end) is rejected."""
     phase = st.floats(0.0, 2 * math.pi)
+    magnitude = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.786e-162, 1e-155]),
+                          st.floats(0.0, 0.5))
     bs = BeamSplitterParams(draw(st.floats(0.0, math.pi / 2)), draw(phase), draw(phase))
     if not ends:
         try:
@@ -238,8 +242,8 @@ def oracle_configs(draw, ends=False):
         except DegenerateBeamSplitterError:
             reject()
     m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    alpha = draw(st.floats(0.0, 0.5)) * np.exp(1j * draw(phase))
-    beta = draw(st.floats(0.0, 0.5)) * np.exp(1j * draw(phase))
+    alpha = draw(magnitude) * np.exp(1j * draw(phase))
+    beta = draw(magnitude) * np.exp(1j * draw(phase))
     return m, n, alpha, beta, bs
 
 
